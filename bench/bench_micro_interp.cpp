@@ -1,20 +1,19 @@
-// Micro-benchmarks (google-benchmark): interpreter throughput on generated
-// GEMM kernels for the interpreter backends (bytecode VM vs the
-// tree-walking reference, plus the native JIT in --native mode), and
-// performance-model / search-engine evaluation rates (the quantities that
-// bound a full tuning run's wall-clock).
+// Micro-benchmarks (google-benchmark): execution throughput on generated
+// GEMM kernels for the bytecode VM (plus the native JIT in --native mode),
+// and performance-model / search-engine evaluation rates (the quantities
+// that bound a full tuning run's wall-clock).
 //
 // Besides the timed runs, main() performs a deterministic differential
-// check: all backends must produce bit-identical buffers and counters (at
-// several thread counts), and the bytecode backend must be at least 3x
-// faster single-threaded than the tree walker. The pass/fail bits and the
-// dynamic counters are recorded as scalars (gated against
-// bench/baselines/micro_interp.json); wall-clock numbers go to gauges,
-// which the baseline gate never compares.
+// check: the bytecode VM must produce bit-identical buffers and counters
+// at 1 and 4 threads. The pass/fail bits and the dynamic counters are
+// recorded as scalars (gated against bench/baselines/micro_interp.json);
+// wall-clock numbers go to gauges, which the baseline gate never compares.
+// The tree-walking reference interpreter is test-only; fuzz_codegen_test
+// holds both tiers to it on this bench's kernel shape.
 //
 // With --native the bench becomes "micro_interp_native": it times the
-// native JIT backend too and gates a three-way differential plus the
-// native >= 3x-over-bytecode speedup bit against
+// native JIT backend too and gates a native-vs-bytecode differential plus
+// the native >= 3x-over-bytecode speedup bit against
 // bench/baselines/micro_interp_native.json. Without a usable host
 // toolchain the native run exits 3 so harnesses can skip it.
 #include <benchmark/benchmark.h>
@@ -29,7 +28,6 @@
 #include "common/rng.hpp"
 #include "kernelir/interp.hpp"
 #include "kernelir/native.hpp"
-#include "kernelir/vm.hpp"
 #include "perfmodel/model.hpp"
 #include "simcl/runtime.hpp"
 
@@ -104,33 +102,14 @@ void BM_InterpretGemmKernel(benchmark::State& state, ir::Backend backend) {
       static_cast<double>(mads), benchmark::Counter::kIsRate);
 }
 
-void BM_InterpTree(benchmark::State& s) {
-  BM_InterpretGemmKernel(s, ir::Backend::Tree);
-}
 void BM_InterpBytecode(benchmark::State& s) {
   BM_InterpretGemmKernel(s, ir::Backend::Bytecode);
-}
-// Dispatch axis: the bytecode VM under forced switch dispatch (the
-// default resolves to threaded wherever the build supports it).
-void BM_InterpBytecodeSwitch(benchmark::State& s) {
-  ir::set_vm_dispatch_override(ir::VmDispatch::Switch);
-  BM_InterpretGemmKernel(s, ir::Backend::Bytecode);
-  ir::set_vm_dispatch_override(ir::VmDispatch::Auto);
 }
 void BM_InterpNative(benchmark::State& s) {
   BM_InterpretGemmKernel(s, ir::Backend::Native);
 }
-// SIMD axis: the native JIT with scalar emission forced (the default
-// emits explicit vector lanes).
-void BM_InterpNativeScalar(benchmark::State& s) {
-  ir::set_native_simd_override(ir::NativeSimd::Off);
-  BM_InterpretGemmKernel(s, ir::Backend::Native);
-  ir::set_native_simd_override(ir::NativeSimd::Auto);
-}
 
-BENCHMARK(BM_InterpTree)->Arg(32)->Arg(64);
 BENCHMARK(BM_InterpBytecode)->Arg(32)->Arg(64);
-BENCHMARK(BM_InterpBytecodeSwitch)->Arg(32)->Arg(64);
 
 void BM_GenerateKernel(benchmark::State& state) {
   const auto p =
@@ -170,20 +149,17 @@ double min_seconds(int reps, const MicroLaunch& ml, ir::Backend backend) {
 }
 
 void differential_check() {
-  bench::section("Backend differential (tree vs bytecode, Table II shape)");
+  bench::section(
+      "Thread differential (bytecode 1 vs 4 threads, Table II shape)");
   const std::int64_t n = 64;
-  const MicroLaunch tree_ml(n);
   const MicroLaunch byte_ml(n);
   const MicroLaunch byte4_ml(n);
-  const ir::Counters ct = tree_ml.run(ir::Backend::Tree, 1);
   const ir::Counters cb = byte_ml.run(ir::Backend::Bytecode, 1);
   const ir::Counters cb4 = byte4_ml.run(ir::Backend::Bytecode, 4);
-  const bool buffers_equal =
-      std::memcmp(tree_ml.dC->data(), byte_ml.dC->data(),
-                  tree_ml.dC->size()) == 0 &&
-      std::memcmp(byte_ml.dC->data(), byte4_ml.dC->data(),
-                  byte_ml.dC->size()) == 0;
-  const bool counters_equal = ct == cb && cb == cb4;
+  const bool buffers_equal = std::memcmp(byte_ml.dC->data(),
+                                         byte4_ml.dC->data(),
+                                         byte_ml.dC->size()) == 0;
+  const bool counters_equal = cb == cb4;
   bench::scalar("interp.buffers_equal", buffers_equal ? 1 : 0);
   bench::scalar("interp.counters_equal", counters_equal ? 1 : 0);
   bench::scalar("interp.flops", static_cast<double>(cb.flops));
@@ -197,80 +173,28 @@ void differential_check() {
   bench::scalar("interp.local_store_bytes",
                 static_cast<double>(cb.local_store_bytes));
   bench::scalar("interp.barriers", static_cast<double>(cb.barriers));
-
-  // Single-thread speedup on the warmed compiled-program cache; the >= 3x
-  // bit is the gated acceptance criterion, the raw ratio is a gauge.
-  const double t_tree = min_seconds(3, tree_ml, ir::Backend::Tree);
-  const double t_byte = min_seconds(5, byte_ml, ir::Backend::Bytecode);
-  const double speedup = t_tree / t_byte;
-  trace::gauge_set("micro_interp.speedup_tree_over_bytecode", speedup);
-  bench::scalar("interp.speedup_ge3x", speedup >= 3.0 ? 1 : 0);
-  bench::note(strf("buffers_equal=%d counters_equal=%d speedup=%.1fx "
-                   "(tree %.2f ms, bytecode %.2f ms, single thread)",
-                   buffers_equal ? 1 : 0, counters_equal ? 1 : 0, speedup,
-                   1e3 * t_tree, 1e3 * t_byte));
+  bench::note(strf("buffers_equal=%d counters_equal=%d",
+                   buffers_equal ? 1 : 0, counters_equal ? 1 : 0));
 }
 
-/// Dispatch axis: threaded (computed goto) vs switch execution of the
-/// same bytecode. Both must be bit-identical; on builds that carry the
-/// threaded executor it must also be >= 1.3x faster on the Table II
-/// micro shape (elsewhere the speedup bit is vacuously true — the two
-/// modes resolve to the same executor).
-void dispatch_differential_check() {
-  bench::section("Dispatch differential (threaded vs switch, Table II shape)");
-  const std::int64_t n = 64;
-  const MicroLaunch sw_ml(n);
-  const MicroLaunch th_ml(n);
-  ir::set_vm_dispatch_override(ir::VmDispatch::Switch);
-  const ir::Counters cs = sw_ml.run(ir::Backend::Bytecode, 1);
-  ir::set_vm_dispatch_override(ir::VmDispatch::Threaded);
-  const ir::Counters cth = th_ml.run(ir::Backend::Bytecode, 1);
-  const bool buffers_equal = std::memcmp(sw_ml.dC->data(), th_ml.dC->data(),
-                                         sw_ml.dC->size()) == 0;
-  const bool counters_equal = cs == cth;
-  bench::scalar("interp.dispatch_buffers_equal", buffers_equal ? 1 : 0);
-  bench::scalar("interp.dispatch_counters_equal", counters_equal ? 1 : 0);
-  bench::scalar("interp.dispatch_threaded_supported",
-                ir::vm_threaded_dispatch_supported() ? 1 : 0);
-
-  ir::set_vm_dispatch_override(ir::VmDispatch::Switch);
-  const double t_switch = min_seconds(5, sw_ml, ir::Backend::Bytecode);
-  ir::set_vm_dispatch_override(ir::VmDispatch::Threaded);
-  const double t_threaded = min_seconds(5, th_ml, ir::Backend::Bytecode);
-  ir::set_vm_dispatch_override(ir::VmDispatch::Auto);
-  const double speedup = t_switch / t_threaded;
-  trace::gauge_set("micro_interp.speedup_threaded_over_switch", speedup);
-  const bool ge =
-      !ir::vm_threaded_dispatch_supported() || speedup >= 1.3;
-  bench::scalar("interp.dispatch_threaded_ge1_3x", ge ? 1 : 0);
-  bench::note(strf("buffers_equal=%d counters_equal=%d speedup=%.2fx "
-                   "(switch %.2f ms, threaded %.2f ms, single thread)",
-                   buffers_equal ? 1 : 0, counters_equal ? 1 : 0, speedup,
-                   1e3 * t_switch, 1e3 * t_threaded));
-}
-
-/// --native mode: the native JIT joins the differential. All three
-/// backends must agree byte-for-byte (buffers and counters, serial and
-/// 4-thread native), and the JIT'd kernel must beat the bytecode VM by
-/// >= 3x single-threaded on the Table II micro shape.
+/// --native mode: the native JIT joins the differential. Both tiers must
+/// agree byte-for-byte (buffers and counters, serial and 4-thread native),
+/// and the JIT'd kernel must beat the bytecode VM by >= 3x single-threaded
+/// on the Table II micro shape.
 void native_differential_check() {
-  bench::section(
-      "Backend differential (native vs bytecode vs tree, Table II shape)");
+  bench::section("Backend differential (native vs bytecode, Table II shape)");
   const std::int64_t n = 64;
-  const MicroLaunch tree_ml(n);
   const MicroLaunch byte_ml(n);
   const MicroLaunch nat_ml(n);
   const MicroLaunch nat4_ml(n);
-  const ir::Counters ct = tree_ml.run(ir::Backend::Tree, 1);
   const ir::Counters cb = byte_ml.run(ir::Backend::Bytecode, 1);
   const ir::Counters cn = nat_ml.run(ir::Backend::Native, 1);
   const ir::Counters cn4 = nat4_ml.run(ir::Backend::Native, 4);
   const auto same = [](const MicroLaunch& a, const MicroLaunch& b) {
     return std::memcmp(a.dC->data(), b.dC->data(), a.dC->size()) == 0;
   };
-  const bool buffers_equal = same(nat_ml, byte_ml) && same(nat_ml, tree_ml) &&
-                             same(nat_ml, nat4_ml);
-  const bool counters_equal = cn == cb && cn == ct && cn == cn4;
+  const bool buffers_equal = same(nat_ml, byte_ml) && same(nat_ml, nat4_ml);
+  const bool counters_equal = cn == cb && cn == cn4;
   bench::scalar("interp.native_buffers_equal", buffers_equal ? 1 : 0);
   bench::scalar("interp.native_counters_equal", counters_equal ? 1 : 0);
   bench::scalar("interp.native_mads", static_cast<double>(cn.mads));
@@ -286,46 +210,6 @@ void native_differential_check() {
                    "(bytecode %.2f ms, native %.2f ms, single thread)",
                    buffers_equal ? 1 : 0, counters_equal ? 1 : 0, speedup,
                    1e3 * t_byte, 1e3 * t_native));
-}
-
-/// SIMD axis: explicit-vector emission vs forced scalar emission of the
-/// same kernel (both modes are forced through the process-wide override,
-/// so the environment cannot skew the comparison). Both natives must
-/// agree byte-for-byte with the bytecode reference, and the vectorized
-/// object must be >= 1.5x faster than the scalar one on the Table II
-/// micro shape.
-void simd_differential_check() {
-  bench::section(
-      "SIMD differential (vector vs scalar native, Table II shape)");
-  const std::int64_t n = 64;
-  const MicroLaunch byte_ml(n);
-  const MicroLaunch scal_ml(n);
-  const MicroLaunch simd_ml(n);
-  const ir::Counters cb = byte_ml.run(ir::Backend::Bytecode, 1);
-  ir::set_native_simd_override(ir::NativeSimd::Off);
-  const ir::Counters csc = scal_ml.run(ir::Backend::Native, 1);
-  ir::set_native_simd_override(ir::NativeSimd::On);
-  const ir::Counters csi = simd_ml.run(ir::Backend::Native, 1);
-  const auto same = [](const MicroLaunch& a, const MicroLaunch& b) {
-    return std::memcmp(a.dC->data(), b.dC->data(), a.dC->size()) == 0;
-  };
-  const bool buffers_equal = same(simd_ml, byte_ml) && same(simd_ml, scal_ml);
-  const bool counters_equal = csi == cb && csi == csc;
-  bench::scalar("interp.simd_buffers_equal", buffers_equal ? 1 : 0);
-  bench::scalar("interp.simd_counters_equal", counters_equal ? 1 : 0);
-
-  ir::set_native_simd_override(ir::NativeSimd::Off);
-  const double t_scalar = min_seconds(9, scal_ml, ir::Backend::Native);
-  ir::set_native_simd_override(ir::NativeSimd::On);
-  const double t_simd = min_seconds(9, simd_ml, ir::Backend::Native);
-  ir::set_native_simd_override(ir::NativeSimd::Auto);
-  const double speedup = t_scalar / t_simd;
-  trace::gauge_set("micro_interp.speedup_simd_over_scalar", speedup);
-  bench::scalar("interp.native_simd_ge1_5x", speedup >= 1.5 ? 1 : 0);
-  bench::note(strf("buffers_equal=%d counters_equal=%d speedup=%.2fx "
-                   "(scalar %.2f ms, SIMD %.2f ms, single thread)",
-                   buffers_equal ? 1 : 0, counters_equal ? 1 : 0, speedup,
-                   1e3 * t_scalar, 1e3 * t_simd));
 }
 
 }  // namespace
@@ -370,10 +254,6 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark("BM_InterpNative", BM_InterpNative)
         ->Arg(32)
         ->Arg(64);
-    benchmark::RegisterBenchmark("BM_InterpNativeScalar",
-                                 BM_InterpNativeScalar)
-        ->Arg(32)
-        ->Arg(64);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -382,10 +262,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   if (native_mode) {
     native_differential_check();
-    simd_differential_check();
   } else {
     differential_check();
-    dispatch_differential_check();
   }
   return 0;
 }

@@ -4,9 +4,9 @@
 //   --threads N                      worker threads for tuning and kernel
 //                                    interpretation (overrides the
 //                                    GEMMTUNE_THREADS environment variable)
-//   --interp <tree|bytecode>         kernel interpreter backend (overrides
-//                                    the GEMMTUNE_INTERP environment
-//                                    variable; default bytecode)
+//   --interp <bytecode|native>       kernel execution tier (overrides the
+//                                    GEMMTUNE_INTERP environment variable;
+//                                    default bytecode)
 //   --trace FILE                     enable tracing; write a Chrome
 //                                    trace-event JSON timeline to FILE
 //   --metrics FILE                   enable tracing; write the aggregated

@@ -1,28 +1,30 @@
-// Lockstep work-group interpreter for IR kernels.
-//
-// Executes a kernel over a two-dimensional NDRange against SimCL buffers,
-// with OpenCL memory semantics:
+// Kernel execution entry point: ir::launch runs an IR kernel over a
+// two-dimensional NDRange against SimCL buffers, with OpenCL memory
+// semantics:
 //  * private variables / arrays per work-item,
 //  * local arrays per work-group,
 //  * global memory = SimCL buffers.
 //
-// Work-groups are independent (OpenCL barriers are intra-group only), so
-// the interpreter partitions the group space across a thread pool; within a
-// group, every statement executes across all work-items before the next
-// statement ("lockstep"). This is a valid execution of any kernel whose
-// loop bounds are work-group uniform
-// and whose barriers are in uniform control flow — exactly the shape of the
-// paper's generated GEMM kernels. The interpreter *verifies* loop-bound
-// uniformity at run time and rejects non-uniform loops, so the restriction
-// is checked, not assumed.
+// Two execution tiers run the kernel: the bytecode VM (vm.hpp, the
+// default) and the native JIT (native.hpp). Both execute a work-group in
+// lockstep, one operation across all work-items before the next. This is
+// a valid execution of any kernel whose loop bounds are work-group uniform
+// and whose barriers are in uniform control flow — exactly the shape of
+// the paper's generated GEMM kernels. Both tiers *verify* loop-bound
+// uniformity at run time and reject non-uniform loops, so the restriction
+// is checked, not assumed. Work-groups are independent (OpenCL barriers
+// are intra-group only), so a launch partitions the group space across a
+// thread pool.
 //
-// Single-precision kernels round every arithmetic result to float, so the
-// interpreter bit-matches what an SP device would compute (modulo fma
-// contraction, which mad() permits anyway).
+// Single-precision kernels round every arithmetic result to float, so both
+// tiers bit-match what an SP device would compute (modulo fma contraction,
+// which mad() permits anyway).
 //
-// The interpreter also counts dynamic work: flops, bytes moved per address
-// space, barrier executions. These counters anchor the analytic performance
-// model (tests cross-check the model's static formulas against them).
+// Launches also count dynamic work: flops, bytes moved per address space,
+// barrier executions. These counters anchor the analytic performance model
+// (tests cross-check the model's static formulas against them). The tests
+// hold both tiers to a tree-walking reference interpreter that is compiled
+// only into the test binaries (tests/tree_oracle.hpp).
 #pragma once
 
 #include <array>
@@ -60,18 +62,17 @@ struct Counters {
   bool operator==(const Counters&) const = default;
 };
 
-/// Interpreter backend. `Bytecode` compiles the kernel to a flat register
+/// Execution tier. `Bytecode` compiles the kernel to a flat register
 /// program via a process-wide compiled-kernel cache (compile.hpp) and runs
-/// it on the VM (vm.hpp); `Tree` walks the expression tree directly and is
-/// kept as the reference semantics; `Native` JIT-compiles the bytecode to
-/// a specialized C++ shared object via the host toolchain (native.hpp) and
+/// it on the VM (vm.hpp); `Native` JIT-compiles the bytecode to a
+/// specialized C++ shared object via the host toolchain (native.hpp) and
 /// falls back to Bytecode — with an interp.native_fallback counter and a
 /// one-line warning naming the cause — when no toolchain or cache object
-/// is usable. All backends produce bit-identical buffers and counters at
-/// any thread count. `Auto` resolves, in priority order: the process-wide
+/// is usable. Both produce bit-identical buffers and counters at any
+/// thread count. `Auto` resolves, in priority order: the process-wide
 /// override (the CLI --interp flag), the GEMMTUNE_INTERP environment
-/// variable ("tree" / "bytecode" / "native"), then Bytecode.
-enum class Backend { Auto, Tree, Bytecode, Native };
+/// variable ("bytecode" / "native"), then Bytecode.
+enum class Backend { Auto, Bytecode, Native };
 
 /// Sets the process-wide backend override (Auto clears it).
 void set_backend_override(Backend b);

@@ -9,7 +9,7 @@
 //     hash already sits in the cache directory, dlopen it directly — a
 //     warm start never invokes the compiler.
 //  3. otherwise emit the specialized source, run the host C++ compiler
-//     (-O2 -fPIC -shared -ffp-contract=off; contraction off keeps the
+//     (-O3 -fPIC -shared -ffp-contract=off; contraction off keeps the
 //     generated arithmetic bit-identical to the interpreter's), publish
 //     the object with temp-file + rename (concurrent processes race
 //     benignly: rename is atomic and either winner's object is valid),
@@ -22,7 +22,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/keyval.hpp"
 #include "common/strings.hpp"
 #include "trace/trace.hpp"
 
@@ -46,41 +44,23 @@ namespace {
 
 /// Bumping this invalidates every cached .so (the hash covers it).
 constexpr const char* kEmitterVersion = "gemmtune-native-emit-v2";
-/// Scalar FP codegen: the backend contract is byte-identical buffers
-/// against the interpreter, and GCC's tree/SLP vectorizers can reorganize
-/// the emitted (double)(float) rounding chains at a one-ULP cost on f32
-/// kernels. Contraction is off for the same reason.
-constexpr const char* kJitFlagsScalar =
-    "-std=c++17 -O2 -fPIC -shared -ffp-contract=off "
-    "-fno-tree-vectorize -fno-tree-slp-vectorize";
-/// SIMD emitter path: the vector lanes are explicit in the source (with
-/// f32 rounding as per-element conversions inside the vector body), so
-/// the loop vectorizer is free to run — per-element semantics are already
-/// pinned. SLP stays off: it is the pass that reorganized scalar rounding
-/// chains at a one-ULP cost, and the explicit vectors leave it no upside.
-constexpr const char* kJitFlagsSimd =
+/// The vector lanes are explicit in the emitted source (with f32 rounding
+/// as per-element conversions inside the vector body), so the loop
+/// vectorizer is free to run — per-element semantics are already pinned.
+/// SLP stays off: GCC's SLP pass reorganizes the scalar (double)(float)
+/// rounding chains the emitter prints for masked ops and odd lane counts
+/// at a one-ULP cost on f32 kernels, and the explicit vectors leave it no
+/// upside. Contraction is off for the same reason: the contract is
+/// byte-identical buffers against the VM.
+constexpr const char* kJitFlags =
     "-std=c++17 -O3 -fPIC -shared -ffp-contract=off "
     "-fno-tree-slp-vectorize";
-
-std::atomic<NativeSimd> g_simd_override{NativeSimd::Auto};
-
-/// Widest vector of doubles the host CPU runs natively; the generic
-/// 2-lane fallback still wins on baseline x86-64 (SSE2) and lets non-x86
-/// hosts use the synthesized GCC vector ops.
-int probed_simd_width() {
-#if defined(__x86_64__)
-  if (__builtin_cpu_supports("avx512f")) return 8;
-  if (__builtin_cpu_supports("avx2")) return 4;
-#endif
-  return 2;
-}
 
 /// Compiler flags for one native compile at the given emit width. The
 /// arch flag must cover the vector width the emitter baked in, and both
 /// feed the .so hash so changing either never reuses a stale object.
 std::string jit_flags_for(int simd_w) {
-  if (simd_w <= 0) return kJitFlagsScalar;
-  std::string flags = kJitFlagsSimd;
+  std::string flags = kJitFlags;
 #if defined(__x86_64__)
   if (simd_w >= 8) {
     flags += " -mavx512f";
@@ -304,9 +284,7 @@ NativeKernelPtr jit_build(const Kernel& kernel, const std::string& key,
   }
 
   const CompiledKernelPtr prog = get_or_compile(kernel);
-  NativeEmitOptions opts;
-  opts.simd_width = simd_w;
-  const std::string source = emit_native_source(kernel, *prog, opts);
+  const std::string source = emit_native_source(kernel, *prog, simd_w);
   const std::string src_path =
       dir + strf("/gemmtune-%016llx.%d.cpp",
                  static_cast<unsigned long long>(jit_hash(flags, key)),
@@ -353,25 +331,15 @@ void set_jit_cache_dir(const std::string& dir) {
 
 bool native_toolchain_available() { return !toolchain_cxx().empty(); }
 
-void set_native_simd_override(NativeSimd m) {
-  g_simd_override.store(m, std::memory_order_relaxed);
-}
-
+// The widest vector of doubles the host CPU runs natively; the generic
+// 2-lane fallback still wins on baseline x86-64 (SSE2) and lets non-x86
+// hosts use the synthesized GCC vector ops.
 int native_simd_width() {
-  NativeSimd m = g_simd_override.load(std::memory_order_relaxed);
-  if (m == NativeSimd::Auto) {
-    if (const char* env = std::getenv("GEMMTUNE_NATIVE_SIMD")) {
-      if (std::strcmp(env, "off") == 0) {
-        m = NativeSimd::Off;
-      } else if (std::strcmp(env, "on") == 0) {
-        m = NativeSimd::On;
-      } else {
-        fail_unknown_value("GEMMTUNE_NATIVE_SIMD", env, {"on", "off"});
-      }
-    }
-  }
-  if (m == NativeSimd::Off) return 0;
-  return probed_simd_width();
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx512f")) return 8;
+  if (__builtin_cpu_supports("avx2")) return 4;
+#endif
+  return 2;
 }
 
 void reset_native_probe() {
@@ -382,13 +350,12 @@ void reset_native_probe() {
 
 NativeKernelPtr get_or_compile_native(const Kernel& kernel,
                                       std::string* why) {
-  // The SIMD mode is part of the identity of a compiled object: scalar
-  // and SIMD programs for the same kernel live in separate cache slots
-  // (and separate hash-named .so files), so flipping the mode mid-process
-  // never serves a stale object.
+  // The vector width is part of the identity of a compiled object (and of
+  // its hash-named .so file), so hosts of different ISAs sharing one cache
+  // directory never load each other's objects.
   const int simd_w = native_simd_width();
-  std::string key = serialize_kernel(kernel);
-  if (simd_w > 0) key += strf("#simd=w%d", simd_w);
+  const std::string key =
+      serialize_kernel(kernel) + strf("#simd=w%d", simd_w);
   const NativeSlot slot = native_cache_lookup(key);
   if (slot.present) {
     if (slot.kernel) {

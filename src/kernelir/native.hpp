@@ -10,8 +10,7 @@
 // work-group size itself is a compile-time constant. Bounds checks the
 // bytecode pass already proved (constant private/local addressing lowered
 // to FmaPP / SplatLaneP / kImmAddr forms) are gone entirely; the remaining
-// runtime checks raise the exact same message text as the tree walker and
-// the VM.
+// runtime checks raise the exact same message text as the VM.
 //
 // get_or_compile_native() drives the pipeline: emit the source, invoke the
 // host C++ compiler (GEMMTUNE_JIT_CXX, else the compiler this library was
@@ -71,35 +70,21 @@ class NativeKernel {
   std::string so_path_;
 };
 
-/// SIMD mode for the native emitter. Resolution precedence mirrors
-/// Backend / VmDispatch: set_native_simd_override > GEMMTUNE_NATIVE_SIMD
-/// ("on" / "off") > on. When on, the emitter prints explicit fixed-width
-/// vector lanes (GCC/Clang vector extensions) for the unmasked FP ops,
-/// with f32 rounding as per-element widen→op→narrow conversions inside
-/// the vector body, so buffers stay bit-identical to the scalar backends.
-enum class NativeSimd { Auto, Off, On };
-
-/// Process-wide SIMD override (the --native-simd flag); Auto clears it.
-void set_native_simd_override(NativeSimd m);
-
-/// Resolved vector width (in doubles) a native compile started now would
-/// emit: 0 for scalar emission, else the probed host width (8 with
-/// AVX-512F, 4 with AVX2, 2 baseline). The width is folded into both the
-/// program-cache key and the on-disk .so hash, so scalar and SIMD objects
-/// for the same kernel never collide.
+/// Vector width (in doubles) the native JIT emits: the probed host width,
+/// 8 with AVX-512F, 4 with AVX2, 2 baseline. The width is folded into both
+/// the program-cache key and the on-disk .so hash, so a cache directory
+/// shared by hosts of different ISAs never serves a foreign object.
 int native_simd_width();
 
-/// Options for emit_native_source(); defaults reproduce scalar emission.
-struct NativeEmitOptions {
-  int simd_width = 0;  ///< vector lanes in doubles; 0 = scalar emission
-};
-
-/// Emits the specialized C++ translation unit for one compiled kernel.
-/// Pure and deterministic (the source depends only on the program, the
-/// kernel's reqd_work_group_size / argument shapes, and the options).
+/// Emits the specialized C++ translation unit for one compiled kernel with
+/// explicit fixed-width vector lanes (GCC/Clang vector extensions) of
+/// `simd_width` doubles (2, 4, 8 or 16) for the unmasked ops; f32 rounding
+/// is a per-element widen→op→narrow conversion inside the vector body, so
+/// buffers stay bit-identical to the VM. Pure and deterministic (the source
+/// depends only on the program, the kernel's reqd_work_group_size /
+/// argument shapes, and the width).
 std::string emit_native_source(const Kernel& kernel,
-                               const CompiledKernel& prog,
-                               const NativeEmitOptions& opts = {});
+                               const CompiledKernel& prog, int simd_width);
 
 /// Sets the on-disk .so cache directory (the --jit-cache-dir flag). An
 /// empty string restores the default: GEMMTUNE_JIT_CACHE if set, else a

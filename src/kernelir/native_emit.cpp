@@ -18,14 +18,14 @@
 // the JIT compiles with -ffp-contract=off so the host compiler cannot
 // fuse a*b+c into an fma the interpreter didn't perform.
 //
-// In SIMD mode (NativeEmitOptions::simd_width > 0) the unmasked FP ops
-// are printed as explicit fixed-width vector expressions instead of
-// unrolled scalars: lane-major slab regions flatten into chunks of the
-// host vector width, and f32 rounding becomes an element-wise
-// double->float->double __builtin_convertvector pair inside the vector
-// body — the narrowing is pinned per element, so no compiler pass can
-// re-associate it and every lane still rounds exactly like the VM.
-// Masked ops, integer ops and copies keep their scalar emission.
+// The unmasked FP ops are printed as explicit fixed-width vector
+// expressions instead of unrolled scalars: lane-major slab regions flatten
+// into chunks of the host vector width, and f32 rounding becomes an
+// element-wise double->float->double __builtin_convertvector pair inside
+// the vector body — the narrowing is pinned per element, so no compiler
+// pass can re-associate it and every lane still rounds exactly like the
+// VM. Masked ops and lane counts that are not a vector width keep scalar
+// statement bodies.
 #include <cinttypes>
 #include <cstdint>
 #include <cstring>
@@ -66,10 +66,10 @@ std::string cstr(const std::string& s) {
 
 class Emitter {
  public:
-  Emitter(const Kernel& k, const CompiledKernel& p, const NativeEmitOptions& o)
-      : k_(k),
-        p_(p),
-        simd_(vectorizable_width(o.simd_width) ? o.simd_width : 0) {}
+  Emitter(const Kernel& k, const CompiledKernel& p, int simd_width)
+      : k_(k), p_(p), simd_(simd_width) {
+    check(vectorizable_width(simd_), "native emit: unsupported SIMD width");
+  }
 
   std::string run() {
     collect_labels();
@@ -259,10 +259,8 @@ class Emitter {
   /// the VM completes every item's load before the first store, and the
   /// fused loop interleaves them, which only a shared overlapping range
   /// could observe (private slabs are per-item, globals are load-only
-  /// here, and distinct arrays occupy disjoint slab ranges). SIMD mode
-  /// only — the scalar emitter stays the reference PR 6 translation.
+  /// here, and distinct arrays occupy disjoint slab ranges).
   void collect_fusions() {
-    if (simd_ <= 0) return;
     std::map<std::int32_t, std::vector<std::size_t>> cand;
     for (std::size_t i = 0; i + 1 < p_.code.size(); ++i) {
       if (is_target_[i + 1]) continue;
@@ -319,7 +317,6 @@ class Emitter {
   /// one vector load/store pair (f64 only for the global ops — the f32
   /// paths convert element widths and stay scalar).
   void collect_vector_widths() {
-    if (simd_ <= 0) return;
     vwidths_.insert(simd_);
     for (const Insn& in : p_.code) {
       if (in.op == Op::SplatLaneP && vectorizable_width(in.b))
@@ -351,8 +348,8 @@ class Emitter {
 
   void prologue() {
     raw(strf("// Generated by the gemmtune native backend (emitter v2, "
-             "%s) for\n",
-             simd_ > 0 ? strf("simd w=%d", simd_).c_str() : "scalar"));
+             "simd w=%d) for\n",
+             simd_));
     raw("// kernel '" + k_.name + "'. Mirrors kernelir/vm.cpp semantics.\n");
     raw("#include <cstddef>\n#include <cstdio>\n#include <cstring>\n\n");
     // Fixed-width vector lanes (GCC/Clang vector extensions). Loads and
@@ -362,34 +359,32 @@ class Emitter {
     // is exactly the VM's (double)(float) rounding chain — no
     // re-association is possible because the narrowing is explicit per
     // element inside the vector body.
-    if (!vwidths_.empty()) {
-      raw("namespace {\n");
-      for (const int vw : vwidths_) {
-        raw(strf("typedef double vd%d __attribute__((vector_size(%d)));\n",
-                 vw, 8 * vw));
-        raw(strf("typedef float vs%d __attribute__((vector_size(%d)));\n",
-                 vw, 4 * vw));
-        raw(strf("inline vd%d ld%d(const double* p) "
-                 "{ vd%d v; __builtin_memcpy(&v, p, sizeof v); return v; }\n",
-                 vw, vw, vw));
-        raw(strf("inline void st%d(double* p, vd%d v) "
-                 "{ __builtin_memcpy(p, &v, sizeof v); }\n",
-                 vw, vw));
-        raw(strf("inline vd%d rnd%d(vd%d v) "
-                 "{ return __builtin_convertvector("
-                 "__builtin_convertvector(v, vs%d), vd%d); }\n",
-                 vw, vw, vw, vw, vw));
-        raw(strf("typedef long long vl%d __attribute__((vector_size(%d)));\n",
-                 vw, 8 * vw));
-        raw(strf("inline vl%d ldi%d(const long long* p) "
-                 "{ vl%d v; __builtin_memcpy(&v, p, sizeof v); return v; }\n",
-                 vw, vw, vw));
-        raw(strf("inline void sti%d(long long* p, vl%d v) "
-                 "{ __builtin_memcpy(p, &v, sizeof v); }\n",
-                 vw, vw));
-      }
-      raw("}  // namespace\n\n");
+    raw("namespace {\n");
+    for (const int vw : vwidths_) {
+      raw(strf("typedef double vd%d __attribute__((vector_size(%d)));\n",
+               vw, 8 * vw));
+      raw(strf("typedef float vs%d __attribute__((vector_size(%d)));\n",
+               vw, 4 * vw));
+      raw(strf("inline vd%d ld%d(const double* p) "
+               "{ vd%d v; __builtin_memcpy(&v, p, sizeof v); return v; }\n",
+               vw, vw, vw));
+      raw(strf("inline void st%d(double* p, vd%d v) "
+               "{ __builtin_memcpy(p, &v, sizeof v); }\n",
+               vw, vw));
+      raw(strf("inline vd%d rnd%d(vd%d v) "
+               "{ return __builtin_convertvector("
+               "__builtin_convertvector(v, vs%d), vd%d); }\n",
+               vw, vw, vw, vw, vw));
+      raw(strf("typedef long long vl%d __attribute__((vector_size(%d)));\n",
+               vw, 8 * vw));
+      raw(strf("inline vl%d ldi%d(const long long* p) "
+               "{ vl%d v; __builtin_memcpy(&v, p, sizeof v); return v; }\n",
+               vw, vw, vw));
+      raw(strf("inline void sti%d(long long* p, vl%d v) "
+               "{ __builtin_memcpy(p, &v, sizeof v); }\n",
+               vw, vw));
     }
+    raw("}  // namespace\n\n");
     // Bit-exact floating constant pool, materialized at dlopen time.
     if (!p_.fpool.empty()) {
       raw("namespace {\n");
@@ -604,39 +599,35 @@ class Emitter {
             expr = "(" + xa + " != 0 && " + xb + " != 0) ? 1 : 0";
             break;
         }
-        if (simd_ > 0) {
-          // Explicit vectors: integer lane arithmetic is exact, and vector
-          // compares yield 0/-1 per lane, masked down to the 0/1 the
-          // scalar ?: forms produce. Uniform operands splat once.
-          const std::string va =
-              (in.flags & kAUni) ? "uva" : strf("ldi%d(pa + t)", simd_);
-          const std::string vb =
-              (in.flags & kBUni) ? "uvb" : strf("ldi%d(pb + t)", simd_);
-          std::string vexpr;
-          switch (in.op) {
-            case Op::VAdd: vexpr = va + " + " + vb; break;
-            case Op::VSub: vexpr = va + " - " + vb; break;
-            case Op::VMul: vexpr = va + " * " + vb; break;
-            case Op::VLt: vexpr = "((" + va + " < " + vb + ") & 1)"; break;
-            default:
-              vexpr = "(((" + va + " != 0) & (" + vb + " != 0)) & 1)";
-              break;
-          }
-          if (in.flags & kAUni)
-            line(strf("  const vl%d uva = ", simd_) +
-                 splat_list("xa", simd_) + ";");
-          if (in.flags & kBUni)
-            line(strf("  const vl%d uvb = ", simd_) +
-                 splat_list("xb", simd_) + ";");
-          line("  long long t = 0;");
-          line(strf("  for (; t + %d <= NI; t += %d) sti%d(dst + t, ", simd_,
-                    simd_, simd_) +
-               vexpr + ");");
-          line("  for (; t < NI; ++t) dst[t] = " + expr + ";");
-          line("}");
-          return;
+        // Explicit vectors: integer lane arithmetic is exact, and vector
+        // compares yield 0/-1 per lane, masked down to the 0/1 the scalar
+        // ?: forms produce. Uniform operands splat once.
+        const std::string va =
+            (in.flags & kAUni) ? "uva" : strf("ldi%d(pa + t)", simd_);
+        const std::string vb =
+            (in.flags & kBUni) ? "uvb" : strf("ldi%d(pb + t)", simd_);
+        std::string vexpr;
+        switch (in.op) {
+          case Op::VAdd: vexpr = va + " + " + vb; break;
+          case Op::VSub: vexpr = va + " - " + vb; break;
+          case Op::VMul: vexpr = va + " * " + vb; break;
+          case Op::VLt: vexpr = "((" + va + " < " + vb + ") & 1)"; break;
+          default:
+            vexpr = "(((" + va + " != 0) & (" + vb + " != 0)) & 1)";
+            break;
         }
-        line("  " + t_loop_open(false) + "dst[t] = " + expr + "; } }");
+        if (in.flags & kAUni)
+          line(strf("  const vl%d uva = ", simd_) + splat_list("xa", simd_) +
+               ";");
+        if (in.flags & kBUni)
+          line(strf("  const vl%d uvb = ", simd_) + splat_list("xb", simd_) +
+               ";");
+        line("  long long t = 0;");
+        line(strf("  for (; t + %d <= NI; t += %d) sti%d(dst + t, ", simd_,
+                  simd_, simd_) +
+             vexpr + ");");
+        line("  for (; t < NI; ++t) dst[t] = " + expr + ";");
+        line("}");
         return;
       }
       case Op::VDiv:
@@ -669,7 +660,7 @@ class Emitter {
       case Op::VMovU:
         line("{ long long* const dst = " + vi_ptr(in.dst) + ";");
         line("  const long long v = " + u(in.a) + ";");
-        if (simd_ > 0 && !masked) {
+        if (!masked) {
           line(strf("  const vl%d vv = ", simd_) + splat_list("v", simd_) +
                ";");
           line("  long long t = 0;");
@@ -684,7 +675,7 @@ class Emitter {
       case Op::VMov:
         line("{ long long* const dst = " + vi_ptr(in.dst) + ";");
         line("  const long long* const src = " + vi_ptr(in.a) + ";");
-        if (simd_ > 0 && !masked) {
+        if (!masked) {
           // A register-to-register move is one contiguous slab copy.
           line("  __builtin_memcpy(dst, src, sizeof(long long) * "
                "(std::size_t)NI);");
@@ -717,7 +708,7 @@ class Emitter {
         const int dw = in.b, sw = in.c, n = in.lanes;
         line("{ double* const dst = " + vf_ptr(in.dst) + ";");
         line("  const double* const src = " + vf_ptr(in.a) + ";");
-        if (simd_ > 0 && !masked && n == dw && n == sw) {
+        if (!masked && n == dw && n == sw) {
           // Full-width register move: one contiguous slab copy.
           line(strf("  __builtin_memcpy(dst, src, sizeof(double) * "
                     "(std::size_t)(%d * NI));",
@@ -764,7 +755,7 @@ class Emitter {
         const bool f32 = (in.aux & kRoundF32) != 0;
         const char* op = in.op == Op::FAdd ? "+" : in.op == Op::FSub ? "-"
                                                                      : "*";
-        if (simd_ > 0 && !masked) {
+        if (!masked) {
           // Lane-wise over the whole register slab: lanes of consecutive
           // work-items are contiguous (vf[base*NI + t*w + l]), so the
           // t/l loops flatten into one run of w*NI doubles chunked at
@@ -804,7 +795,7 @@ class Emitter {
       }
       case Op::FMad: {
         const bool f32 = (in.aux & kRoundF32) != 0;
-        if (simd_ > 0 && !masked) {
+        if (!masked) {
           line("{ double* const dst = " + vf_ptr(in.dst) + ";");
           line("  const double* const a = " + vf_ptr(in.a) + ";");
           line("  const double* const b = " + vf_ptr(in.b) + ";");
@@ -861,7 +852,7 @@ class Emitter {
         line(strf("    double* const cp = pa + %lld;", coff));
         line(strf("    const double* const bp = pa + %lld;", boff));
         line(strf("    const double* const ap = av + t * %d;", stride));
-        if (simd_ > 0 && vectorizable_width(w)) {
+        if (vectorizable_width(w)) {
           // One vector per work-item: the register width is the vector
           // width, so the whole rank-1 update step is a single
           // load/fma-shaped/store sequence (unfused: contraction is off).
@@ -891,7 +882,7 @@ class Emitter {
         line("  " + t_loop_open(false));
         line(strf("    const double x = parr[t * %lld + %lld];",
                   static_cast<long long>(p_.parr_doubles), off));
-        if (simd_ > 0 && !elide && vectorizable_width(dw)) {
+        if (!elide && vectorizable_width(dw)) {
           // One full-width store covers the splat lanes and the zero fill.
           std::string init = "{";
           for (int l = 0; l < dw; ++l) {
@@ -900,7 +891,7 @@ class Emitter {
           }
           line(strf("    const vd%d vx = ", dw) + init + "};");
           line(strf("    st%d(dst + t * %d, vx);", dw, dw));
-        } else if (simd_ > 0 && vectorizable_width(w)) {
+        } else if (vectorizable_width(w)) {
           line(strf("    const vd%d vx = ", w) + splat_list("x", w) + ";");
           line(strf("    st%d(dst + t * %d, vx);", w, dw));
           if (!elide)
@@ -935,8 +926,7 @@ class Emitter {
                                 "lanes, buffer %%lld elements",
                                 is_store ? "store" : "load", w)),
                       {"(long long)idx", "(long long)en"});
-        if (simd_ > 0 && !masked && !f32 && !is_store &&
-            vectorizable_width(w)) {
+        if (!masked && !f32 && !is_store && vectorizable_width(w)) {
           // SIMD form, f64 loads only: the destination is scratch, so the
           // hoisted check is invisible on the failure path. Stores stay
           // interleaved — a faulting launch must leave the user's buffer
@@ -999,7 +989,7 @@ class Emitter {
             local ? strf("larr + %d", ar.offset)
                   : strf("parr + t * %lld + %d",
                          static_cast<long long>(p_.parr_doubles), ar.offset);
-        if (simd_ > 0 && !masked && vectorizable_width(w)) {
+        if (!masked && vectorizable_width(w)) {
           // SIMD form: the bounds check is hoisted out of the copy loop
           // (constant/uniform addresses check once; varying addresses
           // OR-reduce, with an exact scalar re-scan on the failure path so
@@ -1295,7 +1285,7 @@ class Emitter {
 
   const Kernel& k_;
   const CompiledKernel& p_;
-  const int simd_;               ///< vector width in doubles; 0 = scalar
+  const int simd_;               ///< vector width in doubles
   std::string out_;
   std::vector<char> is_target_;
   std::set<std::int32_t> splat_zero_elide_;
@@ -1307,9 +1297,8 @@ class Emitter {
 }  // namespace
 
 std::string emit_native_source(const Kernel& kernel,
-                               const CompiledKernel& prog,
-                               const NativeEmitOptions& opts) {
-  Emitter e(kernel, prog, opts);
+                               const CompiledKernel& prog, int simd_width) {
+  Emitter e(kernel, prog, simd_width);
   return e.run();
 }
 

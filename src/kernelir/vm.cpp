@@ -1,25 +1,20 @@
 // Bytecode virtual machine: instruction-major execution of a
-// CompiledKernel. Every run-time check the tree-walker performs (launch
-// validation, loop-bound uniformity, bounds, divide-by-zero, barrier
-// divergence) is re-raised here with the same message text, and every
-// counter is accumulated per work-item exactly where the tree would.
+// CompiledKernel. Every run-time check the reference tree walker
+// (tests/tree_oracle.hpp) performs (launch validation, loop-bound
+// uniformity, bounds, divide-by-zero, barrier divergence) is re-raised here
+// with the same message text, and every counter is accumulated per
+// work-item exactly where the tree would.
 #include "kernelir/vm.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #include "common/error.hpp"
-#include "common/keyval.hpp"
 #include "common/strings.hpp"
 
 // Threaded-code dispatch needs the GNU labels-as-values extension
-// (computed goto). GCC and Clang both provide it; anything else falls
-// back to the portable switch executor.
-#if defined(__GNUC__) || defined(__clang__)
-#define GEMMTUNE_VM_THREADED 1
-#else
-#define GEMMTUNE_VM_THREADED 0
+// (computed goto), which GCC and Clang provide. The build already requires
+// one of them: CMakeLists.txt passes -Wall -Wextra and native.cpp calls
+// __builtin_cpu_supports.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the bytecode VM needs computed goto (GCC or Clang)"
 #endif
 
 namespace gemmtune::ir {
@@ -46,15 +41,6 @@ LaunchPlan::LaunchPlan(const Kernel& k, std::array<std::int64_t, 2> g,
   ngx = global[0] / local[0];
   ngroups = ngx * (global[1] / local[1]);
   items_per_group = local[0] * local[1];
-  for (const auto& sym : k.symbols) {
-    if (sym.array_len == 0) {
-      ++n_vars;
-    } else if (sym.space == AddrSpace::Private) {
-      ++n_parrays;
-    } else {
-      ++n_larrays;
-    }
-  }
   views.resize(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ArgView& v = views[i];
@@ -73,50 +59,8 @@ LaunchPlan::LaunchPlan(const Kernel& k, std::array<std::int64_t, 2> g,
   }
 }
 
-namespace {
-std::atomic<VmDispatch> g_dispatch_override{VmDispatch::Auto};
-}  // namespace
-
-void set_vm_dispatch_override(VmDispatch d) {
-  g_dispatch_override.store(d, std::memory_order_relaxed);
-}
-
-bool vm_threaded_dispatch_supported() { return GEMMTUNE_VM_THREADED != 0; }
-
-VmDispatch resolve_vm_dispatch(VmDispatch requested) {
-  VmDispatch d = requested;
-  if (d == VmDispatch::Auto)
-    d = g_dispatch_override.load(std::memory_order_relaxed);
-  if (d == VmDispatch::Auto) {
-    if (const char* env = std::getenv("GEMMTUNE_VM_DISPATCH")) {
-      if (std::strcmp(env, "switch") == 0) {
-        d = VmDispatch::Switch;
-      } else if (std::strcmp(env, "threaded") == 0) {
-        d = VmDispatch::Threaded;
-      } else {
-        fail_unknown_value("GEMMTUNE_VM_DISPATCH", env,
-                           {"switch", "threaded"});
-      }
-    }
-  }
-  if (d == VmDispatch::Auto) d = VmDispatch::Threaded;
-  if (d == VmDispatch::Threaded && !vm_threaded_dispatch_supported())
-    d = VmDispatch::Switch;
-  return d;
-}
-
-const char* to_string(VmDispatch d) {
-  switch (d) {
-    case VmDispatch::Auto: return "auto";
-    case VmDispatch::Switch: return "switch";
-    case VmDispatch::Threaded: return "threaded";
-  }
-  return "auto";
-}
-
 VmMachine::VmMachine(const CompiledKernel& prog, const LaunchPlan& plan)
     : p_(prog), plan_(plan) {
-  threaded_ = resolve_vm_dispatch() == VmDispatch::Threaded;
   nitems_ = static_cast<int>(plan.items_per_group);
   u_.assign(static_cast<std::size_t>(p_.n_u), 0);
   vi_.assign(static_cast<std::size_t>(p_.n_vi) *
@@ -181,536 +125,19 @@ void VmMachine::run_group(std::int64_t gx, std::int64_t gy) {
   std::fill(mask_.begin(), mask_.end(), 1);
   active_ = ni;
   mask_depth_ = 0;
-  if (threaded_) {
-    run_group_threaded();
-  } else {
-    run_group_switch();
-  }
-}
-
-void VmMachine::run_group_switch() {
-  const int ni = nitems_;
-  const auto nu = static_cast<std::size_t>(ni);
-  const Insn* code = p_.code.data();
-  const std::int64_t lsx = plan_.local[0];
-  std::int64_t pc = 0;
-  for (;;) {
-    const Insn& in = code[pc];
-    ++pc;
-    switch (in.op) {
-      case Op::Halt:
-        return;
-      case Op::UConst:
-        u_[static_cast<std::size_t>(in.dst)] = in.imm;
-        break;
-      case Op::UArg:
-        u_[static_cast<std::size_t>(in.dst)] =
-            plan_.views[static_cast<std::size_t>(in.a)].i;
-        break;
-      case Op::UBuiltin:
-        u_[static_cast<std::size_t>(in.dst)] = builtin_u(in.aux);
-        break;
-      case Op::UAdd:
-        u_[static_cast<std::size_t>(in.dst)] =
-            u_[static_cast<std::size_t>(in.a)] +
-            u_[static_cast<std::size_t>(in.b)];
-        break;
-      case Op::USub:
-        u_[static_cast<std::size_t>(in.dst)] =
-            u_[static_cast<std::size_t>(in.a)] -
-            u_[static_cast<std::size_t>(in.b)];
-        break;
-      case Op::UMul:
-        u_[static_cast<std::size_t>(in.dst)] =
-            u_[static_cast<std::size_t>(in.a)] *
-            u_[static_cast<std::size_t>(in.b)];
-        break;
-      case Op::UDiv: {
-        const std::int64_t d = u_[static_cast<std::size_t>(in.b)];
-        if (d == 0) fail("interp: integer division by zero");
-        u_[static_cast<std::size_t>(in.dst)] =
-            u_[static_cast<std::size_t>(in.a)] / d;
-        break;
-      }
-      case Op::UMod: {
-        const std::int64_t d = u_[static_cast<std::size_t>(in.b)];
-        if (d == 0) fail("interp: integer modulo by zero");
-        u_[static_cast<std::size_t>(in.dst)] =
-            u_[static_cast<std::size_t>(in.a)] % d;
-        break;
-      }
-      case Op::ULt:
-        u_[static_cast<std::size_t>(in.dst)] =
-            u_[static_cast<std::size_t>(in.a)] <
-                    u_[static_cast<std::size_t>(in.b)]
-                ? 1
-                : 0;
-        break;
-      case Op::UAnd:
-        u_[static_cast<std::size_t>(in.dst)] =
-            (u_[static_cast<std::size_t>(in.a)] != 0 &&
-             u_[static_cast<std::size_t>(in.b)] != 0)
-                ? 1
-                : 0;
-        break;
-      case Op::UMov:
-        u_[static_cast<std::size_t>(in.dst)] =
-            u_[static_cast<std::size_t>(in.a)];
-        break;
-      case Op::UStepCheck:
-        if (u_[static_cast<std::size_t>(in.a)] <= 0)
-          fail("for: non-positive step");
-        break;
-      case Op::VBuiltin: {
-        std::int64_t* dst = &vi_[static_cast<std::size_t>(in.dst) * nu];
-        const int dim = in.aux & 1;
-        const auto fn = static_cast<BuiltinFn>(in.aux >> 1);
-        for (int t = 0; t < ni; ++t) {
-          const std::int64_t lid = dim == 0 ? t % lsx : t / lsx;
-          switch (fn) {
-            case BuiltinFn::LocalId:
-              dst[t] = lid;
-              break;
-            case BuiltinFn::GlobalId:
-              dst[t] = (dim == 0 ? gx_ : gy_) *
-                           plan_.local[static_cast<std::size_t>(dim)] +
-                       lid;
-              break;
-            default:
-              dst[t] = builtin_u(in.aux);
-              break;
-          }
-        }
-        break;
-      }
-      case Op::VAdd:
-      case Op::VSub:
-      case Op::VMul:
-      case Op::VLt:
-      case Op::VAnd: {
-        std::int64_t* dst = &vi_[static_cast<std::size_t>(in.dst) * nu];
-        const std::int64_t* a =
-            in.flags & kAUni ? nullptr
-                             : &vi_[static_cast<std::size_t>(in.a) * nu];
-        const std::int64_t* b =
-            in.flags & kBUni ? nullptr
-                             : &vi_[static_cast<std::size_t>(in.b) * nu];
-        const std::int64_t au =
-            a ? 0 : u_[static_cast<std::size_t>(in.a)];
-        const std::int64_t bu =
-            b ? 0 : u_[static_cast<std::size_t>(in.b)];
-        for (int t = 0; t < ni; ++t) {
-          const std::int64_t x = a ? a[t] : au;
-          const std::int64_t y = b ? b[t] : bu;
-          switch (in.op) {
-            case Op::VAdd: dst[t] = x + y; break;
-            case Op::VSub: dst[t] = x - y; break;
-            case Op::VMul: dst[t] = x * y; break;
-            case Op::VLt: dst[t] = x < y ? 1 : 0; break;
-            default: dst[t] = (x != 0 && y != 0) ? 1 : 0; break;
-          }
-        }
-        break;
-      }
-      case Op::VDiv:
-      case Op::VMod: {
-        std::int64_t* dst = &vi_[static_cast<std::size_t>(in.dst) * nu];
-        const std::int64_t* a =
-            in.flags & kAUni ? nullptr
-                             : &vi_[static_cast<std::size_t>(in.a) * nu];
-        const std::int64_t* b =
-            in.flags & kBUni ? nullptr
-                             : &vi_[static_cast<std::size_t>(in.b) * nu];
-        const std::int64_t au =
-            a ? 0 : u_[static_cast<std::size_t>(in.a)];
-        const std::int64_t bu =
-            b ? 0 : u_[static_cast<std::size_t>(in.b)];
-        const bool masked = in.flags & kMasked;
-        for (int t = 0; t < ni; ++t) {
-          if (masked && !mask_[static_cast<std::size_t>(t)]) continue;
-          const std::int64_t x = a ? a[t] : au;
-          const std::int64_t y = b ? b[t] : bu;
-          if (in.op == Op::VDiv) {
-            if (y == 0) fail("interp: integer division by zero");
-            dst[t] = x / y;
-          } else {
-            if (y == 0) fail("interp: integer modulo by zero");
-            dst[t] = x % y;
-          }
-        }
-        break;
-      }
-      case Op::VMovU: {
-        std::int64_t* dst = &vi_[static_cast<std::size_t>(in.dst) * nu];
-        const std::int64_t v = u_[static_cast<std::size_t>(in.a)];
-        if (in.flags & kMasked) {
-          for (int t = 0; t < ni; ++t)
-            if (mask_[static_cast<std::size_t>(t)]) dst[t] = v;
-        } else {
-          for (int t = 0; t < ni; ++t) dst[t] = v;
-        }
-        break;
-      }
-      case Op::VMov: {
-        std::int64_t* dst = &vi_[static_cast<std::size_t>(in.dst) * nu];
-        const std::int64_t* src = &vi_[static_cast<std::size_t>(in.a) * nu];
-        if (in.flags & kMasked) {
-          for (int t = 0; t < ni; ++t)
-            if (mask_[static_cast<std::size_t>(t)]) dst[t] = src[t];
-        } else {
-          for (int t = 0; t < ni; ++t) dst[t] = src[t];
-        }
-        break;
-      }
-      case Op::FConst: {
-        double* dst = &vf_[static_cast<std::size_t>(in.dst) * nu];
-        const double* src = &p_.fpool[static_cast<std::size_t>(in.imm)];
-        const int w = in.lanes;
-        for (int t = 0; t < ni; ++t)
-          for (int l = 0; l < w; ++l)
-            dst[t * w + l] = src[l];
-        break;
-      }
-      case Op::FArg: {
-        double* dst = &vf_[static_cast<std::size_t>(in.dst) * nu];
-        double x = plan_.views[static_cast<std::size_t>(in.a)].f;
-        if (in.aux & kRoundF32)
-          x = static_cast<double>(static_cast<float>(x));
-        const int w = in.lanes;
-        for (int t = 0; t < ni; ++t) {
-          dst[t * w] = x;
-          for (int l = 1; l < w; ++l) dst[t * w + l] = 0.0;
-        }
-        break;
-      }
-      case Op::FMov: {
-        double* dst = &vf_[static_cast<std::size_t>(in.dst) * nu];
-        const double* src = &vf_[static_cast<std::size_t>(in.a) * nu];
-        const int dw = in.b, sw = in.c, n = in.lanes;
-        const bool masked = in.flags & kMasked;
-        for (int t = 0; t < ni; ++t) {
-          if (masked && !mask_[static_cast<std::size_t>(t)]) continue;
-          for (int l = 0; l < n; ++l) dst[t * dw + l] = src[t * sw + l];
-          for (int l = n; l < dw; ++l) dst[t * dw + l] = 0.0;
-        }
-        break;
-      }
-      case Op::FSplat: {
-        double* dst = &vf_[static_cast<std::size_t>(in.dst) * nu];
-        const double* src = &vf_[static_cast<std::size_t>(in.a) * nu];
-        const int w = in.lanes, sw = in.aux;
-        for (int t = 0; t < ni; ++t) {
-          const double x = src[t * sw];
-          for (int l = 0; l < w; ++l) dst[t * w + l] = x;
-        }
-        break;
-      }
-      case Op::FLane: {
-        double* dst = &vf_[static_cast<std::size_t>(in.dst) * nu];
-        const double* src = &vf_[static_cast<std::size_t>(in.a) * nu];
-        const int sw = in.aux;
-        const auto ln = static_cast<int>(in.imm);
-        for (int t = 0; t < ni; ++t)
-          dst[t] = ln < sw ? src[t * sw + ln] : 0.0;
-        break;
-      }
-      case Op::FAdd:
-      case Op::FSub:
-      case Op::FMul: {
-        double* dst = &vf_[static_cast<std::size_t>(in.dst) * nu];
-        const double* a = &vf_[static_cast<std::size_t>(in.a) * nu];
-        const double* b = &vf_[static_cast<std::size_t>(in.b) * nu];
-        const int w = in.lanes;
-        const bool rnd = in.aux & kRoundF32;
-        const bool masked = in.flags & kMasked;
-        for (int t = 0; t < ni; ++t) {
-          if (masked && !mask_[static_cast<std::size_t>(t)]) continue;
-          for (int l = 0; l < w; ++l) {
-            double r = 0;
-            if (in.op == Op::FAdd) r = a[t * w + l] + b[t * w + l];
-            if (in.op == Op::FSub) r = a[t * w + l] - b[t * w + l];
-            if (in.op == Op::FMul) r = a[t * w + l] * b[t * w + l];
-            dst[t * w + l] =
-                rnd ? static_cast<double>(static_cast<float>(r)) : r;
-          }
-          counters_.flops += static_cast<std::uint64_t>(w);
-        }
-        break;
-      }
-      case Op::FMad: {
-        double* dst = &vf_[static_cast<std::size_t>(in.dst) * nu];
-        const double* a = &vf_[static_cast<std::size_t>(in.a) * nu];
-        const double* b = &vf_[static_cast<std::size_t>(in.b) * nu];
-        const double* c = &vf_[static_cast<std::size_t>(in.c) * nu];
-        const int w = in.lanes;
-        const bool rnd = in.aux & kRoundF32;
-        const bool masked = in.flags & kMasked;
-        for (int t = 0; t < ni; ++t) {
-          if (masked && !mask_[static_cast<std::size_t>(t)]) continue;
-          for (int l = 0; l < w; ++l) {
-            const double r =
-                a[t * w + l] * b[t * w + l] + c[t * w + l];
-            dst[t * w + l] =
-                rnd ? static_cast<double>(static_cast<float>(r)) : r;
-          }
-          counters_.flops += 2u * static_cast<std::uint64_t>(w);
-          ++counters_.mads;
-        }
-        break;
-      }
-      case Op::FmaPP: {
-        // Fused rank-1 update step: Cpm[ci..] = a * Bpm[bi..] + Cpm[ci..]
-        // per item, private addressing resolved at compile time. Counters
-        // match the tree's Mad evaluation (private traffic counts none).
-        const ArrayRef& cr = p_.arrays[static_cast<std::size_t>(in.a)];
-        const ArrayRef& br = p_.arrays[static_cast<std::size_t>(in.b)];
-        const double* av = &vf_[static_cast<std::size_t>(in.c) * nu];
-        const int w = in.lanes;
-        const int stride = in.aux >> 3;
-        const bool rnd = in.aux & kRoundF32;
-        const std::int64_t coff = cr.offset + in.dst;
-        const std::int64_t boff = br.offset + in.imm;
-        for (int t = 0; t < ni; ++t) {
-          double* pa = &parr_[static_cast<std::size_t>(t) *
-                              static_cast<std::size_t>(p_.parr_doubles)];
-          double* cp = pa + coff;
-          const double* bp = pa + boff;
-          const double* ap = av + t * stride;
-          for (int l = 0; l < w; ++l) {
-            const double r = ap[l] * bp[l] + cp[l];
-            cp[l] = rnd ? static_cast<double>(static_cast<float>(r)) : r;
-          }
-          counters_.flops += 2u * static_cast<std::uint64_t>(w);
-          ++counters_.mads;
-        }
-        break;
-      }
-      case Op::SplatLaneP: {
-        // Fused avec = splat(lane(Apm[imm])): one private read splatted
-        // into the variable's slab, zero-filled to its full width.
-        const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
-        double* dst = &vf_[static_cast<std::size_t>(in.dst) * nu];
-        const int w = in.lanes, dw = in.b;
-        const std::int64_t off = ar.offset + in.imm;
-        for (int t = 0; t < ni; ++t) {
-          const double x = parr_[static_cast<std::size_t>(t) *
-                                     static_cast<std::size_t>(
-                                         p_.parr_doubles) +
-                                 static_cast<std::size_t>(off)];
-          for (int l = 0; l < w; ++l) dst[t * dw + l] = x;
-          for (int l = w; l < dw; ++l) dst[t * dw + l] = 0.0;
-        }
-        break;
-      }
-      case Op::LoadG:
-      case Op::StoreG: {
-        const bool is_store = in.op == Op::StoreG;
-        const LaunchPlan::ArgView& view =
-            plan_.views[static_cast<std::size_t>(in.a)];
-        const int w = in.lanes;
-        const bool f32 = in.aux & kElemF32;
-        const int ebytes = f32 ? 4 : 8;
-        const bool masked = in.flags & kMasked;
-        const std::int64_t* addr_v =
-            (in.flags & (kImmAddr | kBUni))
-                ? nullptr
-                : &vi_[static_cast<std::size_t>(in.b) * nu];
-        const std::int64_t addr_u =
-            in.flags & kImmAddr
-                ? in.imm
-                : (addr_v ? 0 : u_[static_cast<std::size_t>(in.b)]);
-        double* dst = is_store
-                          ? nullptr
-                          : &vf_[static_cast<std::size_t>(in.dst) * nu];
-        const double* val =
-            is_store ? &vf_[static_cast<std::size_t>(in.c) * nu] : nullptr;
-        for (int t = 0; t < ni; ++t) {
-          if (masked && !mask_[static_cast<std::size_t>(t)]) continue;
-          const std::int64_t idx = addr_v ? addr_v[t] : addr_u;
-          if (idx < 0 || idx + w > view.elems)
-            fail(strf("global %s out of range: index %lld + %d lanes, "
-                      "buffer %lld elements",
-                      is_store ? "store" : "load",
-                      static_cast<long long>(idx), w,
-                      static_cast<long long>(view.elems)));
-          if (is_store) {
-            if (f32) {
-              for (int l = 0; l < w; ++l)
-                view.f32[idx + l] =
-                    static_cast<float>(val[t * w + l]);
-            } else {
-              for (int l = 0; l < w; ++l)
-                view.f64[idx + l] = val[t * w + l];
-            }
-          } else {
-            if (f32) {
-              for (int l = 0; l < w; ++l)
-                dst[t * w + l] =
-                    static_cast<double>(view.f32[idx + l]);
-            } else {
-              for (int l = 0; l < w; ++l) dst[t * w + l] = view.f64[idx + l];
-            }
-          }
-          const auto bytes = static_cast<std::uint64_t>(w) *
-                             static_cast<std::uint64_t>(ebytes);
-          if (is_store) {
-            counters_.global_store_bytes += bytes;
-          } else {
-            counters_.global_load_bytes += bytes;
-          }
-        }
-        break;
-      }
-      case Op::LoadL:
-      case Op::StoreL:
-      case Op::LoadP:
-      case Op::StoreP: {
-        const bool is_store = in.op == Op::StoreL || in.op == Op::StoreP;
-        const bool local = in.op == Op::LoadL || in.op == Op::StoreL;
-        const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
-        const int w = in.lanes;
-        const bool masked = in.flags & kMasked;
-        const std::int64_t* addr_v =
-            (in.flags & (kImmAddr | kBUni))
-                ? nullptr
-                : &vi_[static_cast<std::size_t>(in.b) * nu];
-        const std::int64_t addr_u =
-            in.flags & kImmAddr
-                ? in.imm
-                : (addr_v ? 0 : u_[static_cast<std::size_t>(in.b)]);
-        double* dst = is_store
-                          ? nullptr
-                          : &vf_[static_cast<std::size_t>(in.dst) * nu];
-        const double* val =
-            is_store ? &vf_[static_cast<std::size_t>(in.c) * nu] : nullptr;
-        const auto bytes = static_cast<std::uint64_t>(w) *
-                           (in.aux & kCount8 ? 8u : 4u);
-        for (int t = 0; t < ni; ++t) {
-          if (masked && !mask_[static_cast<std::size_t>(t)]) continue;
-          const std::int64_t idx = addr_v ? addr_v[t] : addr_u;
-          if (idx < 0 || idx + w > ar.len)
-            fail(strf("%s array '%s' %s out of range: index %lld + %d "
-                      "lanes, %zu elements",
-                      local ? "local" : "private", ar.name.c_str(),
-                      is_store ? "store" : "load",
-                      static_cast<long long>(idx), w,
-                      static_cast<std::size_t>(ar.len)));
-          double* slab =
-              local ? larr_.data()
-                    : &parr_[static_cast<std::size_t>(t) *
-                             static_cast<std::size_t>(p_.parr_doubles)];
-          double* p = slab + ar.offset + idx;
-          if (is_store) {
-            for (int l = 0; l < w; ++l) p[l] = val[t * w + l];
-            if (local) counters_.local_store_bytes += bytes;
-          } else {
-            for (int l = 0; l < w; ++l) dst[t * w + l] = p[l];
-            if (local) counters_.local_load_bytes += bytes;
-          }
-        }
-        break;
-      }
-      case Op::Jmp:
-        pc = in.imm;
-        break;
-      case Op::JzU:
-        if (u_[static_cast<std::size_t>(in.a)] == 0) pc = in.imm;
-        break;
-      case Op::JgeU:
-        if (u_[static_cast<std::size_t>(in.a)] >=
-            u_[static_cast<std::size_t>(in.b)])
-          pc = in.imm;
-        break;
-      case Op::JNone:
-        if (active_ == 0) pc = in.imm;
-        break;
-      case Op::ForCheckV: {
-        // The tree evaluates loop bounds at the first active item, then
-        // verifies every active item agrees before checking the step.
-        const std::int64_t* a = &vi_[static_cast<std::size_t>(in.a) * nu];
-        const std::int64_t* b = &vi_[static_cast<std::size_t>(in.b) * nu];
-        const std::int64_t* c = &vi_[static_cast<std::size_t>(in.c) * nu];
-        int first = -1;
-        for (int t = 0; t < ni; ++t) {
-          if (mask_[static_cast<std::size_t>(t)]) {
-            first = t;
-            break;
-          }
-        }
-        if (first < 0) {
-          pc = in.imm;
-          break;
-        }
-        const std::int64_t init = a[first], lim = b[first], stp = c[first];
-        for (int t = first; t < ni; ++t) {
-          if (!mask_[static_cast<std::size_t>(t)]) continue;
-          if (a[t] != init || b[t] != lim || c[t] != stp)
-            fail("for: non-uniform loop bounds across work-group");
-        }
-        if (stp <= 0) fail("for: non-positive step");
-        u_[static_cast<std::size_t>(in.dst)] = init;
-        u_[static_cast<std::size_t>(in.dst) + 1] = lim;
-        u_[static_cast<std::size_t>(in.dst) + 2] = stp;
-        break;
-      }
-      case Op::MaskPush: {
-        MaskFrame& f = mask_stack_[static_cast<std::size_t>(mask_depth_)];
-        ++mask_depth_;
-        f.saved = mask_;
-        f.cond = in.a;
-        f.saved_active = active_;
-        const std::int64_t* c = &vi_[static_cast<std::size_t>(in.a) * nu];
-        int n = 0;
-        for (int t = 0; t < ni; ++t) {
-          auto& m = mask_[static_cast<std::size_t>(t)];
-          m = m && c[t] != 0 ? 1 : 0;
-          n += m;
-        }
-        active_ = n;
-        break;
-      }
-      case Op::MaskFlip: {
-        MaskFrame& f =
-            mask_stack_[static_cast<std::size_t>(mask_depth_ - 1)];
-        const std::int64_t* c =
-            &vi_[static_cast<std::size_t>(f.cond) * nu];
-        int n = 0;
-        for (int t = 0; t < ni; ++t) {
-          auto& m = mask_[static_cast<std::size_t>(t)];
-          m = f.saved[static_cast<std::size_t>(t)] && c[t] == 0 ? 1 : 0;
-          n += m;
-        }
-        active_ = n;
-        break;
-      }
-      case Op::MaskPop: {
-        --mask_depth_;
-        MaskFrame& f = mask_stack_[static_cast<std::size_t>(mask_depth_)];
-        mask_.swap(f.saved);
-        active_ = f.saved_active;
-        break;
-      }
-      case Op::Barrier:
-        for (char m : mask_)
-          if (m == 0) fail("barrier inside divergent control flow");
-        ++counters_.barriers;
-        break;
-      case Op::Throw:
-        fail(p_.messages[static_cast<std::size_t>(in.imm)]);
-    }
-  }
+  run_group_threaded();
 }
 
 // Shared op bodies for the threaded executor's specialized handlers. Each
 // template bakes the operand shape the pre-decoder proved for one
 // instruction — lane width W (0 keeps it a runtime value), f32 rounding
 // RND, divergence masking MASKED, operand uniformity — so the optimizer
-// unrolls the lane loops and drops the dead tests the switch executor
-// re-evaluates per item. Every body replicates run_group_switch exactly:
-// same evaluation order, same counter totals, same error messages. f32
-// rounding chains keep the runtime-width loop shape (W == 0) the switch
-// executor compiles from, so the host build cannot reorganize them
-// differently between the two dispatch modes.
+// unrolls the lane loops and drops the dead tests a generic handler
+// re-evaluates per item. Every body replicates the reference tree walker
+// (tests/tree_oracle.hpp) exactly: same evaluation order, same counter
+// totals, same error messages. f32 rounding chains keep the runtime-width
+// loop shape (W == 0) the generic handlers also run, so the host build
+// compiles every rounding chain from one loop form.
 struct VmMachine::Ops {
   template <Op OPK, int W, bool RND, bool MASKED>
   static void fbin(VmMachine& m, const Insn& in) {
@@ -883,7 +310,6 @@ struct VmMachine::Ops {
 };
 
 void VmMachine::run_group_threaded() {
-#if GEMMTUNE_VM_THREADED
   const int ni = nitems_;
   const auto nu = static_cast<std::size_t>(ni);
   const Insn* const code = p_.code.data();
@@ -893,7 +319,7 @@ void VmMachine::run_group_threaded() {
     // Generic handler table, indexed by Op in declaration order. Families
     // the decoder always specializes still get a generic entry that
     // branches on the runtime flags, so a missed decode case degrades to
-    // switch-equivalent behaviour instead of a wrong handler.
+    // the slower generic handler instead of a wrong one.
     static const void* const generic[] = {
         &&g_halt,      &&g_uconst,  &&g_uarg,     &&g_ubuiltin, &&g_uadd,
         &&g_usub,      &&g_umul,    &&g_udiv,     &&g_umod,     &&g_ult,
@@ -1001,7 +427,7 @@ void VmMachine::run_group_threaded() {
   }
   GT_NEXT;
 
-  // --- generic handlers: verbatim transcriptions of the switch bodies ---
+  // --- generic handlers: one per opcode, operand shape read at run time ---
 g_halt:
   return;
 g_uconst:
@@ -1533,9 +959,6 @@ s_vand_uv: Ops::vbin<Op::VAnd, true, false>(*this, *ip); GT_NEXT;
 s_vand_vu: Ops::vbin<Op::VAnd, false, true>(*this, *ip); GT_NEXT;
 s_vand_uu: Ops::vbin<Op::VAnd, true, true>(*this, *ip); GT_NEXT;
 #undef GT_NEXT
-#else
-  run_group_switch();
-#endif
 }
 
 }  // namespace gemmtune::ir

@@ -1,26 +1,21 @@
 // Launch plan + bytecode virtual machine.
 //
-// LaunchPlan is the shared immutable per-launch setup both interpreter
-// backends execute against: it validates the geometry and arguments once
-// on the calling thread and resolves the storage layout (symbol counts,
-// typed buffer views), so per-worker execution contexts only allocate
-// scratch instead of re-validating per Machine.
+// LaunchPlan is the shared immutable per-launch setup both execution
+// tiers run against: it validates the geometry and arguments once on the
+// calling thread and resolves typed buffer views, so per-worker execution
+// contexts only allocate scratch instead of re-validating per worker.
 //
 // VmMachine executes a CompiledKernel over a contiguous range of
-// work-groups. Like the tree-walker's Machine, each worker thread owns its
-// own VmMachine (registers, slabs, divergence mask, counters), sharing only
-// the plan, the program, and the global buffers — so buffers and counters
-// are bit-identical to the serial run at any thread count.
+// work-groups. Each worker thread owns its own VmMachine (registers, slabs,
+// divergence mask, counters), sharing only the plan, the program, and the
+// global buffers — so buffers and counters are bit-identical to the serial
+// run at any thread count.
 //
-// Two dispatch strategies execute the same instruction set with identical
-// buffers, counters, and error messages:
-//  - "switch": the portable for(;;)-switch interpreter (every toolchain).
-//  - "threaded": classic threaded code — the program is pre-decoded once
-//    per machine into a table of computed-goto handler addresses, with hot
-//    opcodes specialized on their baked operand shapes (lane width, f32
-//    rounding, divergence masking, operand uniformity). Available on
-//    compilers with the GNU labels-as-values extension (GCC/Clang); on
-//    anything else "threaded" silently resolves to "switch".
+// The VM is classic threaded code: the program is pre-decoded once per
+// machine into a table of computed-goto handler addresses, with hot opcodes
+// specialized on their baked operand shapes (lane width, f32 rounding,
+// divergence masking, operand uniformity). It needs the GNU
+// labels-as-values extension (GCC/Clang).
 #pragma once
 
 #include <array>
@@ -33,7 +28,7 @@
 namespace gemmtune::ir {
 
 /// Validated launch geometry and resolved argument views, computed once per
-/// launch and shared (read-only) by every worker Machine of both backends.
+/// launch and shared (read-only) by every worker of both tiers.
 struct LaunchPlan {
   /// A kernel argument resolved for execution: raw typed pointer for
   /// buffers, immediate values for scalars.
@@ -49,7 +44,6 @@ struct LaunchPlan {
   std::array<std::int64_t, 2> global{}, local{};
   const std::vector<ArgValue>* args = nullptr;
   std::int64_t ngx = 0, ngroups = 0, items_per_group = 0;
-  int n_vars = 0, n_parrays = 0, n_larrays = 0;  ///< tree storage counts
   std::vector<ArgView> views;
 
   /// Validates the launch (same checks and messages as the interpreter has
@@ -60,24 +54,6 @@ struct LaunchPlan {
              std::array<std::int64_t, 2> local,
              const std::vector<ArgValue>& args);
 };
-
-/// Bytecode dispatch strategy. Resolution precedence mirrors Backend:
-/// explicit request > set_vm_dispatch_override > GEMMTUNE_VM_DISPATCH >
-/// threaded when the toolchain supports it, else switch.
-enum class VmDispatch { Auto, Switch, Threaded };
-
-/// Process-wide dispatch override (the --vm-dispatch flag); Auto clears it.
-void set_vm_dispatch_override(VmDispatch d);
-
-/// Resolves the dispatch mode a VmMachine constructed now would use.
-/// Rejects unknown GEMMTUNE_VM_DISPATCH values; a resolved Threaded is
-/// downgraded to Switch when the build lacks computed-goto support.
-VmDispatch resolve_vm_dispatch(VmDispatch requested = VmDispatch::Auto);
-
-/// True when this build carries the computed-goto executor.
-bool vm_threaded_dispatch_supported();
-
-const char* to_string(VmDispatch d);
 
 /// One bytecode execution context (registers, slabs, mask, counters); owns
 /// all mutable state, so work-group parallelism gives each worker its own
@@ -93,7 +69,6 @@ class VmMachine {
  private:
   struct Ops;  // shared op bodies for the specialized threaded handlers
   void run_group(std::int64_t gx, std::int64_t gy);
-  void run_group_switch();
   void run_group_threaded();
   std::int64_t builtin_u(int fn_dim) const;
 
@@ -116,7 +91,6 @@ class VmMachine {
   std::vector<MaskFrame> mask_stack_;
   int mask_depth_ = 0;
   Counters counters_;
-  bool threaded_ = false;          ///< resolved at construction
   std::vector<const void*> tcode_; ///< pre-decoded handler addresses
 };
 

@@ -1,8 +1,11 @@
 // Randomized property tests over the code generator: sample random valid
-// parameter sets from the full space and check, for each,
+// parameter sets from the full space (plus the fixed Table II micro shape)
+// and check, for each,
 //  (1) the generated kernel matches the host reference on random data,
 //  (2) parse(emit(kernel)) executes bit-identically (text <-> semantics),
-//  (3) KernelParams survives the JSON round trip.
+//  (3) the bytecode VM, the native JIT and the tree oracle agree bit for
+//      bit on buffers and counters,
+//  (4) KernelParams survives the JSON round trip.
 // Deterministic: everything derives from fixed seeds.
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include "kernelir/native.hpp"
 #include "layout/packing.hpp"
 #include "simcl/device_registry.hpp"
+#include "tree_oracle.hpp"
 
 namespace gemmtune {
 namespace {
@@ -64,6 +68,23 @@ KernelParams random_params(Rng& rng) {
   return p;
 }
 
+/// The double-precision Table II micro shape the interpreter benchmarks
+/// time (bench/bench_micro_interp.cpp): 8x8 work-groups, 16x16x8 tiles,
+/// Kwi = 2, vw = 2, both operands staged through local memory.
+KernelParams micro_params() {
+  KernelParams p;
+  p.prec = Precision::DP;
+  p.Mwg = 16;
+  p.Nwg = 16;
+  p.Kwg = 8;
+  p.MdimC = p.NdimC = 8;
+  p.MdimA = p.NdimB = 8;
+  p.Kwi = 2;
+  p.vw = 2;
+  p.share_a = p.share_b = true;
+  return p;
+}
+
 /// Runs both the generated kernel and its emit->parse round trip on the
 /// same random data; checks correctness and equivalence.
 template <typename T>
@@ -81,7 +102,8 @@ void check_kernel_properties(const KernelParams& p, std::uint64_t seed) {
   const ir::Kernel k1 = codegen::generate_gemm_kernel(p);
   const ir::Kernel k2 = clfront::parse_kernel(ir::emit_opencl(k1));
 
-  auto run = [&](const ir::Kernel& k, ir::Backend backend,
+  // Runs `k` on fresh buffers through `exec(kernel, global, local, args)`.
+  auto run = [&](const ir::Kernel& k, const auto& exec,
                  ir::Counters* counters) {
     auto abuf = pack_a(A, Transpose::No, M, K, M, K, p.layout_a, p.Mwg,
                        p.Kwg);
@@ -104,34 +126,43 @@ void check_kernel_properties(const KernelParams& p, std::uint64_t seed) {
     args[GemmKernelArgs::K] = ir::ArgValue::of_int(K);
     args[GemmKernelArgs::alpha] = ir::ArgValue::of_float(1.5);
     args[GemmKernelArgs::beta] = ir::ArgValue::of_float(-0.5);
-    const ir::Counters c =
-        ir::launch_with_backend(k, geo.global, geo.local, args, 0, backend);
+    const ir::Counters c = exec(k, geo.global, geo.local, args);
     if (counters) *counters = c;
     std::vector<T> out(dC->template count<T>());
     std::memcpy(out.data(), dC->data(), dC->size());
     return out;
   };
 
+  const auto on = [](ir::Backend backend) {
+    return [backend](const ir::Kernel& k, std::array<std::int64_t, 2> global,
+                     std::array<std::int64_t, 2> local,
+                     const std::vector<ir::ArgValue>& args) {
+      return ir::launch_with_backend(k, global, local, args, 0, backend);
+    };
+  };
+
   ir::Counters c_byte, c_tree;
-  const auto out1 = run(k1, ir::Backend::Bytecode, &c_byte);
-  const auto out2 = run(k2, ir::Backend::Bytecode, nullptr);
+  const auto out1 = run(k1, on(ir::Backend::Bytecode), &c_byte);
+  const auto out2 = run(k2, on(ir::Backend::Bytecode), nullptr);
   EXPECT_EQ(out1, out2) << "round-trip divergence: " << p.summary();
 
-  // Differential check: the tree-walking reference backend must produce
-  // bit-identical buffers and counters for the same launch.
-  const auto out_tree = run(k1, ir::Backend::Tree, &c_tree);
+  // Differential check: the tree-walking reference interpreter must
+  // produce bit-identical buffers and counters for the same launch.
+  const auto out_tree = run(k1, ir::tree_launch, &c_tree);
   EXPECT_EQ(out1, out_tree) << "backend divergence: " << p.summary();
   EXPECT_EQ(c_byte, c_tree) << "counter divergence: " << p.summary();
 
   // Native leg: each distinct kernel costs one host-compiler invocation
-  // (~1s), so only the first few fuzzed shapes run it — enough to catch an
-  // emitter divergence across the random parameter space without blowing
-  // up the suite's runtime.
-  static int native_budget = 8;
+  // (seconds), so only the first few shapes of each precision run it —
+  // enough to catch an emitter divergence across the random parameter
+  // space without blowing up the suite's runtime. The budget is a static
+  // of this function template, so DP and SP each get their own 4: 8
+  // native compiles in all.
+  static int native_budget = 4;
   if (native_budget > 0 && ir::native_toolchain_available()) {
     --native_budget;
     ir::Counters c_native;
-    const auto out_native = run(k1, ir::Backend::Native, &c_native);
+    const auto out_native = run(k1, on(ir::Backend::Native), &c_native);
     EXPECT_EQ(out1, out_native) << "native divergence: " << p.summary();
     EXPECT_EQ(c_byte, c_native)
         << "native counter divergence: " << p.summary();
@@ -145,6 +176,10 @@ void check_kernel_properties(const KernelParams& p, std::uint64_t seed) {
 
 TEST(FuzzCodegen, RandomValidParameterSets) {
   const auto& dev = simcl::device_spec(simcl::DeviceId::Tahiti);
+  // One fixed input first: the Table II micro shape, so it always takes
+  // one of the DP native-budget slots.
+  ASSERT_FALSE(validate(micro_params(), dev));
+  check_kernel_properties<double>(micro_params(), 0x3000u);
   Rng rng(0xFACADE);
   int tested = 0, rejected = 0;
   while (tested < 60) {

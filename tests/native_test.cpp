@@ -4,7 +4,7 @@
 // graceful fallback to bytecode when no toolchain is usable, read-only
 // cache-dir handling, and cache eviction under GEMMTUNE_PROGRAM_CACHE_MAX.
 // Semantic equivalence of the native backend (buffers, counters, error
-// parity) lives in vm_test.cpp's three-way differentials and
+// parity) against the tree oracle lives in vm_test.cpp and
 // fuzz_codegen_test.cpp.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "kernelir/compile.hpp"
@@ -34,16 +33,10 @@ namespace {
 // environment knobs.
 class NativeTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // The SIMD tests pin the mode through the process-wide override, so
-    // an externally-exported GEMMTUNE_NATIVE_SIMD must not leak in.
-    unsetenv("GEMMTUNE_NATIVE_SIMD");
-    reset_all();
-  }
+  void SetUp() override { reset_all(); }
   void TearDown() override {
     unsetenv("GEMMTUNE_JIT_CXX");
     unsetenv("GEMMTUNE_JIT_CACHE");
-    unsetenv("GEMMTUNE_NATIVE_SIMD");
     reset_all();
     trace::set_enabled(false);
   }
@@ -51,7 +44,6 @@ class NativeTest : public ::testing::Test {
     set_jit_cache_dir("");
     reset_native_probe();
     set_backend_override(Backend::Auto);
-    set_native_simd_override(NativeSimd::Auto);
     set_program_cache_max(0);
     compiled_cache_clear();
   }
@@ -132,11 +124,16 @@ std::uint64_t trace_counter(const char* name) {
 // ---- emitter ---------------------------------------------------------------
 
 TEST_F(NativeTest, EmitterIsDeterministicAndSelfContained) {
+  // The emission the backend compiles: the probed host vector width.
   const Kernel k = salted_kernel(3);
   const CompiledKernelPtr prog = compile(k);
-  const std::string src1 = emit_native_source(k, *prog);
-  const std::string src2 = emit_native_source(k, *prog);
+  const int w = native_simd_width();
+  const std::string src1 = emit_native_source(k, *prog, w);
+  const std::string src2 = emit_native_source(k, *prog, w);
   EXPECT_EQ(src1, src2);
+  EXPECT_NE(src1.find("simd w=" + std::to_string(w)), std::string::npos);
+  EXPECT_NE(src1.find("typedef double vd" + std::to_string(w)),
+            std::string::npos);
   // The TU must export the versioned entry symbol and include nothing
   // beyond the C standard headers it spells out.
   EXPECT_NE(src1.find(kNativeEntrySymbol), std::string::npos);
@@ -219,7 +216,7 @@ TEST_F(NativeTest, FailureIsStickyPerKernel) {
   EXPECT_EQ(why2, "native compilation previously failed");
 }
 
-// ---- SIMD emitter: three-way differential over fuzzed shapes ---------------
+// ---- SIMD emitter: differential over fuzzed shapes -------------------------
 
 /// One randomized launch shape for the SIMD differential: precision,
 /// vector width, work-group geometry and loop trip count all vary.
@@ -322,13 +319,11 @@ FuzzResult run_fuzzed(const FuzzShape& f, Backend be) {
 
 TEST_F(NativeTest, SimdDifferentialAcrossFuzzedShapes) {
   if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
-  ASSERT_GT(native_simd_width(), 0) << "SIMD emission should be the default";
   // Eight fuzzed shapes, alternating precision and cycling the vector
   // width so every (precision, width) pair appears; geometry and trip
   // count are drawn from the seeded stream. Buffers must come back
   // byte-identical (ULP-exact, including f32 rounding inside the vector
-  // bodies) across bytecode, scalar-native and SIMD-native, with equal
-  // counters.
+  // bodies) between bytecode and native, with equal counters.
   static const int kWidths[] = {1, 2, 4, 8};
   static const int kLocals[] = {2, 4, 8};
   static const int kTrips[] = {0, 1, 3, 7};
@@ -341,66 +336,12 @@ TEST_F(NativeTest, SimdDifferentialAcrossFuzzedShapes) {
     f.groups = 1 + static_cast<int>(rng.next_below(3));
     f.trip = kTrips[rng.next_below(4)];
     const FuzzResult byte = run_fuzzed(f, Backend::Bytecode);
-    set_native_simd_override(NativeSimd::Off);
-    const FuzzResult scalar = run_fuzzed(f, Backend::Native);
-    set_native_simd_override(NativeSimd::On);
     const FuzzResult simd = run_fuzzed(f, Backend::Native);
-    set_native_simd_override(NativeSimd::Auto);
-    EXPECT_EQ(byte.bytes, scalar.bytes)
-        << "scalar-native divergence: " << f.summary();
-    EXPECT_EQ(byte.counters, scalar.counters)
-        << "scalar-native counter divergence: " << f.summary();
     EXPECT_EQ(byte.bytes, simd.bytes)
         << "SIMD-native divergence: " << f.summary();
     EXPECT_EQ(byte.counters, simd.counters)
         << "SIMD-native counter divergence: " << f.summary();
   }
-}
-
-TEST_F(NativeTest, ScalarAndSimdObjectsDoNotCollide) {
-  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
-  ASSERT_GT(native_simd_width(), 0);
-  const std::string dir = make_temp_dir();
-  set_jit_cache_dir(dir);
-  set_native_simd_override(NativeSimd::Off);
-  const std::vector<double> off = run_salted(31, Backend::Native);
-  EXPECT_EQ(count_shared_objects(dir), 1);
-  // Flipping the mode mid-process must compile a second object (separate
-  // hash), not serve the scalar one from either cache layer.
-  compiled_cache_clear();
-  set_native_simd_override(NativeSimd::On);
-  const std::vector<double> on = run_salted(31, Backend::Native);
-  EXPECT_EQ(count_shared_objects(dir), 2);
-  EXPECT_EQ(off, on);
-}
-
-TEST_F(NativeTest, SimdResolutionPrecedence) {
-  // Environment: on / off.
-  setenv("GEMMTUNE_NATIVE_SIMD", "off", 1);
-  EXPECT_EQ(native_simd_width(), 0);
-  setenv("GEMMTUNE_NATIVE_SIMD", "on", 1);
-  EXPECT_GT(native_simd_width(), 0);
-  // The process-wide override (the --native-simd flag) beats it.
-  setenv("GEMMTUNE_NATIVE_SIMD", "on", 1);
-  set_native_simd_override(NativeSimd::Off);
-  EXPECT_EQ(native_simd_width(), 0);
-  setenv("GEMMTUNE_NATIVE_SIMD", "off", 1);
-  set_native_simd_override(NativeSimd::On);
-  EXPECT_GT(native_simd_width(), 0);
-  // Unknown values are rejected, not guessed at.
-  setenv("GEMMTUNE_NATIVE_SIMD", "nonsense", 1);
-  set_native_simd_override(NativeSimd::Auto);
-  try {
-    native_simd_width();
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("GEMMTUNE_NATIVE_SIMD: unknown value 'nonsense' "
-                        "(use on, off)"),
-              std::string::npos)
-        << what;
-  }
-  unsetenv("GEMMTUNE_NATIVE_SIMD");
 }
 
 // ---- toolchain probe caching -----------------------------------------------

@@ -1,6 +1,6 @@
-// Differential tests for the bytecode interpreter backend (compile.hpp /
-// vm.hpp) and the native JIT backend (native.hpp) against the tree-walking
-// reference backend: identical buffers and counters for well-formed
+// Differential tests for the bytecode VM (compile.hpp / vm.hpp) and the
+// native JIT (native.hpp) against the tree-walking reference interpreter
+// (tree_oracle.hpp): identical buffers and counters for well-formed
 // launches at any thread count, identical error messages (modulo the
 // source-location prefix) for malformed ones, backend resolution
 // precedence, and the process-wide compiled-program cache. The native legs
@@ -22,6 +22,7 @@
 #include "kernelir/kernel.hpp"
 #include "kernelir/native.hpp"
 #include "simcl/runtime.hpp"
+#include "tree_oracle.hpp"
 
 namespace gemmtune::ir {
 namespace {
@@ -49,14 +50,14 @@ struct RunResult {
   std::vector<std::uint8_t> bytes;  // all argument buffers, concatenated
 };
 
-RunResult run_one(const Kernel& k, std::array<std::int64_t, 2> global,
-                  std::array<std::int64_t, 2> local, const ArgFactory& make,
-                  Backend backend, int threads) {
+/// Runs one launch, `exec(args)`, on freshly built arguments.
+template <typename Exec>
+RunResult run_with(const ArgFactory& make, const Exec& exec) {
   std::vector<simcl::BufferPtr> bufs;
   const std::vector<ArgValue> args = make(&bufs);
   RunResult r;
   try {
-    r.counters = launch_with_backend(k, global, local, args, threads, backend);
+    r.counters = exec(args);
   } catch (const Error& e) {
     r.threw = true;
     r.message = strip_loc(e.what());
@@ -68,14 +69,29 @@ RunResult run_one(const Kernel& k, std::array<std::int64_t, 2> global,
   return r;
 }
 
-/// Runs tree(1 thread), bytecode(1 thread), bytecode(4 threads) — plus
+RunResult run_one(const Kernel& k, std::array<std::int64_t, 2> global,
+                  std::array<std::int64_t, 2> local, const ArgFactory& make,
+                  Backend backend, int threads) {
+  return run_with(make, [&](const std::vector<ArgValue>& args) {
+    return launch_with_backend(k, global, local, args, threads, backend);
+  });
+}
+
+RunResult run_tree(const Kernel& k, std::array<std::int64_t, 2> global,
+                   std::array<std::int64_t, 2> local, const ArgFactory& make) {
+  return run_with(make, [&](const std::vector<ArgValue>& args) {
+    return tree_launch(k, global, local, args);
+  });
+}
+
+/// Runs tree, bytecode(1 thread), bytecode(4 threads) — plus
 /// native(1) and native(4) when a host toolchain is available — and checks
 /// the differential contract. Buffer contents after a throw are
 /// unspecified, so they are only compared on success.
 void expect_equivalent(const Kernel& k, std::array<std::int64_t, 2> global,
                        std::array<std::int64_t, 2> local,
                        const ArgFactory& make) {
-  const RunResult tree = run_one(k, global, local, make, Backend::Tree, 1);
+  const RunResult tree = run_tree(k, global, local, make);
   const RunResult byte1 =
       run_one(k, global, local, make, Backend::Bytecode, 1);
   const RunResult byte4 =
@@ -207,8 +223,8 @@ TEST(VmDifferential, ManyGroupsThreadInvariance) {
 
 // ---- error-message parity --------------------------------------------------
 
-// Each case is a malformed kernel or launch; both backends must throw the
-// same message. Single-item or uniform faults keep the reported instance
+// Each case is a malformed kernel or launch; the oracle and both tiers must
+// throw the same message. Single-item or uniform faults keep the reported instance
 // deterministic.
 
 TEST(VmErrors, LaunchValidationParity) {
@@ -410,106 +426,13 @@ TEST(VmErrors, DeadMalformedCodeDoesNotThrow) {
                      assign(i, bin(BinOp::Div, iconst(1), iconst(0)))}));
   b.append(store_global(0, iconst(0), fconst(2.0, t1)));
   const Kernel k = b.build();
-  const RunResult tree = run_one(k, {1, 1}, {1, 1}, one_out(64),
-                                 Backend::Tree, 1);
+  const RunResult tree = run_tree(k, {1, 1}, {1, 1}, one_out(64));
   const RunResult byte = run_one(k, {1, 1}, {1, 1}, one_out(64),
                                  Backend::Bytecode, 1);
   EXPECT_FALSE(tree.threw) << tree.message;
   EXPECT_FALSE(byte.threw) << byte.message;
   EXPECT_EQ(tree.bytes, byte.bytes);
   EXPECT_EQ(tree.counters, byte.counters);
-}
-
-// ---- dispatch strategies ---------------------------------------------------
-
-struct DispatchGuard {
-  ~DispatchGuard() {
-    unsetenv("GEMMTUNE_VM_DISPATCH");
-    set_vm_dispatch_override(VmDispatch::Auto);
-  }
-};
-
-TEST(VmDispatchMode, ThreadedAndSwitchAgree) {
-  // The two executors share one instruction set and must be externally
-  // indistinguishable: identical buffers and counters on success,
-  // identical messages on a fault. (On builds without computed-goto
-  // support the threaded run silently resolves to switch and the
-  // comparison is trivially true — the test stays valid either way.)
-  DispatchGuard guard;
-  unsetenv("GEMMTUNE_VM_DISPATCH");
-  for (const Scalar s : {Scalar::F64, Scalar::F32}) {
-    const Kernel k = stress_kernel(s);
-    const auto make = stress_args(s, 8, 3);
-    set_vm_dispatch_override(VmDispatch::Switch);
-    const RunResult sw = run_one(k, {8, 1}, {4, 1}, make,
-                                 Backend::Bytecode, 1);
-    set_vm_dispatch_override(VmDispatch::Threaded);
-    const RunResult th = run_one(k, {8, 1}, {4, 1}, make,
-                                 Backend::Bytecode, 1);
-    ASSERT_FALSE(sw.threw) << sw.message;
-    ASSERT_FALSE(th.threw) << th.message;
-    EXPECT_EQ(sw.bytes, th.bytes) << k.name;
-    EXPECT_EQ(sw.counters, th.counters) << k.name;
-  }
-  // Fault parity: a uniform division by zero must raise the same message
-  // from both executors.
-  KernelBuilder b = one_item_builder("dispdiv0");
-  const int q = b.decl_var("q", i32());
-  b.append(assign(q, bin(BinOp::Div, iconst(4), arg_ref(1, i32()))));
-  b.append(store_global(0, b.ref(q), fconst(1.0, fp(Scalar::F64, 1))));
-  const Kernel bad = b.build();
-  set_vm_dispatch_override(VmDispatch::Switch);
-  const RunResult esw = run_one(bad, {1, 1}, {1, 1}, one_out(64),
-                                Backend::Bytecode, 1);
-  set_vm_dispatch_override(VmDispatch::Threaded);
-  const RunResult eth = run_one(bad, {1, 1}, {1, 1}, one_out(64),
-                                Backend::Bytecode, 1);
-  EXPECT_TRUE(esw.threw);
-  EXPECT_TRUE(eth.threw);
-  EXPECT_EQ(esw.message, eth.message);
-}
-
-TEST(VmDispatchMode, ResolutionPrecedence) {
-  DispatchGuard guard;
-  unsetenv("GEMMTUNE_VM_DISPATCH");
-  set_vm_dispatch_override(VmDispatch::Auto);
-  // Default: threaded wherever the build carries the computed-goto
-  // executor, switch elsewhere.
-  const VmDispatch def = vm_threaded_dispatch_supported()
-                             ? VmDispatch::Threaded
-                             : VmDispatch::Switch;
-  EXPECT_EQ(resolve_vm_dispatch(), def);
-  EXPECT_EQ(resolve_vm_dispatch(VmDispatch::Switch), VmDispatch::Switch);
-  // An unsupported explicit Threaded downgrades rather than failing.
-  EXPECT_EQ(resolve_vm_dispatch(VmDispatch::Threaded), def);
-
-  setenv("GEMMTUNE_VM_DISPATCH", "switch", 1);
-  EXPECT_EQ(resolve_vm_dispatch(), VmDispatch::Switch);
-  setenv("GEMMTUNE_VM_DISPATCH", "threaded", 1);
-  EXPECT_EQ(resolve_vm_dispatch(), def);
-
-  // The process-wide override (the --vm-dispatch flag) beats the
-  // environment...
-  setenv("GEMMTUNE_VM_DISPATCH", "threaded", 1);
-  set_vm_dispatch_override(VmDispatch::Switch);
-  EXPECT_EQ(resolve_vm_dispatch(), VmDispatch::Switch);
-  // ...and an explicit request beats both.
-  setenv("GEMMTUNE_VM_DISPATCH", "switch", 1);
-  set_vm_dispatch_override(VmDispatch::Switch);
-  EXPECT_EQ(resolve_vm_dispatch(VmDispatch::Threaded), def);
-
-  setenv("GEMMTUNE_VM_DISPATCH", "nonsense", 1);
-  set_vm_dispatch_override(VmDispatch::Auto);
-  try {
-    resolve_vm_dispatch();
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_EQ(strip_loc(e.what()),
-              "GEMMTUNE_VM_DISPATCH: unknown value 'nonsense' "
-              "(use switch, threaded)");
-  }
-  // An explicit mode never consults the (invalid) environment.
-  EXPECT_EQ(resolve_vm_dispatch(VmDispatch::Switch), VmDispatch::Switch);
 }
 
 // ---- backend resolution and the compiled cache -----------------------------
@@ -526,10 +449,8 @@ TEST(VmBackend, ResolutionPrecedence) {
   unsetenv("GEMMTUNE_INTERP");
   set_backend_override(Backend::Auto);
   EXPECT_EQ(resolve_backend(Backend::Auto), Backend::Bytecode);
-  EXPECT_EQ(resolve_backend(Backend::Tree), Backend::Tree);
+  EXPECT_EQ(resolve_backend(Backend::Native), Backend::Native);
 
-  setenv("GEMMTUNE_INTERP", "tree", 1);
-  EXPECT_EQ(resolve_backend(Backend::Auto), Backend::Tree);
   setenv("GEMMTUNE_INTERP", "bytecode", 1);
   EXPECT_EQ(resolve_backend(Backend::Auto), Backend::Bytecode);
   setenv("GEMMTUNE_INTERP", "native", 1);
@@ -537,24 +458,26 @@ TEST(VmBackend, ResolutionPrecedence) {
 
   // The process-wide override (the CLI flag) beats the environment...
   setenv("GEMMTUNE_INTERP", "bytecode", 1);
-  set_backend_override(Backend::Tree);
-  EXPECT_EQ(resolve_backend(Backend::Auto), Backend::Tree);
+  set_backend_override(Backend::Native);
+  EXPECT_EQ(resolve_backend(Backend::Auto), Backend::Native);
   // ...and an explicit request beats both.
   EXPECT_EQ(resolve_backend(Backend::Bytecode), Backend::Bytecode);
 
-  setenv("GEMMTUNE_INTERP", "nonsense", 1);
+  // Unknown values are rejected with the allowed set named. "tree" is one
+  // of them: the tree walker is a test-only oracle, not an execution tier.
   set_backend_override(Backend::Auto);
-  EXPECT_THROW(resolve_backend(Backend::Auto), Error);
-  try {
-    resolve_backend(Backend::Auto);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_EQ(strip_loc(e.what()),
-              "GEMMTUNE_INTERP: unknown value 'nonsense' "
-              "(use tree, bytecode, native)");
+  for (const std::string bad : {"nonsense", "tree"}) {
+    setenv("GEMMTUNE_INTERP", bad.c_str(), 1);
+    try {
+      resolve_backend(Backend::Auto);
+      FAIL() << "expected Error for " << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(strip_loc(e.what()), "GEMMTUNE_INTERP: unknown value '" +
+                                         bad + "' (use bytecode, native)");
+    }
   }
   // An explicit backend never consults the (invalid) environment.
-  EXPECT_EQ(resolve_backend(Backend::Tree), Backend::Tree);
+  EXPECT_EQ(resolve_backend(Backend::Native), Backend::Native);
 }
 
 TEST(VmCache, CompileOncePerKernelShape) {
