@@ -4,7 +4,7 @@
 //
 // For two Table I devices (Tahiti GPU, SandyBridge CPU) x {DGEMM, SGEMM},
 // the exhaustive reference tunes over a fixed candidate space, then each
-// guided strategy (model_topk, anneal, pso) runs with a measurement budget
+// guided strategy (model_topk, anneal) runs with a measurement budget
 // of 10% of that space. Per combination the bench records the selected
 // kernel's GFlop/s, the quality ratio against the exhaustive winner, and
 // the measured fraction. The acceptance gate — quality >= 1.0 at fraction
@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
   const std::vector<DeviceId> devices = {DeviceId::Tahiti,
                                          DeviceId::SandyBridge};
   const std::vector<Precision> precisions = {Precision::DP, Precision::SP};
-  const std::vector<StrategyKind> guided = {
-      StrategyKind::ModelTopK, StrategyKind::Anneal, StrategyKind::Pso};
+  const std::vector<StrategyKind> guided = {StrategyKind::ModelTopK,
+                                            StrategyKind::Anneal};
 
   SearchOptions opt;
   opt.enumeration.max_candidates = candidates;
@@ -110,15 +110,10 @@ int main(int argc, char** argv) {
         scalar(combo + "." + name + ".measured",
                static_cast<double>(r.stats.measured));
         scalar(combo + "." + name + ".fraction", r.stats.fraction_measured);
-        // The acceptance gate covers the deterministic model ranking and
-        // the seeded annealer; pso is reported but not gated (swarm
-        // search has no same-or-better guarantee at this budget).
-        if (kind != StrategyKind::Pso) {
-          const bool ok = quality >= 1.0 - 1e-9 &&
-                          r.stats.fraction_measured <= 0.10 + 1e-9;
-          scalar(combo + "." + name + ".gate", ok ? 1 : 0);
-          gate_all = gate_all && ok;
-        }
+        const bool ok = quality >= 1.0 - 1e-9 &&
+                        r.stats.fraction_measured <= 0.10 + 1e-9;
+        scalar(combo + "." + name + ".gate", ok ? 1 : 0);
+        gate_all = gate_all && ok;
       }
       t.print(std::cout);
     }
@@ -137,7 +132,7 @@ int main(int argc, char** argv) {
   exh_spec.kind = StrategyKind::Exhaustive;
   const TunedKernel exh = run_strategy(tahiti, Precision::DP, opt, exh_spec);
   TextTable sweep;
-  sweep.set_header({"Budget", "model_topk", "anneal", "pso"});
+  sweep.set_header({"Budget", "model_topk", "anneal"});
   for (const std::int64_t b : {budget / 4, budget / 2, budget}) {
     std::vector<std::string> row = {std::to_string(b)};
     for (const StrategyKind kind : guided) {

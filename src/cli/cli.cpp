@@ -23,7 +23,6 @@
 #include "kernelir/native.hpp"
 #include "layout/matrix.hpp"
 #include "serve/core/async_server.hpp"
-#include "serve/core/differential.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "trace/trace.hpp"
@@ -309,8 +308,7 @@ int cmd_verify(const std::vector<std::string>& args, std::ostream& out) {
 
 /// Serving-core selection shared by `serve` and `replay`.
 struct ServeCoreOptions {
-  std::string core = "serial";  ///< serial | async | diff
-  int shards = 4;
+  std::string core = "serial";  ///< serial | async
   double slo_ms = 0;  ///< > 0: override every deadline to arrival + SLO
   bool shed_infeasible = false;
   std::string tune_strategy;  ///< --tune-strategy: per-class guided warmup
@@ -335,7 +333,6 @@ int run_serve_async(serve::GemmServer& server,
                     const ServeCoreOptions& copt,
                     const std::string& report_path, std::ostream& out) {
   serve::AsyncOptions aopt;
-  aopt.shards = copt.shards;
   aopt.shed_infeasible = copt.shed_infeasible;
   aopt.execute_max_n = 64;  // checksum small requests on the executors
   const auto serial =
@@ -346,9 +343,9 @@ int run_serve_async(serve::GemmServer& server,
   const Json report = serve::build_async_report(
       spec, requests, outcome, serial, server.options(), aopt);
   const Json& s = report.at("scalars");
-  out << strf("async core: %d shards, virtual mode, %lld requests "
-              "executed on %zu device executors\n",
-              aopt.shards, static_cast<long long>(outcome.executed),
+  out << strf("async core: virtual mode, %lld requests executed on %zu "
+              "device executors\n",
+              static_cast<long long>(outcome.executed),
               server.devices().size());
   out << strf("served: %lld completed, shed %lld (queue full) + %lld "
               "(infeasible), %lld expired\n",
@@ -366,27 +363,6 @@ int run_serve_async(serve::GemmServer& server,
               s.at("speedup.throughput_vs_serial").as_number());
   if (!report_path.empty()) write_report_file(report, report_path, out);
   return 0;
-}
-
-/// Replays the workload through both cores and reports the differential.
-int run_serve_diff(serve::GemmServer& server,
-                   const serve::WorkloadSpec& spec,
-                   const std::vector<serve::GemmRequest>& requests,
-                   const ServeCoreOptions& copt, std::ostream& out) {
-  serve::AsyncOptions aopt;
-  aopt.shards = copt.shards;
-  aopt.execute_max_n = 64;
-  const auto rep = serve::run_differential(
-      server, requests, spec.max_batch, spec.queue_capacity, aopt);
-  out << strf("differential: serial %lld completed, async %lld completed "
-              "(ratio %.4f), %lld GEMM checksums compared\n",
-              static_cast<long long>(rep.serial_completed),
-              static_cast<long long>(rep.async_completed),
-              rep.completed_ratio,
-              static_cast<long long>(rep.compared_checksums));
-  out << (rep.ok ? "cores agree: PASS\n"
-                 : "cores diverge: FAIL (" + rep.detail + ")\n");
-  return rep.ok ? 0 : 1;
 }
 
 /// Shared tail of `serve` and `replay`: warm up, run the selected core,
@@ -421,8 +397,6 @@ int run_serve(const serve::WorkloadSpec& spec,
   }
   if (copt.core == "async")
     return run_serve_async(server, spec, requests, copt, report_path, out);
-  if (copt.core == "diff")
-    return run_serve_diff(server, spec, requests, copt, out);
   const auto batched =
       server.run(requests, spec.max_batch, spec.queue_capacity);
   const auto unbatched = server.run(requests, 1, spec.queue_capacity);
@@ -467,19 +441,9 @@ int run_serve(const serve::WorkloadSpec& spec,
 bool core_flag(const std::vector<std::string>& args, std::size_t& i,
                ServeCoreOptions& copt) {
   if (auto v = flag_value(args, i, "--core")) {
-    if (*v != "serial" && *v != "async" && *v != "diff")
-      fail_unknown_value("--core", *v, {"serial", "async", "diff"});
+    if (*v != "serial" && *v != "async")
+      fail_unknown_value("--core", *v, {"serial", "async"});
     copt.core = *v;
-    return true;
-  }
-  if (auto v = flag_value(args, i, "--shards")) {
-    try {
-      std::size_t used = 0;
-      copt.shards = std::stoi(*v, &used);
-      check(used == v->size() && copt.shards >= 1, "");
-    } catch (const std::exception&) {
-      fail("--shards expects an integer >= 1, got '" + *v + "'");
-    }
     return true;
   }
   if (auto v = flag_value(args, i, "--slo-ms")) {
@@ -515,6 +479,13 @@ bool core_flag(const std::vector<std::string>& args, std::size_t& i,
   return false;
 }
 
+/// Rejects flag combinations core_flag cannot see one flag at a time.
+void check_core_options(const ServeCoreOptions& copt) {
+  check(!copt.shed_infeasible || copt.core == "async",
+        "--shed-infeasible needs --core async (only the async core sheds "
+        "at admission)");
+}
+
 int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   std::string spec_text, report_path, cache_path, trace_path;
   ServeCoreOptions copt;
@@ -526,6 +497,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
     else if (core_flag(args, i, copt)) continue;
     else fail("serve: unknown argument '" + args[i] + "'");
   }
+  check_core_options(copt);
   const serve::WorkloadSpec spec = serve::parse_spec(spec_text);
   const auto requests = serve::generate_workload(spec);
   if (!trace_path.empty()) {
@@ -538,7 +510,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
 int cmd_replay(const std::vector<std::string>& args, std::ostream& out) {
   check(!args.empty() && !args[0].starts_with("--"),
         "usage: replay <trace.json> [--report FILE] [--cache FILE] "
-        "[--core C] [--shards N] [--slo-ms X]");
+        "[--core C] [--slo-ms X] [--shed-infeasible]");
   std::string report_path, cache_path;
   ServeCoreOptions copt;
   for (std::size_t i = 1; i < args.size(); ++i) {
@@ -547,6 +519,7 @@ int cmd_replay(const std::vector<std::string>& args, std::ostream& out) {
     else if (core_flag(args, i, copt)) continue;
     else fail("replay: unknown argument '" + args[i] + "'");
   }
+  check_core_options(copt);
   const serve::Workload w = serve::load_workload_file(args[0]);
   return run_serve(w.spec, w.requests, cache_path, report_path, copt, out);
 }
@@ -628,35 +601,35 @@ int usage(std::ostream& out) {
          "  tune <device> <DGEMM|SGEMM> [budget] [out.json]\n"
          "       [--strategy SPEC] [--shape MxNxK]\n"
          "                  SPEC selects the search strategy:\n"
-         "                  exhaustive (default), model_topk, anneal, pso,\n"
+         "                  exhaustive (default), model_topk or anneal,\n"
          "                  with k=v options, e.g. model_topk,budget=64 or\n"
-         "                  anneal,budget=256,seed=7,restarts=8 or\n"
-         "                  pso,budget=256,particles=16; --shape tunes for\n"
-         "                  one NN shape class (pack cost + direct path)\n"
-         "                  instead of the size-agnostic square sweep\n"
+         "                  anneal,budget=256,seed=7,restarts=8; --shape\n"
+         "                  tunes for one NN shape class (pack cost + direct\n"
+         "                  path) instead of the size-agnostic square sweep\n"
          "  estimate <device> <DGEMM|SGEMM> <NN|NT|TN|TT> <n>\n"
          "  sweep <device> <DGEMM|SGEMM> <maxN>\n"
          "  verify <device> <DGEMM|SGEMM> <M> <N> <K>\n"
          "  serve [--workload SPEC] [--report FILE] [--cache FILE]\n"
-         "        [--save-trace FILE] [--core serial|async|diff]\n"
-         "        [--shards N] [--slo-ms X] [--shed-infeasible]\n"
+         "        [--save-trace FILE] [--core serial|async]\n"
+         "        [--slo-ms X] [--shed-infeasible]\n"
          "        [--tune-strategy SPEC] [--tune-candidates N]\n"
          "                  run the batched GEMM service on a seeded\n"
          "                  synthetic workload; SPEC is k=v pairs, e.g.\n"
          "                  requests=1000,seed=42,rate=2000,max_batch=16,\n"
          "                  queue=512,arrival=poisson,devices=Tahiti+Kepler\n"
-         "                  --core async runs the sharded concurrent core\n"
-         "                  (deterministic virtual mode) with per-shape-\n"
-         "                  class p50/p99/p999; --core diff replays the\n"
-         "                  workload through both cores and checks they\n"
-         "                  agree; --slo-ms X replaces every deadline with\n"
-         "                  arrival + X ms; --shed-infeasible also rejects\n"
-         "                  deadline-infeasible requests at admission;\n"
+         "                  --core async runs the concurrent core\n"
+         "                  (deterministic virtual mode: the serial loop,\n"
+         "                  then real GEMMs on per-device executors) with\n"
+         "                  per-shape-class p50/p99/p999; --slo-ms X\n"
+         "                  replaces every deadline with arrival + X ms;\n"
+         "                  --shed-infeasible (--core async only) also\n"
+         "                  rejects deadline-infeasible requests at\n"
+         "                  admission;\n"
          "                  --tune-strategy SPEC tunes a kernel per shape\n"
          "                  class with the budgeted strategy (see tune)\n"
          "                  instead of the Table II warmup kernel\n"
          "  replay <trace.json> [--report FILE] [--cache FILE]\n"
-         "         [--core C] [--shards N] [--slo-ms X]\n"
+         "         [--core C] [--slo-ms X] [--shed-infeasible]\n"
          "         [--tune-strategy SPEC] [--tune-candidates N]\n"
          "                  re-run a workload trace saved by serve\n"
          "  dist [--spec SPEC] [--report FILE]\n"

@@ -1,8 +1,9 @@
 // Lowering from the kernel IR tree to flat register-machine bytecode.
 //
-// The contract with the tree-walking interpreter (interp.cpp) is bit
-// identity of buffers AND dynamic counters, so the optimization passes are
-// fenced by what carries observable effects:
+// The contract with the tree-walking reference interpreter (the test
+// oracle in tests/tree_oracle.cpp) is bit identity of buffers AND dynamic
+// counters, so the optimization passes are fenced by what carries
+// observable effects:
 //  * integer arithmetic, builtins, literals, and scalar-argument reads are
 //    pure — they may be constant-folded, value-numbered, and hoisted;
 //  * floating arithmetic (FAdd/FSub/FMul/Mad) counts flops/mads and every

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <condition_variable>
-#include <deque>
+#include <exception>
 #include <limits>
+#include <map>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <thread>
 
@@ -18,7 +16,6 @@
 #include "common/runmeta.hpp"
 #include "common/stats.hpp"
 #include "kernelir/interp.hpp"
-#include "serve/core/sharded_queue.hpp"
 #include "trace/trace.hpp"
 
 namespace gemmtune::serve {
@@ -62,7 +59,25 @@ std::uint64_t gemm_checksum(blas::GemmEngine& engine, const GemmRequest& r,
   return fnv1a(C.data(), C.size() * sizeof(T));
 }
 
-/// Slot lookup + input validation shared by both modes.
+/// Whether a request runs through the real kernel: its largest extent is
+/// at most `max_n` (0 disables execution).
+bool executes(const GemmRequest& r, index_t max_n) {
+  return max_n > 0 && std::max({r.M, r.N, r.K}) <= max_n;
+}
+
+/// The infeasibility shed's test: even the best device, taking `r` alone
+/// on arrival, would finish past its deadline. `row` is r's estimate row.
+bool deadline_infeasible(const GemmRequest& r,
+                         const std::vector<PathEstimate>& row,
+                         double overhead_seconds) {
+  if (r.deadline_seconds <= 0) return false;
+  double best = kInf;
+  for (const PathEstimate& e : row)
+    best = std::min(best, overhead_seconds + e.seconds);
+  return r.arrival_seconds + best > r.deadline_seconds;
+}
+
+/// Slot lookup + input validation of realtime mode.
 std::map<std::int64_t, std::size_t> index_requests(
     const std::vector<GemmRequest>& requests) {
   std::map<std::int64_t, std::size_t> slot_of;
@@ -124,7 +139,6 @@ std::uint64_t execute_checksum(blas::GemmEngine& engine, const GemmRequest& r,
 AsyncServer::AsyncServer(GemmServer& server, AsyncOptions opt)
     : server_(server), opt_(opt) {
   check(server_.warmed(), "AsyncServer: server must be warmed first");
-  check(opt_.shards >= 1, "AsyncServer: shards must be >= 1");
   check(opt_.time_scale >= 0, "AsyncServer: time_scale must be >= 0");
   check(opt_.retune_interval_ms > 0,
         "AsyncServer: retune_interval_ms must be > 0");
@@ -132,286 +146,75 @@ AsyncServer::AsyncServer(GemmServer& server, AsyncOptions opt)
 
 AsyncOutcome AsyncServer::run(const std::vector<GemmRequest>& requests,
                               int max_batch, int queue_capacity) {
-  server_.ensure_estimates(requests);
   return opt_.time_scale > 0
              ? run_realtime(requests, max_batch, queue_capacity)
              : run_virtual(requests, max_batch, queue_capacity);
 }
 
 // ---------------------------------------------------------------------------
-// Virtual mode: the serial discrete-event loop over the sharded queue, with
-// executor threads carrying only the functional GEMM work. Every scheduling
-// decision below must stay in lockstep with GemmServer::run — the
-// differential harness enforces it.
+// Virtual mode: GemmServer::run schedules, then executors run the GEMMs of
+// the schedule it produced.
 // ---------------------------------------------------------------------------
 
 AsyncOutcome AsyncServer::run_virtual(const std::vector<GemmRequest>& requests,
                                       int max_batch, int queue_capacity) {
   trace::Span span("servecore.virtual");
-  const ServeOptions& opt = server_.options();
   const std::size_t n = requests.size();
   const std::size_t nd = server_.devices().size();
-  const auto slot_of = index_requests(requests);
 
+  // 1. The infeasibility shed as a mask the loop applies at admission,
+  //    after its distributed test — so the mask marks exactly the requests
+  //    the loop sheds, and the accounting can tell them from expiries.
+  std::vector<char> infeasible;
+  if (opt_.shed_infeasible) {
+    server_.ensure_estimates(requests);
+    infeasible.assign(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const GemmRequest& r = requests[i];
+      infeasible[i] =
+          !server_.is_distributed(r) &&
+          deadline_infeasible(r, server_.estimates_for(ShapeClass::of(r)),
+                              server_.options().dispatch_overhead_seconds);
+    }
+  }
+
+  // 2. Schedule.
   AsyncOutcome out;
-  out.base.responses.resize(n);
-  out.base.device_stats.resize(nd);
-  out.result_hash.assign(n, 0);
-  std::vector<char> infeasible(n, 0);
+  out.base = server_.run(requests, max_batch, queue_capacity, infeasible);
 
-  // Per-device execution channels: the coordinator hands each dispatched
-  // batch's executable requests to its device's executor thread, which
-  // runs the real kernel and records the checksum. Execution is a pure
-  // side channel — it never feeds back into scheduling — so the event
-  // loop stays bit-identical to the serial reference.
-  struct Channel {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<std::vector<GemmRequest>> tasks;
-    bool done = false;
-  };
-  std::vector<std::unique_ptr<Channel>> channels;
-  std::vector<std::thread> executors;
-  std::atomic<std::int64_t> executed{0};
-  const bool executing = opt_.execute_max_n > 0;
-  if (executing) {
-    for (std::size_t d = 0; d < nd; ++d)
-      channels.push_back(std::make_unique<Channel>());
+  // 3. Execute: one thread per device runs its completed requests. The
+  //    schedule is final, so execution cannot change any decision.
+  out.result_hash.assign(n, 0);
+  if (opt_.execute_max_n > 0) {
+    std::vector<std::vector<std::size_t>> work(nd);
+    for (std::size_t i = 0; i < n; ++i) {
+      const GemmResponse& resp = out.base.responses[i];
+      if (resp.status == RequestStatus::Completed && resp.device_index >= 0 &&
+          executes(requests[i], opt_.execute_max_n))
+        work[static_cast<std::size_t>(resp.device_index)].push_back(i);
+    }
+    std::vector<std::exception_ptr> failure(nd);
+    std::vector<std::thread> executors;
     for (std::size_t d = 0; d < nd; ++d) {
+      if (work[d].empty()) continue;
+      out.executed += static_cast<std::int64_t>(work[d].size());
       executors.emplace_back([&, d] {
-        blas::GemmEngine& engine = *server_.engines()[d];
-        Channel& ch = *channels[d];
-        for (;;) {
-          std::vector<GemmRequest> task;
-          {
-            std::unique_lock<std::mutex> lock(ch.mu);
-            ch.cv.wait(lock, [&] { return ch.done || !ch.tasks.empty(); });
-            if (ch.tasks.empty()) return;  // done and drained
-            task = std::move(ch.tasks.front());
-            ch.tasks.pop_front();
-          }
-          for (const GemmRequest& r : task) {
-            out.result_hash[slot_of.at(r.id)] =
-                execute_checksum(engine, r, opt_.result_seed);
-            executed.fetch_add(1, std::memory_order_relaxed);
-          }
+        try {
+          blas::GemmEngine& engine = *server_.engines()[d];
+          for (const std::size_t i : work[d])
+            out.result_hash[i] =
+                execute_checksum(engine, requests[i], opt_.result_seed);
+        } catch (...) {
+          failure[d] = std::current_exception();
         }
       });
     }
-  }
-  const auto submit_exec = [&](std::size_t d,
-                               const std::vector<GemmRequest>& batch) {
-    if (!executing) return;
-    std::vector<GemmRequest> task;
-    for (const GemmRequest& r : batch)
-      if (std::max({r.M, r.N, r.K}) <= opt_.execute_max_n)
-        task.push_back(r);
-    if (task.empty()) return;
-    Channel& ch = *channels[d];
-    {
-      std::lock_guard<std::mutex> lock(ch.mu);
-      ch.tasks.push_back(std::move(task));
-    }
-    ch.cv.notify_one();
-  };
-
-  struct Running {
-    PendingBatch batch;
-    double start = 0;
-    double finish = 0;
-    bool used_direct = false;
-    bool distributed = false;
-    std::int64_t batch_id = 0;
-  };
-  std::vector<std::optional<Running>> running(nd);
-  ShardedQueue queue(opt_.shards, max_batch, queue_capacity);
-  std::deque<GemmRequest> dist_queue;
-  const auto is_distributed = [&](const GemmRequest& r) {
-    return opt.dist_threshold_n > 0 &&
-           std::max({r.M, r.N, r.K}) >= opt.dist_threshold_n;
-  };
-  std::size_t next_arrival = 0;
-  double last_finish = 0;
-
-  const auto complete = [&](int d) {
-    const Running& run = *running[static_cast<std::size_t>(d)];
-    for (const GemmRequest& r : run.batch.requests) {
-      GemmResponse& resp = out.base.responses[slot_of.at(r.id)];
-      resp.request_id = r.id;
-      resp.status = RequestStatus::Completed;
-      resp.finish_seconds = run.finish;
-      resp.latency_seconds = run.finish - r.arrival_seconds;
-      resp.wait_seconds = run.start - r.arrival_seconds;
-      resp.device_index = run.distributed ? -1 : d;
-      resp.batch_id = run.batch_id;
-      resp.batch_size = static_cast<int>(run.batch.requests.size());
-      resp.used_direct = run.used_direct;
-      out.base.completed_flops += r.flops();
-    }
-    DeviceStats& ds = out.base.device_stats[static_cast<std::size_t>(d)];
-    if (!run.batch.requests.empty()) ds.batches += 1;
-    ds.requests += static_cast<std::int64_t>(run.batch.requests.size());
-    ds.busy_seconds += run.finish - run.start;
-    last_finish = std::max(last_finish, run.finish);
-    running[static_cast<std::size_t>(d)].reset();
-  };
-
-  const auto reject = [&](const GemmRequest& r, RequestStatus status,
-                          double when) {
-    GemmResponse& resp = out.base.responses[slot_of.at(r.id)];
-    resp.request_id = r.id;
-    resp.status = status;
-    resp.finish_seconds = when;
-    resp.wait_seconds = when - r.arrival_seconds;
-  };
-
-  // Minimum achievable completion time from a cold start: the best device
-  // taking the request alone, right now. Used by the infeasibility shed.
-  const auto best_case_seconds = [&](const GemmRequest& r) {
-    const auto& per_dev = server_.estimates_for(ShapeClass::of(r));
-    double best = kInf;
-    for (const PathEstimate& e : per_dev)
-      best = std::min(best, opt.dispatch_overhead_seconds + e.seconds);
-    return best;
-  };
-
-  for (;;) {
-    const double t_arrival =
-        next_arrival < n ? requests[next_arrival].arrival_seconds : kInf;
-    double t_device = kInf;
-    for (const auto& r : running)
-      if (r) t_device = std::min(t_device, r->finish);
-    const double clock = std::min(t_arrival, t_device);
-    if (!std::isfinite(clock)) break;
-
-    for (std::size_t d = 0; d < running.size(); ++d)
-      if (running[d] && running[d]->finish <= clock)
-        complete(static_cast<int>(d));
-
-    while (next_arrival < n &&
-           requests[next_arrival].arrival_seconds <= clock) {
-      const GemmRequest& r = requests[next_arrival++];
-      trace::counter_add("servecore.requests", 1);
-      if (is_distributed(r)) {
-        dist_queue.push_back(r);
-      } else if (opt_.shed_infeasible && r.deadline_seconds > 0 &&
-                 r.arrival_seconds + best_case_seconds(r) >
-                     r.deadline_seconds) {
-        infeasible[slot_of.at(r.id)] = 1;
-        reject(r, RequestStatus::RejectedDeadline, r.arrival_seconds);
-        trace::counter_add("servecore.shed_infeasible", 1);
-      } else if (!queue.admit(r)) {
-        reject(r, RequestStatus::RejectedQueueFull, r.arrival_seconds);
-        trace::counter_add("servecore.shed_queue_full", 1);
-      }
-    }
-
-    for (;;) {
-      std::size_t idle = 0;
-      for (const auto& r : running) idle += r ? 0 : 1;
-      if (idle == 0) break;
-      if (!dist_queue.empty()) {
-        // Fleet barrier, exactly as in the serial loop: drain, then every
-        // device runs the tiled dispatch together.
-        if (idle < running.size()) break;
-        const GemmRequest r = dist_queue.front();
-        dist_queue.pop_front();
-        if (r.deadline_seconds < clock) {
-          reject(r, RequestStatus::RejectedDeadline, clock);
-          continue;
-        }
-        const double secs = server_.dist_seconds(r);
-        const double finish = clock + opt.dispatch_overhead_seconds + secs;
-        const std::int64_t batch_id =
-            static_cast<std::int64_t>(out.base.batches.size());
-        for (std::size_t d = 0; d < running.size(); ++d) {
-          Running run;
-          run.batch.shape = ShapeClass::of(r);
-          if (d == 0) run.batch.requests.push_back(r);
-          run.start = clock;
-          run.finish = finish;
-          run.distributed = true;
-          run.batch_id = batch_id;
-          running[d] = std::move(run);
-        }
-        out.base.batches.push_back({batch_id, -1, ShapeClass::of(r), 1,
-                                    clock, finish, false, true});
-        continue;
-      }
-      std::vector<GemmRequest> expired;
-      const auto views = queue.group_views(clock, expired);
-      for (const GemmRequest& r : expired)
-        reject(r, RequestStatus::RejectedDeadline, clock);
-      expired.clear();
-      bool dispatched = false;
-      for (const auto& view : views) {
-        const std::vector<PathEstimate>& per_dev =
-            server_.estimates_for(view.shape);
-        int dev = -1;
-        double best_ect = kInf;
-        for (std::size_t d = 0; d < running.size(); ++d) {
-          const double free_at = running[d] ? running[d]->finish : clock;
-          const double ect = free_at + opt.dispatch_overhead_seconds +
-                             per_dev[d].seconds;
-          if (ect < best_ect) {
-            best_ect = ect;
-            dev = static_cast<int>(d);
-          }
-        }
-        if (running[static_cast<std::size_t>(dev)]) continue;
-        const PathEstimate& est = per_dev[static_cast<std::size_t>(dev)];
-        std::size_t limit = (view.size + idle - 1) / idle;
-        if (opt.max_batch_seconds > 0 && est.seconds > 0) {
-          const double cap = std::floor(opt.max_batch_seconds / est.seconds);
-          if (cap < static_cast<double>(limit))
-            limit = static_cast<std::size_t>(std::max(cap, 1.0));
-        }
-        auto batch = queue.pop_from(view.shape, clock, limit, expired);
-        for (const GemmRequest& r : expired)
-          reject(r, RequestStatus::RejectedDeadline, clock);
-        expired.clear();
-        if (!batch) continue;
-        Running run;
-        run.batch = std::move(*batch);
-        run.start = clock;
-        run.finish = clock + opt.dispatch_overhead_seconds +
-                     est.seconds *
-                         static_cast<double>(run.batch.requests.size());
-        run.used_direct = est.used_direct;
-        run.batch_id = static_cast<std::int64_t>(out.base.batches.size());
-        out.base.batches.push_back(
-            {run.batch_id, dev, run.batch.shape,
-             static_cast<int>(run.batch.requests.size()), run.start,
-             run.finish, run.used_direct});
-        trace::counter_add("servecore.batches", 1);
-        submit_exec(static_cast<std::size_t>(dev), run.batch.requests);
-        running[static_cast<std::size_t>(dev)] = std::move(run);
-        dispatched = true;
-        break;
-      }
-      if (!dispatched) break;
-    }
-  }
-  check(queue.empty(), "AsyncServer: queue drained incompletely");
-  check(dist_queue.empty(),
-        "AsyncServer: distributed queue drained incompletely");
-
-  if (executing) {
-    for (auto& ch : channels) {
-      {
-        std::lock_guard<std::mutex> lock(ch->mu);
-        ch->done = true;
-      }
-      ch->cv.notify_one();
-    }
     for (auto& t : executors) t.join();
+    for (const std::exception_ptr& e : failure)
+      if (e) std::rethrow_exception(e);
   }
 
-  out.base.peak_queue_depth = queue.peak_depth();
-  const double first_arrival = n > 0 ? requests.front().arrival_seconds : 0;
-  out.base.makespan_seconds =
-      last_finish > first_arrival ? last_finish - first_arrival : 0;
-  out.executed = executed.load();
+  // 4. Account.
   finalize_accounting(requests, infeasible, out);
   return out;
 }
@@ -419,15 +222,15 @@ AsyncOutcome AsyncServer::run_virtual(const std::vector<GemmRequest>& requests,
 // ---------------------------------------------------------------------------
 // Realtime mode: arrivals paced in scaled wall clock, executors pulling
 // from the shards themselves. Not deterministic (the wall clock is in the
-// loop) — but the accounting invariant and the differential's completed-
-// count tolerance hold, and this is the mode where executor parallelism
-// buys real throughput.
+// loop) — but every request is answered exactly once, and this is the mode
+// where executor parallelism buys real throughput.
 // ---------------------------------------------------------------------------
 
 AsyncOutcome AsyncServer::run_realtime(
     const std::vector<GemmRequest>& requests, int max_batch,
     int queue_capacity) {
   trace::Span span("servecore.realtime");
+  server_.ensure_estimates(requests);
   using Clock = std::chrono::steady_clock;
   const ServeOptions& opt = server_.options();
   const std::size_t n = requests.size();
@@ -461,15 +264,16 @@ AsyncOutcome AsyncServer::run_realtime(
                          std::chrono::duration<double>(t * scale)));
   };
 
-  ShardedQueue queue(opt_.shards, max_batch, queue_capacity);
+  // One lock domain per device executor.
+  ShardedQueue queue(static_cast<int>(nd), max_batch, queue_capacity);
   std::atomic<bool> arrivals_done{false};
   std::atomic<std::int64_t> in_flight{0};
   std::atomic<std::int64_t> executed{0};
   std::atomic<std::int64_t> retunes{0};
   std::atomic<bool> stop_retuner{false};
 
-  // Modeled time each device is occupied through; the ECT placement reads
-  // these instead of the serial loop's `running` array.
+  // Modeled time each device is occupied through; the placement reads
+  // these instead of the event loop's `running` array.
   std::vector<std::atomic<double>> busy_until(nd);
   for (auto& b : busy_until) b.store(0);
 
@@ -488,17 +292,13 @@ AsyncOutcome AsyncServer::run_realtime(
       const GemmRequest& r = requests[i];
       sleep_until_virtual(r.arrival_seconds);
       trace::counter_add("servecore.requests", 1);
-      if (opt_.shed_infeasible && r.deadline_seconds > 0) {
-        const auto per_dev = estimate_row(ShapeClass::of(r));
-        double best = kInf;
-        for (const PathEstimate& e : per_dev)
-          best = std::min(best, opt.dispatch_overhead_seconds + e.seconds);
-        if (r.arrival_seconds + best > r.deadline_seconds) {
-          infeasible[i] = 1;
-          reject(r, RequestStatus::RejectedDeadline, r.arrival_seconds);
-          trace::counter_add("servecore.shed_infeasible", 1);
-          continue;
-        }
+      if (opt_.shed_infeasible &&
+          deadline_infeasible(r, estimate_row(ShapeClass::of(r)),
+                              opt.dispatch_overhead_seconds)) {
+        infeasible[i] = 1;
+        reject(r, RequestStatus::RejectedDeadline, r.arrival_seconds);
+        trace::counter_add("servecore.shed_infeasible", 1);
+        continue;
       }
       in_flight.fetch_add(1, std::memory_order_acq_rel);
       if (!queue.admit(r)) {
@@ -530,6 +330,7 @@ AsyncOutcome AsyncServer::run_realtime(
       return opt_.serial_execution || d == worker;
     };
     std::vector<GemmRequest> expired;
+    std::vector<double> free_at(nd);
     for (;;) {
       const double clock = virtual_now();
       expired.clear();
@@ -545,33 +346,20 @@ AsyncOutcome AsyncServer::run_realtime(
       bool dispatched = false;
       for (const auto& view : views) {
         const auto per_dev = estimate_row(view.shape);
-        int dev = -1;
-        double best_ect = kInf;
-        for (std::size_t d = 0; d < nd; ++d) {
-          const double free_at = std::max(
-              busy_until[d].load(std::memory_order_relaxed), clock);
-          const double ect = free_at + opt.dispatch_overhead_seconds +
-                             per_dev[d].seconds;
-          if (ect < best_ect) {
-            best_ect = ect;
-            dev = static_cast<int>(d);
-          }
-        }
+        for (std::size_t d = 0; d < nd; ++d)
+          free_at[d] =
+              std::max(busy_until[d].load(std::memory_order_relaxed), clock);
+        const Placement place =
+            server_.place(per_dev, free_at, view.size, idle);
+        const int dev = static_cast<int>(place.device);
         if (!mine(dev)) continue;  // another executor's device is better
         const double dev_free =
-            busy_until[static_cast<std::size_t>(dev)].load(
-                std::memory_order_relaxed);
+            busy_until[place.device].load(std::memory_order_relaxed);
         if (!opt_.serial_execution && dev_free > clock)
           continue;  // this device is mid-batch; the group waits for it
-        const PathEstimate& e = per_dev[static_cast<std::size_t>(dev)];
-        std::size_t limit = (view.size + idle - 1) / idle;
-        if (opt.max_batch_seconds > 0 && e.seconds > 0) {
-          const double cap = std::floor(opt.max_batch_seconds / e.seconds);
-          if (cap < static_cast<double>(limit))
-            limit = static_cast<std::size_t>(std::max(cap, 1.0));
-        }
+        const PathEstimate& e = per_dev[place.device];
         expired.clear();
-        auto batch = queue.pop_from(view.shape, clock, limit, expired);
+        auto batch = queue.pop_from(view.shape, clock, place.limit, expired);
         for (const GemmRequest& r : expired) {
           reject(r, RequestStatus::RejectedDeadline, clock);
           in_flight.fetch_sub(1, std::memory_order_acq_rel);
@@ -581,19 +369,15 @@ AsyncOutcome AsyncServer::run_realtime(
         const double finish =
             start + opt.dispatch_overhead_seconds +
             e.seconds * static_cast<double>(batch->requests.size());
-        busy_until[static_cast<std::size_t>(dev)].store(
-            finish, std::memory_order_relaxed);
-        // Optional functional execution (host time, unscaled) before the
-        // modeled occupancy: the checksum side channel of virtual mode.
-        if (opt_.execute_max_n > 0) {
-          blas::GemmEngine& engine =
-              *server_.engines()[static_cast<std::size_t>(dev)];
-          for (const GemmRequest& r : batch->requests) {
-            if (std::max({r.M, r.N, r.K}) > opt_.execute_max_n) continue;
-            out.result_hash[slot_of.at(r.id)] =
-                execute_checksum(engine, r, opt_.result_seed);
-            executed.fetch_add(1, std::memory_order_relaxed);
-          }
+        busy_until[place.device].store(finish, std::memory_order_relaxed);
+        // Functional execution of the small requests (host time, unscaled)
+        // before the modeled occupancy, checksummed as in virtual mode.
+        blas::GemmEngine& engine = *server_.engines()[place.device];
+        for (const GemmRequest& r : batch->requests) {
+          if (!executes(r, opt_.execute_max_n)) continue;
+          out.result_hash[slot_of.at(r.id)] =
+              execute_checksum(engine, r, opt_.result_seed);
+          executed.fetch_add(1, std::memory_order_relaxed);
         }
         sleep_until_virtual(finish);  // occupy the device
         const std::int64_t batch_id =
@@ -610,7 +394,7 @@ AsyncOutcome AsyncServer::run_realtime(
           resp.batch_size = static_cast<int>(batch->requests.size());
           resp.used_direct = e.used_direct;
         }
-        DeviceStats& ds = local.device_stats[static_cast<std::size_t>(dev)];
+        DeviceStats& ds = local.device_stats[place.device];
         ds.batches += 1;
         ds.requests += static_cast<std::int64_t>(batch->requests.size());
         ds.busy_seconds += finish - start;
@@ -687,6 +471,7 @@ AsyncOutcome AsyncServer::run_realtime(
   if (retuner.joinable()) retuner.join();
 
   check(queue.empty(), "AsyncServer: queue drained incompletely");
+  check_answered(requests, out.base.responses);
   out.base.peak_queue_depth = queue.peak_depth();
   double last_finish = 0;
   for (const ExecutorLocal& l : locals) {
@@ -754,7 +539,6 @@ Json build_async_report(const WorkloadSpec& spec,
 
   Json core = Json::object();
   core["mode"] = aopt.time_scale > 0 ? "realtime" : "virtual";
-  core["shards"] = aopt.shards;
   core["time_scale"] = aopt.time_scale;
   core["serial_execution"] = aopt.serial_execution;
   core["shed_infeasible"] = aopt.shed_infeasible;

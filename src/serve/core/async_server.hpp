@@ -1,25 +1,22 @@
-// The concurrent serving core: sharded admission, per-device executor
-// threads, background re-tuning, overload shedding, and tail-latency
-// accounting (p50/p99/p999 per shape class).
+// The concurrent serving core: per-device executor threads, background
+// re-tuning, overload shedding, and tail-latency accounting (p50/p99/p999
+// per shape class).
 //
 // Two execution modes, selected by AsyncOptions::time_scale:
 //
-//  * Virtual mode (time_scale == 0, the default). A single coordinator
-//    drives the same discrete-event simulation as the serial GemmServer —
-//    identical earliest-completion-time placement, batch spread cap,
-//    per-batch serial-time cap, deadline expiry, and distributed-request
-//    barrier — over the ShardedQueue instead of the BatchScheduler. Every
-//    scheduling decision is bit-identical to the serial reference at any
-//    shard or thread count; the executor threads only carry the functional
-//    GEMM work (real kernel execution + checksum of the C buffer) for
-//    requests small enough to execute. This is the mode the differential
-//    harness compares against the serial loop, and the mode CI gates,
-//    because its whole outcome is deterministic.
+//  * Virtual mode (time_scale == 0, the default). GemmServer::run — the
+//    one discrete-event loop of the serving layer — schedules the
+//    workload, then one executor thread per device runs the real GEMM
+//    (and checksums the C buffer) for every completed request small
+//    enough to execute. Execution never feeds back into scheduling, so the
+//    whole outcome is deterministic at any thread count, and it is the
+//    mode CI gates.
 //
 //  * Realtime mode (time_scale > 0). Arrivals are paced in scaled
 //    wall-clock time by an admission thread; per-device executor threads
-//    pull work from the shards themselves (the fine-grained-locking hot
-//    path TSAN watches), occupy their device for the modeled batch time
+//    pull work from a ShardedQueue with one shard per device (the fine-
+//    grained-locking hot path TSAN watches), place it with the loop's
+//    GemmServer::place, occupy their device for the modeled batch time
 //    scaled by time_scale, and an optional re-tuner thread refreshes warm
 //    TunedDatabase entries in the background. Latencies are measured in
 //    virtual (modeled) seconds derived from the wall clock, so they are
@@ -46,8 +43,6 @@ namespace gemmtune::serve {
 
 /// Configuration of the concurrent core, on top of ServeOptions.
 struct AsyncOptions {
-  /// Admission shards (lock domains). Outcomes are shard-count invariant.
-  int shards = 4;
   /// 0: virtual (deterministic discrete-event) mode. > 0: realtime mode,
   /// one modeled second occupies a device for `time_scale` wall seconds.
   double time_scale = 0;
@@ -64,8 +59,8 @@ struct AsyncOptions {
   /// largest extent is <= this; 0 disables execution. Keep it modest
   /// (e.g. 64): interpreted GEMM costs real host milliseconds.
   index_t execute_max_n = 0;
-  /// Seed mixed with each request id to generate its operand data, so the
-  /// serial reference and the async core hash identical inputs.
+  /// Seed mixed with each request id to generate its operand data, so a
+  /// re-execution through execute_checksum hashes identical inputs.
   std::uint64_t result_seed = 42;
 };
 
@@ -102,9 +97,9 @@ struct AsyncOutcome {
 std::uint64_t execute_checksum(blas::GemmEngine& engine, const GemmRequest& r,
                                std::uint64_t result_seed);
 
-/// The concurrent core. Borrows a warmed GemmServer for its engines and
-/// shape-class estimate table so both cores place batches from the same
-/// numbers; the server must outlive the AsyncServer.
+/// The concurrent core. Borrows a warmed GemmServer for its event loop,
+/// engines and shape-class estimate table; the server must outlive the
+/// AsyncServer.
 class AsyncServer {
  public:
   AsyncServer(GemmServer& server, AsyncOptions opt);
@@ -112,8 +107,8 @@ class AsyncServer {
   const AsyncOptions& options() const { return opt_; }
 
   /// Serves `requests` (sorted by arrival; ids unique). Virtual mode is
-  /// deterministic at any shard/thread count; realtime mode is not (wall
-  /// clock), but its accounting invariant always holds.
+  /// deterministic at any thread count; realtime mode is not (wall
+  /// clock), but every request is answered exactly once.
   AsyncOutcome run(const std::vector<GemmRequest>& requests, int max_batch,
                    int queue_capacity);
 
@@ -128,7 +123,7 @@ class AsyncServer {
 };
 
 /// Builds the extended "gemmtune-serve-v1" report for a concurrent run:
-/// the serial-report layout plus core/shard metadata, shed counters, and
+/// the serial-report layout plus core metadata, shed counters, and
 /// histogram percentiles (overall and per shape class) under "scalars".
 /// `serial` is the serial reference outcome on the same workload (its
 /// scalars land under the "serial." prefix, with completed/throughput

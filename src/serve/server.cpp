@@ -215,13 +215,44 @@ double GemmServer::dist_seconds(const GemmRequest& r) {
   return s;
 }
 
+bool GemmServer::is_distributed(const GemmRequest& r) const {
+  return opt_.dist_threshold_n > 0 &&
+         std::max({r.M, r.N, r.K}) >= opt_.dist_threshold_n;
+}
+
+Placement GemmServer::place(const std::vector<PathEstimate>& row,
+                            const std::vector<double>& free_at,
+                            std::size_t group_size, std::size_t idle) const {
+  Placement p;
+  double best_ect = std::numeric_limits<double>::infinity();
+  for (std::size_t d = 0; d < free_at.size(); ++d) {
+    const double ect =
+        free_at[d] + opt_.dispatch_overhead_seconds + row[d].seconds;
+    if (ect < best_ect) {
+      best_ect = ect;
+      p.device = d;
+    }
+  }
+  const double est = row[p.device].seconds;
+  p.limit = (group_size + idle - 1) / idle;
+  if (opt_.max_batch_seconds > 0 && est > 0) {
+    const double cap = std::floor(opt_.max_batch_seconds / est);
+    if (cap < static_cast<double>(p.limit))
+      p.limit = static_cast<std::size_t>(std::max(cap, 1.0));
+  }
+  return p;
+}
+
 ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
-                             int max_batch, int queue_capacity) {
+                             int max_batch, int queue_capacity,
+                             std::span<const char> shed_at_admission) {
   check(warmed_, "GemmServer::run: call warmup() first");
   ensure_estimates(requests);
   trace::Span span("serve.simulate");
 
   const std::size_t n = requests.size();
+  check(shed_at_admission.empty() || shed_at_admission.size() == n,
+        "GemmServer::run: the admission shed mask must cover every request");
   std::map<std::int64_t, std::size_t> slot_of;
   for (std::size_t i = 0; i < n; ++i) {
     check(slot_of.emplace(requests[i].id, i).second,
@@ -246,12 +277,14 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
   };
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<std::optional<Running>> running(devices_.size());
-  BatchScheduler sched(max_batch, queue_capacity);
-  std::deque<GemmRequest> dist_queue;  // oversized requests, FIFO
-  const auto is_distributed = [&](const GemmRequest& r) {
-    return opt_.dist_threshold_n > 0 &&
-           std::max({r.M, r.N, r.K}) >= opt_.dist_threshold_n;
+  std::vector<double> free_at(devices_.size());
+  // The loop is single-threaded, so one shard: sharding only splits lock
+  // domains, which nothing here contends for.
+  ShardedQueue queue(1, max_batch, queue_capacity);
+  const auto queue_depth_gauge = [&] {
+    trace::gauge_set("serve.queue_depth", static_cast<double>(queue.depth()));
   };
+  std::deque<GemmRequest> dist_queue;  // oversized requests, FIFO
   std::size_t next_arrival = 0;
   double last_finish = 0;
 
@@ -313,25 +346,28 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
     // 2. Admissions at `clock` (bounded queue -> backpressure).
     while (next_arrival < n &&
            requests[next_arrival].arrival_seconds <= clock) {
-      const GemmRequest& r = requests[next_arrival++];
+      const std::size_t slot = next_arrival++;
+      const GemmRequest& r = requests[slot];
       trace::counter_add("serve.requests", 1);
       if (is_distributed(r)) {
         dist_queue.push_back(r);
         trace::counter_add("serve.distributed_requests", 1);
-      } else if (!sched.admit(r)) {
+      } else if (!shed_at_admission.empty() && shed_at_admission[slot]) {
+        reject(r, RequestStatus::RejectedDeadline, r.arrival_seconds);
+      } else if (!queue.admit(r)) {
         reject(r, RequestStatus::RejectedQueueFull, r.arrival_seconds);
+      } else {
+        queue_depth_gauge();
       }
     }
 
-    // 3. Dispatch by earliest completion time. For each pending group (in
-    //    priority order) the preferred device minimises
-    //    free_time + overhead + estimate over ALL devices — idle or busy.
-    //    A group whose preferred device is busy waits for it: handing its
-    //    work to a slower idle device just because it is idle is how a
-    //    CPU ends up serialising 2048^3 GEMMs while the fast GPU sits at
-    //    half load (the classic list-scheduling anomaly). Cheap shapes
-    //    always find an idle device with a competitive completion time,
-    //    so devices rarely idle while compatible work queues.
+    // 3. Dispatch by earliest completion time (GemmServer::place). A group
+    //    whose preferred device is busy waits for it: handing its work to
+    //    a slower idle device just because it is idle is how a CPU ends up
+    //    serialising 2048^3 GEMMs while the fast GPU sits at half load
+    //    (the classic list-scheduling anomaly). Cheap shapes always find
+    //    an idle device with a competitive completion time, so devices
+    //    rarely idle while compatible work queues.
     for (;;) {
       std::size_t idle = 0;
       for (const auto& r : running) idle += r ? 0 : 1;
@@ -371,38 +407,22 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
         continue;  // all devices busy now; loop exits via idle == 0
       }
       std::vector<GemmRequest> expired;
-      const auto views = sched.group_views(clock, expired);
+      const auto views = queue.group_views(clock, expired);
+      queue_depth_gauge();
       for (const GemmRequest& r : expired)
         reject(r, RequestStatus::RejectedDeadline, clock);
       expired.clear();
+      for (std::size_t d = 0; d < running.size(); ++d)
+        free_at[d] = running[d] ? running[d]->finish : clock;
       bool dispatched = false;
       for (const auto& view : views) {
-        const std::vector<PathEstimate>& per_dev = estimates_.at(view.shape);
-        int dev = -1;
-        double best_ect = kInf;
-        for (std::size_t d = 0; d < running.size(); ++d) {
-          const double free_at = running[d] ? running[d]->finish : clock;
-          const double ect = free_at + opt_.dispatch_overhead_seconds +
-                             per_dev[d].seconds;
-          if (ect < best_ect) {
-            best_ect = ect;
-            dev = static_cast<int>(d);
-          }
-        }
-        if (running[static_cast<std::size_t>(dev)])
+        const std::vector<PathEstimate>& row = estimates_.at(view.shape);
+        const Placement p = place(row, free_at, view.size, idle);
+        if (running[p.device])
           continue;  // preferred device busy: this group waits for it
-        const PathEstimate& est = per_dev[static_cast<std::size_t>(dev)];
-        // Batch size: bound the batch's serial device time, and share a
-        // large group across the devices idle this round instead of
-        // serialising it on one while the others sit empty.
-        std::size_t limit = (view.size + idle - 1) / idle;
-        if (opt_.max_batch_seconds > 0 && est.seconds > 0) {
-          const double cap =
-              std::floor(opt_.max_batch_seconds / est.seconds);
-          if (cap < static_cast<double>(limit))
-            limit = static_cast<std::size_t>(std::max(cap, 1.0));
-        }
-        auto batch = sched.pop_from(view.shape, clock, limit, expired);
+        const PathEstimate& est = row[p.device];
+        auto batch = queue.pop_from(view.shape, clock, p.limit, expired);
+        queue_depth_gauge();
         for (const GemmRequest& r : expired)
           reject(r, RequestStatus::RejectedDeadline, clock);
         expired.clear();
@@ -416,29 +436,41 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
                          static_cast<double>(run.batch.requests.size());
         run.used_direct = est.used_direct;
         run.batch_id = static_cast<std::int64_t>(out.batches.size());
-        out.batches.push_back({run.batch_id, dev, run.batch.shape,
+        out.batches.push_back({run.batch_id, static_cast<int>(p.device),
+                               run.batch.shape,
                                static_cast<int>(run.batch.requests.size()),
                                run.start, run.finish, run.used_direct});
         trace::counter_add("serve.batches", 1);
         trace::counter_add("serve.batched_requests",
                            run.batch.requests.size());
-        running[static_cast<std::size_t>(dev)] = std::move(run);
+        running[p.device] = std::move(run);
         dispatched = true;
         break;  // device set changed: recompute views and idle count
       }
       if (!dispatched) break;
     }
   }
-  check(sched.empty(), "GemmServer::run: scheduler drained incompletely");
+  check(queue.empty(), "GemmServer::run: queue drained incompletely");
   check(dist_queue.empty(),
         "GemmServer::run: distributed queue drained incompletely");
+  check_answered(requests, out.responses);
 
-  out.peak_queue_depth = sched.peak_depth();
+  out.peak_queue_depth = queue.peak_depth();
   const double first_arrival = n > 0 ? requests.front().arrival_seconds : 0;
   out.makespan_seconds = last_finish > first_arrival
                              ? last_finish - first_arrival
                              : 0;
   return out;
+}
+
+void check_answered(const std::vector<GemmRequest>& requests,
+                    const std::vector<GemmResponse>& responses) {
+  check(responses.size() == requests.size(),
+        "serve: response count differs from the request count");
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    check(responses[i].request_id == requests[i].id,
+          "serve: request " + std::to_string(requests[i].id) +
+              " was never answered");
 }
 
 void outcome_scalars(Json& scalars, const std::string& prefix,

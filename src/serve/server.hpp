@@ -7,12 +7,15 @@
 //     worker pool, saves the cache back atomically, and builds one
 //     GemmEngine per device. Cold-start tuning therefore never blocks a
 //     request: no traffic is admitted before warmup returns.
-//  2. run() — a deterministic discrete-event simulation of the service.
-//     Per-batch costs come from a shape-class estimate table that is
-//     precomputed in parallel (PerfModel is a pure function, so thread
-//     count cannot change any value in it); the event loop itself is
-//     serial, so the same workload yields the bit-identical outcome at
-//     any --threads / GEMMTUNE_THREADS setting.
+//  2. run() — a deterministic discrete-event simulation of the service,
+//     and the serving layer's only event loop: the concurrent core's
+//     virtual mode (src/serve/core) runs it too, and its realtime
+//     executors place batches with place(). Per-batch costs come from a
+//     shape-class estimate table that is precomputed in parallel
+//     (PerfModel is a pure function, so thread count cannot change any
+//     value in it); the event loop itself is serial, so the same workload
+//     yields the bit-identical outcome at any --threads /
+//     GEMMTUNE_THREADS setting.
 //
 // Batch cost model: one dispatch pays a fixed enqueue overhead (the
 // OpenCL-era kernel-launch cost) plus the per-request time of the batch's
@@ -26,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -34,7 +38,7 @@
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "dist/executor.hpp"
-#include "serve/scheduler.hpp"
+#include "serve/sharded_queue.hpp"
 #include "serve/workload.hpp"
 #include "tuner/strategy/strategy.hpp"
 
@@ -120,13 +124,18 @@ struct ServeOutcome {
 
 /// Modeled cost of serving one request of a shape class on one device:
 /// the PerfModel-backed choice between the pack path and the copy-free
-/// direct path. Shared between the serial event loop and the concurrent
-/// core (src/serve/core), which must place batches from the same numbers
-/// to stay differentially comparable.
+/// direct path. The event loop and the realtime executors of the
+/// concurrent core (src/serve/core) place batches from the same numbers.
 struct PathEstimate {
   double seconds = 0;       ///< per-request service time
   bool used_direct = false;
   double gflops = 0;
+};
+
+/// Where one pending group goes and how much of it: see GemmServer::place.
+struct Placement {
+  std::size_t device = 0;
+  std::size_t limit = 1;  ///< most requests the batch may take (>= 1)
 };
 
 class GemmServer {
@@ -144,9 +153,29 @@ class GemmServer {
   /// Serves `requests` (sorted by arrival; ids unique) with batches of up
   /// to `max_batch` and a bounded queue of `queue_capacity`. Deterministic
   /// for fixed inputs at any thread count. max_batch == 1 is the
-  /// unbatched one-request-at-a-time baseline.
+  /// unbatched one-request-at-a-time baseline. `shed_at_admission`, when
+  /// non-empty, is parallel to `requests`: a marked request that is not
+  /// distributed is rejected on arrival as RejectedDeadline (the
+  /// concurrent core's infeasibility shed).
   ServeOutcome run(const std::vector<GemmRequest>& requests, int max_batch,
-                   int queue_capacity);
+                   int queue_capacity,
+                   std::span<const char> shed_at_admission = {});
+
+  /// True when `r` bypasses batching and runs tiled across the whole
+  /// fleet (largest extent >= ServeOptions::dist_threshold_n).
+  bool is_distributed(const GemmRequest& r) const;
+
+  /// The dispatch rule for one pending group of `group_size` requests
+  /// with estimate row `row`, given when each device is free (`free_at`,
+  /// parallel to devices(); the clock for an idle device) and how many
+  /// devices are idle this round. The device minimises free_at + overhead
+  /// + estimate over ALL devices, idle or busy: a group whose preferred
+  /// device is busy waits for it. The limit shares a large group across
+  /// the idle devices (ceil(group_size / idle)) and bounds the batch's
+  /// serial device time (floor(max_batch_seconds / estimate), at least 1).
+  Placement place(const std::vector<PathEstimate>& row,
+                  const std::vector<double>& free_at, std::size_t group_size,
+                  std::size_t idle) const;
 
   /// Fills the estimate table for every shape class in `requests` on every
   /// device (parallel; pure, so thread-count invariant).
@@ -213,6 +242,12 @@ class GemmServer {
       dist_cache_;
   bool warmed_ = false;
 };
+
+/// Drain check: throws unless every response slot carries its request's
+/// id. A slot no code path answered keeps the default (request_id -1,
+/// status Completed) and would count as a 0 ms completion.
+void check_answered(const std::vector<GemmRequest>& requests,
+                    const std::vector<GemmResponse>& responses);
 
 /// Flattens one outcome into a report's scalar map under `prefix`
 /// (requests.*, batches.*, latency_ms.*, queue.*, sim.*, throughput.*).

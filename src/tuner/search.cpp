@@ -196,65 +196,11 @@ TunedKernel SearchEngine::tune(Precision prec, const SearchOptions& opt,
     scored.resize(keep);
   }
 
-  TunedKernel best;
-  if (opt.shape) {
-    // Input-aware search: the measurement already IS the objective (the
-    // delivered cost of this shape class), so there is no stage-2 size
-    // sweep — the top-ranked candidate is the winner.
-    const Scored& top = scored.front();
-    best = profile_candidate(candidates[top.index], opt);
-  } else {
-    // Stage 2: sweep the finalists over sizes <= stage2_max_n in parallel,
-    // then reduce in stage-1 rank order; pick the kernel with the highest
-    // performance at any size (ties go to the better stage-1 rank).
-    trace::Span stage2_span("tuner.stage2");
-    std::vector<SweepResult> sweeps(keep);
-    pool.parallel_for(static_cast<std::int64_t>(keep),
-                      [&](std::int64_t begin, std::int64_t end, int) {
-                        for (std::int64_t i = begin; i < end; ++i) {
-                          SweepResult& r =
-                              sweeps[static_cast<std::size_t>(i)];
-                          r.curve = sweep(
-                              candidates[scored[static_cast<std::size_t>(i)]
-                                             .index],
-                              opt.stage2_max_n);
-                          for (const auto& [n, g] : r.curve) {
-                            if (g > r.peak) {
-                              r.peak = g;
-                              r.peak_n = n;
-                            }
-                          }
-                        }
-                      });
-    for (std::size_t i = 0; i < keep; ++i) {
-      const Scored& s = scored[i];
-      SweepResult& r = sweeps[i];
-      st.stage2_points += static_cast<std::int64_t>(r.curve.size());
-      if (r.curve.empty()) {
-        ++st.stage2_empty;
-        st.stage2_failed.push_back(candidates[s.index].summary());
-      }
-      if (r.peak > best.best_gflops) {
-        best.params = candidates[s.index];
-        best.stage1_gflops = s.gflops;
-        best.best_gflops = r.peak;
-        best.best_n = r.peak_n;
-        best.curve = std::move(r.curve);
-      }
-    }
-    if (best.best_gflops <= 0) {
-      // Every finalist's sweep came back empty (e.g. stage2_max_n below
-      // the smallest blocking LCM). Fall back to the stage-1 measurement
-      // of the top-ranked finalist rather than failing the whole search.
-      st.used_stage1_fallback = true;
-      const Scored& top = scored.front();
-      best.params = candidates[top.index];
-      best.stage1_gflops = top.gflops;
-      best.best_gflops = top.gflops;
-      best.best_n = model_.stage1_size(best.params);
-      best.curve = {{best.best_n, top.gflops}};
-    }
-  }
+  std::vector<Finalist> ranked;
+  ranked.reserve(keep);
+  for (const Scored& sc : scored)
+    ranked.push_back({candidates[sc.index], sc.gflops});
+  TunedKernel best = finalist_stage(ranked, opt, &st, &pool);
   if (trace::enabled()) {
     trace::counter_add("tuner.candidates", candidates.size());
     trace::counter_add("tuner.stage1_evaluated",
@@ -270,6 +216,82 @@ TunedKernel SearchEngine::tune(Precision prec, const SearchOptions& opt,
     trace::gauge_set("tuner.best_gflops", best.best_gflops);
   }
   if (stats) *stats = std::move(st);
+  return best;
+}
+
+TunedKernel SearchEngine::finalist_stage(const std::vector<Finalist>& ranked,
+                                         const SearchOptions& opt,
+                                         SearchStats* stats,
+                                         ThreadPool* pool) const {
+  check(!ranked.empty(), "tune: no candidate produced a positive measurement");
+  // Input-aware search: the measurement already IS the objective (the
+  // delivered cost of this shape class), so there is no stage-2 size
+  // sweep — the top-ranked candidate is the winner.
+  if (opt.shape) return profile_candidate(ranked.front().params, opt);
+
+  // Sweep the finalists over sizes <= stage2_max_n in parallel, then
+  // reduce in rank order; pick the kernel with the highest performance at
+  // any size (ties go to the better stage-1 rank).
+  trace::Span stage2_span("tuner.stage2");
+  std::optional<ThreadPool> local_pool;
+  if (!pool) {
+    if (opt.threads > 0) local_pool.emplace(opt.threads);
+    pool = local_pool ? &*local_pool : &ThreadPool::global();
+  }
+  const std::size_t keep = std::min<std::size_t>(
+      static_cast<std::size_t>(opt.stage1_keep), ranked.size());
+  std::vector<SweepResult> sweeps(keep);
+  pool->parallel_for(static_cast<std::int64_t>(keep),
+                     [&](std::int64_t begin, std::int64_t end, int) {
+                       for (std::int64_t i = begin; i < end; ++i) {
+                         SweepResult& r = sweeps[static_cast<std::size_t>(i)];
+                         r.curve = sweep(
+                             ranked[static_cast<std::size_t>(i)].params,
+                             opt.stage2_max_n);
+                         for (const auto& [n, g] : r.curve) {
+                           if (g > r.peak) {
+                             r.peak = g;
+                             r.peak_n = n;
+                           }
+                         }
+                       }
+                     });
+  SearchStats st;
+  TunedKernel best;
+  for (std::size_t i = 0; i < keep; ++i) {
+    const Finalist& f = ranked[i];
+    SweepResult& r = sweeps[i];
+    st.stage2_points += static_cast<std::int64_t>(r.curve.size());
+    if (r.curve.empty()) {
+      ++st.stage2_empty;
+      st.stage2_failed.push_back(f.params.summary());
+    }
+    if (r.peak > best.best_gflops) {
+      best.params = f.params;
+      best.stage1_gflops = f.gflops;
+      best.best_gflops = r.peak;
+      best.best_n = r.peak_n;
+      best.curve = std::move(r.curve);
+    }
+  }
+  if (best.best_gflops <= 0) {
+    // Every finalist's sweep came back empty (e.g. stage2_max_n below
+    // the smallest blocking LCM). Fall back to the stage-1 measurement
+    // of the top-ranked finalist rather than failing the whole search.
+    st.used_stage1_fallback = true;
+    const Finalist& top = ranked.front();
+    best.params = top.params;
+    best.stage1_gflops = top.gflops;
+    best.best_gflops = top.gflops;
+    best.best_n = model_.stage1_size(best.params);
+    best.curve = {{best.best_n, top.gflops}};
+  }
+  if (stats) {
+    stats->stage2_points = st.stage2_points;
+    stats->stage2_empty = st.stage2_empty;
+    stats->stage2_failed = std::move(st.stage2_failed);
+    stats->used_stage1_fallback = st.used_stage1_fallback;
+  }
   check(best.best_gflops > 0,
         "tune: neither stage 2 nor the stage-1 fallback produced a positive "
         "measurement");

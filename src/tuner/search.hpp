@@ -26,6 +26,10 @@
 #include "tuner/candidates.hpp"
 #include "tuner/shape.hpp"
 
+namespace gemmtune {
+class ThreadPool;
+}
+
 namespace gemmtune::tuner {
 
 /// Search controls.
@@ -83,6 +87,12 @@ struct TunedKernel {
   std::optional<ShapeClass> shape;
 };
 
+/// One stage-1 measurement entering the finalist stage.
+struct Finalist {
+  codegen::KernelParams params;
+  double gflops = 0;  ///< stage-1 measurement (> 0)
+};
+
 /// Search engine bound to one device.
 ///
 /// tune() fans stage-1 scoring and stage-2 sweeps out over a thread pool
@@ -97,6 +107,20 @@ class SearchEngine {
   /// Runs the full two-stage search.
   TunedKernel tune(codegen::Precision prec, const SearchOptions& opt = {},
                    SearchStats* stats = nullptr) const;
+
+  /// The finalist stage (stage 2) shared by tune() and every search
+  /// strategy: a strategy only proposes and ranks candidates, this picks
+  /// the winner. `ranked` holds stage-1 measurements, best first. In shape
+  /// mode (opt.shape) the measurement already is the objective, so the
+  /// top-ranked candidate wins outright and no thread pool is created.
+  /// Otherwise the first stage1_keep are swept over sizes <= stage2_max_n
+  /// in parallel and reduced in rank order with a strict >, so ties go to
+  /// the better rank; when every sweep is empty the top stage-1
+  /// measurement wins. Fills only the stage-2 fields of `stats`. The
+  /// sweeps run on `pool`, or on a pool made from opt.threads when null.
+  TunedKernel finalist_stage(const std::vector<Finalist>& ranked,
+                             const SearchOptions& opt, SearchStats* stats,
+                             ThreadPool* pool = nullptr) const;
 
   /// Stage-2 sweep for one kernel: performance at every multiple of the
   /// blocking LCM up to max_n.

@@ -1,6 +1,6 @@
 // Shared machinery of the guided strategies: the measured-candidate record
-// with its deterministic ordering, the common finalist-sweep winner
-// selection, and the parameter grid the stochastic strategies move on.
+// with its deterministic ordering, the hand-off to the shared finalist
+// stage, and the parameter grid the stochastic strategy moves on.
 // Internal to gemmtune_strategy.
 #pragma once
 
@@ -21,11 +21,10 @@ namespace gemmtune::tuner::strategy::detail {
 std::unique_ptr<SearchStrategy> make_exhaustive();
 std::unique_ptr<SearchStrategy> make_model_topk();
 std::unique_ptr<SearchStrategy> make_anneal();
-std::unique_ptr<SearchStrategy> make_pso();
 
-/// splitmix64-style stream split: derives an independent per-chain /
-/// per-particle seed from the user seed, so parallel chains never share an
-/// RNG stream and results cannot depend on scheduling.
+/// splitmix64-style stream split: derives an independent per-chain seed
+/// from the user seed, so parallel chains never share an RNG stream and
+/// results cannot depend on scheduling.
 inline std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
   std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (salt + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -50,12 +49,10 @@ inline bool better(const Measured& a, const Measured& b) {
   return a.key < b.key;
 }
 
-/// Selects the winner from a strategy's measured set exactly the way
-/// SearchEngine::tune selects from its stage-1 scores: sort, dedupe, sweep
-/// the top stage1_keep finalists over sizes <= stage2_max_n, reduce in
-/// rank order (strict >), stage-1 fallback when every sweep is empty. In
-/// shape mode (opt.shape) the measurement already is the objective, so the
-/// top-ranked candidate wins outright.
+/// Selects the winner from a strategy's measured set: sorts it by
+/// `better`, drops repeated keys, and hands the ranking to
+/// SearchEngine::finalist_stage — the stage 2 SearchEngine::tune runs on
+/// its stage-1 scores.
 TunedKernel select_winner(const SearchEngine& engine,
                           const SearchOptions& opt,
                           std::vector<Measured> measured,

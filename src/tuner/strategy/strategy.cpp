@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/keyval.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
 #include "tuner/strategy/detail.hpp"
 
 namespace gemmtune::tuner::strategy {
@@ -35,7 +34,7 @@ std::int64_t parse_spec_int(const std::string& key,
 
 StrategySpec parse_strategy_spec(const std::string& text) {
   static const std::vector<std::string> kNames = {"exhaustive", "model_topk",
-                                                  "anneal", "pso"};
+                                                  "anneal"};
   std::string name = text;
   std::string rest;
   if (const auto comma = text.find(','); comma != std::string::npos) {
@@ -50,14 +49,11 @@ StrategySpec parse_strategy_spec(const std::string& text) {
     spec.kind = StrategyKind::ModelTopK;
   } else if (name == "anneal") {
     spec.kind = StrategyKind::Anneal;
-  } else if (name == "pso") {
-    spec.kind = StrategyKind::Pso;
   } else {
     fail_unknown_value("--strategy", name, kNames);
   }
   std::vector<std::string> allowed = {"budget", "seed"};
   if (spec.kind == StrategyKind::Anneal) allowed.push_back("restarts");
-  if (spec.kind == StrategyKind::Pso) allowed.push_back("particles");
   for (const auto& [key, value] : parse_keyval_spec(rest, "--strategy")) {
     if (key == "budget") {
       spec.budget = parse_spec_int(key, value);
@@ -67,9 +63,6 @@ StrategySpec parse_strategy_spec(const std::string& text) {
     } else if (key == "restarts" && spec.kind == StrategyKind::Anneal) {
       spec.restarts = static_cast<int>(parse_spec_int(key, value));
       check(spec.restarts > 0, "--strategy: restarts must be positive");
-    } else if (key == "particles" && spec.kind == StrategyKind::Pso) {
-      spec.particles = static_cast<int>(parse_spec_int(key, value));
-      check(spec.particles > 1, "--strategy: particles must be at least 2");
     } else {
       fail_unknown_key("--strategy", key, allowed);
     }
@@ -90,79 +83,11 @@ TunedKernel select_winner(const SearchEngine& engine, const SearchOptions& opt,
                                return a.key == b.key;
                              }),
                  measured.end());
-
-  if (opt.shape) {
-    // The measurement already is the objective (the delivered cost of the
-    // shape class): the top-ranked candidate wins outright.
-    return engine.profile_candidate(measured.front().params, opt);
-  }
-
-  // Mirror SearchEngine::tune stage 2: sweep the finalists in parallel,
-  // reduce in rank order with a strict >, fall back to the top stage-1
-  // measurement when every sweep came back empty.
-  const std::size_t keep = std::min<std::size_t>(
-      static_cast<std::size_t>(opt.stage1_keep), measured.size());
-  struct SweepResult {
-    std::vector<std::pair<std::int64_t, double>> curve;
-    double peak = 0;
-    std::int64_t peak_n = 0;
-  };
-  std::optional<ThreadPool> local_pool;
-  if (opt.threads > 0) local_pool.emplace(opt.threads);
-  ThreadPool& pool = local_pool ? *local_pool : ThreadPool::global();
-  std::vector<SweepResult> sweeps(keep);
-  pool.parallel_for(
-      static_cast<std::int64_t>(keep),
-      [&](std::int64_t begin, std::int64_t end, int) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          SweepResult& r = sweeps[static_cast<std::size_t>(i)];
-          r.curve = engine.sweep(measured[static_cast<std::size_t>(i)].params,
-                                 opt.stage2_max_n);
-          for (const auto& [n, g] : r.curve) {
-            if (g > r.peak) {
-              r.peak = g;
-              r.peak_n = n;
-            }
-          }
-        }
-      });
-  TunedKernel best;
-  SearchStats st;
-  for (std::size_t i = 0; i < keep; ++i) {
-    const Measured& m = measured[i];
-    SweepResult& r = sweeps[i];
-    st.stage2_points += static_cast<std::int64_t>(r.curve.size());
-    if (r.curve.empty()) {
-      ++st.stage2_empty;
-      st.stage2_failed.push_back(m.params.summary());
-    }
-    if (r.peak > best.best_gflops) {
-      best.params = m.params;
-      best.stage1_gflops = m.gflops;
-      best.best_gflops = r.peak;
-      best.best_n = r.peak_n;
-      best.curve = std::move(r.curve);
-    }
-  }
-  if (best.best_gflops <= 0) {
-    st.used_stage1_fallback = true;
-    const Measured& top = measured.front();
-    best.params = top.params;
-    best.stage1_gflops = top.gflops;
-    best.best_gflops = top.gflops;
-    best.best_n = engine.model().stage1_size(best.params);
-    best.curve = {{best.best_n, top.gflops}};
-  }
-  if (stats) {
-    stats->stage2_points = st.stage2_points;
-    stats->stage2_empty = st.stage2_empty;
-    stats->stage2_failed = std::move(st.stage2_failed);
-    stats->used_stage1_fallback = st.used_stage1_fallback;
-  }
-  check(best.best_gflops > 0,
-        "strategy: neither the finalist sweep nor the stage-1 fallback "
-        "produced a positive measurement");
-  return best;
+  std::vector<Finalist> ranked;
+  ranked.reserve(measured.size());
+  for (Measured& m : measured)
+    ranked.push_back({std::move(m.params), m.gflops});
+  return engine.finalist_stage(ranked, opt, stats);
 }
 
 Grid::Grid(const SearchEngine& engine, const SearchOptions& opt)
@@ -293,7 +218,6 @@ std::unique_ptr<SearchStrategy> make_strategy(StrategyKind kind) {
     case StrategyKind::Exhaustive: return detail::make_exhaustive();
     case StrategyKind::ModelTopK: return detail::make_model_topk();
     case StrategyKind::Anneal: return detail::make_anneal();
-    case StrategyKind::Pso: return detail::make_pso();
   }
   fail("make_strategy: unknown strategy kind");
 }

@@ -12,13 +12,13 @@
 //   anneal      — seeded simulated annealing over the parameter grid with
 //                 deterministic neighbor moves and a restart schedule
 //                 (CLTune-style)
-//   pso         — particle swarm optimization with index tie-breaks
-//                 (CLTune-style)
 //
-// Every strategy draws from SearchEngine::candidate_space, measures
-// through SearchEngine::measure_candidate and selects its winner through
-// one shared finalist sweep, so results are comparable — and every
-// strategy is bit-reproducible at any --threads for a fixed seed.
+// As in CLTune, a strategy only proposes and ranks configurations: every
+// strategy draws from SearchEngine::candidate_space, measures through
+// SearchEngine::measure_candidate and hands its ranking to
+// SearchEngine::finalist_stage — the stage 2 tune() runs too — which picks
+// the winner. So results are comparable, and every strategy is
+// bit-reproducible at any --threads for a fixed seed.
 #pragma once
 
 #include <cstdint>
@@ -29,28 +29,26 @@
 
 namespace gemmtune::tuner::strategy {
 
-enum class StrategyKind { Exhaustive, ModelTopK, Anneal, Pso };
+enum class StrategyKind { Exhaustive, ModelTopK, Anneal };
 
 inline const char* to_string(StrategyKind k) {
   switch (k) {
     case StrategyKind::Exhaustive: return "exhaustive";
     case StrategyKind::ModelTopK: return "model_topk";
     case StrategyKind::Anneal: return "anneal";
-    case StrategyKind::Pso: return "pso";
   }
   return "?";
 }
 
-/// Parsed `--strategy` spec: "name,budget=N,seed=S[,restarts=R|particles=P]".
+/// Parsed `--strategy` spec: "name,budget=N,seed=S[,restarts=R]".
 struct StrategySpec {
   StrategyKind kind = StrategyKind::Exhaustive;
   /// Maximum number of distinct candidates a guided strategy may measure.
-  /// 0 picks the strategy default (model_topk: 64, anneal/pso: 256);
+  /// 0 picks the strategy default (model_topk: 64, anneal: 256);
   /// exhaustive always measures the whole space.
   std::int64_t budget = 0;
   std::uint64_t seed = 1;  ///< stochastic-strategy determinism
   int restarts = 8;        ///< anneal: independent restart chains
-  int particles = 16;      ///< pso: swarm size
 };
 
 /// Parses a `--strategy` spec string. Unknown strategy names and unknown

@@ -277,17 +277,54 @@ TEST(Cli, ServeCoreFlagsValidated) {
   EXPECT_NE(out.find("'turbo'"), std::string::npos) << out;
   EXPECT_NE(out.find("async"), std::string::npos)
       << "error should list the accepted cores: " << out;
-  auto [rc2, out2] = run_cli({"serve", "--workload=requests=5",
-                              "--shards", "0"});
-  EXPECT_EQ(rc2, 1);
-  EXPECT_NE(out2.find("--shards"), std::string::npos) << out2;
   auto [rc3, out3] = run_cli({"serve", "--workload=requests=5",
                               "--slo-ms", "-2"});
   EXPECT_EQ(rc3, 1);
   EXPECT_NE(out3.find("--slo-ms"), std::string::npos) << out3;
 }
 
-TEST(Cli, ServeAsyncCoreAndDifferential) {
+TEST(Cli, RemovedServeKnobsFailLoudly) {
+  // One event loop: there is no second core to compare against and no shard
+  // count to set.
+  auto [rc, out] = run_cli({"serve", "--workload=requests=5",
+                            "--core", "diff"});
+  EXPECT_EQ(rc, 1);
+  EXPECT_NE(out.find("unknown value 'diff' (use serial, async)"),
+            std::string::npos)
+      << out;
+  auto [rc2, out2] = run_cli({"serve", "--workload=requests=5",
+                              "--shards", "4"});
+  EXPECT_EQ(rc2, 1);
+  EXPECT_NE(out2.find("serve: unknown argument '--shards'"),
+            std::string::npos)
+      << out2;
+  const std::string trace = ::testing::TempDir() + "/cli_knobs_wl.json";
+  auto [rc3, out3] = run_cli(
+      {"serve", "--workload=requests=5,devices=Tahiti", "--save-trace",
+       trace});
+  ASSERT_EQ(rc3, 0) << out3;
+  auto [rc4, out4] = run_cli({"replay", trace, "--shards", "4"});
+  EXPECT_EQ(rc4, 1);
+  EXPECT_NE(out4.find("replay: unknown argument '--shards'"),
+            std::string::npos)
+      << out4;
+  std::remove(trace.c_str());
+  // Only the async core sheds at admission, so the serial core must not
+  // silently ignore the flag.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"serve", "--workload=requests=5",
+                                 "--shed-infeasible"},
+        std::vector<std::string>{"serve", "--workload=requests=5", "--core",
+                                 "serial", "--shed-infeasible"}}) {
+    auto [rc5, out5] = run_cli(args);
+    EXPECT_EQ(rc5, 1);
+    EXPECT_NE(out5.find("--shed-infeasible needs --core async"),
+              std::string::npos)
+        << out5;
+  }
+}
+
+TEST(Cli, ServeAsyncCore) {
   const std::string report =
       ::testing::TempDir() + "/cli_async_report.json";
   auto [rc, out] = run_cli(
@@ -304,11 +341,6 @@ TEST(Cli, ServeAsyncCoreAndDifferential) {
   EXPECT_NE(doc.find("\"core\""), std::string::npos);
   EXPECT_NE(doc.find("hist.p999_ms"), std::string::npos);
   std::remove(report.c_str());
-  auto [rc2, out2] =
-      run_cli({"serve", "--workload=requests=40,seed=5,devices=Tahiti",
-               "--core", "diff"});
-  EXPECT_EQ(rc2, 0) << out2;
-  EXPECT_NE(out2.find("cores agree: PASS"), std::string::npos) << out2;
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
 // Serving subsystem tests: workload generator determinism, trace round
-// trip, scheduler batching/backpressure/deadline semantics, thread-count
+// trip, queue batching/backpressure/deadline semantics, thread-count
 // invariance of the full report, warm-cache persistence, and the
 // batched-vs-unbatched throughput guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
-#include "serve/scheduler.hpp"
+#include "serve/sharded_queue.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 
@@ -18,13 +20,13 @@ namespace gemmtune {
 namespace {
 
 using codegen::Precision;
-using serve::BatchScheduler;
 using serve::GemmRequest;
 using serve::GemmServer;
 using serve::RequestStatus;
 using serve::ServeOptions;
 using serve::ServeOutcome;
 using serve::ShapeClass;
+using serve::ShardedQueue;
 using serve::WorkloadSpec;
 using simcl::DeviceId;
 
@@ -166,8 +168,10 @@ TEST(WorkloadTest, SpecParserNamesUnknownKeys) {
   }
 }
 
+// The event loop's queue: one shard (the sharding itself is covered in
+// servecore_test).
 TEST(SchedulerTest, BackpressureAtCapacity) {
-  BatchScheduler sched(16, 4);
+  ShardedQueue sched(1, 16, 4);
   int admitted = 0;
   for (int i = 0; i < 30; ++i)
     admitted += sched.admit(small_request(i)) ? 1 : 0;
@@ -177,7 +181,7 @@ TEST(SchedulerTest, BackpressureAtCapacity) {
 }
 
 TEST(SchedulerTest, PriorityThenArrivalOrdersGroups) {
-  BatchScheduler sched(16, 64);
+  ShardedQueue sched(1, 16, 64);
   GemmRequest lo = small_request(0, 0.0, 0, /*priority=*/0);
   GemmRequest hi = small_request(1, 0.5, 0, /*priority=*/2);
   hi.prec = Precision::DP;  // different group
@@ -192,7 +196,7 @@ TEST(SchedulerTest, PriorityThenArrivalOrdersGroups) {
 }
 
 TEST(SchedulerTest, PopSkimsExpiredWithoutBatchingThem) {
-  BatchScheduler sched(16, 64);
+  ShardedQueue sched(1, 16, 64);
   ASSERT_TRUE(sched.admit(small_request(0, 0.0, /*deadline=*/0.5)));
   ASSERT_TRUE(sched.admit(small_request(1, 0.0, /*deadline=*/5.0)));
   ASSERT_TRUE(sched.admit(small_request(2, 0.0, /*deadline=*/0.5)));
@@ -272,6 +276,108 @@ TEST_F(ServeSim, QueueFullRejectsOnArrival) {
   EXPECT_EQ(completed, 4);
   EXPECT_EQ(queue_full, 26);
   EXPECT_EQ(out.peak_queue_depth, 4u);
+}
+
+/// Placement properties of the event loop on a fast GPU + slow CPU fleet.
+/// Each expected value is derived from the estimate table, not from a
+/// second copy of the loop; the ASSERTs pin the scenario each test needs.
+class PlacementTest : public ::testing::Test {
+ protected:
+  static GemmServer& fleet() {
+    static GemmServer* server = [] {
+      auto* s = new GemmServer({DeviceId::Tahiti, DeviceId::SandyBridge},
+                               ServeOptions{});
+      s->warmup();
+      return s;
+    }();
+    return *server;
+  }
+
+  /// `count` same-class NN requests of extent `n`, all arriving at t = 0.
+  static std::vector<GemmRequest> burst(int count, Precision prec,
+                                        index_t n) {
+    std::vector<GemmRequest> reqs;
+    for (int i = 0; i < count; ++i) {
+      GemmRequest r = small_request(i);
+      r.prec = prec;
+      r.M = r.N = r.K = n;
+      reqs.push_back(r);
+    }
+    return reqs;
+  }
+
+  /// The per-device estimate row of the burst's shape class.
+  static const std::vector<serve::PathEstimate>& row_of(
+      const std::vector<GemmRequest>& reqs) {
+    fleet().ensure_estimates(reqs);
+    return fleet().estimates_for(ShapeClass::of(reqs.front()));
+  }
+
+  /// The device every group prefers when the whole fleet is idle: the
+  /// smallest estimate, ties to the lower index.
+  static std::size_t fastest(const std::vector<serve::PathEstimate>& row) {
+    return row[0].seconds <= row[1].seconds ? 0 : 1;
+  }
+};
+
+TEST_F(PlacementTest, GroupWaitsForItsBusyPreferredDevice) {
+  // Two 1024^3 DGEMMs at t = 0: Tahiti takes the first; finishing the
+  // second after it on Tahiti still beats starting it now on the idle
+  // SandyBridge, so it waits instead of moving to the slower device.
+  const auto reqs = burst(2, Precision::DP, 1024);
+  const auto& row = row_of(reqs);
+  const double o = fleet().options().dispatch_overhead_seconds;
+  ASSERT_EQ(fastest(row), 0u);
+  ASSERT_LT(2 * (o + row[0].seconds), o + row[1].seconds);
+  const ServeOutcome out = fleet().run(reqs, 16, 64);
+  ASSERT_EQ(out.batches.size(), 2u);
+  for (const auto& resp : out.responses) {
+    EXPECT_EQ(resp.status, RequestStatus::Completed);
+    EXPECT_EQ(resp.device_index, 0) << "request " << resp.request_id;
+  }
+  const double first_finish = o + row[0].seconds;
+  EXPECT_DOUBLE_EQ(out.responses[0].finish_seconds, first_finish);
+  EXPECT_DOUBLE_EQ(out.responses[1].wait_seconds, first_finish);
+  EXPECT_DOUBLE_EQ(out.responses[1].finish_seconds,
+                   first_finish + o + row[0].seconds);
+  EXPECT_EQ(out.device_stats[1].batches, 0);
+}
+
+TEST_F(PlacementTest, GroupSplitsAcrossIdleDevices) {
+  // Seven cheap same-class requests on two idle devices: the first batch
+  // takes ceil(7 / 2) = 4, leaving the rest to the other device.
+  const auto reqs = burst(7, Precision::SP, 64);
+  const auto& row = row_of(reqs);
+  const std::size_t dev = fastest(row);
+  ASSERT_GE(fleet().options().max_batch_seconds / row[dev].seconds, 4.0)
+      << "the serial-time cap must not bind here";
+  const ServeOutcome out = fleet().run(reqs, 16, 64);
+  ASSERT_GE(out.batches.size(), 2u);
+  EXPECT_EQ(out.batches[0].device_index, static_cast<int>(dev));
+  EXPECT_EQ(out.batches[0].start_seconds, 0.0);
+  EXPECT_EQ(out.batches[0].size, 4);
+}
+
+TEST_F(PlacementTest, MaxBatchSecondsCapsTheBatch) {
+  // Sixteen 512^3 DGEMMs: the spread limit ceil(16 / 2) = 8 would allow
+  // more than max_batch_seconds does, so each batch holds at most
+  // floor(max_batch_seconds / estimate) requests of its device.
+  const auto reqs = burst(16, Precision::DP, 512);
+  const auto& row = row_of(reqs);
+  const double cap_s = fleet().options().max_batch_seconds;
+  const std::size_t dev = fastest(row);
+  const double cap = std::floor(cap_s / row[dev].seconds);
+  ASSERT_GE(cap, 1.0);
+  ASSERT_LT(cap, 8.0) << "the cap must bind before the spread limit";
+  const ServeOutcome out = fleet().run(reqs, 16, 64);
+  EXPECT_EQ(out.batches[0].device_index, static_cast<int>(dev));
+  EXPECT_EQ(out.batches[0].size, static_cast<int>(cap));
+  for (const auto& b : out.batches) {
+    const double limit = std::max(
+        1.0, std::floor(cap_s / row[static_cast<std::size_t>(
+                                    b.device_index)].seconds));
+    EXPECT_LE(b.size, static_cast<int>(limit)) << "batch " << b.id;
+  }
 }
 
 TEST(DistRoutingTest, OversizedRequestRunsOnTheWholeFleet) {
@@ -423,6 +529,24 @@ TEST(ServerGuardsTest, RunBeforeWarmupThrows) {
   GemmServer server({DeviceId::Tahiti}, ServeOptions{});
   std::vector<GemmRequest> reqs{small_request(0)};
   EXPECT_THROW(server.run(reqs, 1, 4), Error);
+}
+
+TEST(ServerGuardsTest, DrainCheckCatchesAnUnansweredSlot) {
+  // A default response reads as a 0 ms completion; the drain check must
+  // reject it instead of letting the accounting count it.
+  const std::vector<GemmRequest> reqs{small_request(3), small_request(4)};
+  std::vector<serve::GemmResponse> resp(2);
+  resp[0].request_id = 3;
+  try {
+    serve::check_answered(reqs, resp);
+    FAIL() << "expected the drain check to fail";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("request 4 was never answered"),
+              std::string::npos)
+        << e.what();
+  }
+  resp[1].request_id = 4;
+  EXPECT_NO_THROW(serve::check_answered(reqs, resp));
 }
 
 TEST(ServerGuardsTest, DuplicateRequestIdsThrow) {

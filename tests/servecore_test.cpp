@@ -1,8 +1,8 @@
-// Concurrent serving core tests: latency histogram invariants, sharded
-// queue parity with the serial BatchScheduler, arrival-process modes of
-// the workload generator, and the serial-vs-async differential — same
-// seed must yield identical request outcomes and bit-identical GEMM
-// checksums across shard counts and thread counts, with the accounting
+// Concurrent serving core tests: latency histogram invariants, shard-count
+// invariance of the queue, arrival-process modes of the workload
+// generator, and the async core — virtual mode must be the event loop plus
+// execution (identical outcomes, checksums equal to a re-execution on the
+// test thread, bit-identical across thread counts), with the accounting
 // invariant (completed + shed + expired == generated) holding in every
 // mode including realtime.
 #include <gtest/gtest.h>
@@ -15,10 +15,8 @@
 #include "common/error.hpp"
 #include "common/histogram.hpp"
 #include "serve/core/async_server.hpp"
-#include "serve/core/differential.hpp"
-#include "serve/core/sharded_queue.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/server.hpp"
+#include "serve/sharded_queue.hpp"
 #include "serve/workload.hpp"
 
 namespace gemmtune {
@@ -29,8 +27,6 @@ using serve::Arrival;
 using serve::AsyncOptions;
 using serve::AsyncOutcome;
 using serve::AsyncServer;
-using serve::BatchScheduler;
-using serve::DiffReport;
 using serve::GemmRequest;
 using serve::GemmServer;
 using serve::RequestStatus;
@@ -129,7 +125,7 @@ TEST(ShapeClassTest, ToStringAndHash) {
             serve::shape_class_hash(ShapeClass::of(other)));
 }
 
-// --- Sharded queue parity ----------------------------------------------
+// --- Sharded queue: one shard and several decide alike ------------------
 
 std::vector<GemmRequest> mixed_requests(int n) {
   std::vector<GemmRequest> reqs;
@@ -161,13 +157,23 @@ TEST(ShardedQueueTest, AdmissionIsShardCountInvariant) {
   }
 }
 
-TEST(ShardedQueueTest, GroupViewsMatchSerialSchedulerOrder) {
+TEST(ShardedQueueTest, GroupViewsMatchOneShardOrder) {
+  // The event loop runs the queue at one shard; several shards must merge
+  // their groups into exactly its dispatch order.
   const auto reqs = mixed_requests(30);
-  BatchScheduler sched(/*max_batch=*/8, /*queue_capacity=*/64);
-  for (const auto& r : reqs) ASSERT_TRUE(sched.admit(r));
+  ShardedQueue one(1, /*max_batch=*/8, /*queue_capacity=*/64);
+  for (const auto& r : reqs) ASSERT_TRUE(one.admit(r));
   std::vector<GemmRequest> serial_expired, sharded_expired;
-  const auto serial_views = sched.group_views(1.0, serial_expired);
-  for (int shards : {1, 4, 7}) {
+  const auto serial_views = one.group_views(1.0, serial_expired);
+  ASSERT_EQ(serial_views.size(), 10u);  // 5 extents x 2 precisions
+  for (std::size_t i = 1; i < serial_views.size(); ++i) {
+    const GemmRequest& a = serial_views[i - 1].head;
+    const GemmRequest& b = serial_views[i].head;
+    EXPECT_TRUE(a.priority > b.priority ||
+                (a.priority == b.priority && a.id < b.id))
+        << "priority desc, then arrival/id asc";
+  }
+  for (int shards : {4, 7}) {
     ShardedQueue q(shards, 8, 64);
     for (const auto& r : reqs) ASSERT_TRUE(q.admit(r));
     sharded_expired.clear();
@@ -182,23 +188,25 @@ TEST(ShardedQueueTest, GroupViewsMatchSerialSchedulerOrder) {
   }
 }
 
-TEST(ShardedQueueTest, PopSkimsExpiredLikeSerialScheduler) {
-  ShardedQueue q(4, /*max_batch=*/16, /*queue_capacity=*/64);
-  ASSERT_TRUE(q.admit(small_request(0, 0.0, /*deadline=*/0.5)));
-  ASSERT_TRUE(q.admit(small_request(1, 0.0, /*deadline=*/5.0)));
-  ASSERT_TRUE(q.admit(small_request(2, 0.0, /*deadline=*/0.5)));
-  std::vector<GemmRequest> expired;
-  const auto batch = q.pop_from(ShapeClass::of(small_request(0)),
-                                /*clock=*/1.0, 16, expired);
-  ASSERT_TRUE(batch.has_value());
-  ASSERT_EQ(batch->requests.size(), 1u);
-  EXPECT_EQ(batch->requests[0].id, 1);
-  ASSERT_EQ(expired.size(), 2u);
-  EXPECT_EQ(expired[0].id, 0);
-  EXPECT_EQ(expired[1].id, 2);
-  EXPECT_TRUE(q.empty());
-  // Popped and expired slots are released back to the global bound.
-  EXPECT_EQ(q.depth(), 0u);
+TEST(ShardedQueueTest, PopSkimsExpiredAtAnyShardCount) {
+  for (int shards : {1, 4}) {
+    ShardedQueue q(shards, /*max_batch=*/16, /*queue_capacity=*/64);
+    ASSERT_TRUE(q.admit(small_request(0, 0.0, /*deadline=*/0.5)));
+    ASSERT_TRUE(q.admit(small_request(1, 0.0, /*deadline=*/5.0)));
+    ASSERT_TRUE(q.admit(small_request(2, 0.0, /*deadline=*/0.5)));
+    std::vector<GemmRequest> expired;
+    const auto batch = q.pop_from(ShapeClass::of(small_request(0)),
+                                  /*clock=*/1.0, 16, expired);
+    ASSERT_TRUE(batch.has_value()) << "shards=" << shards;
+    ASSERT_EQ(batch->requests.size(), 1u);
+    EXPECT_EQ(batch->requests[0].id, 1);
+    ASSERT_EQ(expired.size(), 2u);
+    EXPECT_EQ(expired[0].id, 0);
+    EXPECT_EQ(expired[1].id, 2);
+    EXPECT_TRUE(q.empty());
+    // Popped and expired slots are released back to the global bound.
+    EXPECT_EQ(q.depth(), 0u);
+  }
 }
 
 // --- Arrival processes -------------------------------------------------
@@ -298,10 +306,10 @@ TEST(ArrivalTest, TraceRoundTripAndBackCompat) {
   EXPECT_EQ(serve::workload_from_json(old).spec.arrival, Arrival::Poisson);
 }
 
-// --- Differential: serial reference vs concurrent core ------------------
+// --- The async core over the event loop ----------------------------------
 
-/// One warmed two-device server shared by the differential tests (warmup
-/// profiles four kernels; share the cost across tests).
+/// One warmed two-device server shared by the core tests (warmup profiles
+/// four kernels; share the cost across tests).
 class ServeCoreSim : public ::testing::Test {
  protected:
   static GemmServer& fleet_server() {
@@ -325,27 +333,77 @@ class ServeCoreSim : public ::testing::Test {
   }
 };
 
-TEST_F(ServeCoreSim, VirtualModeMatchesSerialAcrossShardCounts) {
+TEST_F(ServeCoreSim, VirtualModeIsTheLoopPlusExecution) {
   const auto reqs = workload(150, 20000);
-  std::vector<std::uint64_t> baseline_hash;
-  for (int shards : {1, 4}) {
-    AsyncOptions aopt;
-    aopt.shards = shards;
-    aopt.execute_max_n = 64;
-    AsyncOutcome async;
-    const DiffReport rep =
-        serve::run_differential(fleet_server(), reqs, /*max_batch=*/8,
-                                /*queue_capacity=*/64, aopt, nullptr,
-                                &async);
-    EXPECT_TRUE(rep.ok) << rep.detail;
-    EXPECT_EQ(rep.async_completed, rep.serial_completed);
-    EXPECT_GT(rep.compared_checksums, 0);
-    // Bit-identical GEMM results across shard counts, not just vs serial.
-    if (baseline_hash.empty())
-      baseline_hash = async.result_hash;
-    else
-      EXPECT_EQ(async.result_hash, baseline_hash) << "shards=" << shards;
+  AsyncOptions aopt;
+  aopt.execute_max_n = 64;
+  AsyncServer async(fleet_server(), aopt);
+  const AsyncOutcome out = async.run(reqs, /*max_batch=*/8,
+                                     /*queue_capacity=*/64);
+  const ServeOutcome loop = fleet_server().run(reqs, 8, 64);
+
+  // 1. The schedule is the event loop's, field by field.
+  ASSERT_EQ(out.base.responses.size(), loop.responses.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const serve::GemmResponse& a = out.base.responses[i];
+    const serve::GemmResponse& b = loop.responses[i];
+    EXPECT_EQ(a.request_id, b.request_id) << i;
+    EXPECT_EQ(a.status, b.status) << i;
+    EXPECT_EQ(a.finish_seconds, b.finish_seconds) << i;
+    EXPECT_EQ(a.latency_seconds, b.latency_seconds) << i;
+    EXPECT_EQ(a.wait_seconds, b.wait_seconds) << i;
+    EXPECT_EQ(a.device_index, b.device_index) << i;
+    EXPECT_EQ(a.batch_id, b.batch_id) << i;
+    EXPECT_EQ(a.batch_size, b.batch_size) << i;
+    EXPECT_EQ(a.used_direct, b.used_direct) << i;
   }
+  ASSERT_EQ(out.base.batches.size(), loop.batches.size());
+  for (std::size_t i = 0; i < loop.batches.size(); ++i) {
+    const serve::BatchRecord& a = out.base.batches[i];
+    const serve::BatchRecord& b = loop.batches[i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.device_index, b.device_index) << a.id;
+    EXPECT_EQ(a.shape, b.shape) << a.id;
+    EXPECT_EQ(a.size, b.size) << a.id;
+    EXPECT_EQ(a.start_seconds, b.start_seconds) << a.id;
+    EXPECT_EQ(a.finish_seconds, b.finish_seconds) << a.id;
+    EXPECT_EQ(a.used_direct, b.used_direct) << a.id;
+    EXPECT_EQ(a.distributed, b.distributed) << a.id;
+  }
+  ASSERT_EQ(out.base.device_stats.size(), loop.device_stats.size());
+  for (std::size_t d = 0; d < loop.device_stats.size(); ++d) {
+    EXPECT_EQ(out.base.device_stats[d].batches, loop.device_stats[d].batches);
+    EXPECT_EQ(out.base.device_stats[d].requests,
+              loop.device_stats[d].requests);
+    EXPECT_EQ(out.base.device_stats[d].busy_seconds,
+              loop.device_stats[d].busy_seconds);
+  }
+  EXPECT_EQ(out.base.peak_queue_depth, loop.peak_queue_depth);
+  EXPECT_EQ(out.base.makespan_seconds, loop.makespan_seconds);
+  EXPECT_EQ(out.base.completed_flops, loop.completed_flops);
+
+  // 2. Every executed checksum is the serving device's GEMM, re-run here.
+  std::int64_t compared = 0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const GemmRequest& r = reqs[i];
+    const serve::GemmResponse& resp = loop.responses[i];
+    const bool runs = resp.status == RequestStatus::Completed &&
+                      resp.device_index >= 0 &&
+                      std::max({r.M, r.N, r.K}) <= aopt.execute_max_n;
+    if (!runs) {
+      EXPECT_EQ(out.result_hash[i], 0u) << "request " << r.id;
+      continue;
+    }
+    EXPECT_EQ(out.result_hash[i],
+              serve::execute_checksum(
+                  *fleet_server().engines()[static_cast<std::size_t>(
+                      resp.device_index)],
+                  r, aopt.result_seed))
+        << "request " << r.id;
+    ++compared;
+  }
+  EXPECT_GT(compared, 0);
+  EXPECT_EQ(out.executed, compared);
 }
 
 TEST_F(ServeCoreSim, ChecksumsAreThreadCountInvariant) {
@@ -359,7 +417,6 @@ TEST_F(ServeCoreSim, ChecksumsAreThreadCountInvariant) {
     GemmServer server({DeviceId::Tahiti, DeviceId::SandyBridge}, sopt);
     server.warmup();
     AsyncOptions aopt;
-    aopt.shards = 4;
     aopt.execute_max_n = 64;
     AsyncServer async(server, aopt);
     const AsyncOutcome out = async.run(reqs, 8, 64);
@@ -378,7 +435,6 @@ TEST_F(ServeCoreSim, AccountingInvariantHoldsUnderOverload) {
   // one bucket per class.
   const auto reqs = workload(200, 500000, /*seed=*/5);
   AsyncOptions aopt;
-  aopt.shards = 4;
   aopt.shed_infeasible = true;
   AsyncServer async(fleet_server(), aopt);
   const AsyncOutcome out = async.run(reqs, /*max_batch=*/4,
@@ -409,7 +465,6 @@ TEST_F(ServeCoreSim, RealtimeModeDrainsWithInvariantIntact) {
   const auto reqs = workload(120, 50000, /*seed=*/21);
   for (bool serial_exec : {false, true}) {
     AsyncOptions aopt;
-    aopt.shards = 4;
     aopt.time_scale = 0.05;
     aopt.serial_execution = serial_exec;
     AsyncServer async(fleet_server(), aopt);
@@ -435,7 +490,6 @@ TEST_F(ServeCoreSim, RealtimeModeDrainsWithInvariantIntact) {
 TEST_F(ServeCoreSim, RetunerRefreshesWithoutDisturbingAccounting) {
   const auto reqs = workload(100, 2000, /*seed=*/9);
   AsyncOptions aopt;
-  aopt.shards = 2;
   aopt.time_scale = 1.0;  // 100 arrivals at 2000 rps -> ~50 ms of wall
   aopt.retune = true;
   aopt.retune_interval_ms = 5;
@@ -459,7 +513,6 @@ TEST_F(ServeCoreSim, AsyncReportCarriesShedAndPercentileScalars) {
   const auto reqs = serve::generate_workload(spec);
   const ServeOutcome serial = fleet_server().run(reqs, 8, 64);
   AsyncOptions aopt;
-  aopt.shards = 4;
   AsyncServer async(fleet_server(), aopt);
   const AsyncOutcome out = async.run(reqs, 8, 64);
   const Json doc = build_async_report(spec, reqs, out, serial,

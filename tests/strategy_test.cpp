@@ -63,23 +63,22 @@ TEST(StrategySpecTest, ParsesNamesAndOptions) {
   EXPECT_EQ(a.budget, 128);
   EXPECT_EQ(a.seed, 9u);
   EXPECT_EQ(a.restarts, 4);
-
-  const StrategySpec p = parse_strategy_spec("pso,particles=8,budget=64");
-  EXPECT_EQ(p.kind, StrategyKind::Pso);
-  EXPECT_EQ(p.particles, 8);
-  EXPECT_EQ(p.budget, 64);
 }
 
 TEST(StrategySpecTest, UnknownNameListsAllowedSet) {
-  try {
-    parse_strategy_spec("genetic,budget=10");
-    FAIL() << "expected Error for unknown strategy";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("unknown value 'genetic'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("exhaustive, model_topk, anneal, pso"),
-              std::string::npos)
-        << msg;
+  // Unknown names, "pso" among them, fail with the allowed set.
+  for (const std::string name : {"genetic", "pso"}) {
+    try {
+      parse_strategy_spec(name + ",budget=10");
+      FAIL() << "expected Error for unknown strategy " << name;
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("unknown value '" + name + "'"), std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("(use exhaustive, model_topk, anneal)"),
+                std::string::npos)
+          << msg;
+    }
   }
 }
 
@@ -96,17 +95,15 @@ TEST(StrategySpecTest, UnknownKeyListsAllowedSet) {
 }
 
 TEST(StrategySpecTest, StrategySpecificKeysAreScoped) {
-  // particles belongs to pso only; anneal must reject it (and vice versa).
-  EXPECT_THROW(parse_strategy_spec("anneal,particles=8"), Error);
-  EXPECT_THROW(parse_strategy_spec("pso,restarts=4"), Error);
+  // restarts belongs to anneal only.
   EXPECT_THROW(parse_strategy_spec("exhaustive,restarts=4"), Error);
+  EXPECT_THROW(parse_strategy_spec("model_topk,restarts=4"), Error);
 }
 
 TEST(StrategySpecTest, RejectsBadValues) {
   EXPECT_THROW(parse_strategy_spec("model_topk,budget=abc"), Error);
   EXPECT_THROW(parse_strategy_spec("model_topk,budget=0"), Error);
   EXPECT_THROW(parse_strategy_spec("anneal,restarts=0"), Error);
-  EXPECT_THROW(parse_strategy_spec("pso,particles=1"), Error);
 }
 
 // --- Strategy equivalence and budget accounting ---
@@ -141,6 +138,11 @@ TEST(StrategyTest, ModelTopKMatchesExhaustiveAtFractionalBudget) {
       run_strategy(engine, Precision::SP, opt, spec, &topk_st);
   EXPECT_EQ(topk.params.key(), exh.params.key());
   EXPECT_DOUBLE_EQ(topk.best_gflops, exh.best_gflops);
+  // Both reach the winner through the one finalist stage: same finalists,
+  // same sweeps.
+  EXPECT_EQ(topk.curve, exh.curve);
+  EXPECT_EQ(topk_st.search.stage2_points, exh_st.search.stage2_points);
+  EXPECT_EQ(topk_st.search.stage2_empty, exh_st.search.stage2_empty);
   EXPECT_EQ(topk_st.measured, 64);
   EXPECT_EQ(topk_st.model_ranked, topk_st.space);
   EXPECT_LT(topk_st.fraction_measured, 0.17);
@@ -149,8 +151,7 @@ TEST(StrategyTest, ModelTopKMatchesExhaustiveAtFractionalBudget) {
 TEST(StrategyTest, GuidedBudgetsAreRespected) {
   const SearchEngine engine(DeviceId::Tahiti);
   const SearchOptions opt = small_search();
-  for (StrategyKind kind :
-       {StrategyKind::ModelTopK, StrategyKind::Anneal, StrategyKind::Pso}) {
+  for (StrategyKind kind : {StrategyKind::ModelTopK, StrategyKind::Anneal}) {
     StrategySpec spec;
     spec.kind = kind;
     spec.budget = 40;
@@ -197,24 +198,6 @@ TEST(StrategyTest, AnnealIsBitIdenticalAcrossThreadsAndRuns) {
   (void)run_strategy(engine, Precision::DP, opt8, other, &sb);
   EXPECT_NE(std::make_pair(sa.proposals, sa.measured),
             std::make_pair(sb.proposals, sb.measured));
-}
-
-TEST(StrategyTest, PsoIsBitIdenticalAcrossThreadsAndRuns) {
-  const SearchEngine engine(DeviceId::SandyBridge);
-  StrategySpec spec;
-  spec.kind = StrategyKind::Pso;
-  spec.budget = 96;
-  spec.seed = 7;
-  spec.particles = 12;
-  SearchOptions opt1 = small_search();
-  opt1.threads = 1;
-  SearchOptions opt8 = small_search();
-  opt8.threads = 8;
-  const TunedKernel t1 = run_strategy(engine, Precision::SP, opt1, spec);
-  const TunedKernel t8 = run_strategy(engine, Precision::SP, opt8, spec);
-  const TunedKernel t8b = run_strategy(engine, Precision::SP, opt8, spec);
-  expect_identical(t1, t8, "threads 1 vs 8");
-  expect_identical(t8, t8b, "repeated run");
 }
 
 TEST(StrategyTest, ModelTopKIsDeterministicAcrossThreads) {
@@ -279,8 +262,7 @@ TEST(ShapeTest, GuidedStrategiesCarryTheShapeClass) {
   const SearchEngine engine(DeviceId::Cayman);
   SearchOptions opt = small_search();
   opt.shape = shape_of(Precision::SP, 120, 120, 1000);
-  for (StrategyKind kind :
-       {StrategyKind::ModelTopK, StrategyKind::Anneal, StrategyKind::Pso}) {
+  for (StrategyKind kind : {StrategyKind::ModelTopK, StrategyKind::Anneal}) {
     StrategySpec spec;
     spec.kind = kind;
     spec.budget = 48;

@@ -33,7 +33,7 @@ CI_DB=bench/db/ci.jsonl
 # baselines are tight) plus the micro benches, whose gated scalars are
 # deterministic pass/fail bits, dynamic counters and exact element sums —
 # wall-clock numbers live in the (uncompared) metrics section. serve_core
-# follows the same contract: its virtual-mode differential and overload
+# follows the same contract: its virtual-mode checksum check and overload
 # accounting are exact, and the realtime >= 1.5x stress result is gated
 # as a bit with the raw wall-clock numbers in gauges. strategy_quality
 # gates the guided-search acceptance criterion (model_topk and anneal
@@ -129,17 +129,13 @@ else
 fi
 
 # Concurrent-serving stress leg: a sustained overload workload through
-# the async core in virtual mode (deterministic at any shard / thread
-# count), so the serve report's throughput, shed counters and
-# p50/p99/p999 tail percentiles ride the same baseline + trajectory gates
-# as the bench reports. The differential run doubles as a correctness
-# smoke: serial and async cores must agree exactly.
+# the async core in virtual mode (deterministic at any thread count), so
+# the serve report's throughput, shed counters and p50/p99/p999 tail
+# percentiles ride the same baseline + trajectory gates as the bench
+# reports.
 SERVE_WL="requests=500,seed=23,rate=120000,max_batch=8,queue=32"
 SERVE_WL="$SERVE_WL,devices=Tahiti+Kepler+Cayman+SandyBridge"
-"$GEMMTUNE" serve --workload "$SERVE_WL" --core diff \
-  > "$OUT_DIR/serve_stress_diff.txt"
-grep -q "cores agree: PASS" "$OUT_DIR/serve_stress_diff.txt"
-"$GEMMTUNE" serve --workload "$SERVE_WL" --core async --shards 4 \
+"$GEMMTUNE" serve --workload "$SERVE_WL" --core async \
   --report "$OUT_DIR/serve_stress.json" > "$OUT_DIR/serve_stress.txt"
 reports+=("$OUT_DIR/serve_stress.json")
 if [[ "$MODE" == "update" ]]; then
