@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -29,24 +30,54 @@ void check_shapes(Transpose ta, Transpose tb, index_t M, index_t N,
   check(C.rows() >= M && C.cols() >= N, "gemm: C too small");
 }
 
-// Computes rows [m0, m1) of C for the blocked algorithm.
+/// Element strides of op(X)(i, j) in X's storage: {along i, along j}.
+template <typename T>
+std::pair<index_t, index_t> op_strides(const Matrix<T>& X, Transpose t) {
+  const bool col = X.order() == StorageOrder::ColMajor;
+  const index_t rs = col ? 1 : X.ld(), cs = col ? X.ld() : 1;
+  return t == Transpose::No ? std::pair{rs, cs} : std::pair{cs, rs};
+}
+
+// Computes rows [m0, m1) of C for the blocked algorithm. Every element is
+// scaled by beta, then accumulates (alpha * a) * b over ascending k; the
+// innermost loop runs along C's unit stride over raw pointers (the extents
+// were validated by check_shapes).
 template <typename T>
 void blocked_rows(Transpose ta, Transpose tb, index_t m0, index_t m1,
                   index_t N, index_t K, T alpha, const Matrix<T>& A,
                   const Matrix<T>& B, T beta, Matrix<T>& C, index_t block) {
-  for (index_t m = m0; m < m1; ++m)
-    for (index_t n = 0; n < N; ++n) C.at(m, n) = beta * C.at(m, n);
+  const auto [am, ak] = op_strides(A, ta);
+  const auto [bk, bn] = op_strides(B, tb);
+  const auto [cm, cn] = op_strides(C, Transpose::No);
+  const T* const a = A.data();
+  const T* const b = B.data();
+  T* const c = C.data();
+  for (index_t n = 0; n < N; ++n)
+    for (index_t m = m0; m < m1; ++m)
+      c[m * cm + n * cn] = beta * c[m * cm + n * cn];
   for (index_t kb = 0; kb < K; kb += block) {
     const index_t ke = std::min(K, kb + block);
     for (index_t mb = m0; mb < m1; mb += block) {
       const index_t me = std::min(m1, mb + block);
       for (index_t nb = 0; nb < N; nb += block) {
         const index_t ne = std::min(N, nb + block);
-        for (index_t m = mb; m < me; ++m) {
-          for (index_t k = kb; k < ke; ++k) {
-            const T a = alpha * op_at(A, ta, m, k);
-            for (index_t n = nb; n < ne; ++n)
-              C.at(m, n) += a * op_at(B, tb, k, n);
+        if (cm == 1) {  // column-major C: run down each column
+          for (index_t n = nb; n < ne; ++n) {
+            T* const col = c + n * cn;
+            for (index_t k = kb; k < ke; ++k) {
+              const T bkn = b[k * bk + n * bn];
+              for (index_t m = mb; m < me; ++m)
+                col[m] += (alpha * a[m * am + k * ak]) * bkn;
+            }
+          }
+        } else {  // row-major C: run along each row
+          for (index_t m = mb; m < me; ++m) {
+            T* const row = c + m * cm;
+            for (index_t k = kb; k < ke; ++k) {
+              const T amk = alpha * a[m * am + k * ak];
+              for (index_t n = nb; n < ne; ++n)
+                row[n] += amk * b[k * bk + n * bn];
+            }
           }
         }
       }

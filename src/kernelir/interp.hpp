@@ -6,15 +6,17 @@
 //  * global memory = SimCL buffers.
 //
 // Two execution tiers run the kernel: the bytecode VM (vm.hpp, the
-// default) and the native JIT (native.hpp). Both execute a work-group in
-// lockstep, one operation across all work-items before the next. This is
-// a valid execution of any kernel whose loop bounds are work-group uniform
-// and whose barriers are in uniform control flow — exactly the shape of
-// the paper's generated GEMM kernels. Both tiers *verify* loop-bound
-// uniformity at run time and reject non-uniform loops, so the restriction
-// is checked, not assumed. Work-groups are independent (OpenCL barriers
-// are intra-group only), so a launch partitions the group space across a
-// thread pool.
+// default) and the native JIT (native.hpp). Both give a work-group
+// lockstep semantics, one operation across all work-items before the
+// next. This is a valid execution of any kernel whose loop bounds are
+// work-group uniform and whose barriers are in uniform control flow —
+// exactly the shape of the paper's generated GEMM kernels. The VM executes
+// it literally; the native JIT executes straight-line runs item-major,
+// under rules that make no difference observable (native_emit.cpp). Both
+// tiers *verify* loop-bound uniformity at run time and reject non-uniform
+// loops, so the restriction is checked, not assumed. Work-groups are
+// independent (OpenCL barriers are intra-group only), so a launch
+// partitions the group space across a thread pool.
 //
 // Single-precision kernels round every arithmetic result to float, so both
 // tiers bit-match what an SP device would compute (modulo fma contraction,

@@ -43,15 +43,13 @@ namespace gemmtune::ir {
 namespace {
 
 /// Bumping this invalidates every cached .so (the hash covers it).
-constexpr const char* kEmitterVersion = "gemmtune-native-emit-v2";
-/// The vector lanes are explicit in the emitted source (with f32 rounding
-/// as per-element conversions inside the vector body), so the loop
-/// vectorizer is free to run — per-element semantics are already pinned.
-/// SLP stays off: GCC's SLP pass reorganizes the scalar (double)(float)
-/// rounding chains the emitter prints for masked ops and odd lane counts
-/// at a one-ULP cost on f32 kernels, and the explicit vectors leave it no
-/// upside. Contraction is off for the same reason: the contract is
-/// byte-identical buffers against the VM.
+constexpr const char* kEmitterVersion = "gemmtune-native-emit-v3";
+/// The emitted runs are scalar per work-item, with f32 rounding as a
+/// (double)(float) cast per lane; the loop vectorizer may still vectorize
+/// an item loop, which keeps every element's operations. SLP stays off:
+/// GCC's SLP pass reorganizes scalar (double)(float) rounding chains at a
+/// one-ULP cost on f32 kernels. Contraction is off for the same reason:
+/// the contract is byte-identical buffers against the VM.
 constexpr const char* kJitFlags =
     "-std=c++17 -O3 -fPIC -shared -ffp-contract=off "
     "-fno-tree-slp-vectorize";
@@ -284,7 +282,13 @@ NativeKernelPtr jit_build(const Kernel& kernel, const std::string& key,
   }
 
   const CompiledKernelPtr prog = get_or_compile(kernel);
-  const std::string source = emit_native_source(kernel, *prog, simd_w);
+  std::string source;
+  try {
+    source = emit_native_source(kernel, *prog, simd_w);
+  } catch (const Error& e) {
+    if (why != nullptr) *why = e.what();
+    return nullptr;
+  }
   const std::string src_path =
       dir + strf("/gemmtune-%016llx.%d.cpp",
                  static_cast<unsigned long long>(jit_hash(flags, key)),

@@ -3,14 +3,18 @@
 //
 // emit_native_source() translates one compiled bytecode program into a
 // self-contained C++ translation unit specialized for that kernel: every
-// instruction becomes straight-line code with its operand registers, lane
-// counts, array offsets and constants baked in as literals, work-item
-// lanes become plain `for (t ...)` loops the host compiler can unroll and
-// vectorize, and when the kernel declares reqd_work_group_size the
-// work-group size itself is a compile-time constant. Bounds checks the
-// bytecode pass already proved (constant private/local addressing lowered
-// to FmaPP / SplatLaneP / kImmAddr forms) are gone entirely; the remaining
-// runtime checks raise the exact same message text as the VM.
+// instruction's operand registers, lane counts, array offsets and
+// constants are baked in as literals, and when the kernel declares
+// reqd_work_group_size the work-group size itself is a compile-time
+// constant. The semantics stay the VM's lockstep ones, but straight-line
+// code executes item-major: each run of unmasked, non-control
+// instructions is one `for (t ...)` loop over the work-items that keeps
+// the registers and private-array slots it touches in C++ locals, under
+// rules that make the two orders indistinguishable (native_emit.cpp).
+// Bounds checks the bytecode pass already proved (constant private/local
+// addressing lowered to FmaPP / SplatLaneP / kImmAddr forms) are gone
+// entirely; the remaining runtime checks stay per item and raise the exact
+// message text, for the same faulting item, as the VM.
 //
 // get_or_compile_native() drives the pipeline: emit the source, invoke the
 // host C++ compiler (GEMMTUNE_JIT_CXX, else the compiler this library was
@@ -70,19 +74,20 @@ class NativeKernel {
   std::string so_path_;
 };
 
-/// Vector width (in doubles) the native JIT emits: the probed host width,
-/// 8 with AVX-512F, 4 with AVX2, 2 baseline. The width is folded into both
-/// the program-cache key and the on-disk .so hash, so a cache directory
-/// shared by hosts of different ISAs never serves a foreign object.
+/// Vector width (in doubles) of the host the native JIT compiles for: 8
+/// with AVX-512F, 4 with AVX2, 2 baseline. It selects the -m flags of the
+/// JIT compile and is folded into both the program-cache key and the
+/// on-disk .so hash, so a cache directory shared by hosts of different
+/// ISAs never serves a foreign object.
 int native_simd_width();
 
-/// Emits the specialized C++ translation unit for one compiled kernel with
-/// explicit fixed-width vector lanes (GCC/Clang vector extensions) of
-/// `simd_width` doubles (2, 4, 8 or 16) for the unmasked ops; f32 rounding
-/// is a per-element widen→op→narrow conversion inside the vector body, so
+/// Emits the specialized C++ translation unit for one compiled kernel,
+/// for a host of `simd_width` doubles (2, 4, 8 or 16; named in the
+/// header). f32 rounding is a per-lane (double)(float) conversion, so
 /// buffers stay bit-identical to the VM. Pure and deterministic (the source
 /// depends only on the program, the kernel's reqd_work_group_size /
-/// argument shapes, and the width).
+/// argument shapes, and the width). Throws gemmtune::Error on a program it
+/// cannot translate; the JIT then falls back to the VM.
 std::string emit_native_source(const Kernel& kernel,
                                const CompiledKernel& prog, int simd_width);
 

@@ -1,31 +1,50 @@
 // Bytecode -> specialized C++ translator for the native backend.
 //
-// The emitter walks the CompiledKernel instruction stream once and prints
-// one C++ block per instruction, mirroring vm.cpp's semantics op for op:
-// the same evaluation order, the same counter increments, the same error
-// messages. Every operand field (register slots, lane counts, array
-// offsets, immediates, flags) is printed as a literal, so the host
-// compiler sees straight-line code over flat arrays with constant strides
-// — the per-instruction dispatch and operand resolution the VM pays at
-// run time all happens here, at emit time. Jumps become `goto L<n>;` with
-// labels only at jump targets; each instruction body lives in its own
-// braces so no goto crosses an initialization.
+// The emitter walks the CompiledKernel instruction stream and prints C++
+// that executes it with vm.cpp's semantics: the same arithmetic, the same
+// counter totals, the same error messages. Every operand field (register
+// slots, lane counts, array offsets, immediates, flags) is printed as a
+// literal, so the per-instruction dispatch and operand resolution the VM
+// pays at run time all happens here, at emit time. Jumps become
+// `goto L<n>;` with labels only at jump targets.
 //
-// Floating-point identity with the host-built backends is preserved by
-// construction: arithmetic is emitted as the same double expressions the
-// VM evaluates (single-precision rounding as a (double)(float)(...) cast),
+// The semantics stay lockstep: a work-group finishes one instruction on all
+// of its work-items before the next. The emitted code executes straight-line
+// stretches item-major instead, wherever that order cannot be observed. A
+// *run* is a maximal stretch of unmasked, non-control instructions; it
+// becomes one `for (t ...)` loop over the work-items whose body holds every
+// instruction's per-item code in program order. Inside the loop the vi/vf
+// registers and constant-offset private-array slots the run touches live in
+// C++ locals: loaded from the per-group slabs at item entry when the run
+// reads them before writing, stored back at item exit when some other code
+// reads them from the slab. The run rules keep item-major order equal to
+// lockstep order:
+//  * a run starts at a jump target and never spans a control instruction
+//    (jumps, JNone, ForCheckV, mask ops, Barrier, Throw, Halt);
+//  * a mask-honouring instruction is a run of its own, guarded by the mask;
+//  * a StoreG is a run of its own, which stops at the first faulting item,
+//    so a failed launch leaves the user's buffer with exactly the VM's
+//    partial stores and no item reads another item's global store;
+//  * per local array, a run holds loads only or a single store, so no item
+//    observes another item's local-memory write (registers and private
+//    arrays are per item and carry no such hazard);
+//  * uniform instructions run once, before the item loop, or after it when
+//    they follow the run's last varying instruction; one whose destination
+//    an earlier varying instruction read ends the run, and the faulting
+//    ones (UDiv, UMod, UStepCheck) are runs of their own.
+// Every bounds and division check stays per item. A fault records (pc,
+// item), replaced only by a strictly smaller pc from a later item, and the
+// faulting item skips the rest of the run; after the loop the record fails
+// the launch. Because no item sees another item's writes inside a run, the
+// record is the VM's first faulting instruction at its lowest item, so the
+// message text matches. Counter increments are summed once per run.
+//
+// Floating-point identity with the VM is preserved by construction:
+// arithmetic is emitted as the same double expressions the VM evaluates
+// (single-precision rounding as a (double)(float)(...) cast, per lane),
 // constants are reproduced bit-exactly from their IEEE-754 payloads, and
-// the JIT compiles with -ffp-contract=off so the host compiler cannot
-// fuse a*b+c into an fma the interpreter didn't perform.
-//
-// The unmasked FP ops are printed as explicit fixed-width vector
-// expressions instead of unrolled scalars: lane-major slab regions flatten
-// into chunks of the host vector width, and f32 rounding becomes an
-// element-wise double->float->double __builtin_convertvector pair inside
-// the vector body — the narrowing is pinned per element, so no compiler
-// pass can re-associate it and every lane still rounds exactly like the
-// VM. Masked ops and lane counts that are not a vector width keep scalar
-// statement bodies.
+// the JIT compiles with -ffp-contract=off so the host compiler cannot fuse
+// a*b+c into an fma the VM didn't perform.
 #include <cinttypes>
 #include <cstdint>
 #include <cstring>
@@ -64,28 +83,137 @@ std::string cstr(const std::string& s) {
   return out;
 }
 
+bool is_control(Op op) {
+  switch (op) {
+    case Op::Halt:
+    case Op::Jmp:
+    case Op::JzU:
+    case Op::JgeU:
+    case Op::JNone:
+    case Op::ForCheckV:
+    case Op::MaskPush:
+    case Op::MaskFlip:
+    case Op::MaskPop:
+    case Op::Barrier:
+    case Op::Throw:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool is_uniform(Op op) {
+  switch (op) {
+    case Op::UConst:
+    case Op::UArg:
+    case Op::UBuiltin:
+    case Op::UAdd:
+    case Op::USub:
+    case Op::UMul:
+    case Op::UDiv:
+    case Op::UMod:
+    case Op::ULt:
+    case Op::UAnd:
+    case Op::UMov:
+    case Op::UStepCheck:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool is_faulting_uniform(Op op) {
+  return op == Op::UDiv || op == Op::UMod || op == Op::UStepCheck;
+}
+
+/// True when the instruction skips inactive work-items: vm.cpp honours
+/// kMasked on these ops only; every other op computes all items.
+bool honours_mask(const Insn& in) {
+  if (!(in.flags & kMasked)) return false;
+  switch (in.op) {
+    case Op::VDiv:
+    case Op::VMod:
+    case Op::VMovU:
+    case Op::VMov:
+    case Op::FMov:
+    case Op::FAdd:
+    case Op::FSub:
+    case Op::FMul:
+    case Op::FMad:
+    case Op::LoadG:
+    case Op::StoreG:
+    case Op::LoadL:
+    case Op::StoreL:
+    case Op::LoadP:
+    case Op::StoreP:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// A per-item value a run keeps in a C++ local: a vi register ('v'), one
+/// lane of a vf register ('f'), or one private-array slot ('p', `id` is
+/// its offset in the item's private slab).
+struct Val {
+  char kind = 'v';
+  std::int32_t id = 0;
+  std::int32_t lane = 0;
+  auto operator<=>(const Val&) const = default;
+};
+
+/// One emitted segment: a control instruction, or a run [begin, end).
+struct Run {
+  std::size_t begin = 0, end = 0;
+  bool control = false;
+  bool masked = false;  ///< one mask-honouring instruction
+  bool alone = false;   ///< a run of its own: stops at the first fault
+  std::vector<std::size_t> pre, body, post;  ///< uniform / varying / uniform
+  // Translation of the body, filled while the run is formed.
+  std::string code;               ///< per-item statements
+  std::set<Val> loads;            ///< read before written: loaded at entry
+  std::set<Val> writes;           ///< stored at exit when read from the slab
+  std::set<std::int32_t> u_reads;  ///< uniform registers the loop reads
+  bool private_slab = false;      ///< addresses the item's private slab
+  std::map<std::int32_t, bool> gargs;  ///< global arguments -> f32 elements
+  std::string faults;             ///< post-loop fault dispatch
+  unsigned long long flops = 0, mads = 0, gld = 0, gst = 0, lld = 0, lst = 0;
+};
+
 class Emitter {
  public:
   Emitter(const Kernel& k, const CompiledKernel& p, int simd_width)
       : k_(k), p_(p), simd_(simd_width) {
-    check(vectorizable_width(simd_), "native emit: unsupported SIMD width");
+    check(simd_ == 2 || simd_ == 4 || simd_ == 8 || simd_ == 16,
+          "native emit: unsupported SIMD width");
   }
 
   std::string run() {
     collect_labels();
-    collect_splat_elisions();
-    collect_fusions();
-    collect_vector_widths();
-    prologue();
-    for (std::size_t i = 0; i < p_.code.size(); ++i) {
-      if (is_target_[i]) line(strf("L%zu:;", i));
-      if (fused_skip_.count(i) != 0) continue;  // folded into the next insn
-      const auto f = fused_.find(i);
-      if (f != fused_.end()) {
-        emit_fused(p_.code[f->second], p_.code[i]);
-        continue;
+    collect_vf_widths();
+    collect_slab_arrays();
+    std::vector<Run> runs;
+    for (std::size_t i = 0; i < p_.code.size(); i = runs.back().end)
+      runs.push_back(make_run(i));
+    // A value must reach the slab only if some code reads it from there:
+    // a run that loads it at item entry, or a control instruction.
+    for (const Run& r : runs) slab_read_.insert(r.loads.begin(), r.loads.end());
+    for (const Insn& in : p_.code) {
+      if (in.op == Op::ForCheckV) {
+        for (const std::int32_t r : {in.a, in.b, in.c})
+          slab_read_.insert(Val{'v', r, 0});
+      } else if (in.op == Op::MaskPush) {  // MaskFlip re-reads it
+        slab_read_.insert(Val{'v', in.a, 0});
       }
-      emit_insn(p_.code[i], i);
+    }
+    prologue();
+    for (const Run& r : runs) {
+      if (is_target_[r.begin]) line(strf("L%zu:;", r.begin));
+      if (r.control) {
+        emit_control(p_.code[r.begin], r.begin);
+      } else {
+        emit_run(r);
+      }
     }
     // A well-formed program ends in Halt, but guard the fall-through.
     line("goto L_done;");
@@ -97,6 +225,7 @@ class Emitter {
   // ---- small formatting helpers ---------------------------------------------
 
   void line(const std::string& s) {
+    out_ += pad_;
     out_ += "  ";
     out_ += s;
     out_ += '\n';
@@ -109,9 +238,6 @@ class Emitter {
   static std::string u(std::int32_t r) { return strf("u[%d]", r); }
   static std::string vi_ptr(std::int32_t r) {
     return strf("(vi + %d * NI)", r);
-  }
-  static std::string vf_ptr(std::int32_t base) {
-    return strf("(vf + %d * NI)", base);
   }
   /// Wraps an arithmetic result in the f32 storage round when `rnd`.
   static std::string rnd(bool on, const std::string& e) {
@@ -169,222 +295,139 @@ class Emitter {
     }
   }
 
-  /// Finds f-registers whose every writer is a SplatLaneP of identical
-  /// shape (same copied-lane count w < register width dw) and that live
-  /// inside the per-group zeroed slab prefix. Their upper lanes are zero
-  /// at every program point — the memset establishes it and each write
-  /// re-establishes it — so the per-write zero-fill only ever rewrites
-  /// zeros and can be dropped. This matters: GEMM inner loops pair each
-  /// FmaPP with a SplatLaneP into a wide accumulator-shaped register, and
-  /// the dead zero stores otherwise dominate the splat's memory traffic.
-  void collect_splat_elisions() {
-    std::map<std::int32_t, std::pair<int, int>> shape;  // base -> (w, dw)
-    std::set<std::int32_t> bad;
+  /// Records the slab width of every vf register: an instruction indexes
+  /// lane l of item t at `base * NI + t * width + l`. The lowering gives
+  /// each register one width and a slab range of its own; runs keep lanes
+  /// in locals keyed by (base, lane), which relies on both, so anything
+  /// else is rejected here (the launch then falls back to the VM).
+  void collect_vf_widths() {
+    const auto note = [this](std::int32_t base, int width) {
+      const auto it = vfw_.emplace(base, width).first;
+      check(it->second == width, "native emit: vf register at two widths");
+    };
     for (const Insn& in : p_.code) {
       switch (in.op) {
-        case Op::SplatLaneP: {
-          const auto s = std::make_pair(static_cast<int>(in.lanes),
-                                        static_cast<int>(in.b));
-          const auto [it, fresh] = shape.emplace(in.dst, s);
-          if (!fresh && it->second != s) bad.insert(in.dst);
-          break;
-        }
-        // Every other way an f-register can be written disqualifies it.
         case Op::FConst:
         case Op::FArg:
+        case Op::LoadG:
+        case Op::LoadL:
+        case Op::LoadP:
+          note(in.dst, in.lanes);
+          break;
         case Op::FMov:
+          note(in.dst, in.b);
+          note(in.a, in.c);
+          break;
         case Op::FSplat:
+          note(in.dst, in.lanes);
+          note(in.a, in.aux);
+          break;
         case Op::FLane:
+          note(in.dst, 1);
+          note(in.a, in.aux);
+          break;
         case Op::FAdd:
         case Op::FSub:
         case Op::FMul:
+          note(in.dst, in.lanes);
+          note(in.a, in.lanes);
+          note(in.b, in.lanes);
+          break;
         case Op::FMad:
-        case Op::LoadG:
-        case Op::LoadL:
-        case Op::LoadP:
-          bad.insert(in.dst);
+          note(in.dst, in.lanes);
+          note(in.a, in.lanes);
+          note(in.b, in.lanes);
+          note(in.c, in.lanes);
+          break;
+        case Op::FmaPP:
+          note(in.c, in.aux >> 3);
+          break;
+        case Op::SplatLaneP:
+          note(in.dst, in.b);
+          break;
+        case Op::StoreG:
+        case Op::StoreL:
+        case Op::StoreP:
+          note(in.c, in.lanes);
           break;
         default:
           break;
       }
     }
-    for (const auto& [base, s] : shape) {
-      if (bad.count(base) != 0) continue;
-      if (s.first >= s.second) continue;            // no fill to elide
-      if (base + s.second > p_.n_vf_vars) continue;  // outside zeroed prefix
-      splat_zero_elide_.insert(base);
+    std::int64_t end = 0;
+    for (const auto& [base, width] : vfw_) {
+      check(base >= end, "native emit: overlapping vf registers");
+      end = static_cast<std::int64_t>(base) + width;
     }
   }
 
-  /// Appends the f-register bases instruction `in` reads.
-  static void freg_reads(const Insn& in, std::vector<std::int32_t>* out) {
-    switch (in.op) {
-      case Op::FMov:
-      case Op::FSplat:
-      case Op::FLane:
-        out->push_back(in.a);
-        break;
-      case Op::FAdd:
-      case Op::FSub:
-      case Op::FMul:
-        out->push_back(in.a);
-        out->push_back(in.b);
-        break;
-      case Op::FMad:
-        out->push_back(in.a);
-        out->push_back(in.b);
-        out->push_back(in.c);
-        break;
-      case Op::FmaPP:
-      case Op::StoreG:
-      case Op::StoreL:
-      case Op::StoreP:
-        out->push_back(in.c);
-        break;
-      default:
-        break;
-    }
+  /// Private arrays accessed at a computed address anywhere in the kernel
+  /// stay in the slab everywhere (per item, so still hazard-free).
+  void collect_slab_arrays() {
+    for (const Insn& in : p_.code)
+      if ((in.op == Op::LoadP || in.op == Op::StoreP) &&
+          !(in.flags & kImmAddr))
+        slab_arrays_.insert(in.a);
   }
 
-  /// Finds producer/consumer pairs whose intermediate register is dead —
-  /// SplatLaneP feeding the adjacent FmaPP, and a local/private/global
-  /// load feeding the adjacent local/private store. Registers are not
-  /// observable (only buffers, counters and error text are), so when
-  /// every read of the intermediate register is one of these adjacent
-  /// consumers, the producer is folded into the consumer: the FmaPP
-  /// broadcasts the splat source directly, and the load/store pair
-  /// becomes one copy loop without the register round-trip. Fusing needs
-  /// the consumer to not be a jump target (entering mid-pair would skip
-  /// the producer). Cross-item hazards rule out same-array local copies:
-  /// the VM completes every item's load before the first store, and the
-  /// fused loop interleaves them, which only a shared overlapping range
-  /// could observe (private slabs are per-item, globals are load-only
-  /// here, and distinct arrays occupy disjoint slab ranges).
-  void collect_fusions() {
-    std::map<std::int32_t, std::vector<std::size_t>> cand;
-    for (std::size_t i = 0; i + 1 < p_.code.size(); ++i) {
-      if (is_target_[i + 1]) continue;
-      const Insn& a = p_.code[i];
-      const Insn& b = p_.code[i + 1];
-      if (a.op == Op::SplatLaneP && b.op == Op::FmaPP && b.c == a.dst &&
-          (b.aux >> 3) == a.b && b.lanes <= a.lanes) {
-        cand[a.dst].push_back(i);
+  // ---- run formation -------------------------------------------------------
+
+  /// Forms the segment starting at `begin` under the run rules, translating
+  /// each varying instruction as it is admitted.
+  Run make_run(std::size_t begin) {
+    Run r;
+    r.begin = begin;
+    const Insn& first = p_.code[begin];
+    if (is_control(first.op)) {
+      r.control = true;
+      r.end = begin + 1;
+      return r;
+    }
+    r.masked = honours_mask(first);
+    r.alone = r.masked || first.op == Op::StoreG ||
+              is_faulting_uniform(first.op);
+    run_ = &r;
+    std::set<std::int32_t> l_loaded, l_stored;
+    std::vector<std::size_t> uniforms;
+    std::size_t j = begin;
+    for (; j < p_.code.size(); ++j) {
+      const Insn& in = p_.code[j];
+      if (j > begin &&
+          (r.alone || is_target_[j] || is_control(in.op) ||
+           honours_mask(in) || in.op == Op::StoreG ||
+           is_faulting_uniform(in.op)))
+        break;
+      if (is_uniform(in.op)) {
+        if (r.u_reads.count(in.dst) != 0) break;
+        uniforms.push_back(j);
         continue;
       }
-      const bool a_load = a.op == Op::LoadL || a.op == Op::LoadP ||
-                          (a.op == Op::LoadG && !(a.aux & kElemF32));
-      const bool b_store = b.op == Op::StoreL || b.op == Op::StoreP;
-      if (a_load && b_store && b.c == a.dst && b.lanes == a.lanes &&
-          !(a.flags & kMasked) && !(b.flags & kMasked)) {
-        const bool a_local = a.op == Op::LoadL;
-        const bool b_local = b.op == Op::StoreL;
-        if (a_local && b_local && a.a == b.a) continue;  // may overlap
-        cand[a.dst].push_back(i);
+      if (in.op == Op::LoadL) {
+        if (l_stored.count(in.a) != 0) break;
+        l_loaded.insert(in.a);
+      } else if (in.op == Op::StoreL) {
+        if (l_loaded.count(in.a) != 0 || l_stored.count(in.a) != 0) break;
+        l_stored.insert(in.a);
       }
+      r.body.push_back(j);
+      item_code(in, j);
     }
-    for (const auto& [reg, producers] : cand) {
-      std::set<std::size_t> consumers;
-      for (const std::size_t i : producers) consumers.insert(i + 1);
-      bool dead = true;
-      for (std::size_t j = 0; j < p_.code.size() && dead; ++j) {
-        std::vector<std::int32_t> rs;
-        freg_reads(p_.code[j], &rs);
-        for (const std::int32_t r : rs)
-          if (r == reg && consumers.count(j) == 0) {
-            dead = false;
-            break;
-          }
-      }
-      if (!dead) continue;
-      for (const std::size_t i : producers) {
-        fused_skip_.insert(i);
-        fused_[i + 1] = i;
-      }
-    }
-  }
-
-  /// True when a lane count can be a GCC vector width (power of two, up
-  /// to 16 doubles — 128 bytes, which GCC synthesizes on any target).
-  static bool vectorizable_width(int w) {
-    return w == 2 || w == 4 || w == 8 || w == 16;
-  }
-
-  /// Collects the vector widths the SIMD emission will reference, so the
-  /// prologue defines exactly those typedefs/helpers: the host chunk
-  /// width for the flattened unmasked FP ops, plus each FmaPP register
-  /// width (its lanes are processed as one vector per work-item), plus
-  /// the lane counts of unmasked memory ops whose per-item copies become
-  /// one vector load/store pair (f64 only for the global ops — the f32
-  /// paths convert element widths and stay scalar).
-  void collect_vector_widths() {
-    vwidths_.insert(simd_);
-    for (const Insn& in : p_.code) {
-      if (in.op == Op::SplatLaneP && vectorizable_width(in.b))
-        vwidths_.insert(static_cast<int>(in.b));
-      if (!vectorizable_width(in.lanes)) continue;
-      switch (in.op) {
-        case Op::FmaPP:
-        case Op::SplatLaneP:
-          vwidths_.insert(static_cast<int>(in.lanes));
-          break;
-        case Op::LoadL:
-        case Op::StoreL:
-        case Op::LoadP:
-        case Op::StoreP:
-          if (!(in.flags & kMasked))
-            vwidths_.insert(static_cast<int>(in.lanes));
-          break;
-        case Op::LoadG:
-          if (!(in.flags & kMasked) && !(in.aux & kElemF32))
-            vwidths_.insert(static_cast<int>(in.lanes));
-          break;
-        default:
-          break;
-      }
-    }
+    run_ = nullptr;
+    r.end = j;
+    for (const std::size_t pc : uniforms)
+      (!r.body.empty() && pc < r.body.back() ? r.pre : r.post).push_back(pc);
+    return r;
   }
 
   // ---- prologue / epilogue --------------------------------------------------
 
   void prologue() {
-    raw(strf("// Generated by the gemmtune native backend (emitter v2, "
+    raw(strf("// Generated by the gemmtune native backend (emitter v3, "
              "simd w=%d) for\n",
              simd_));
-    raw("// kernel '" + k_.name + "'. Mirrors kernelir/vm.cpp semantics.\n");
+    raw("// kernel '" + k_.name + "'. Mirrors kernelir/vm.cpp semantics;\n"
+        "// straight-line runs execute item-major (see native_emit.cpp).\n");
     raw("#include <cstddef>\n#include <cstdio>\n#include <cstring>\n\n");
-    // Fixed-width vector lanes (GCC/Clang vector extensions). Loads and
-    // stores go through memcpy so the slab pointers need no alignment;
-    // rndN converts every lane double->float->double individually
-    // (__builtin_convertvector is an element-wise IEEE conversion), which
-    // is exactly the VM's (double)(float) rounding chain — no
-    // re-association is possible because the narrowing is explicit per
-    // element inside the vector body.
-    raw("namespace {\n");
-    for (const int vw : vwidths_) {
-      raw(strf("typedef double vd%d __attribute__((vector_size(%d)));\n",
-               vw, 8 * vw));
-      raw(strf("typedef float vs%d __attribute__((vector_size(%d)));\n",
-               vw, 4 * vw));
-      raw(strf("inline vd%d ld%d(const double* p) "
-               "{ vd%d v; __builtin_memcpy(&v, p, sizeof v); return v; }\n",
-               vw, vw, vw));
-      raw(strf("inline void st%d(double* p, vd%d v) "
-               "{ __builtin_memcpy(p, &v, sizeof v); }\n",
-               vw, vw));
-      raw(strf("inline vd%d rnd%d(vd%d v) "
-               "{ return __builtin_convertvector("
-               "__builtin_convertvector(v, vs%d), vd%d); }\n",
-               vw, vw, vw, vw, vw));
-      raw(strf("typedef long long vl%d __attribute__((vector_size(%d)));\n",
-               vw, 8 * vw));
-      raw(strf("inline vl%d ldi%d(const long long* p) "
-               "{ vl%d v; __builtin_memcpy(&v, p, sizeof v); return v; }\n",
-               vw, vw, vw));
-      raw(strf("inline void sti%d(long long* p, vl%d v) "
-               "{ __builtin_memcpy(p, &v, sizeof v); }\n",
-               vw, vw));
-    }
-    raw("}  // namespace\n\n");
     // Bit-exact floating constant pool, materialized at dlopen time.
     if (!p_.fpool.empty()) {
       raw("namespace {\n");
@@ -427,20 +470,23 @@ class Emitter {
     line("(void)LSY;");
     line("const long long ngx = global0 / LSX;");
     // Scratch slabs: the VM's register-file layout, heap-allocated once
-    // per call and reused across the whole group range.
-    line(strf("long long* const u = new long long[%d];",
+    // per call and reused across the whole group range. They never alias
+    // each other or the argument buffers.
+    line(strf("long long* const __restrict u = new long long[%d];",
               p_.n_u > 0 ? p_.n_u : 1));
-    line(strf("long long* const vi = new long long[(std::size_t)(%d * NI)"
-              " + 1];",
+    line(strf("long long* const __restrict vi = "
+              "new long long[(std::size_t)(%d * NI) + 1];",
               p_.n_vi));
-    line(strf("double* const vf = new double[(std::size_t)(%d * NI) + 1];",
+    line(strf("double* const __restrict vf = "
+              "new double[(std::size_t)(%d * NI) + 1];",
               p_.n_vf));
-    line(strf("double* const parr = new double[(std::size_t)(%lld * NI)"
-              " + 1];",
+    line(strf("double* const __restrict parr = "
+              "new double[(std::size_t)(%lld * NI) + 1];",
               static_cast<long long>(p_.parr_doubles)));
-    line(strf("double* const larr = new double[%lld];",
+    line(strf("double* const __restrict larr = new double[%lld];",
               static_cast<long long>(p_.larr_doubles) + 1));
-    line("unsigned char* const mask = new unsigned char[(std::size_t)NI];");
+    line("unsigned char* const __restrict mask = "
+         "new unsigned char[(std::size_t)NI];");
     const int depth = p_.max_mask_depth > 0 ? p_.max_mask_depth : 1;
     line(strf("unsigned char* const mask_saved = "
               "new unsigned char[(std::size_t)(%d * NI)];",
@@ -495,23 +541,374 @@ class Emitter {
     raw("}\n");
   }
 
-  // ---- per-instruction translation ------------------------------------------
+  // ---- runs ----------------------------------------------------------------
 
-  /// Opens a `for (t ...)` over the work-items, with the mask test when
-  /// the instruction honours divergence.
-  std::string t_loop_open(bool masked) const {
-    std::string s = "for (long long t = 0; t < NI; ++t) { ";
-    if (masked) s += "if (!mask[t]) continue; ";
-    return s;
+  /// C++ declaration, slab load and slab store of a run-local value.
+  static std::string decl(const Val& v) {
+    return (v.kind == 'v' ? "long long " : "double ") + name(v);
+  }
+  std::string slab(const Val& v) const {
+    switch (v.kind) {
+      case 'v':
+        return strf("vi[%d * NI + t]", v.id);
+      case 'f':
+        return strf("vf[%d * NI + t * %d + %d]", v.id, vfw_.at(v.id), v.lane);
+      default:
+        return strf("pp[%d]", v.id);
+    }
+  }
+  static std::string name(const Val& v) {
+    switch (v.kind) {
+      case 'v':
+        return strf("v%d", v.id);
+      case 'f':
+        return strf("f%d_%d", v.id, v.lane);
+      default:
+        return strf("p%d", v.id);
+    }
   }
 
-  void emit_insn(const Insn& in, std::size_t pc) {
-    const bool masked = (in.flags & kMasked) != 0;
+  void emit_run(const Run& r) {
+    line("{");
+    pad_ = "  ";
+    for (const std::size_t pc : r.pre) emit_uniform(p_.code[pc]);
+    pad_.clear();
+    if (!r.body.empty()) {
+      for (const std::int32_t reg : r.u_reads)
+        line(strf("  const long long u%d = u[%d];", reg, reg));
+      for (const auto& [a, f32] : r.gargs)
+        line(strf("  %s* const gp%d = %s[%d]; const long long en%d = "
+                  "arg_elems[%d];",
+                  f32 ? "float" : "double", a, f32 ? "arg_f32" : "arg_f64",
+                  a, a, a));
+      if (!r.faults.empty())
+        line(strf("  long long f_ord = %zu, f_val = 0;", p_.code.size()));
+      // The body is long straight-line code already: copies of it from
+      // completely unrolling a small work-group's loop only cost compile
+      // time (tenfold on 8-item groups).
+      line("  #pragma GCC unroll 1");
+      line("  for (long long t = 0; t < NI; ++t) {");
+      if (r.masked) line("    if (!mask[t]) continue;");
+      if (r.private_slab)
+        line(strf("    double* const pp = parr + t * %lld;",
+                  static_cast<long long>(p_.parr_doubles)));
+      for (const Val& v : r.loads)
+        line("    " + decl(v) + " = " + slab(v) + ";");
+      for (const Val& v : r.writes)
+        if (r.loads.count(v) == 0) line("    " + decl(v) + " = 0;");
+      raw(r.code);
+      for (const Val& v : r.writes)
+        if (slab_read_.count(v) != 0)
+          line("    " + slab(v) + " = " + name(v) + ";");
+      line("  }");
+      raw(r.faults);
+      // Faults never reach this point, so every item (every active item
+      // of a masked run) executed each instruction exactly once.
+      const char* items = r.masked ? "active" : "NI";
+      const std::pair<const char*, unsigned long long> sums[] = {
+          {"c_flops", r.flops}, {"c_mads", r.mads}, {"c_gld", r.gld},
+          {"c_gst", r.gst},     {"c_lld", r.lld},   {"c_lst", r.lst}};
+      for (const auto& [counter, n] : sums)
+        if (n != 0)
+          line(strf("  %s += %lluULL * (unsigned long long)%s;", counter, n,
+                    items));
+    }
+    pad_ = "  ";
+    for (const std::size_t pc : r.post) emit_uniform(p_.code[pc]);
+    pad_.clear();
+    line("}");
+  }
+
+  // ---- per-item translation (into run_->code) ------------------------------
+
+  void stmt(const std::string& s) {
+    run_->code += "      ";
+    run_->code += s;
+    run_->code += '\n';
+  }
+  /// Records a read of `v` and returns its local.
+  std::string rd(const Val& v) {
+    if (run_->writes.count(v) == 0) run_->loads.insert(v);
+    run_->private_slab |= v.kind == 'p';
+    return name(v);
+  }
+  /// Records a write of `v` and returns its local. Statements call rd()
+  /// for every operand before wr() for the destination.
+  std::string wr(const Val& v) {
+    run_->writes.insert(v);
+    run_->private_slab |= v.kind == 'p';
+    return name(v);
+  }
+  std::string rd_v(std::int32_t r) { return rd(Val{'v', r, 0}); }
+  std::string wr_v(std::int32_t r) { return wr(Val{'v', r, 0}); }
+  std::string rd_f(std::int32_t base, int lane) {
+    return rd(Val{'f', base, lane});
+  }
+  std::string wr_f(std::int32_t base, int lane) {
+    return wr(Val{'f', base, lane});
+  }
+  /// Slot `off` of private array `arr` (its offset in the item's slab).
+  std::string rd_p(std::int32_t arr, std::int64_t off) {
+    if (slab_arrays_.count(arr) != 0) return pp(off);
+    return rd(Val{'p', static_cast<std::int32_t>(off), 0});
+  }
+  std::string wr_p(std::int32_t arr, std::int64_t off) {
+    if (slab_arrays_.count(arr) != 0) return pp(off);
+    return wr(Val{'p', static_cast<std::int32_t>(off), 0});
+  }
+  /// Direct access to the item's private slab.
+  std::string pp(std::int64_t off) {
+    run_->private_slab = true;
+    return strf("pp[%lld]", static_cast<long long>(off));
+  }
+  /// A uniform operand: the run's snapshot of u[r].
+  std::string uni(std::int32_t r) {
+    run_->u_reads.insert(r);
+    return strf("u%d", r);
+  }
+  std::string int_operand(std::int32_t r, bool uniform) {
+    return uniform ? uni(r) : rd_v(r);
+  }
+  std::string address(const Insn& in) {
+    if (in.flags & kImmAddr) return imm64(in.imm);
+    return int_operand(in.b, (in.flags & kBUni) != 0);
+  }
+
+  /// Records a fault of instruction `pc` (message `fails`, with `f_val`
+  /// standing for `val`) and returns the statement that raises it.
+  std::string fault(std::size_t pc, const std::string& val,
+                    const std::string& fails) {
+    run_->faults += strf("    if (f_ord == %zu) ", pc) + fails + "\n";
+    if (run_->alone)
+      return strf("{ f_ord = %zu; f_val = %s; break; }", pc, val.c_str());
+    return strf("{ if (%zu < f_ord) { f_ord = %zu; f_val = %s; } continue; }",
+                pc, pc, val.c_str());
+  }
+
+  void item_code(const Insn& in, std::size_t pc) {
     const int w = in.lanes;
     switch (in.op) {
-      case Op::Halt:
-        line("goto L_done;");
+      case Op::VBuiltin: {
+        const int dim = in.aux & 1;
+        const auto fn = static_cast<BuiltinFn>(in.aux >> 1);
+        std::string e;
+        if (fn == BuiltinFn::LocalId) {
+          e = dim == 0 ? "t % LSX" : "t / LSX";
+        } else if (fn == BuiltinFn::GlobalId) {
+          e = dim == 0 ? "gx * LSX + t % LSX" : "gy * LSY + t / LSX";
+        } else {
+          e = builtin_expr(in.aux);
+        }
+        stmt(wr_v(in.dst) + " = " + e + ";");
         return;
+      }
+      case Op::VAdd:
+      case Op::VSub:
+      case Op::VMul:
+      case Op::VLt:
+      case Op::VAnd: {
+        const std::string x = int_operand(in.a, (in.flags & kAUni) != 0);
+        const std::string y = int_operand(in.b, (in.flags & kBUni) != 0);
+        std::string e;
+        switch (in.op) {
+          case Op::VAdd: e = x + " + " + y; break;
+          case Op::VSub: e = x + " - " + y; break;
+          case Op::VMul: e = x + " * " + y; break;
+          case Op::VLt: e = "(" + x + " < " + y + ") ? 1 : 0"; break;
+          default:
+            e = "(" + x + " != 0 && " + y + " != 0) ? 1 : 0";
+            break;
+        }
+        stmt(wr_v(in.dst) + " = " + e + ";");
+        return;
+      }
+      case Op::VDiv:
+      case Op::VMod: {
+        const bool div = in.op == Op::VDiv;
+        const std::string x = int_operand(in.a, (in.flags & kAUni) != 0);
+        const std::string y = int_operand(in.b, (in.flags & kBUni) != 0);
+        stmt("{ const long long y_ = " + y + ";");
+        stmt("  if (y_ == 0) " +
+             fault(pc, "0",
+                   fail_msg(div ? "interp: integer division by zero"
+                                : "interp: integer modulo by zero")));
+        stmt("  " + wr_v(in.dst) + " = " + x + (div ? " / y_; }" : " % y_; }"));
+        return;
+      }
+      case Op::VMovU: {
+        const std::string x = uni(in.a);
+        stmt(wr_v(in.dst) + " = " + x + ";");
+        return;
+      }
+      case Op::VMov: {
+        const std::string x = rd_v(in.a);
+        stmt(wr_v(in.dst) + " = " + x + ";");
+        return;
+      }
+      case Op::FConst:
+        for (int l = 0; l < w; ++l)
+          stmt(wr_f(in.dst, l) +
+               strf(" = kFpool.v[%lld];", static_cast<long long>(in.imm) + l));
+        return;
+      case Op::FArg: {
+        const std::string x = strf("arg_f[%d]", in.a);
+        stmt(wr_f(in.dst, 0) + " = " +
+             ((in.aux & kRoundF32) ? "(double)(float)" + x : x) + ";");
+        for (int l = 1; l < w; ++l) stmt(wr_f(in.dst, l) + " = 0.0;");
+        return;
+      }
+      case Op::FMov: {
+        const int dw = in.b, n = in.lanes;
+        for (int l = 0; l < n; ++l) {
+          const std::string x = rd_f(in.a, l);
+          stmt(wr_f(in.dst, l) + " = " + x + ";");
+        }
+        for (int l = n; l < dw; ++l) stmt(wr_f(in.dst, l) + " = 0.0;");
+        return;
+      }
+      case Op::FSplat: {
+        stmt("{ const double x_ = " + rd_f(in.a, 0) + ";");
+        for (int l = 0; l < w; ++l) stmt("  " + wr_f(in.dst, l) + " = x_;");
+        stmt("}");
+        return;
+      }
+      case Op::FLane: {
+        const auto ln = static_cast<int>(in.imm);
+        const std::string x = ln < in.aux ? rd_f(in.a, ln) : "0.0";
+        stmt(wr_f(in.dst, 0) + " = " + x + ";");
+        return;
+      }
+      case Op::FAdd:
+      case Op::FSub:
+      case Op::FMul:
+      case Op::FMad: {
+        const bool f32 = (in.aux & kRoundF32) != 0;
+        const bool mad = in.op == Op::FMad;
+        const char* op = in.op == Op::FAdd   ? " + "
+                         : in.op == Op::FSub ? " - "
+                                             : " * ";
+        for (int l = 0; l < w; ++l) {
+          std::string e = rd_f(in.a, l) + op + rd_f(in.b, l);
+          if (mad) e += " + " + rd_f(in.c, l);
+          stmt(wr_f(in.dst, l) + " = " + rnd(f32, e) + ";");
+        }
+        run_->flops += static_cast<unsigned long long>(mad ? 2 * w : w);
+        if (mad) ++run_->mads;
+        return;
+      }
+      case Op::FmaPP: {
+        // parr[a][dst + l] = vf[c][l] * parr[b][imm + l] + parr[a][dst + l].
+        const ArrayRef& cr = p_.arrays[static_cast<std::size_t>(in.a)];
+        const ArrayRef& br = p_.arrays[static_cast<std::size_t>(in.b)];
+        const bool f32 = (in.aux & kRoundF32) != 0;
+        const long long coff = cr.offset + in.dst;
+        const long long boff = br.offset + in.imm;
+        for (int l = 0; l < w; ++l) {
+          const std::string e = rd_f(in.c, l) + " * " + rd_p(in.b, boff + l) +
+                                " + " + rd_p(in.a, coff + l);
+          stmt(wr_p(in.a, coff + l) + " = " + rnd(f32, e) + ";");
+        }
+        run_->flops += 2ull * static_cast<unsigned long long>(w);
+        ++run_->mads;
+        return;
+      }
+      case Op::SplatLaneP: {
+        const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
+        const std::string x = rd_p(in.a, ar.offset + in.imm);
+        for (int l = 0; l < in.b; ++l)
+          stmt(wr_f(in.dst, l) + " = " + (l < w ? x : "0.0") + ";");
+        return;
+      }
+      case Op::LoadG:
+      case Op::StoreG: {
+        const bool store = in.op == Op::StoreG;
+        const bool f32 = (in.aux & kElemF32) != 0;
+        run_->gargs[in.a] = f32;
+        const std::string fails = fail_stmt(
+            cstr(strf("global %s out of range: index %%lld + %d lanes, "
+                      "buffer %%lld elements",
+                      store ? "store" : "load", w)),
+            {"f_val", strf("en%d", in.a)});
+        stmt("{ const long long idx = " + address(in) + ";");
+        stmt(strf("  if (idx < 0 || idx + %d > en%d) ", w, in.a) +
+             fault(pc, "idx", fails));
+        for (int l = 0; l < w; ++l) {
+          const std::string g = strf("gp%d[idx + %d]", in.a, l);
+          if (store) {
+            const std::string x = rd_f(in.c, l);
+            stmt("  " + g + " = " + (f32 ? "(float)" + x : x) + ";");
+          } else {
+            stmt("  " + wr_f(in.dst, l) + " = " + (f32 ? "(double)" + g : g) +
+                 ";");
+          }
+        }
+        stmt("}");
+        (store ? run_->gst : run_->gld) +=
+            static_cast<unsigned long long>(w * (f32 ? 4 : 8));
+        return;
+      }
+      case Op::LoadL:
+      case Op::StoreL:
+      case Op::LoadP:
+      case Op::StoreP: {
+        const bool store = in.op == Op::StoreL || in.op == Op::StoreP;
+        const bool local = in.op == Op::LoadL || in.op == Op::StoreL;
+        const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
+        const std::string fails = fail_stmt(
+            cstr(strf("%s array '%%s' %s out of range: index %%lld + %d "
+                      "lanes, %%zu elements",
+                      local ? "local" : "private", store ? "store" : "load",
+                      w)),
+            {cstr(ar.name), "f_val", strf("(std::size_t)%d", ar.len)});
+        // Element l of the access at `idx` (a literal when constant).
+        const bool imm = (in.flags & kImmAddr) != 0;
+        const auto elem = [&](int l, bool write) {
+          if (local)
+            return imm ? strf("larr[%lld]", static_cast<long long>(
+                                                ar.offset + in.imm + l))
+                       : strf("larr[%d + idx + %d]", ar.offset, l);
+          if (!imm) {
+            run_->private_slab = true;
+            return strf("pp[%d + idx + %d]", ar.offset, l);
+          }
+          const long long off = ar.offset + in.imm + l;
+          return write ? wr_p(in.a, off) : rd_p(in.a, off);
+        };
+        if (imm && (in.imm < 0 || in.imm + w > ar.len)) {
+          stmt(fault(pc, imm64(in.imm), fails));  // every item faults here
+        } else {
+          if (!imm) {
+            stmt("{ const long long idx = " + address(in) + ";");
+            stmt(strf("  if (idx < 0 || idx + %d > %d) ", w, ar.len) +
+                 fault(pc, "idx", fails));
+          }
+          for (int l = 0; l < w; ++l) {
+            if (store) {
+              const std::string x = rd_f(in.c, l);
+              stmt("  " + elem(l, true) + " = " + x + ";");
+            } else {
+              const std::string x = elem(l, false);
+              stmt("  " + wr_f(in.dst, l) + " = " + x + ";");
+            }
+          }
+          if (!imm) stmt("}");
+        }
+        if (local)
+          (store ? run_->lst : run_->lld) += static_cast<unsigned long long>(
+              w * ((in.aux & kCount8) ? 8 : 4));
+        return;
+      }
+      default:
+        break;
+    }
+    fail(strf("native emit: opcode %d at pc %zu is not per-item",
+              static_cast<int>(in.op), pc));
+  }
+
+  // ---- uniform and control instructions ------------------------------------
+
+  void emit_uniform(const Insn& in) {
+    switch (in.op) {
       case Op::UConst:
         line(u(in.dst) + " = " + imm64(in.imm) + ";");
         return;
@@ -537,7 +934,8 @@ class Emitter {
         line("  if (d == 0) " +
              fail_msg(div ? "interp: integer division by zero"
                           : "interp: integer modulo by zero"));
-        line("  " + u(in.dst) + " = " + u(in.a) + (div ? " / d; }" : " % d; }"));
+        line("  " + u(in.dst) + " = " + u(in.a) +
+             (div ? " / d; }" : " % d; }"));
         return;
       }
       case Op::ULt:
@@ -553,484 +951,16 @@ class Emitter {
       case Op::UStepCheck:
         line("if (" + u(in.a) + " <= 0) " + fail_msg("for: non-positive step"));
         return;
-      case Op::VBuiltin: {
-        const int dim = in.aux & 1;
-        const auto fn = static_cast<BuiltinFn>(in.aux >> 1);
-        std::string expr;
-        if (fn == BuiltinFn::LocalId) {
-          expr = dim == 0 ? "t % LSX" : "t / LSX";
-        } else if (fn == BuiltinFn::GlobalId) {
-          expr = dim == 0 ? "gx * LSX + t % LSX" : "gy * LSY + t / LSX";
-        } else {
-          expr = builtin_expr(in.aux);
-        }
-        line("{ long long* const dst = " + vi_ptr(in.dst) + ";");
-        line("  " + t_loop_open(false) + "dst[t] = " + expr + "; } }");
+      default:
+        fail("native emit: not a uniform instruction");
+    }
+  }
+
+  void emit_control(const Insn& in, std::size_t pc) {
+    switch (in.op) {
+      case Op::Halt:
+        line("goto L_done;");
         return;
-      }
-      case Op::VAdd:
-      case Op::VSub:
-      case Op::VMul:
-      case Op::VLt:
-      case Op::VAnd: {
-        std::string xa, xb;
-        line("{ long long* const dst = " + vi_ptr(in.dst) + ";");
-        if (in.flags & kAUni) {
-          line("  const long long xa = " + u(in.a) + ";");
-          xa = "xa";
-        } else {
-          line("  const long long* const pa = " + vi_ptr(in.a) + ";");
-          xa = "pa[t]";
-        }
-        if (in.flags & kBUni) {
-          line("  const long long xb = " + u(in.b) + ";");
-          xb = "xb";
-        } else {
-          line("  const long long* const pb = " + vi_ptr(in.b) + ";");
-          xb = "pb[t]";
-        }
-        std::string expr;
-        switch (in.op) {
-          case Op::VAdd: expr = xa + " + " + xb; break;
-          case Op::VSub: expr = xa + " - " + xb; break;
-          case Op::VMul: expr = xa + " * " + xb; break;
-          case Op::VLt: expr = "(" + xa + " < " + xb + ") ? 1 : 0"; break;
-          default:
-            expr = "(" + xa + " != 0 && " + xb + " != 0) ? 1 : 0";
-            break;
-        }
-        // Explicit vectors: integer lane arithmetic is exact, and vector
-        // compares yield 0/-1 per lane, masked down to the 0/1 the scalar
-        // ?: forms produce. Uniform operands splat once.
-        const std::string va =
-            (in.flags & kAUni) ? "uva" : strf("ldi%d(pa + t)", simd_);
-        const std::string vb =
-            (in.flags & kBUni) ? "uvb" : strf("ldi%d(pb + t)", simd_);
-        std::string vexpr;
-        switch (in.op) {
-          case Op::VAdd: vexpr = va + " + " + vb; break;
-          case Op::VSub: vexpr = va + " - " + vb; break;
-          case Op::VMul: vexpr = va + " * " + vb; break;
-          case Op::VLt: vexpr = "((" + va + " < " + vb + ") & 1)"; break;
-          default:
-            vexpr = "(((" + va + " != 0) & (" + vb + " != 0)) & 1)";
-            break;
-        }
-        if (in.flags & kAUni)
-          line(strf("  const vl%d uva = ", simd_) + splat_list("xa", simd_) +
-               ";");
-        if (in.flags & kBUni)
-          line(strf("  const vl%d uvb = ", simd_) + splat_list("xb", simd_) +
-               ";");
-        line("  long long t = 0;");
-        line(strf("  for (; t + %d <= NI; t += %d) sti%d(dst + t, ", simd_,
-                  simd_, simd_) +
-             vexpr + ");");
-        line("  for (; t < NI; ++t) dst[t] = " + expr + ";");
-        line("}");
-        return;
-      }
-      case Op::VDiv:
-      case Op::VMod: {
-        const bool div = in.op == Op::VDiv;
-        std::string xa, xb;
-        line("{ long long* const dst = " + vi_ptr(in.dst) + ";");
-        if (in.flags & kAUni) {
-          line("  const long long xa = " + u(in.a) + ";");
-          xa = "xa";
-        } else {
-          line("  const long long* const pa = " + vi_ptr(in.a) + ";");
-          xa = "pa[t]";
-        }
-        if (in.flags & kBUni) {
-          line("  const long long xb = " + u(in.b) + ";");
-          xb = "xb";
-        } else {
-          line("  const long long* const pb = " + vi_ptr(in.b) + ";");
-          xb = "pb[t]";
-        }
-        line("  " + t_loop_open(masked));
-        line("    const long long y = " + xb + ";");
-        line("    if (y == 0) " +
-             fail_msg(div ? "interp: integer division by zero"
-                          : "interp: integer modulo by zero"));
-        line("    dst[t] = " + xa + (div ? " / y; } }" : " % y; } }"));
-        return;
-      }
-      case Op::VMovU:
-        line("{ long long* const dst = " + vi_ptr(in.dst) + ";");
-        line("  const long long v = " + u(in.a) + ";");
-        if (!masked) {
-          line(strf("  const vl%d vv = ", simd_) + splat_list("v", simd_) +
-               ";");
-          line("  long long t = 0;");
-          line(strf("  for (; t + %d <= NI; t += %d) sti%d(dst + t, vv);",
-                    simd_, simd_, simd_));
-          line("  for (; t < NI; ++t) dst[t] = v;");
-          line("}");
-          return;
-        }
-        line("  " + t_loop_open(masked) + "dst[t] = v; } }");
-        return;
-      case Op::VMov:
-        line("{ long long* const dst = " + vi_ptr(in.dst) + ";");
-        line("  const long long* const src = " + vi_ptr(in.a) + ";");
-        if (!masked) {
-          // A register-to-register move is one contiguous slab copy.
-          line("  __builtin_memcpy(dst, src, sizeof(long long) * "
-               "(std::size_t)NI);");
-          line("}");
-          return;
-        }
-        line("  " + t_loop_open(masked) + "dst[t] = src[t]; } }");
-        return;
-      case Op::FConst: {
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  " + t_loop_open(false));
-        for (int l = 0; l < w; ++l)
-          line(strf("    dst[t * %d + %d] = kFpool.v[%lld];", w, l,
-                    static_cast<long long>(in.imm) + l));
-        line("  } }");
-        return;
-      }
-      case Op::FArg: {
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line(strf("  double x = arg_f[%d];", in.a));
-        if (in.aux & kRoundF32) line("  x = (double)(float)x;");
-        line("  " + t_loop_open(false));
-        line(strf("    dst[t * %d] = x;", w));
-        for (int l = 1; l < w; ++l)
-          line(strf("    dst[t * %d + %d] = 0.0;", w, l));
-        line("  } }");
-        return;
-      }
-      case Op::FMov: {
-        const int dw = in.b, sw = in.c, n = in.lanes;
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  const double* const src = " + vf_ptr(in.a) + ";");
-        if (!masked && n == dw && n == sw) {
-          // Full-width register move: one contiguous slab copy.
-          line(strf("  __builtin_memcpy(dst, src, sizeof(double) * "
-                    "(std::size_t)(%d * NI));",
-                    n));
-          line("}");
-          return;
-        }
-        line("  " + t_loop_open(masked));
-        for (int l = 0; l < n; ++l)
-          line(strf("    dst[t * %d + %d] = src[t * %d + %d];", dw, l, sw, l));
-        for (int l = n; l < dw; ++l)
-          line(strf("    dst[t * %d + %d] = 0.0;", dw, l));
-        line("  } }");
-        return;
-      }
-      case Op::FSplat: {
-        const int sw = in.aux;
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  const double* const src = " + vf_ptr(in.a) + ";");
-        line("  " + t_loop_open(false));
-        line(strf("    const double x = src[t * %d];", sw));
-        for (int l = 0; l < w; ++l)
-          line(strf("    dst[t * %d + %d] = x;", w, l));
-        line("  } }");
-        return;
-      }
-      case Op::FLane: {
-        const int sw = in.aux;
-        const auto ln = static_cast<int>(in.imm);
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  const double* const src = " + vf_ptr(in.a) + ";");
-        if (ln < sw) {
-          line("  " + t_loop_open(false) +
-               strf("dst[t] = src[t * %d + %d]; } }", sw, ln));
-        } else {
-          line("  (void)src;");
-          line("  " + t_loop_open(false) + "dst[t] = 0.0; } }");
-        }
-        return;
-      }
-      case Op::FAdd:
-      case Op::FSub:
-      case Op::FMul: {
-        const bool f32 = (in.aux & kRoundF32) != 0;
-        const char* op = in.op == Op::FAdd ? "+" : in.op == Op::FSub ? "-"
-                                                                     : "*";
-        if (!masked) {
-          // Lane-wise over the whole register slab: lanes of consecutive
-          // work-items are contiguous (vf[base*NI + t*w + l]), so the
-          // t/l loops flatten into one run of w*NI doubles chunked at
-          // the host vector width with a scalar tail.
-          line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-          line("  const double* const a = " + vf_ptr(in.a) + ";");
-          line("  const double* const b = " + vf_ptr(in.b) + ";");
-          line(strf("  const long long ne = (long long)%d * NI;", w));
-          line("  long long i = 0;");
-          line(strf("  for (; i + %d <= ne; i += %d) {", simd_, simd_));
-          const std::string ve =
-              strf("ld%d(a + i) %s ld%d(b + i)", simd_, op, simd_);
-          line(strf("    st%d(dst + i, ", simd_) +
-               (f32 ? strf("rnd%d(", simd_) + ve + ")" : ve) + ");");
-          line("  }");
-          line("  for (; i < ne; ++i) dst[i] = " +
-               rnd(f32, strf("a[i] %s b[i]", op)) + ";");
-          line(strf("  c_flops += (unsigned long long)(%d * NI);", w));
-          line("}");
-          return;
-        }
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  const double* const a = " + vf_ptr(in.a) + ";");
-        line("  const double* const b = " + vf_ptr(in.b) + ";");
-        line("  " + t_loop_open(masked));
-        for (int l = 0; l < w; ++l) {
-          const std::string e = strf("a[t * %d + %d] %s b[t * %d + %d]", w, l,
-                                     op, w, l);
-          line(strf("    dst[t * %d + %d] = ", w, l) + rnd(f32, e) + ";");
-        }
-        if (masked) line(strf("    c_flops += %d;", w));
-        line("  }");
-        if (!masked)
-          line(strf("  c_flops += (unsigned long long)(%d * NI);", w));
-        line("}");
-        return;
-      }
-      case Op::FMad: {
-        const bool f32 = (in.aux & kRoundF32) != 0;
-        if (!masked) {
-          line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-          line("  const double* const a = " + vf_ptr(in.a) + ";");
-          line("  const double* const b = " + vf_ptr(in.b) + ";");
-          line("  const double* const c = " + vf_ptr(in.c) + ";");
-          line(strf("  const long long ne = (long long)%d * NI;", w));
-          line("  long long i = 0;");
-          line(strf("  for (; i + %d <= ne; i += %d) {", simd_, simd_));
-          const std::string ve =
-              strf("ld%d(a + i) * ld%d(b + i) + ld%d(c + i)", simd_, simd_,
-                   simd_);
-          line(strf("    st%d(dst + i, ", simd_) +
-               (f32 ? strf("rnd%d(", simd_) + ve + ")" : ve) + ");");
-          line("  }");
-          line("  for (; i < ne; ++i) dst[i] = " +
-               rnd(f32, "a[i] * b[i] + c[i]") + ";");
-          line(strf("  c_flops += (unsigned long long)(%d * NI); "
-                    "c_mads += (unsigned long long)NI;",
-                    2 * w));
-          line("}");
-          return;
-        }
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  const double* const a = " + vf_ptr(in.a) + ";");
-        line("  const double* const b = " + vf_ptr(in.b) + ";");
-        line("  const double* const c = " + vf_ptr(in.c) + ";");
-        line("  " + t_loop_open(masked));
-        for (int l = 0; l < w; ++l) {
-          const std::string e =
-              strf("a[t * %d + %d] * b[t * %d + %d] + c[t * %d + %d]", w, l, w,
-                   l, w, l);
-          line(strf("    dst[t * %d + %d] = ", w, l) + rnd(f32, e) + ";");
-        }
-        if (masked) line(strf("    c_flops += %d; ++c_mads;", 2 * w));
-        line("  }");
-        if (!masked)
-          line(strf("  c_flops += (unsigned long long)(%d * NI); "
-                    "c_mads += (unsigned long long)NI;",
-                    2 * w));
-        line("}");
-        return;
-      }
-      case Op::FmaPP: {
-        // Never masked (only fused inside uniform inner loops); see vm.cpp.
-        const ArrayRef& cr = p_.arrays[static_cast<std::size_t>(in.a)];
-        const ArrayRef& br = p_.arrays[static_cast<std::size_t>(in.b)];
-        const bool f32 = (in.aux & kRoundF32) != 0;
-        const int stride = in.aux >> 3;
-        const long long coff = cr.offset + in.dst;
-        const long long boff = br.offset + in.imm;
-        line("{ const double* const av = " + vf_ptr(in.c) + ";");
-        line("  " + t_loop_open(false));
-        line(strf("    double* const pa = parr + t * %lld;",
-                  static_cast<long long>(p_.parr_doubles)));
-        line(strf("    double* const cp = pa + %lld;", coff));
-        line(strf("    const double* const bp = pa + %lld;", boff));
-        line(strf("    const double* const ap = av + t * %d;", stride));
-        if (vectorizable_width(w)) {
-          // One vector per work-item: the register width is the vector
-          // width, so the whole rank-1 update step is a single
-          // load/fma-shaped/store sequence (unfused: contraction is off).
-          const std::string ve =
-              strf("ld%d(ap) * ld%d(bp) + ld%d(cp)", w, w, w);
-          line(strf("    st%d(cp, ", w) +
-               (f32 ? strf("rnd%d(", w) + ve + ")" : ve) + ");");
-        } else {
-          for (int l = 0; l < w; ++l) {
-            const std::string e = strf("ap[%d] * bp[%d] + cp[%d]", l, l, l);
-            line(strf("    cp[%d] = ", l) + rnd(f32, e) + ";");
-          }
-        }
-        line("  }");
-        line(strf("  c_flops += (unsigned long long)(%d * NI); "
-                  "c_mads += (unsigned long long)NI;",
-                  2 * w));
-        line("}");
-        return;
-      }
-      case Op::SplatLaneP: {
-        const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
-        const int dw = in.b;
-        const long long off = ar.offset + in.imm;
-        const bool elide = splat_zero_elide_.count(in.dst) != 0;
-        line("{ double* const dst = " + vf_ptr(in.dst) + ";");
-        line("  " + t_loop_open(false));
-        line(strf("    const double x = parr[t * %lld + %lld];",
-                  static_cast<long long>(p_.parr_doubles), off));
-        if (!elide && vectorizable_width(dw)) {
-          // One full-width store covers the splat lanes and the zero fill.
-          std::string init = "{";
-          for (int l = 0; l < dw; ++l) {
-            if (l) init += ", ";
-            init += l < w ? "x" : "0.0";
-          }
-          line(strf("    const vd%d vx = ", dw) + init + "};");
-          line(strf("    st%d(dst + t * %d, vx);", dw, dw));
-        } else if (vectorizable_width(w)) {
-          line(strf("    const vd%d vx = ", w) + splat_list("x", w) + ";");
-          line(strf("    st%d(dst + t * %d, vx);", w, dw));
-          if (!elide)
-            for (int l = w; l < dw; ++l)
-              line(strf("    dst[t * %d + %d] = 0.0;", dw, l));
-        } else {
-          for (int l = 0; l < w; ++l)
-            line(strf("    dst[t * %d + %d] = x;", dw, l));
-          if (!elide)
-            for (int l = w; l < dw; ++l)
-              line(strf("    dst[t * %d + %d] = 0.0;", dw, l));
-        }
-        line("  } }");
-        return;
-      }
-      case Op::LoadG:
-      case Op::StoreG: {
-        const bool is_store = in.op == Op::StoreG;
-        const bool f32 = (in.aux & kElemF32) != 0;
-        const int ebytes = f32 ? 4 : 8;
-        line(strf("{ %s* const gp = %s[%d];", f32 ? "float" : "double",
-                  f32 ? "arg_f32" : "arg_f64", in.a));
-        line(strf("  const long long en = arg_elems[%d];", in.a));
-        emit_addr(in);
-        if (is_store) {
-          line("  const double* const val = " + vf_ptr(in.c) + ";");
-        } else {
-          line("  double* const dst = " + vf_ptr(in.dst) + ";");
-        }
-        const std::string gfails =
-            fail_stmt(cstr(strf("global %s out of range: index %%lld + %d "
-                                "lanes, buffer %%lld elements",
-                                is_store ? "store" : "load", w)),
-                      {"(long long)idx", "(long long)en"});
-        if (!masked && !f32 && !is_store && vectorizable_width(w)) {
-          // SIMD form, f64 loads only: the destination is scratch, so the
-          // hoisted check is invisible on the failure path. Stores stay
-          // interleaved — a faulting launch must leave the user's buffer
-          // with exactly the partial stores the VM would have done.
-          emit_range_check(in, "en", gfails);
-          line("  for (long long t = 0; t < NI; ++t) {");
-          line("    const long long idx = " + addr_expr(in) + ";");
-          line(strf("    st%d(dst + t * %d, ld%d(gp + idx));", w, w, w));
-          line("  }");
-          line(strf("  c_gld += (unsigned long long)(%d * NI);", w * ebytes));
-          line("}");
-          return;
-        }
-        line("  " + t_loop_open(masked));
-        line("    const long long idx = " + addr_expr(in) + ";");
-        line(strf("    if (idx < 0 || idx + %d > en) ", w) + gfails);
-        for (int l = 0; l < w; ++l) {
-          if (is_store) {
-            line(f32 ? strf("    gp[idx + %d] = (float)val[t * %d + %d];", l,
-                            w, l)
-                     : strf("    gp[idx + %d] = val[t * %d + %d];", l, w, l));
-          } else {
-            line(f32 ? strf("    dst[t * %d + %d] = (double)gp[idx + %d];", w,
-                            l, l)
-                     : strf("    dst[t * %d + %d] = gp[idx + %d];", w, l, l));
-          }
-        }
-        if (masked)
-          line(strf("    %s += %d;", is_store ? "c_gst" : "c_gld",
-                    w * ebytes));
-        line("  }");
-        if (!masked)
-          line(strf("  %s += (unsigned long long)(%d * NI);",
-                    is_store ? "c_gst" : "c_gld", w * ebytes));
-        line("}");
-        return;
-      }
-      case Op::LoadL:
-      case Op::StoreL:
-      case Op::LoadP:
-      case Op::StoreP: {
-        const bool is_store = in.op == Op::StoreL || in.op == Op::StoreP;
-        const bool local = in.op == Op::LoadL || in.op == Op::StoreL;
-        const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
-        const int bytes = w * ((in.aux & kCount8) ? 8 : 4);
-        line("{");
-        emit_addr(in);
-        if (is_store) {
-          line("  const double* const val = " + vf_ptr(in.c) + ";");
-        } else {
-          line("  double* const dst = " + vf_ptr(in.dst) + ";");
-        }
-        const std::string fails = fail_stmt(
-            cstr(strf("%s array '%%s' %s out of range: index %%lld + %d "
-                      "lanes, %%zu elements",
-                      local ? "local" : "private", is_store ? "store" : "load",
-                      w)),
-            {cstr(ar.name), "(long long)idx", strf("(std::size_t)%d", ar.len)});
-        const std::string slab =
-            local ? strf("larr + %d", ar.offset)
-                  : strf("parr + t * %lld + %d",
-                         static_cast<long long>(p_.parr_doubles), ar.offset);
-        if (!masked && vectorizable_width(w)) {
-          // SIMD form: the bounds check is hoisted out of the copy loop
-          // (constant/uniform addresses check once; varying addresses
-          // OR-reduce, with an exact scalar re-scan on the failure path so
-          // the first-faulting item's message matches the VM). The copies
-          // target scratch slabs only, so the split is invisible: a failed
-          // launch throws and every slab and counter dies with it. The
-          // branch-free copy loop is then one vector load/store per item.
-          emit_range_check(in, strf("%d", ar.len), fails);
-          line("  for (long long t = 0; t < NI; ++t) {");
-          line("    const long long idx = " + addr_expr(in) + ";");
-          line(strf("    %s* const p = (%s) + idx;",
-                    is_store ? "double" : "const double", slab.c_str()));
-          if (is_store) {
-            line(strf("    st%d((double*)p, ld%d(val + t * %d));", w, w, w));
-          } else {
-            line(strf("    st%d(dst + t * %d, ld%d(p));", w, w, w));
-          }
-          line("  }");
-        } else {
-          line("  " + t_loop_open(masked));
-          line("    const long long idx = " + addr_expr(in) + ";");
-          line(strf("    if (idx < 0 || idx + %d > %d) ", w, ar.len) + fails);
-          line(strf("    %s* const p = (%s) + idx;",
-                    is_store ? "double" : "const double", slab.c_str()));
-          for (int l = 0; l < w; ++l) {
-            if (is_store) {
-              line(strf("    ((double*)p)[%d] = val[t * %d + %d];", l, w, l));
-            } else {
-              line(strf("    dst[t * %d + %d] = p[%d];", w, l, l));
-            }
-          }
-          if (local && masked)
-            line(strf("    %s += %d;", is_store ? "c_lst" : "c_lld", bytes));
-          line("  }");
-        }
-        if (local && !masked)
-          line(strf("  %s += (unsigned long long)(%d * NI);",
-                    is_store ? "c_lst" : "c_lld", bytes));
-        line("}");
-        return;
-      }
       case Op::Jmp:
         line(strf("goto L%lld;", static_cast<long long>(in.imm)));
         return;
@@ -1076,8 +1006,8 @@ class Emitter {
         line("  ++mask_depth;");
         line("  const long long* const c = " + vi_ptr(in.a) + ";");
         line("  long long n = 0;");
-        line("  " + t_loop_open(false) +
-             "mask[t] = (mask[t] && c[t] != 0) ? 1 : 0; n += mask[t]; }");
+        line("  for (long long t = 0; t < NI; ++t) {"
+             " mask[t] = (mask[t] && c[t] != 0) ? 1 : 0; n += mask[t]; }");
         line("  active = n; }");
         return;
       case Op::MaskFlip:
@@ -1086,8 +1016,8 @@ class Emitter {
         line("  const long long* const c ="
              " vi + (long long)mask_cond[mask_depth - 1] * NI;");
         line("  long long n = 0;");
-        line("  " + t_loop_open(false) +
-             "mask[t] = (sv[t] && c[t] == 0) ? 1 : 0; n += mask[t]; }");
+        line("  for (long long t = 0; t < NI; ++t) {"
+             " mask[t] = (sv[t] && c[t] == 0) ? 1 : 0; n += mask[t]; }");
         line("  active = n; }");
         return;
       case Op::MaskPop:
@@ -1104,194 +1034,23 @@ class Emitter {
       case Op::Throw:
         line(fail_msg(p_.messages[static_cast<std::size_t>(in.imm)]));
         return;
+      default:
+        break;
     }
     fail(strf("native emit: unhandled opcode %d at pc %zu",
               static_cast<int>(in.op), pc));
   }
 
-  /// Emits the hoisted declarations for a memory op's address operand.
-  void emit_addr(const Insn& in, const char* sfx = "") {
-    if (in.flags & kImmAddr) return;  // constant, inlined at use
-    if (in.flags & kBUni) {
-      line(strf("  const long long ua%s = %s;", sfx, u(in.b).c_str()));
-    } else {
-      line(strf("  const long long* const av%s = ", sfx) + vi_ptr(in.b) +
-           ";");
-    }
-  }
-  /// Braced initializer splatting `x` across `n` vector lanes.
-  static std::string splat_list(const std::string& x, int n) {
-    std::string s = "{";
-    for (int i = 0; i < n; ++i) {
-      if (i) s += ", ";
-      s += x;
-    }
-    return s + "}";
-  }
-
-  /// Per-item address expression matching emit_addr().
-  static std::string addr_expr(const Insn& in, const char* sfx = "") {
-    if (in.flags & kImmAddr) return imm64(in.imm);
-    if (in.flags & kBUni) return strf("ua%s", sfx);
-    return strf("av%s[t]", sfx);
-  }
-
-  /// Hoisted bounds check for the SIMD memory paths: constant and uniform
-  /// addresses check once before the copy loop (the compiler folds the
-  /// constant form away entirely); varying addresses OR-reduce across the
-  /// items — a branch-free loop the vectorizer handles — and re-scan
-  /// scalar only on failure, so the message names the first faulting item
-  /// exactly as the VM does.
-  void emit_range_check(const Insn& in, const std::string& len,
-                        const std::string& fails, const char* sfx = "") {
-    const int w = in.lanes;
-    if (in.flags & (kImmAddr | kBUni)) {
-      line(strf("  { const long long idx = %s;", addr_expr(in, sfx).c_str()));
-      line(strf("    if (idx < 0 || idx + %d > %s) ", w, len.c_str()) + fails);
-      line("  }");
-      return;
-    }
-    line("  { long long bad = 0;");
-    line(strf("    vl%d acc = {};", simd_));
-    line("    long long t = 0;");
-    line(strf("    for (; t + %d <= NI; t += %d) { const vl%d v_ = "
-              "ldi%d(av%s + t); acc |= (v_ < 0) | (v_ + %d > %s); }",
-              simd_, simd_, simd_, simd_, sfx, w, len.c_str()));
-    line(strf("    for (; t < NI; ++t) bad |= "
-              "(long long)(av%s[t] < 0) | (long long)(av%s[t] + %d > %s);",
-              sfx, sfx, w, len.c_str()));
-    for (int l = 0; l < simd_; ++l)
-      line(strf("    bad |= acc[%d];", l));
-    line("    if (bad) for (long long t2 = 0; t2 < NI; ++t2) {");
-    line(strf("      const long long idx = av%s[t2];", sfx));
-    line(strf("      if (idx < 0 || idx + %d > %s) ", w, len.c_str()) + fails);
-    line("    }");
-    line("  }");
-  }
-
-  void emit_fused(const Insn& prod, const Insn& cons) {
-    if (prod.op == Op::SplatLaneP) {
-      emit_fused_splat_fma(prod, cons);
-    } else {
-      emit_fused_copy(prod, cons);
-    }
-  }
-
-  /// SplatLaneP + FmaPP with a dead intermediate register: the rank-1
-  /// update broadcasts the splat source directly. Within one item the
-  /// splat read still precedes the FmaPP write, and items touch only
-  /// their own private slab, so evaluation order is unchanged.
-  void emit_fused_splat_fma(const Insn& sp, const Insn& fm) {
-    const ArrayRef& sar = p_.arrays[static_cast<std::size_t>(sp.a)];
-    const ArrayRef& cr = p_.arrays[static_cast<std::size_t>(fm.a)];
-    const ArrayRef& br = p_.arrays[static_cast<std::size_t>(fm.b)];
-    const bool f32 = (fm.aux & kRoundF32) != 0;
-    const int w = fm.lanes;
-    const long long soff = sar.offset + sp.imm;
-    const long long coff = cr.offset + fm.dst;
-    const long long boff = br.offset + fm.imm;
-    line("{ " + t_loop_open(false));
-    line(strf("    double* const pa = parr + t * %lld;",
-              static_cast<long long>(p_.parr_doubles)));
-    line(strf("    double* const cp = pa + %lld;", coff));
-    line(strf("    const double* const bp = pa + %lld;", boff));
-    line(strf("    const double x = pa[%lld];", soff));
-    if (vectorizable_width(w)) {
-      line(strf("    const vd%d vx = ", w) + splat_list("x", w) + ";");
-      const std::string ve = strf("vx * ld%d(bp) + ld%d(cp)", w, w);
-      line(strf("    st%d(cp, ", w) +
-           (f32 ? strf("rnd%d(", w) + ve + ")" : ve) + ");");
-    } else {
-      for (int l = 0; l < w; ++l)
-        line(strf("    cp[%d] = ", l) +
-             rnd(f32, strf("x * bp[%d] + cp[%d]", l, l)) + ";");
-    }
-    line("  }");
-    line(strf("  c_flops += (unsigned long long)(%d * NI); "
-              "c_mads += (unsigned long long)NI;",
-              2 * w));
-    line("}");
-  }
-
-  /// Load + store with a dead intermediate register: one copy loop with
-  /// both bounds checks hoisted (load check first — its failure message
-  /// wins, exactly the VM's execution order).
-  void emit_fused_copy(const Insn& ld, const Insn& st) {
-    const int w = ld.lanes;
-    const bool ld_g = ld.op == Op::LoadG;
-    const bool ld_local = ld.op == Op::LoadL;
-    const bool st_local = st.op == Op::StoreL;
-    line("{");
-    std::string src_base, src_len, ld_fails;
-    if (ld_g) {
-      line(strf("  const double* const gp = arg_f64[%d];", ld.a));
-      line(strf("  const long long en = arg_elems[%d];", ld.a));
-      src_base = "gp";
-      src_len = "en";
-      ld_fails =
-          fail_stmt(cstr(strf("global load out of range: index %%lld + %d "
-                              "lanes, buffer %%lld elements",
-                              w)),
-                    {"(long long)idx", "(long long)en"});
-    } else {
-      const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(ld.a)];
-      src_base = ld_local ? strf("larr + %d", ar.offset)
-                          : strf("parr + t * %lld + %d",
-                                 static_cast<long long>(p_.parr_doubles),
-                                 ar.offset);
-      src_len = strf("%d", ar.len);
-      ld_fails = fail_stmt(
-          cstr(strf("%s array '%%s' load out of range: index %%lld + %d "
-                    "lanes, %%zu elements",
-                    ld_local ? "local" : "private", w)),
-          {cstr(ar.name), "(long long)idx", strf("(std::size_t)%d", ar.len)});
-    }
-    const ArrayRef& sar = p_.arrays[static_cast<std::size_t>(st.a)];
-    const std::string dst_base =
-        st_local ? strf("larr + %d", sar.offset)
-                 : strf("parr + t * %lld + %d",
-                        static_cast<long long>(p_.parr_doubles), sar.offset);
-    const std::string st_fails = fail_stmt(
-        cstr(strf("%s array '%%s' store out of range: index %%lld + %d "
-                  "lanes, %%zu elements",
-                  st_local ? "local" : "private", w)),
-        {cstr(sar.name), "(long long)idx", strf("(std::size_t)%d", sar.len)});
-    emit_addr(ld, "a");
-    emit_addr(st, "b");
-    emit_range_check(ld, src_len, ld_fails, "a");
-    emit_range_check(st, strf("%d", sar.len), st_fails, "b");
-    line("  for (long long t = 0; t < NI; ++t) {");
-    line("    const long long ia = " + addr_expr(ld, "a") + ";");
-    line("    const long long ib = " + addr_expr(st, "b") + ";");
-    line(strf("    const double* const sp_ = (%s) + ia;", src_base.c_str()));
-    line(strf("    double* const dp_ = (%s) + ib;", dst_base.c_str()));
-    if (vectorizable_width(w)) {
-      line(strf("    st%d(dp_, ld%d(sp_));", w, w));
-    } else {
-      for (int l = 0; l < w; ++l)
-        line(strf("    dp_[%d] = sp_[%d];", l, l));
-    }
-    line("  }");
-    if (ld_g)
-      line(strf("  c_gld += (unsigned long long)(%d * NI);", w * 8));
-    if (ld_local)
-      line(strf("  c_lld += (unsigned long long)(%d * NI);",
-                w * ((ld.aux & kCount8) ? 8 : 4)));
-    if (st_local)
-      line(strf("  c_lst += (unsigned long long)(%d * NI);",
-                w * ((st.aux & kCount8) ? 8 : 4)));
-    line("}");
-  }
-
   const Kernel& k_;
   const CompiledKernel& p_;
-  const int simd_;               ///< vector width in doubles
+  const int simd_;  ///< host vector width in doubles (named in the header)
   std::string out_;
+  std::string pad_;  ///< extra indentation of line()
   std::vector<char> is_target_;
-  std::set<std::int32_t> splat_zero_elide_;
-  std::set<int> vwidths_;        ///< vector widths the prologue defines
-  std::set<std::size_t> fused_skip_;          ///< producers folded away
-  std::map<std::size_t, std::size_t> fused_;  ///< consumer -> producer
+  std::map<std::int32_t, int> vfw_;     ///< vf register base -> slab width
+  std::set<std::int32_t> slab_arrays_;  ///< private arrays kept in the slab
+  std::set<Val> slab_read_;  ///< values some code reads from the slabs
+  Run* run_ = nullptr;       ///< the run being translated
 };
 
 }  // namespace

@@ -3,6 +3,8 @@
 // the generated kernels (paper Section IV-B pipeline).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "blas/gemm.hpp"
 #include "blas/hostblas.hpp"
 #include "common/rng.hpp"
@@ -43,6 +45,56 @@ TEST(HostBlas, VariantsAgreeDouble) {
 TEST(HostBlas, VariantsAgreeFloat) {
   for (GemmType t : all_gemm_types())
     check_host_variants<float>(trans_a(t), trans_b(t));
+}
+
+// The blocked and parallel references accumulate every element as
+// c = beta * c, then c += (alpha * a) * b over ascending k: the rounding
+// sequence of this plain loop, so they must match it bit for bit in both
+// storage orders, all four transposes, and ragged sizes that leave partial
+// blocks and uneven thread chunks.
+template <typename T>
+void check_host_order(StorageOrder order) {
+  const index_t M = 67, N = 45, K = 131;
+  const T alpha = T(1.5), beta = T(-0.5);
+  for (GemmType type : all_gemm_types()) {
+    const Transpose ta = trans_a(type), tb = trans_b(type);
+    Rng rng(23);
+    Matrix<T> A(ta == Transpose::No ? M : K, ta == Transpose::No ? K : M,
+                order);
+    Matrix<T> B(tb == Transpose::No ? K : N, tb == Transpose::No ? N : K,
+                order);
+    Matrix<T> C(M, N, order);
+    A.fill_random(rng);
+    B.fill_random(rng);
+    C.fill_random(rng);
+    Matrix<T> want = C;
+    for (index_t m = 0; m < M; ++m) {
+      for (index_t n = 0; n < N; ++n) {
+        T c = beta * want.at(m, n);
+        for (index_t k = 0; k < K; ++k) {
+          const T a = ta == Transpose::No ? A.at(m, k) : A.at(k, m);
+          const T b = tb == Transpose::No ? B.at(k, n) : B.at(n, k);
+          c += (alpha * a) * b;
+        }
+        want.at(m, n) = c;
+      }
+    }
+    Matrix<T> blocked = C, parallel = C;
+    hostblas::gemm_blocked(ta, tb, M, N, K, alpha, A, B, beta, blocked, 16);
+    hostblas::gemm_parallel(ta, tb, M, N, K, alpha, A, B, beta, parallel, 3);
+    const std::size_t bytes = want.size() * sizeof(T);
+    EXPECT_EQ(std::memcmp(want.data(), blocked.data(), bytes), 0)
+        << to_string(type);
+    EXPECT_EQ(std::memcmp(want.data(), parallel.data(), bytes), 0)
+        << to_string(type);
+  }
+}
+
+TEST(HostBlas, BlockedAndParallelMatchPlainLoopBitForBit) {
+  for (StorageOrder order : {StorageOrder::ColMajor, StorageOrder::RowMajor}) {
+    check_host_order<double>(order);
+    check_host_order<float>(order);
+  }
 }
 
 TEST(HostBlas, ShapeChecks) {

@@ -1,6 +1,6 @@
 // Randomized property tests over the code generator: sample random valid
-// parameter sets from the full space (plus the fixed Table II micro shape)
-// and check, for each,
+// parameter sets from the full space (plus two fixed inputs: the Table II
+// micro shape and Tahiti's Table II SGEMM kernel) and check, for each,
 //  (1) the generated kernel matches the host reference on random data,
 //  (2) parse(emit(kernel)) executes bit-identically (text <-> semantics),
 //  (3) the bytecode VM, the native JIT and the tree oracle agree bit for
@@ -14,6 +14,7 @@
 #include "blas/hostblas.hpp"
 #include "clfront/parser.hpp"
 #include "codegen/gemm_generator.hpp"
+#include "codegen/paper_kernels.hpp"
 #include "common/rng.hpp"
 #include "kernelir/emit.hpp"
 #include "kernelir/interp.hpp"
@@ -176,10 +177,15 @@ void check_kernel_properties(const KernelParams& p, std::uint64_t seed) {
 
 TEST(FuzzCodegen, RandomValidParameterSets) {
   const auto& dev = simcl::device_spec(simcl::DeviceId::Tahiti);
-  // One fixed input first: the Table II micro shape, so it always takes
-  // one of the DP native-budget slots.
+  // Two fixed inputs first, so each always takes a native-budget slot of
+  // its precision: the Table II micro shape (DP) and Tahiti's Table II
+  // SGEMM kernel, the one that dominates the gemm_native benchmark (SP).
   ASSERT_FALSE(validate(micro_params(), dev));
   check_kernel_properties<double>(micro_params(), 0x3000u);
+  const KernelParams sgemm =
+      codegen::table2_entry(simcl::DeviceId::Tahiti, Precision::SP).params;
+  ASSERT_FALSE(validate(sgemm, dev));
+  check_kernel_properties<float>(sgemm, 0x4000u);
   Rng rng(0xFACADE);
   int tested = 0, rejected = 0;
   while (tested < 60) {

@@ -132,7 +132,8 @@ TEST_F(NativeTest, EmitterIsDeterministicAndSelfContained) {
   const std::string src2 = emit_native_source(k, *prog, w);
   EXPECT_EQ(src1, src2);
   EXPECT_NE(src1.find("simd w=" + std::to_string(w)), std::string::npos);
-  EXPECT_NE(src1.find("typedef double vd" + std::to_string(w)),
+  // Straight-line code runs item-major: one loop over the work-items.
+  EXPECT_NE(src1.find("for (long long t = 0; t < NI; ++t) {"),
             std::string::npos);
   // The TU must export the versioned entry symbol and include nothing
   // beyond the C standard headers it spells out.
@@ -216,9 +217,9 @@ TEST_F(NativeTest, FailureIsStickyPerKernel) {
   EXPECT_EQ(why2, "native compilation previously failed");
 }
 
-// ---- SIMD emitter: differential over fuzzed shapes -------------------------
+// ---- emitter: differential over fuzzed shapes ------------------------------
 
-/// One randomized launch shape for the SIMD differential: precision,
+/// One randomized launch shape for the emitter differential: precision,
 /// vector width, work-group geometry and loop trip count all vary.
 struct FuzzShape {
   Scalar s = Scalar::F64;
@@ -234,7 +235,7 @@ struct FuzzShape {
   }
 };
 
-/// A kernel touching every SIMD-emitted path: local staging + barrier,
+/// A kernel touching every emitted path: local staging + barrier,
 /// private staging, the fused splat(load_private) * load_global + acc mad
 /// form, a divergent (masked) if, select, and a vector store — all at the
 /// shape's width and precision.
@@ -322,8 +323,8 @@ TEST_F(NativeTest, SimdDifferentialAcrossFuzzedShapes) {
   // Eight fuzzed shapes, alternating precision and cycling the vector
   // width so every (precision, width) pair appears; geometry and trip
   // count are drawn from the seeded stream. Buffers must come back
-  // byte-identical (ULP-exact, including f32 rounding inside the vector
-  // bodies) between bytecode and native, with equal counters.
+  // byte-identical (ULP-exact, including every f32 rounding) between
+  // bytecode and native, with equal counters.
   static const int kWidths[] = {1, 2, 4, 8};
   static const int kLocals[] = {2, 4, 8};
   static const int kTrips[] = {0, 1, 3, 7};

@@ -2,11 +2,13 @@
 // native JIT (native.hpp) against the tree-walking reference interpreter
 // (tree_oracle.hpp): identical buffers and counters for well-formed
 // launches at any thread count, identical error messages (modulo the
-// source-location prefix) for malformed ones, backend resolution
-// precedence, and the process-wide compiled-program cache. The native legs
-// run whenever a host toolchain answers the probe (CI always has one);
-// without a toolchain they are skipped, not failed — that machine's
-// fallback behaviour has its own test in native_test.cpp.
+// source-location prefix) for malformed ones, including kernels whose
+// result depends on lockstep order, which the native JIT's item-major runs
+// must preserve; backend resolution precedence, and the process-wide
+// compiled-program cache. The native legs run whenever a host toolchain
+// answers the probe (CI always has one); without a toolchain they are
+// skipped, not failed — that machine's fallback behaviour has its own test
+// in native_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -433,6 +435,106 @@ TEST(VmErrors, DeadMalformedCodeDoesNotThrow) {
   EXPECT_FALSE(byte.threw) << byte.message;
   EXPECT_EQ(tree.bytes, byte.bytes);
   EXPECT_EQ(tree.counters, byte.counters);
+}
+
+// ---- item-major runs -------------------------------------------------------
+
+// The native JIT executes straight-line code item-major, one loop over the
+// work-items per run. These kernels tell that order apart from lockstep if
+// a run breaks one of its rules; the oracle and both tiers must agree.
+
+// Three items fault inside one straight-line run, each at a different
+// load: item 1 at the first, item 2 at the second, item 0 at the third.
+// Lockstep raises the first faulting instruction, item 1's index 16. An
+// item-major loop that kept the first fault it met would report item 0's
+// index 20; one that kept the last, item 2's index 18.
+TEST(VmRuns, FaultOrderAcrossItemsMatchesLockstep) {
+  for (const Scalar s : {Scalar::F64, Scalar::F32}) {
+    const Type t1 = fp(s, 1);
+    KernelBuilder b(s == Scalar::F64 ? "faults64" : "faults32", s);
+    b.add_arg("out", ArgKind::GlobalPtr, s);
+    b.add_arg("a", ArgKind::GlobalConstPtr, s);
+    const int lx = b.decl_var("lx", i32());
+    const int x = b.decl_var("x", t1);
+    b.append(assign(lx, builtin(BuiltinFn::LocalId, 0)));
+    // Load k reads a[((lx + shift) % 3) * scale] from 16 elements: only
+    // the item with residue 2 faults, at index 2 * scale.
+    const int loads[3][2] = {{1, 8}, {0, 9}, {2, 10}};  // {shift, scale}
+    for (const auto& l : loads) {
+      const ExprPtr idx =
+          bin(BinOp::Mul, bin(BinOp::Mod, b.ref(lx) + l[0], iconst(3)),
+              iconst(l[1]));
+      b.append(assign(x, bin(BinOp::FAdd, b.ref(x), load_global(1, idx, t1))));
+    }
+    b.append(store_global(0, b.ref(lx), b.ref(x)));
+    const std::size_t es = s == Scalar::F64 ? 8 : 4;
+    expect_equivalent(b.build(), {3, 1}, {3, 1},
+                      [es](std::vector<simcl::BufferPtr>* bufs) {
+                        auto out = make_buffer(3 * es);
+                        auto a = make_buffer(16 * es);
+                        bufs->push_back(out);
+                        bufs->push_back(a);
+                        return std::vector<ArgValue>{ArgValue::of(out),
+                                                     ArgValue::of(a)};
+                      });
+  }
+}
+
+// Barrier-free exchanges inside a work-group. Item t stores Lm[t], then
+// loads Lm[(t + 1) % local]: lockstep finishes every store before any
+// load, so each item reads its neighbour's fresh value, where a run
+// mixing the array's store and load would read a stale one. The same
+// exchange through global memory (store out[gid], load out[group base +
+// (lx + 1) % local]) needs the global store to stay out of the loading
+// run. Last, item t stores Lw[t] and then Lw[(t + 1) % local]: lockstep
+// leaves each slot with its neighbour's second store, item-major with a
+// later item's first.
+TEST(VmRuns, BarrierFreeExchangesMatchLockstep) {
+  for (const Scalar s : {Scalar::F64, Scalar::F32}) {
+    const Type t1 = fp(s, 1);
+    KernelBuilder b(s == Scalar::F64 ? "exchange64" : "exchange32", s);
+    b.add_arg("out", ArgKind::GlobalPtr, s);
+    b.add_arg("a", ArgKind::GlobalConstPtr, s);
+    const int lx = b.decl_var("lx", i32());
+    const int gid = b.decl_var("gid", i32());
+    const int nb = b.decl_var("nb", i32());
+    const int x = b.decl_var("x", t1);
+    const int lm = b.decl_array("Lm", s, 4, AddrSpace::Local);
+    const int lw = b.decl_array("Lw", s, 4, AddrSpace::Local);
+    b.append(assign(lx, builtin(BuiltinFn::LocalId, 0)));
+    b.append(assign(gid, builtin(BuiltinFn::GlobalId, 0)));
+    b.append(assign(nb, bin(BinOp::Mod, b.ref(lx) + 1,
+                            builtin(BuiltinFn::LocalSize, 0))));
+    b.append(store_local(lm, b.ref(lx), load_global(1, b.ref(gid), t1)));
+    b.append(assign(x, load_local(lm, b.ref(nb), t1)));
+    b.append(store_global(0, b.ref(gid), b.ref(x)));
+    const ExprPtr neighbour =
+        bin(BinOp::Add, bin(BinOp::Sub, b.ref(gid), b.ref(lx)), b.ref(nb));
+    b.append(assign(x, load_global(0, neighbour, t1)));
+    b.append(store_global(0, b.ref(gid) + 8, b.ref(x)));
+    b.append(store_local(lw, b.ref(lx), load_global(1, b.ref(gid), t1)));
+    b.append(store_local(lw, b.ref(nb), load_global(1, b.ref(gid) + 8, t1)));
+    b.append(barrier());
+    b.append(store_global(0, b.ref(gid) + 16, load_local(lw, b.ref(lx), t1)));
+    const bool f64 = s == Scalar::F64;
+    expect_equivalent(b.build(), {8, 1}, {4, 1},
+                      [f64](std::vector<simcl::BufferPtr>* bufs) {
+                        auto out = make_buffer(24 * (f64 ? 8 : 4));
+                        auto a = make_buffer(16 * (f64 ? 8 : 4));
+                        for (int j = 0; j < 16; ++j) {
+                          if (f64) {
+                            a->as<double>()[j] = 1.5 * j + 1.0;
+                          } else {
+                            a->as<float>()[j] = 1.5f * static_cast<float>(j) +
+                                                1.0f;
+                          }
+                        }
+                        bufs->push_back(out);
+                        bufs->push_back(a);
+                        return std::vector<ArgValue>{ArgValue::of(out),
+                                                     ArgValue::of(a)};
+                      });
+  }
 }
 
 // ---- backend resolution and the compiled cache -----------------------------
