@@ -325,8 +325,8 @@ void write_report_file(const Json& report, const std::string& path,
   out << "wrote " << path << "\n";
 }
 
-/// Runs the concurrent core (virtual mode: deterministic) next to the
-/// serial reference and prints/writes the extended report.
+/// Runs the concurrent core (deterministic) next to the serial reference
+/// and prints/writes the extended report.
 int run_serve_async(serve::GemmServer& server,
                     const serve::WorkloadSpec& spec,
                     const std::vector<serve::GemmRequest>& requests,
@@ -343,8 +343,8 @@ int run_serve_async(serve::GemmServer& server,
   const Json report = serve::build_async_report(
       spec, requests, outcome, serial, server.options(), aopt);
   const Json& s = report.at("scalars");
-  out << strf("async core: virtual mode, %lld requests executed on %zu "
-              "device executors\n",
+  out << strf("async core: %lld requests executed on %zu device "
+              "executors\n",
               static_cast<long long>(outcome.executed),
               server.devices().size());
   out << strf("served: %lld completed, shed %lld (queue full) + %lld "
@@ -618,8 +618,8 @@ int usage(std::ostream& out) {
          "                  requests=1000,seed=42,rate=2000,max_batch=16,\n"
          "                  queue=512,arrival=poisson,devices=Tahiti+Kepler\n"
          "                  --core async runs the concurrent core\n"
-         "                  (deterministic virtual mode: the serial loop,\n"
-         "                  then real GEMMs on per-device executors) with\n"
+         "                  (deterministic: the serial loop, then real\n"
+         "                  GEMMs on per-device executors) with\n"
          "                  per-shape-class p50/p99/p999; --slo-ms X\n"
          "                  replaces every deadline with arrival + X ms;\n"
          "                  --shed-infeasible (--core async only) also\n"

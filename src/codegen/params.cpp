@@ -23,19 +23,15 @@ Algorithm algorithm_from_string(const std::string& s) {
 }
 
 std::string KernelParams::summary() const {
-  std::string stride;
-  if (stride_m) stride += "M";
-  if (stride_n) stride += stride.empty() ? "N" : ",N";
-  if (stride.empty()) stride = "-";
-  std::string shared;
-  if (share_a) shared += "A";
-  if (share_b) shared += shared.empty() ? "B" : ",B";
-  if (shared.empty()) shared = "-";
+  const char* stride =
+      stride_m ? (stride_n ? "M,N" : "M") : (stride_n ? "N" : "-");
+  const char* shared =
+      share_a ? (share_b ? "A,B" : "A") : (share_b ? "B" : "-");
   return strf(
       "%s wg=%d,%d,%d wi=%d,%d,%d dimC=%d,%d dimA=%d,%d dimB=%d,%d vw=%d "
       "stride=%s shared=%s layout=%s,%s %s",
       to_string(prec), Mwg, Nwg, Kwg, Mwi(), Nwi(), Kwi, MdimC, NdimC, MdimA,
-      KdimA(), KdimB(), NdimB, vw, stride.c_str(), shared.c_str(),
+      KdimA(), KdimB(), NdimB, vw, stride, shared,
       gemmtune::to_string(layout_a), gemmtune::to_string(layout_b),
       to_string(algo));
 }

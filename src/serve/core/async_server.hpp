@@ -1,28 +1,14 @@
-// The concurrent serving core: per-device executor threads, background
-// re-tuning, overload shedding, and tail-latency accounting (p50/p99/p999
-// per shape class).
+// The concurrent serving core: per-device executor threads, overload
+// shedding, and tail-latency accounting (p50/p99/p999 per shape class).
 //
-// Two execution modes, selected by AsyncOptions::time_scale:
-//
-//  * Virtual mode (time_scale == 0, the default). GemmServer::run — the
-//    one discrete-event loop of the serving layer — schedules the
-//    workload, then one executor thread per device runs the real GEMM
-//    (and checksums the C buffer) for every completed request small
-//    enough to execute. Execution never feeds back into scheduling, so the
-//    whole outcome is deterministic at any thread count, and it is the
-//    mode CI gates.
-//
-//  * Realtime mode (time_scale > 0). Arrivals are paced in scaled
-//    wall-clock time by an admission thread; per-device executor threads
-//    pull work from a ShardedQueue with one shard per device (the fine-
-//    grained-locking hot path TSAN watches), place it with the loop's
-//    GemmServer::place, occupy their device for the modeled batch time
-//    scaled by time_scale, and an optional re-tuner thread refreshes warm
-//    TunedDatabase entries in the background. Latencies are measured in
-//    virtual (modeled) seconds derived from the wall clock, so they are
-//    comparable with — but not identical to — the virtual mode. With
-//    serial_execution, one thread plays every device back to back: the
-//    serial-core reference the overload stress bench beats.
+// AsyncServer::run is four steps. (1) The infeasibility shed builds an
+// admission mask. (2) GemmServer::run — the one discrete-event loop of the
+// serving layer — schedules the workload. (3) One executor thread per
+// device runs the real GEMM (and checksums the C buffer) for every
+// completed request small enough to execute. (4) The responses are folded
+// into per-class accounting and latency histograms. Execution never feeds
+// back into scheduling, so the whole outcome is deterministic at any
+// thread count.
 //
 // Shedding: queue-full rejection is always on (the bounded queue), and
 // shed_infeasible additionally rejects at admission any request whose
@@ -43,18 +29,8 @@ namespace gemmtune::serve {
 
 /// Configuration of the concurrent core, on top of ServeOptions.
 struct AsyncOptions {
-  /// 0: virtual (deterministic discrete-event) mode. > 0: realtime mode,
-  /// one modeled second occupies a device for `time_scale` wall seconds.
-  double time_scale = 0;
-  /// Realtime only: one executor thread plays all devices sequentially —
-  /// the serial-core reference for the overload comparison.
-  bool serial_execution = false;
   /// Also shed requests whose deadline is infeasible at admission.
   bool shed_infeasible = false;
-  /// Realtime only: run the background re-tuner thread.
-  bool retune = false;
-  /// Wall milliseconds between re-tune rounds.
-  double retune_interval_ms = 50;
   /// Execute the real generated kernel (and checksum C) for requests whose
   /// largest extent is <= this; 0 disables execution. Keep it modest
   /// (e.g. 64): interpreted GEMM costs real host milliseconds.
@@ -72,7 +48,7 @@ struct ClassAccounting {
   std::int64_t shed_queue_full = 0;
   std::int64_t shed_infeasible = 0;
   std::int64_t expired = 0;  ///< admitted but dead by dispatch time
-  LatencyHistogram latency;  ///< completed requests only (virtual seconds)
+  LatencyHistogram latency;  ///< completed requests only (modeled seconds)
 };
 
 /// Everything one concurrent run produced.
@@ -87,8 +63,6 @@ struct AsyncOutcome {
   std::int64_t shed_infeasible = 0;
   std::int64_t expired = 0;
   std::int64_t executed = 0;  ///< requests run through the real kernel
-  std::int64_t retunes = 0;   ///< re-tuner refresh rounds completed
-  double wall_seconds = 0;    ///< realtime mode: host time of the run
 };
 
 /// Deterministic operand checksum: fills op-shaped A and B from
@@ -106,18 +80,12 @@ class AsyncServer {
 
   const AsyncOptions& options() const { return opt_; }
 
-  /// Serves `requests` (sorted by arrival; ids unique). Virtual mode is
-  /// deterministic at any thread count; realtime mode is not (wall
-  /// clock), but every request is answered exactly once.
+  /// Serves `requests` (sorted by arrival; ids unique). Deterministic at
+  /// any thread count.
   AsyncOutcome run(const std::vector<GemmRequest>& requests, int max_batch,
                    int queue_capacity);
 
  private:
-  AsyncOutcome run_virtual(const std::vector<GemmRequest>& requests,
-                           int max_batch, int queue_capacity);
-  AsyncOutcome run_realtime(const std::vector<GemmRequest>& requests,
-                            int max_batch, int queue_capacity);
-
   GemmServer& server_;
   AsyncOptions opt_;
 };

@@ -46,10 +46,9 @@ struct GemmRequest {
 
 /// Batching key: requests of one shape class share a single dispatch.
 /// The definition lives in tuner/shape.hpp so the tuner can key searches
-/// and databases per class; re-exported here (with its to_string and the
-/// shard-picking hash) so serving code keeps naming it serve::ShapeClass.
+/// and databases per class; re-exported here (with its to_string) so
+/// serving code keeps naming it serve::ShapeClass.
 using ShapeClass = tuner::ShapeClass;
-using tuner::shape_class_hash;
 using tuner::to_string;
 
 /// Terminal state of a request.

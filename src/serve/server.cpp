@@ -19,12 +19,50 @@ namespace gemmtune::serve {
 
 using codegen::Precision;
 
+namespace {
+
+/// Where one pending group goes and how much of it.
+struct Placement {
+  std::size_t device = 0;
+  std::size_t limit = 1;  ///< most requests the batch may take (>= 1)
+};
+
+/// The dispatch rule for one pending group of `group_size` requests with
+/// estimate row `row`, given when each device is free (`free_at`, parallel
+/// to the device list; the clock for an idle device) and how many devices
+/// are idle this round. The device minimises free_at + overhead + estimate
+/// over ALL devices, idle or busy: a group whose preferred device is busy
+/// waits for it. The limit shares a large group across the idle devices
+/// (ceil(group_size / idle)) and bounds the batch's serial device time
+/// (floor(kMaxBatchSeconds / estimate), at least 1).
+Placement place(const std::vector<PathEstimate>& row,
+                const std::vector<double>& free_at, std::size_t group_size,
+                std::size_t idle) {
+  Placement p;
+  double best_ect = std::numeric_limits<double>::infinity();
+  for (std::size_t d = 0; d < free_at.size(); ++d) {
+    const double ect = free_at[d] + kDispatchOverheadSeconds + row[d].seconds;
+    if (ect < best_ect) {
+      best_ect = ect;
+      p.device = d;
+    }
+  }
+  const double est = row[p.device].seconds;
+  p.limit = (group_size + idle - 1) / idle;
+  if (est > 0) {
+    const double cap = std::floor(kMaxBatchSeconds / est);
+    if (cap < static_cast<double>(p.limit))
+      p.limit = static_cast<std::size_t>(std::max(cap, 1.0));
+  }
+  return p;
+}
+
+}  // namespace
+
 GemmServer::GemmServer(std::vector<simcl::DeviceId> devices, ServeOptions opt)
     : devices_(std::move(devices)), opt_(std::move(opt)),
       pool_(opt_.threads) {
   check(!devices_.empty(), "GemmServer: need at least one device");
-  check(opt_.dispatch_overhead_seconds >= 0,
-        "GemmServer: dispatch overhead must be >= 0");
   if (!opt_.tune_strategy.empty()) {
     strategy_ = tuner::strategy::parse_strategy_spec(opt_.tune_strategy);
     check(opt_.tune_candidates > 0,
@@ -76,7 +114,7 @@ WarmupInfo GemmServer::warmup() {
           db.put(m.id, m.prec,
                  tuner::profile_kernel(
                      m.id, codegen::table2_entry(m.id, m.prec).params,
-                     opt_.warmup_sweep_n));
+                     kWarmupSweepN));
         }
       });
   info.profiled = missing.size();
@@ -174,31 +212,6 @@ PathEstimate GemmServer::class_estimate(std::size_t d, const ShapeClass& s) {
   return PathEstimate{c.seconds, c.used_direct, c.gflops};
 }
 
-std::vector<PathEstimate> GemmServer::fresh_estimates(
-    std::size_t d, Precision prec, const std::vector<ShapeClass>& shapes) {
-  check(d < devices_.size(), "GemmServer::fresh_estimates: bad device");
-  std::vector<PathEstimate> col(shapes.size());
-  if (strategy_) {
-    for (std::size_t i = 0; i < shapes.size(); ++i)
-      col[i] = class_estimate(d, shapes[i]);
-    return col;
-  }
-  // Classic refresh: re-profile the Table II kernel into a fresh engine
-  // and re-derive the rows, exactly as warmup would.
-  const simcl::DeviceId id = devices_[d];
-  tuner::TunedDatabase fresh;
-  fresh.put(id, prec,
-            tuner::profile_kernel(id, codegen::table2_entry(id, prec).params,
-                                  opt_.warmup_sweep_n));
-  blas::GemmEngine engine(id, std::move(fresh));
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    const ShapeClass& s = shapes[i];
-    const auto prof = engine.estimate(s.type, s.prec, s.Mc, s.Nc, s.Kc);
-    col[i] = PathEstimate{prof.total_seconds, prof.used_direct, prof.gflops};
-  }
-  return col;
-}
-
 double GemmServer::dist_seconds(const GemmRequest& r) {
   const auto key = std::make_tuple(r.type, r.prec, r.M, r.N, r.K);
   const auto it = dist_cache_.find(key);
@@ -218,29 +231,6 @@ double GemmServer::dist_seconds(const GemmRequest& r) {
 bool GemmServer::is_distributed(const GemmRequest& r) const {
   return opt_.dist_threshold_n > 0 &&
          std::max({r.M, r.N, r.K}) >= opt_.dist_threshold_n;
-}
-
-Placement GemmServer::place(const std::vector<PathEstimate>& row,
-                            const std::vector<double>& free_at,
-                            std::size_t group_size, std::size_t idle) const {
-  Placement p;
-  double best_ect = std::numeric_limits<double>::infinity();
-  for (std::size_t d = 0; d < free_at.size(); ++d) {
-    const double ect =
-        free_at[d] + opt_.dispatch_overhead_seconds + row[d].seconds;
-    if (ect < best_ect) {
-      best_ect = ect;
-      p.device = d;
-    }
-  }
-  const double est = row[p.device].seconds;
-  p.limit = (group_size + idle - 1) / idle;
-  if (opt_.max_batch_seconds > 0 && est > 0) {
-    const double cap = std::floor(opt_.max_batch_seconds / est);
-    if (cap < static_cast<double>(p.limit))
-      p.limit = static_cast<std::size_t>(std::max(cap, 1.0));
-  }
-  return p;
 }
 
 ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
@@ -278,9 +268,7 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<std::optional<Running>> running(devices_.size());
   std::vector<double> free_at(devices_.size());
-  // The loop is single-threaded, so one shard: sharding only splits lock
-  // domains, which nothing here contends for.
-  ShardedQueue queue(1, max_batch, queue_capacity);
+  BatchQueue queue(max_batch, queue_capacity);
   const auto queue_depth_gauge = [&] {
     trace::gauge_set("serve.queue_depth", static_cast<double>(queue.depth()));
   };
@@ -380,14 +368,13 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
         if (idle < running.size()) break;
         const GemmRequest r = dist_queue.front();
         dist_queue.pop_front();
-        if (r.deadline_seconds < clock) {
+        if (r.expired_at(clock)) {
           reject(r, RequestStatus::RejectedDeadline, clock);
           continue;
         }
         trace::Span dist_span("serve.dist_batch");
         const double secs = dist_seconds(r);
-        const double finish =
-            clock + opt_.dispatch_overhead_seconds + secs;
+        const double finish = clock + kDispatchOverheadSeconds + secs;
         const std::int64_t batch_id =
             static_cast<std::int64_t>(out.batches.size());
         for (std::size_t d = 0; d < running.size(); ++d) {
@@ -431,7 +418,7 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
         Running run;
         run.batch = std::move(*batch);
         run.start = clock;
-        run.finish = clock + opt_.dispatch_overhead_seconds +
+        run.finish = clock + kDispatchOverheadSeconds +
                      est.seconds *
                          static_cast<double>(run.batch.requests.size());
         run.used_direct = est.used_direct;
@@ -555,9 +542,9 @@ Json build_report(const WorkloadSpec& spec,
   doc["workload"] = std::move(wl);
 
   Json options = Json::object();
-  options["dispatch_overhead_us"] = opt.dispatch_overhead_seconds * 1e6;
-  options["max_batch_ms"] = opt.max_batch_seconds * 1e3;
-  options["warmup_sweep_n"] = opt.warmup_sweep_n;
+  options["dispatch_overhead_us"] = kDispatchOverheadSeconds * 1e6;
+  options["max_batch_ms"] = kMaxBatchSeconds * 1e3;
+  options["warmup_sweep_n"] = kWarmupSweepN;
   options["dist_threshold_n"] = opt.dist_threshold_n;
   options["tune_strategy"] =
       opt.tune_strategy.empty() ? "table2" : opt.tune_strategy;

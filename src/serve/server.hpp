@@ -8,14 +8,13 @@
 //     GemmEngine per device. Cold-start tuning therefore never blocks a
 //     request: no traffic is admitted before warmup returns.
 //  2. run() — a deterministic discrete-event simulation of the service,
-//     and the serving layer's only event loop: the concurrent core's
-//     virtual mode (src/serve/core) runs it too, and its realtime
-//     executors place batches with place(). Per-batch costs come from a
-//     shape-class estimate table that is precomputed in parallel
-//     (PerfModel is a pure function, so thread count cannot change any
-//     value in it); the event loop itself is serial, so the same workload
-//     yields the bit-identical outcome at any --threads /
-//     GEMMTUNE_THREADS setting.
+//     and the serving layer's only event loop: the concurrent core
+//     (src/serve/core) runs it too, then executes the schedule it
+//     produced. Per-batch costs come from a shape-class estimate table
+//     that is precomputed in parallel (PerfModel is a pure function, so
+//     thread count cannot change any value in it); the event loop itself
+//     is serial, so the same workload yields the bit-identical outcome at
+//     any --threads / GEMMTUNE_THREADS setting.
 //
 // Batch cost model: one dispatch pays a fixed enqueue overhead (the
 // OpenCL-era kernel-launch cost) plus the per-request time of the batch's
@@ -38,27 +37,28 @@
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "dist/executor.hpp"
-#include "serve/sharded_queue.hpp"
+#include "serve/batch_queue.hpp"
 #include "serve/workload.hpp"
 #include "tuner/strategy/strategy.hpp"
 
 namespace gemmtune::serve {
 
+/// Per-dispatch enqueue overhead (seconds of simulated device time).
+inline constexpr double kDispatchOverheadSeconds = 25e-6;
+/// Cap on one batch's serial device time: a batch of B requests holds its
+/// device for B * estimate seconds, so B is limited to
+/// kMaxBatchSeconds / estimate. Cheap shapes (where the dispatch overhead
+/// actually matters) batch up to max_batch; an expensive GEMM dispatches
+/// alone, keeping load balancing as fine-grained as the unbatched
+/// baseline.
+inline constexpr double kMaxBatchSeconds = 2e-3;
+/// Stage-2 sweep ceiling for warmup profiling of missing cache entries
+/// (smaller than the tuner's 8192: serving needs the kernel parameters,
+/// not the full paper curve).
+inline constexpr std::int64_t kWarmupSweepN = 2048;
+
 /// Service configuration beyond what the workload spec carries.
 struct ServeOptions {
-  /// Per-dispatch enqueue overhead (seconds of simulated device time).
-  double dispatch_overhead_seconds = 25e-6;
-  /// Cap on one batch's serial device time: a batch of B requests holds
-  /// its device for B * estimate seconds, so B is limited to
-  /// max_batch_seconds / estimate. Cheap shapes (where the dispatch
-  /// overhead actually matters) batch up to max_batch; an expensive GEMM
-  /// dispatches alone, keeping load balancing as fine-grained as the
-  /// unbatched baseline. <= 0 disables the cap.
-  double max_batch_seconds = 2e-3;
-  /// Stage-2 sweep ceiling for warmup profiling of missing cache entries
-  /// (smaller than the tuner's 8192: serving needs the kernel parameters,
-  /// not the full paper curve).
-  std::int64_t warmup_sweep_n = 2048;
   /// Worker threads for warmup and estimate precompute. 0 follows the
   /// process-wide configuration (--threads / GEMMTUNE_THREADS / hardware),
   /// so the service honors the same concurrency controls as the tuner.
@@ -124,18 +124,12 @@ struct ServeOutcome {
 
 /// Modeled cost of serving one request of a shape class on one device:
 /// the PerfModel-backed choice between the pack path and the copy-free
-/// direct path. The event loop and the realtime executors of the
-/// concurrent core (src/serve/core) place batches from the same numbers.
+/// direct path. The event loop places and times batches from these
+/// numbers.
 struct PathEstimate {
   double seconds = 0;       ///< per-request service time
   bool used_direct = false;
   double gflops = 0;
-};
-
-/// Where one pending group goes and how much of it: see GemmServer::place.
-struct Placement {
-  std::size_t device = 0;
-  std::size_t limit = 1;  ///< most requests the batch may take (>= 1)
 };
 
 class GemmServer {
@@ -165,18 +159,6 @@ class GemmServer {
   /// fleet (largest extent >= ServeOptions::dist_threshold_n).
   bool is_distributed(const GemmRequest& r) const;
 
-  /// The dispatch rule for one pending group of `group_size` requests
-  /// with estimate row `row`, given when each device is free (`free_at`,
-  /// parallel to devices(); the clock for an idle device) and how many
-  /// devices are idle this round. The device minimises free_at + overhead
-  /// + estimate over ALL devices, idle or busy: a group whose preferred
-  /// device is busy waits for it. The limit shares a large group across
-  /// the idle devices (ceil(group_size / idle)) and bounds the batch's
-  /// serial device time (floor(max_batch_seconds / estimate), at least 1).
-  Placement place(const std::vector<PathEstimate>& row,
-                  const std::vector<double>& free_at, std::size_t group_size,
-                  std::size_t idle) const;
-
   /// Fills the estimate table for every shape class in `requests` on every
   /// device (parallel; pure, so thread-count invariant).
   void ensure_estimates(const std::vector<GemmRequest>& requests);
@@ -185,8 +167,7 @@ class GemmServer {
   /// throws if ensure_estimates has not covered it.
   const std::vector<PathEstimate>& estimates_for(const ShapeClass& s) const;
 
-  /// The whole estimate table (the async core snapshots it at start and
-  /// lets its re-tuner refresh the snapshot without touching this one).
+  /// The whole estimate table: shape class -> row parallel to devices().
   const std::map<ShapeClass, std::vector<PathEstimate>>& estimates() const {
     return estimates_;
   }
@@ -200,15 +181,6 @@ class GemmServer {
   /// Modeled fleet makespan of one distributed request (memoized; builds
   /// the executor over the warmed engines on first use).
   double dist_seconds(const GemmRequest& r);
-
-  /// Recomputes one device's estimate column for `shapes` from scratch
-  /// (the async core's re-tuner exercises this refresh path). Classic
-  /// mode re-profiles the Table II kernel into a fresh engine; guided
-  /// mode re-derives the rows from the per-class tuned kernels. Either
-  /// way the simulator is deterministic, so the values match the table.
-  std::vector<PathEstimate> fresh_estimates(
-      std::size_t d, codegen::Precision prec,
-      const std::vector<ShapeClass>& shapes);
 
   /// Distinct per-shape-class kernels tuned so far (guided mode only).
   std::size_t class_kernels() const { return class_db_.size(); }

@@ -23,8 +23,13 @@ TunedKernel profile_kernel(simcl::DeviceId id, const KernelParams& params,
 
 std::string TunedDatabase::key(simcl::DeviceId id, Precision prec,
                                const std::optional<ShapeClass>& shape) {
-  std::string k = simcl::to_string(id) + "/" + to_string(prec);
-  if (shape) k += "@" + to_string(*shape);
+  std::string k = simcl::to_string(id);
+  k += '/';
+  k += to_string(prec);
+  if (shape) {
+    k += '@';
+    k += to_string(*shape);
+  }
   return k;
 }
 

@@ -58,24 +58,6 @@ inline std::string to_string(const ShapeClass& c) {
          std::to_string(c.Kc);
 }
 
-/// FNV-1a hash of the class fields; used to pick the admission shard, so
-/// it must depend only on the class (never on arrival order or pointers).
-inline std::uint64_t shape_class_hash(const ShapeClass& c) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<std::uint64_t>(c.prec));
-  mix(static_cast<std::uint64_t>(c.type));
-  mix(static_cast<std::uint64_t>(c.Mc));
-  mix(static_cast<std::uint64_t>(c.Nc));
-  mix(static_cast<std::uint64_t>(c.Kc));
-  return h;
-}
-
 /// Extra model cost of the guarded (non-divisible fringe) direct kernel on
 /// top of DeviceCalib::direct_penalty.
 inline constexpr double kDirectGuardPenalty = 1.08;

@@ -17,6 +17,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/report_version.hpp"
+#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 
 namespace gemmtune::benchdb {
@@ -131,7 +132,8 @@ TEST_F(BenchDbTest, ConcurrentAppendLosesNothing) {
   ThreadPool pool(4);
   pool.parallel_for(kAppends, [&](std::int64_t b, std::int64_t e, int) {
     for (std::int64_t i = b; i < e; ++i)
-      append_db(path_, {make_record("c" + std::to_string(i), i, "fig9",
+      append_db(path_, {make_record(strf("c%lld", static_cast<long long>(i)),
+                                    i, "fig9",
                                     100.0 + static_cast<double>(i))});
   });
 
@@ -321,8 +323,7 @@ std::vector<Record> gate_fixture(int history, double value,
                                  double current) {
   std::vector<Record> recs;
   for (int i = 1; i <= history; ++i)
-    recs.push_back(
-        make_record("h" + std::to_string(i), i, "fig9", value));
+    recs.push_back(make_record(strf("h%d", i), i, "fig9", value));
   recs.push_back(make_record("cur", history + 1, "fig9", current));
   return recs;
 }
@@ -392,7 +393,7 @@ TEST_F(BenchDbTest, GateWindowsLastKAndHandlesShortHistory) {
   // though it beats the all-time median of 40.
   std::vector<Record> recs;
   for (int i = 1; i <= 7; ++i)
-    recs.push_back(make_record("h" + std::to_string(i), i, "fig9",
+    recs.push_back(make_record(strf("h%d", i), i, "fig9",
                                10.0 * static_cast<double>(i)));
   recs.push_back(make_record("cur", 8, "fig9", 40.0));
   GateResult r = gate(recs, opt);

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "serve/sharded_queue.hpp"
+#include "serve/batch_queue.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 
@@ -26,7 +26,7 @@ using serve::RequestStatus;
 using serve::ServeOptions;
 using serve::ServeOutcome;
 using serve::ShapeClass;
-using serve::ShardedQueue;
+using serve::BatchQueue;
 using serve::WorkloadSpec;
 using simcl::DeviceId;
 
@@ -168,10 +168,9 @@ TEST(WorkloadTest, SpecParserNamesUnknownKeys) {
   }
 }
 
-// The event loop's queue: one shard (the sharding itself is covered in
-// servecore_test).
+// The event loop's queue.
 TEST(SchedulerTest, BackpressureAtCapacity) {
-  ShardedQueue sched(1, 16, 4);
+  BatchQueue sched(16, 4);
   int admitted = 0;
   for (int i = 0; i < 30; ++i)
     admitted += sched.admit(small_request(i)) ? 1 : 0;
@@ -181,7 +180,7 @@ TEST(SchedulerTest, BackpressureAtCapacity) {
 }
 
 TEST(SchedulerTest, PriorityThenArrivalOrdersGroups) {
-  ShardedQueue sched(1, 16, 64);
+  BatchQueue sched(16, 64);
   GemmRequest lo = small_request(0, 0.0, 0, /*priority=*/0);
   GemmRequest hi = small_request(1, 0.5, 0, /*priority=*/2);
   hi.prec = Precision::DP;  // different group
@@ -193,10 +192,31 @@ TEST(SchedulerTest, PriorityThenArrivalOrdersGroups) {
   EXPECT_EQ(views[0].head.id, 1) << "high priority first";
   EXPECT_EQ(views[1].head.id, 0);
   EXPECT_TRUE(expired.empty());
+
+  // Ten groups (five extents x two precisions) over three priorities: the
+  // order is priority descending, then arrival, then id.
+  BatchQueue many(8, 64);
+  for (int i = 0; i < 30; ++i) {
+    GemmRequest r = small_request(i, /*arrival=*/i * 1e-6);
+    r.M = r.N = r.K = 16 * (1 + i % 5);
+    r.prec = i % 2 ? Precision::DP : Precision::SP;
+    r.priority = i % 3;
+    ASSERT_TRUE(many.admit(r));
+  }
+  const auto order = many.group_views(1.0, expired);
+  ASSERT_EQ(order.size(), 10u);
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const GemmRequest& a = order[i - 1].head;
+    const GemmRequest& b = order[i].head;
+    EXPECT_TRUE(a.priority > b.priority ||
+                (a.priority == b.priority && a.id < b.id))
+        << "priority desc, then arrival/id asc";
+  }
+  EXPECT_TRUE(expired.empty());
 }
 
 TEST(SchedulerTest, PopSkimsExpiredWithoutBatchingThem) {
-  ShardedQueue sched(1, 16, 64);
+  BatchQueue sched(16, 64);
   ASSERT_TRUE(sched.admit(small_request(0, 0.0, /*deadline=*/0.5)));
   ASSERT_TRUE(sched.admit(small_request(1, 0.0, /*deadline=*/5.0)));
   ASSERT_TRUE(sched.admit(small_request(2, 0.0, /*deadline=*/0.5)));
@@ -211,6 +231,8 @@ TEST(SchedulerTest, PopSkimsExpiredWithoutBatchingThem) {
   EXPECT_EQ(expired[0].id, 0);
   EXPECT_EQ(expired[1].id, 2);
   EXPECT_TRUE(sched.empty());
+  // Popped and expired slots are released back to the bound.
+  EXPECT_EQ(sched.depth(), 0u);
 }
 
 /// Fixture holding one warmed single-device server shared by the
@@ -326,7 +348,7 @@ TEST_F(PlacementTest, GroupWaitsForItsBusyPreferredDevice) {
   // SandyBridge, so it waits instead of moving to the slower device.
   const auto reqs = burst(2, Precision::DP, 1024);
   const auto& row = row_of(reqs);
-  const double o = fleet().options().dispatch_overhead_seconds;
+  const double o = serve::kDispatchOverheadSeconds;
   ASSERT_EQ(fastest(row), 0u);
   ASSERT_LT(2 * (o + row[0].seconds), o + row[1].seconds);
   const ServeOutcome out = fleet().run(reqs, 16, 64);
@@ -349,7 +371,7 @@ TEST_F(PlacementTest, GroupSplitsAcrossIdleDevices) {
   const auto reqs = burst(7, Precision::SP, 64);
   const auto& row = row_of(reqs);
   const std::size_t dev = fastest(row);
-  ASSERT_GE(fleet().options().max_batch_seconds / row[dev].seconds, 4.0)
+  ASSERT_GE(serve::kMaxBatchSeconds / row[dev].seconds, 4.0)
       << "the serial-time cap must not bind here";
   const ServeOutcome out = fleet().run(reqs, 16, 64);
   ASSERT_GE(out.batches.size(), 2u);
@@ -360,11 +382,11 @@ TEST_F(PlacementTest, GroupSplitsAcrossIdleDevices) {
 
 TEST_F(PlacementTest, MaxBatchSecondsCapsTheBatch) {
   // Sixteen 512^3 DGEMMs: the spread limit ceil(16 / 2) = 8 would allow
-  // more than max_batch_seconds does, so each batch holds at most
-  // floor(max_batch_seconds / estimate) requests of its device.
+  // more than kMaxBatchSeconds does, so each batch holds at most
+  // floor(kMaxBatchSeconds / estimate) requests of its device.
   const auto reqs = burst(16, Precision::DP, 512);
   const auto& row = row_of(reqs);
-  const double cap_s = fleet().options().max_batch_seconds;
+  const double cap_s = serve::kMaxBatchSeconds;
   const std::size_t dev = fastest(row);
   const double cap = std::floor(cap_s / row[dev].seconds);
   ASSERT_GE(cap, 1.0);
@@ -384,34 +406,40 @@ TEST(DistRoutingTest, OversizedRequestRunsOnTheWholeFleet) {
   GemmServer server({DeviceId::Tahiti, DeviceId::SandyBridge},
                     ServeOptions{});
   server.warmup();
-  std::vector<GemmRequest> reqs;
-  reqs.push_back(small_request(0, 0.0, /*deadline=*/1e9));
-  GemmRequest big;
-  big.id = 1;
-  big.type = GemmType::NN;
-  big.prec = Precision::SP;
-  big.M = big.N = big.K = 4096;  // at the default dist_threshold_n
-  big.arrival_seconds = 1e-3;
-  big.deadline_seconds = 1e9;
-  reqs.push_back(big);
-  const ServeOutcome out = server.run(reqs, 16, 64);
-  // The small request batches normally on one device.
-  EXPECT_EQ(out.responses[0].status, RequestStatus::Completed);
-  EXPECT_GE(out.responses[0].device_index, 0);
-  // The oversized one completes on the whole fleet (device -1).
-  EXPECT_EQ(out.responses[1].status, RequestStatus::Completed);
-  EXPECT_EQ(out.responses[1].device_index, -1);
-  int dist_batches = 0;
-  for (const auto& b : out.batches)
-    if (b.distributed) {
-      ++dist_batches;
-      EXPECT_EQ(b.device_index, -1);
-      EXPECT_EQ(b.size, 1);
-    }
-  EXPECT_EQ(dist_batches, 1);
-  // Every device was busy for the distributed window.
-  for (const auto& ds : out.device_stats)
-    EXPECT_GT(ds.busy_seconds, 0.0);
+  // A far deadline, and none at all (<= 0): the oversized request is
+  // dispatched after the clock has moved past 0, so a deadline of 0 must
+  // not read as already expired.
+  for (const double deadline : {1e9, 0.0}) {
+    std::vector<GemmRequest> reqs;
+    reqs.push_back(small_request(0, 0.0, /*deadline=*/1e9));
+    GemmRequest big;
+    big.id = 1;
+    big.type = GemmType::NN;
+    big.prec = Precision::SP;
+    big.M = big.N = big.K = 4096;  // at the default dist_threshold_n
+    big.arrival_seconds = 1e-3;
+    big.deadline_seconds = deadline;
+    reqs.push_back(big);
+    const ServeOutcome out = server.run(reqs, 16, 64);
+    // The small request batches normally on one device.
+    EXPECT_EQ(out.responses[0].status, RequestStatus::Completed);
+    EXPECT_GE(out.responses[0].device_index, 0);
+    // The oversized one completes on the whole fleet (device -1).
+    EXPECT_EQ(out.responses[1].status, RequestStatus::Completed)
+        << "deadline " << deadline;
+    EXPECT_EQ(out.responses[1].device_index, -1) << "deadline " << deadline;
+    int dist_batches = 0;
+    for (const auto& b : out.batches)
+      if (b.distributed) {
+        ++dist_batches;
+        EXPECT_EQ(b.device_index, -1);
+        EXPECT_EQ(b.size, 1);
+      }
+    EXPECT_EQ(dist_batches, 1) << "deadline " << deadline;
+    // Every device was busy for the distributed window.
+    for (const auto& ds : out.device_stats)
+      EXPECT_GT(ds.busy_seconds, 0.0) << "deadline " << deadline;
+  }
 }
 
 TEST(DistRoutingTest, ThresholdZeroDisablesTheDistributedPath) {

@@ -1,10 +1,9 @@
-// Concurrent serving core tests: latency histogram invariants, shard-count
-// invariance of the queue, arrival-process modes of the workload
-// generator, and the async core — virtual mode must be the event loop plus
-// execution (identical outcomes, checksums equal to a re-execution on the
-// test thread, bit-identical across thread counts), with the accounting
-// invariant (completed + shed + expired == generated) holding in every
-// mode including realtime.
+// Concurrent serving core tests: latency histogram invariants,
+// arrival-process modes of the workload generator, and the async core — it
+// must be the event loop plus execution (identical outcomes, checksums
+// equal to a re-execution on the test thread, bit-identical across thread
+// counts), with the accounting invariant (completed + shed + expired ==
+// generated) holding under overload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +15,6 @@
 #include "common/histogram.hpp"
 #include "serve/core/async_server.hpp"
 #include "serve/server.hpp"
-#include "serve/sharded_queue.hpp"
 #include "serve/workload.hpp"
 
 namespace gemmtune {
@@ -33,22 +31,8 @@ using serve::RequestStatus;
 using serve::ServeOptions;
 using serve::ServeOutcome;
 using serve::ShapeClass;
-using serve::ShardedQueue;
 using serve::WorkloadSpec;
 using simcl::DeviceId;
-
-GemmRequest small_request(std::int64_t id, double arrival = 0,
-                          double deadline = 0, int priority = 0) {
-  GemmRequest r;
-  r.id = id;
-  r.type = GemmType::NN;
-  r.prec = Precision::SP;
-  r.M = r.N = r.K = 64;
-  r.priority = priority;
-  r.arrival_seconds = arrival;
-  r.deadline_seconds = deadline;
-  return r;
-}
 
 // --- Latency histogram -------------------------------------------------
 
@@ -114,99 +98,11 @@ TEST(HistogramTest, MergeEqualsCombinedRecordAnyOrder) {
 
 // --- Shape class helpers -----------------------------------------------
 
-TEST(ShapeClassTest, ToStringAndHash) {
-  const GemmRequest r = small_request(0);
+TEST(ShapeClassTest, ToString) {
+  GemmRequest r;
+  r.prec = Precision::SP;
+  r.M = r.N = r.K = 64;
   EXPECT_EQ(to_string(ShapeClass::of(r)), "SGEMM.NN.64x64x64");
-  GemmRequest other = small_request(1);
-  other.prec = Precision::DP;
-  EXPECT_EQ(serve::shape_class_hash(ShapeClass::of(r)),
-            serve::shape_class_hash(ShapeClass::of(r)));
-  EXPECT_NE(serve::shape_class_hash(ShapeClass::of(r)),
-            serve::shape_class_hash(ShapeClass::of(other)));
-}
-
-// --- Sharded queue: one shard and several decide alike ------------------
-
-std::vector<GemmRequest> mixed_requests(int n) {
-  std::vector<GemmRequest> reqs;
-  for (int i = 0; i < n; ++i) {
-    GemmRequest r = small_request(i, /*arrival=*/i * 1e-6);
-    r.M = r.N = r.K = 16 * (1 + i % 5);  // five shape classes
-    r.prec = i % 2 ? Precision::DP : Precision::SP;
-    r.priority = i % 3;
-    reqs.push_back(r);
-  }
-  return reqs;
-}
-
-TEST(ShardedQueueTest, AdmissionIsShardCountInvariant) {
-  // The depth bound is global: which requests get shed by backpressure
-  // must not depend on how many lock shards the queue uses.
-  const auto reqs = mixed_requests(40);
-  std::vector<bool> baseline;
-  for (int shards : {1, 3, 8}) {
-    ShardedQueue q(shards, /*max_batch=*/8, /*queue_capacity=*/16);
-    std::vector<bool> admitted;
-    for (const auto& r : reqs) admitted.push_back(q.admit(r));
-    EXPECT_EQ(q.depth(), 16u);
-    EXPECT_EQ(q.peak_depth(), 16u);
-    if (baseline.empty())
-      baseline = admitted;
-    else
-      EXPECT_EQ(admitted, baseline) << "shards=" << shards;
-  }
-}
-
-TEST(ShardedQueueTest, GroupViewsMatchOneShardOrder) {
-  // The event loop runs the queue at one shard; several shards must merge
-  // their groups into exactly its dispatch order.
-  const auto reqs = mixed_requests(30);
-  ShardedQueue one(1, /*max_batch=*/8, /*queue_capacity=*/64);
-  for (const auto& r : reqs) ASSERT_TRUE(one.admit(r));
-  std::vector<GemmRequest> serial_expired, sharded_expired;
-  const auto serial_views = one.group_views(1.0, serial_expired);
-  ASSERT_EQ(serial_views.size(), 10u);  // 5 extents x 2 precisions
-  for (std::size_t i = 1; i < serial_views.size(); ++i) {
-    const GemmRequest& a = serial_views[i - 1].head;
-    const GemmRequest& b = serial_views[i].head;
-    EXPECT_TRUE(a.priority > b.priority ||
-                (a.priority == b.priority && a.id < b.id))
-        << "priority desc, then arrival/id asc";
-  }
-  for (int shards : {4, 7}) {
-    ShardedQueue q(shards, 8, 64);
-    for (const auto& r : reqs) ASSERT_TRUE(q.admit(r));
-    sharded_expired.clear();
-    const auto views = q.group_views(1.0, sharded_expired);
-    ASSERT_EQ(views.size(), serial_views.size()) << "shards=" << shards;
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      EXPECT_EQ(views[i].head.id, serial_views[i].head.id);
-      EXPECT_EQ(views[i].shape, serial_views[i].shape);
-      EXPECT_EQ(views[i].size, serial_views[i].size);
-    }
-    EXPECT_TRUE(sharded_expired.empty());
-  }
-}
-
-TEST(ShardedQueueTest, PopSkimsExpiredAtAnyShardCount) {
-  for (int shards : {1, 4}) {
-    ShardedQueue q(shards, /*max_batch=*/16, /*queue_capacity=*/64);
-    ASSERT_TRUE(q.admit(small_request(0, 0.0, /*deadline=*/0.5)));
-    ASSERT_TRUE(q.admit(small_request(1, 0.0, /*deadline=*/5.0)));
-    ASSERT_TRUE(q.admit(small_request(2, 0.0, /*deadline=*/0.5)));
-    std::vector<GemmRequest> expired;
-    const auto batch = q.pop_from(ShapeClass::of(small_request(0)),
-                                  /*clock=*/1.0, 16, expired);
-    ASSERT_TRUE(batch.has_value()) << "shards=" << shards;
-    ASSERT_EQ(batch->requests.size(), 1u);
-    EXPECT_EQ(batch->requests[0].id, 1);
-    ASSERT_EQ(expired.size(), 2u);
-    EXPECT_EQ(expired[0].id, 0);
-    EXPECT_EQ(expired[1].id, 2);
-    EXPECT_TRUE(q.empty());
-    // Popped and expired slots are released back to the global bound.
-    EXPECT_EQ(q.depth(), 0u);
-  }
 }
 
 // --- Arrival processes -------------------------------------------------
@@ -333,7 +229,7 @@ class ServeCoreSim : public ::testing::Test {
   }
 };
 
-TEST_F(ServeCoreSim, VirtualModeIsTheLoopPlusExecution) {
+TEST_F(ServeCoreSim, RunIsTheLoopPlusExecution) {
   const auto reqs = workload(150, 20000);
   AsyncOptions aopt;
   aopt.execute_max_n = 64;
@@ -458,52 +354,6 @@ TEST_F(ServeCoreSim, AccountingInvariantHoldsUnderOverload) {
   EXPECT_EQ(static_cast<std::uint64_t>(completed), out.latency.count());
 }
 
-TEST_F(ServeCoreSim, RealtimeModeDrainsWithInvariantIntact) {
-  // Realtime outcomes depend on the wall clock, so assert the structural
-  // guarantees rather than exact schedules: every request resolves, the
-  // accounting invariant holds, and latency percentiles are populated.
-  const auto reqs = workload(120, 50000, /*seed=*/21);
-  for (bool serial_exec : {false, true}) {
-    AsyncOptions aopt;
-    aopt.time_scale = 0.05;
-    aopt.serial_execution = serial_exec;
-    AsyncServer async(fleet_server(), aopt);
-    const AsyncOutcome out = async.run(reqs, 8, 64);
-    ASSERT_EQ(out.base.responses.size(), reqs.size());
-    // Every response slot was written (the default request_id is -1).
-    for (std::size_t i = 0; i < reqs.size(); ++i)
-      EXPECT_EQ(out.base.responses[i].request_id, reqs[i].id);
-    std::int64_t completed = 0;
-    for (const auto& resp : out.base.responses)
-      completed += resp.status == RequestStatus::Completed ? 1 : 0;
-    EXPECT_EQ(completed + out.shed_queue_full + out.shed_infeasible +
-                  out.expired,
-              static_cast<std::int64_t>(reqs.size()));
-    EXPECT_EQ(static_cast<std::uint64_t>(completed), out.latency.count());
-    EXPECT_GT(out.wall_seconds, 0.0);
-    if (completed > 0) {
-      EXPECT_GT(out.latency.quantile(0.99), 0.0);
-    }
-  }
-}
-
-TEST_F(ServeCoreSim, RetunerRefreshesWithoutDisturbingAccounting) {
-  const auto reqs = workload(100, 2000, /*seed=*/9);
-  AsyncOptions aopt;
-  aopt.time_scale = 1.0;  // 100 arrivals at 2000 rps -> ~50 ms of wall
-  aopt.retune = true;
-  aopt.retune_interval_ms = 5;
-  AsyncServer async(fleet_server(), aopt);
-  const AsyncOutcome out = async.run(reqs, 8, 64);
-  EXPECT_GE(out.retunes, 1);
-  std::int64_t completed = 0;
-  for (const auto& resp : out.base.responses)
-    completed += resp.status == RequestStatus::Completed ? 1 : 0;
-  EXPECT_EQ(completed + out.shed_queue_full + out.shed_infeasible +
-                out.expired,
-            static_cast<std::int64_t>(reqs.size()));
-}
-
 TEST_F(ServeCoreSim, AsyncReportCarriesShedAndPercentileScalars) {
   WorkloadSpec spec;
   spec.requests = 80;
@@ -518,14 +368,19 @@ TEST_F(ServeCoreSim, AsyncReportCarriesShedAndPercentileScalars) {
   const Json doc = build_async_report(spec, reqs, out, serial,
                                       fleet_server().options(), aopt);
   EXPECT_EQ(doc.at("workload").at("core").as_string(), "async");
-  EXPECT_EQ(doc.at("core").at("mode").as_string(), "virtual");
+  // The core block carries these two options and nothing else.
+  std::vector<std::string> core_keys;
+  for (const auto& [key, value] : doc.at("core").items())
+    core_keys.push_back(key);
+  EXPECT_EQ(core_keys,
+            (std::vector<std::string>{"execute_max_n", "shed_infeasible"}));
   const Json& sc = doc.at("scalars");
   for (const char* key :
        {"hist.p50_ms", "hist.p99_ms", "hist.p999_ms", "shed.queue_full",
         "shed.infeasible", "shed.expired", "speedup.completed_vs_serial",
         "serial.requests.completed"})
     EXPECT_TRUE(sc.contains(key)) << key;
-  // Virtual mode replicates the serial policy exactly.
+  // The async core replicates the serial policy exactly.
   EXPECT_DOUBLE_EQ(sc.at("speedup.completed_vs_serial").as_number(), 1.0);
   // Per-class percentiles are present for at least one class.
   bool any_class = false;

@@ -411,29 +411,6 @@ TEST(ServeGuidedTest, GuidedRunCompletesAndReportsStrategy) {
   EXPECT_GT(completed, 0);
 }
 
-TEST(ServeGuidedTest, FreshEstimatesMatchTheWarmTable) {
-  const auto spec = tiny_spec();
-  const auto requests = serve::generate_workload(spec);
-  serve::ServeOptions opt;
-  opt.tune_strategy = "model_topk,budget=24";
-  opt.tune_candidates = 300;
-  serve::GemmServer server(spec.resolved_devices(), opt);
-  server.warmup();
-  server.ensure_estimates(requests);
-  std::vector<tuner::ShapeClass> dp_shapes;
-  for (const auto& [s, row] : server.estimates())
-    if (s.prec == Precision::DP) dp_shapes.push_back(s);
-  ASSERT_FALSE(dp_shapes.empty());
-  const auto fresh = server.fresh_estimates(0, Precision::DP, dp_shapes);
-  ASSERT_EQ(fresh.size(), dp_shapes.size());
-  for (std::size_t i = 0; i < dp_shapes.size(); ++i) {
-    const auto& row = server.estimates_for(dp_shapes[i]);
-    EXPECT_DOUBLE_EQ(fresh[i].seconds, row[0].seconds);
-    EXPECT_DOUBLE_EQ(fresh[i].gflops, row[0].gflops);
-    EXPECT_EQ(fresh[i].used_direct, row[0].used_direct);
-  }
-}
-
 TEST(ServeGuidedTest, BadStrategySpecFailsAtConstruction) {
   serve::ServeOptions opt;
   opt.tune_strategy = "gradient_descent";

@@ -33,12 +33,11 @@ CI_DB=bench/db/ci.jsonl
 # baselines are tight) plus the micro benches, whose gated scalars are
 # deterministic pass/fail bits, dynamic counters and exact element sums —
 # wall-clock numbers live in the (uncompared) metrics section. serve_core
-# follows the same contract: its virtual-mode checksum check and overload
-# accounting are exact, and the realtime >= 1.5x stress result is gated
-# as a bit with the raw wall-clock numbers in gauges. strategy_quality
-# gates the guided-search acceptance criterion (model_topk and anneal
-# match the exhaustive winner at <= 10% of its measurements) and exits
-# non-zero when a strategy regresses below the exhaustive bar.
+# follows the same contract: its checksum check and overload accounting
+# are exact. strategy_quality gates the guided-search acceptance criterion
+# (model_topk and anneal match the exhaustive winner at <= 10% of its
+# measurements) and exits non-zero when a strategy regresses below the
+# exhaustive bar.
 SMOKE="table3_impl_vs_vendor fig9_tahiti fig10_nvidia smallsize_direct \
 micro_interp micro_layout serve_core strategy_quality"
 
@@ -129,10 +128,9 @@ else
 fi
 
 # Concurrent-serving stress leg: a sustained overload workload through
-# the async core in virtual mode (deterministic at any thread count), so
-# the serve report's throughput, shed counters and p50/p99/p999 tail
-# percentiles ride the same baseline + trajectory gates as the bench
-# reports.
+# the async core (deterministic at any thread count), so the serve
+# report's throughput, shed counters and p50/p99/p999 tail percentiles
+# ride the same baseline + trajectory gates as the bench reports.
 SERVE_WL="requests=500,seed=23,rate=120000,max_batch=8,queue=32"
 SERVE_WL="$SERVE_WL,devices=Tahiti+Kepler+Cayman+SandyBridge"
 "$GEMMTUNE" serve --workload "$SERVE_WL" --core async \

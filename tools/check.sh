@@ -2,7 +2,8 @@
 # CI-style verification: the tier-1 build + full test suite, then a
 # ThreadSanitizer build of the concurrency-sensitive tests (the parallel
 # execution layer, the work-group-parallel interpreter, the native JIT
-# program cache, the trace collector, and the concurrent serving core).
+# program cache, the trace collector, and the serving core's per-device
+# executor threads).
 #
 # Usage: tools/check.sh [--tier1-only|--tsan-only] [jobs]
 #
