@@ -17,7 +17,6 @@
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "kernelir/interp.hpp"
-#include "perfmodel/model.hpp"
 #include "tuner/search.hpp"
 
 namespace {
@@ -76,8 +75,6 @@ int main(int argc, char** argv) {
     tuner::SearchOptions opt;
     opt.enumeration.max_candidates = candidates;
     opt.threads = threads;
-    // Cold per-thread memo on the caller; pool workers are fresh threads.
-    perfmodel::PerfModel::clear_thread_cache();
     tuner::SearchEngine engine(id);
     const double t0 = now_seconds();
     const auto tuned = engine.tune(Precision::DP, opt);

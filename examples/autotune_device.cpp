@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
               "valid (sampled %lld)\n",
               static_cast<long long>(stats.enumeration.raw_combinations),
               static_cast<long long>(stats.enumeration.invalid),
-              static_cast<long long>(stats.enumeration.kept),
+              static_cast<long long>(stats.enumeration.valid),
               static_cast<long long>(stats.stage1_evaluated));
   std::printf("stage 1: %lld kernels measured, %lld failed at run time\n",
               static_cast<long long>(stats.stage1_evaluated),

@@ -42,6 +42,19 @@ Precision parse_precision(const std::string& s) {
   fail("unknown precision '" + s + "' (use DGEMM or SGEMM)");
 }
 
+/// Parses a count argument: a decimal integer >= 1 with no trailing junk.
+/// Errors name the argument and quote the text.
+int parse_count(const std::string& name, const std::string& text) {
+  try {
+    std::size_t used = 0;
+    const int v = std::stoi(text, &used);
+    if (used == text.size() && v >= 1) return v;
+  } catch (const std::exception&) {
+    // Not a number, or out of int range: reported below like junk.
+  }
+  fail(name + " expects an integer >= 1, got '" + text + "'");
+}
+
 GemmType parse_type(const std::string& s) {
   for (GemmType t : all_gemm_types()) {
     if (s == to_string(t)) return t;
@@ -183,7 +196,8 @@ int cmd_tune(const std::vector<std::string>& args, std::ostream& out) {
   const auto id = simcl::device_by_name(pos[0]);
   const Precision prec = parse_precision(pos[1]);
   tuner::SearchOptions opt;
-  if (pos.size() >= 3) opt.enumeration.max_candidates = std::stoi(pos[2]);
+  if (pos.size() >= 3)
+    opt.enumeration.max_candidates = parse_count("tune: budget", pos[2]);
   if (!shape_text.empty()) opt.shape = parse_shape_class(shape_text, prec);
   const tuner::strategy::StrategySpec spec =
       strategy_text.empty()
@@ -467,13 +481,7 @@ bool core_flag(const std::vector<std::string>& args, std::size_t& i,
     return true;
   }
   if (auto v = flag_value(args, i, "--tune-candidates")) {
-    try {
-      std::size_t used = 0;
-      copt.tune_candidates = std::stoi(*v, &used);
-      check(used == v->size() && copt.tune_candidates >= 1, "");
-    } catch (const std::exception&) {
-      fail("--tune-candidates expects an integer >= 1, got '" + *v + "'");
-    }
+    copt.tune_candidates = parse_count("--tune-candidates", *v);
     return true;
   }
   return false;

@@ -1,5 +1,8 @@
 #include "codegen/params.hpp"
 
+#include <charconv>
+#include <iterator>
+
 #include "common/error.hpp"
 #include "common/intmath.hpp"
 #include "common/strings.hpp"
@@ -37,12 +40,26 @@ std::string KernelParams::summary() const {
 }
 
 std::string KernelParams::key() const {
-  return strf("%c.%d.%d.%d.%d.%d.%d.%d.%d.%d.%d%d.%d%d.%s.%s.%s",
-              prec == Precision::SP ? 's' : 'd', Mwg, Nwg, Kwg, MdimC, NdimC,
-              MdimA, NdimB, Kwi, vw, stride_m ? 1 : 0, stride_n ? 1 : 0,
-              share_a ? 1 : 0, share_b ? 1 : 0,
-              gemmtune::to_string(layout_a), gemmtune::to_string(layout_b),
-              to_string(algo));
+  // "%c.%d.%d.%d.%d.%d.%d.%d.%d.%d.%d%d.%d%d.%s.%s.%s", formatted by hand:
+  // the tuner keys every candidate it keeps, and snprintf dominated that.
+  std::string k;
+  k.reserve(64);
+  k += prec == Precision::SP ? 's' : 'd';
+  char digits[16];
+  for (int v : {Mwg, Nwg, Kwg, MdimC, NdimC, MdimA, NdimB, Kwi, vw}) {
+    k += '.';
+    k.append(digits, std::to_chars(digits, std::end(digits), v).ptr);
+  }
+  k += stride_m ? ".1" : ".0";
+  k += stride_n ? '1' : '0';
+  k += share_a ? ".1" : ".0";
+  k += share_b ? '1' : '0';
+  for (const char* name : {gemmtune::to_string(layout_a),
+                           gemmtune::to_string(layout_b), to_string(algo)}) {
+    k += '.';
+    k += name;
+  }
+  return k;
 }
 
 Json KernelParams::to_json() const {
@@ -89,52 +106,48 @@ KernelParams KernelParams::from_json(const Json& j) {
   return p;
 }
 
-std::optional<std::string> validate(const KernelParams& p,
-                                    const simcl::DeviceSpec& dev) {
-  auto reject = [](const std::string& why) {
-    return std::optional<std::string>(why);
-  };
+const char* validate(const KernelParams& p, const simcl::DeviceSpec& dev) {
   if (p.Mwg <= 0 || p.Nwg <= 0 || p.Kwg <= 0 || p.MdimC <= 0 ||
       p.NdimC <= 0 || p.MdimA <= 0 || p.NdimB <= 0 || p.Kwi <= 0)
-    return reject("non-positive parameter");
+    return "non-positive parameter";
   if (p.vw != 1 && p.vw != 2 && p.vw != 4 && p.vw != 8 && p.vw != 16)
-    return reject("vector width not in {1,2,4,8,16}");
+    return "vector width not in {1,2,4,8,16}";
   if (p.wg_size() > dev.max_workgroup_size)
-    return reject("work-group exceeds device limit");
-  if (p.Mwg % p.MdimC != 0) return reject("MdimC does not divide Mwg");
-  if (p.Nwg % p.NdimC != 0) return reject("NdimC does not divide Nwg");
-  if (p.Kwg % p.Kwi != 0) return reject("Kwi does not divide Kwg");
-  if (p.Mwi() % p.vw != 0) return reject("vw does not divide Mwi");
-  if (p.Nwi() % p.vw != 0) return reject("vw does not divide Nwi");
+    return "work-group exceeds device limit";
+  if (p.Mwg % p.MdimC != 0) return "MdimC does not divide Mwg";
+  if (p.Nwg % p.NdimC != 0) return "NdimC does not divide Nwg";
+  if (p.Kwg % p.Kwi != 0) return "Kwi does not divide Kwg";
+  if (p.Mwi() % p.vw != 0) return "vw does not divide Mwi";
+  if (p.Nwi() % p.vw != 0) return "vw does not divide Nwi";
   // The local-fill reshape must tile the A/B blocks exactly (Section III-C:
   // "reshaping the block is possible as long as the shapes completely
   // overlay the corresponding matrix").
   if (p.share_a) {
     if (p.wg_size() % p.MdimA != 0)
-      return reject("MdimA does not divide work-group size");
-    if (p.Mwg % p.MdimA != 0) return reject("MdimA does not divide Mwg");
-    if (p.Kwg % p.KdimA() != 0) return reject("KdimA does not divide Kwg");
+      return "MdimA does not divide work-group size";
+    if (p.Mwg % p.MdimA != 0) return "MdimA does not divide Mwg";
+    if (p.Kwg % p.KdimA() != 0) return "KdimA does not divide Kwg";
   }
   if (p.share_b) {
     if (p.wg_size() % p.NdimB != 0)
-      return reject("NdimB does not divide work-group size");
-    if (p.Nwg % p.NdimB != 0) return reject("NdimB does not divide Nwg");
-    if (p.Kwg % p.KdimB() != 0) return reject("KdimB does not divide Kwg");
+      return "NdimB does not divide work-group size";
+    if (p.Nwg % p.NdimB != 0) return "NdimB does not divide Nwg";
+    if (p.Kwg % p.KdimB() != 0) return "KdimB does not divide Kwg";
   }
   if (p.local_mem_bytes() > static_cast<std::int64_t>(dev.local_mem_bytes()))
-    return reject("local memory exceeds device capacity");
+    return "local memory exceeds device capacity";
   if ((p.algo == Algorithm::PL || p.algo == Algorithm::DB) && !p.share_a &&
       !p.share_b)
-    return reject("PL/DB require local memory for at least one matrix");
+    return "PL/DB require local memory for at least one matrix";
   if (p.algo == Algorithm::DB) {
     // Fig. 6 double-buffers half-tiles of Kwg/2 rows.
-    if (p.Kwg % 2 != 0) return reject("DB requires even Kwg");
+    if (p.Kwg % 2 != 0) return "DB requires even Kwg";
     if ((p.Kwg / 2) % p.Kwi != 0)
-      return reject("DB requires Kwi to divide Kwg/2");
+      return "DB requires Kwi to divide Kwg/2";
     if (p.share_a && (p.Kwg / 2) % p.KdimA() != 0)
-      return reject("DB requires KdimA to divide Kwg/2");
+      return "DB requires KdimA to divide Kwg/2";
     if (p.share_b && (p.Kwg / 2) % p.KdimB() != 0)
-      return reject("DB requires KdimB to divide Kwg/2");
+      return "DB requires KdimB to divide Kwg/2";
   }
   // Hard register-file limit: a work-group whose private data cannot fit in
   // the compute unit's register file will not launch ("failed in
@@ -143,8 +156,8 @@ std::optional<std::string> validate(const KernelParams& p,
       static_cast<double>(p.private_elements()) * element_bytes(p.prec) *
       p.wg_size();
   if (dev.is_gpu() && priv_bytes > dev.register_bytes_per_cu())
-    return reject("register file exceeded");
-  return std::nullopt;
+    return "register file exceeded";
+  return nullptr;
 }
 
 }  // namespace gemmtune::codegen

@@ -6,7 +6,6 @@
 // are not counted", Section III-F).
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "common/json.hpp"
@@ -109,9 +108,9 @@ struct KernelParams {
 };
 
 /// Structural validation of a parameter set against a device.
-/// Returns std::nullopt when the kernel can be generated and launched on
-/// the device, otherwise the reason it is rejected.
-std::optional<std::string> validate(const KernelParams& p,
-                                    const simcl::DeviceSpec& dev);
+/// Returns nullptr when the kernel can be generated and launched on the
+/// device, otherwise the reason it is rejected as a static string. The
+/// tuner validates millions of sets, so a rejection allocates nothing.
+const char* validate(const KernelParams& p, const simcl::DeviceSpec& dev);
 
 }  // namespace gemmtune::codegen

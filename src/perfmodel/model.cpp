@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "codegen/paper_kernels.hpp"
 #include "common/error.hpp"
 #include "common/intmath.hpp"
-#include "common/strings.hpp"
-#include "trace/trace.hpp"
 
 namespace gemmtune::perfmodel {
 
@@ -95,8 +92,8 @@ Estimate PerfModel::estimate_with_anchor(const KernelParams& p,
     e.reason = "PL DGEMM kernels fail to execute on this device";
     return e;
   }
-  if (auto why = codegen::validate(p, dev_)) {
-    e.reason = *why;
+  if (const char* why = codegen::validate(p, dev_)) {
+    e.reason = why;
     return e;
   }
   if (Mp % p.Mwg != 0 || Np % p.Nwg != 0 || Kp % p.Kwg != 0) {
@@ -295,42 +292,11 @@ double PerfModel::alu_anchor(Precision prec) const {
   return anchors_[prec == Precision::DP ? 0 : 1];
 }
 
-namespace {
-
-/// Per-thread memo for kernel_estimate, keyed by (device, params, sizes).
-/// Thread-local, so the tuner's worker threads never contend on it.
-using EstimateCache = std::unordered_map<std::string, Estimate>;
-
-EstimateCache& estimate_cache() {
-  thread_local EstimateCache cache;
-  return cache;
-}
-
-// A full 20k-candidate stage-1 pass inserts one entry per candidate; the
-// cap bounds memory across many tunes while never evicting mid-search.
-constexpr std::size_t kEstimateCacheCap = 1 << 20;
-
-}  // namespace
-
-void PerfModel::clear_thread_cache() { estimate_cache().clear(); }
+void PerfModel::clear_thread_cache() {}
 
 Estimate PerfModel::kernel_estimate(const KernelParams& p, std::int64_t Mp,
                                     std::int64_t Np, std::int64_t Kp) const {
-  EstimateCache& cache = estimate_cache();
-  std::string key = strf("%d|%s|%lld|%lld|%lld", static_cast<int>(id_),
-                         p.key().c_str(), static_cast<long long>(Mp),
-                         static_cast<long long>(Np),
-                         static_cast<long long>(Kp));
-  const auto it = cache.find(key);
-  if (it != cache.end()) {
-    trace::counter_add("perfmodel.cache_hit", 1);
-    return it->second;
-  }
-  trace::counter_add("perfmodel.cache_miss", 1);
-  const Estimate e = estimate_with_anchor(p, Mp, Np, Kp, alu_anchor(p.prec));
-  if (cache.size() >= kEstimateCacheCap) cache.clear();
-  cache.emplace(std::move(key), e);
-  return e;
+  return estimate_with_anchor(p, Mp, Np, Kp, alu_anchor(p.prec));
 }
 
 double PerfModel::kernel_gflops(const KernelParams& p,

@@ -58,9 +58,6 @@ struct Estimate {
 /// Thread safety: the model is immutable after construction (the Table II
 /// anchors are solved eagerly in the constructor), so all const member
 /// functions may be called concurrently from any number of threads.
-/// kernel_estimate memoizes per (device, params, M, N, K) in a per-thread
-/// cache — no locks on the hot path — so repeated stage-1/stage-2
-/// evaluations of the same point are free.
 class PerfModel {
  public:
   explicit PerfModel(simcl::DeviceId id);
@@ -69,14 +66,14 @@ class PerfModel {
   const simcl::DeviceSpec& spec() const { return dev_; }
   const DeviceCalib& calib() const { return cal_; }
 
-  /// Times the A^T*B kernel on a padded (Mp, Np, Kp) problem. Memoized in
-  /// a per-thread cache; the model is a pure function of its inputs, so
-  /// cached and uncached results are identical.
+  /// Times the A^T*B kernel on a padded (Mp, Np, Kp) problem; a pure
+  /// function of its inputs.
   Estimate kernel_estimate(const codegen::KernelParams& p, std::int64_t Mp,
                            std::int64_t Np, std::int64_t Kp) const;
 
-  /// Drops the calling thread's kernel_estimate memo cache (used by
-  /// benchmarks that must time cold evaluations).
+  /// Does nothing: kernel_estimate keeps no cache, so every evaluation is
+  /// cold. Kept for the benchmark in perfbench/, which calls it before
+  /// timing cold evaluations and cannot change with the code it measures.
   static void clear_thread_cache();
 
   /// GFlop/s on a square padded problem (0 when the kernel is infeasible).

@@ -175,17 +175,7 @@ Json metrics_json() {
   for (const auto& [name, g] : gauges) jgauges[name] = g.value;
   doc["gauges"] = std::move(jgauges);
 
-  // Derived rates, computed here so every consumer sees the same formula.
-  Json derived = Json::object();
-  auto rate = [&](const char* hit, const char* miss, const char* out) {
-    const auto h = counters.find(hit), m = counters.find(miss);
-    const double nh = h == counters.end() ? 0 : static_cast<double>(h->second);
-    const double nm = m == counters.end() ? 0 : static_cast<double>(m->second);
-    if (nh + nm > 0) derived[out] = nh / (nh + nm);
-  };
-  rate("perfmodel.cache_hit", "perfmodel.cache_miss",
-       "perfmodel.cache_hit_rate");
-  doc["derived"] = std::move(derived);
+  doc["derived"] = Json::object();
   return doc;
 }
 

@@ -23,7 +23,9 @@
 //     "spans":    { name: {count, total_ns, min_ns, max_ns} },
 //     "counters": { name: integer },
 //     "gauges":   { name: number },
-//     "derived":  { "perfmodel.cache_hit_rate": number, ... } }
+//     "derived":  {} }
+//   "derived" holds no rates at present; it stays so consumers of the
+//   schema find every key.
 //
 // Trace JSON schema: the Chrome trace-event format (load in
 // chrome://tracing or Perfetto): {"traceEvents": [{name, cat, ph:"X",

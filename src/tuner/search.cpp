@@ -60,15 +60,8 @@ std::vector<KernelParams> SearchEngine::candidate_space(
   if (opt.seed_with_table2) {
     candidates.push_back(codegen::table2_entry(id_, prec).params);
   }
-  if (opt.restrict_algo || opt.restrict_local) {
-    std::erase_if(candidates, [&](const KernelParams& p) {
-      if (opt.restrict_algo && p.algo != *opt.restrict_algo) return true;
-      if (opt.restrict_local &&
-          (p.share_a || p.share_b) != *opt.restrict_local)
-        return true;
-      return false;
-    });
-  }
+  std::erase_if(candidates,
+                [&](const KernelParams& p) { return !opt.admits(p); });
   if (stats) *stats = est;
   std::lock_guard<std::mutex> lock(space_mu_);
   space_cache_.emplace(key, std::make_pair(candidates, est));

@@ -51,6 +51,12 @@ struct SearchOptions {
   std::optional<codegen::Algorithm> restrict_algo;
   std::optional<bool> restrict_local;
 
+  /// Whether `p` satisfies restrict_algo and restrict_local.
+  bool admits(const codegen::KernelParams& p) const {
+    if (restrict_algo && p.algo != *restrict_algo) return false;
+    return !restrict_local || (p.share_a || p.share_b) == *restrict_local;
+  }
+
   /// Input-aware search: when set, candidates are scored by the delivered
   /// cost of this shape class (shape_cost: pack overhead + kernel, or the
   /// guarded direct kernel when it wins) at (Mc, Nc, Kc) instead of the

@@ -59,7 +59,7 @@ class AnnealStrategy final : public SearchStrategy {
     for (std::size_t i = 0; i < candidates.size(); ++i)
       space_index.emplace(candidates[i].key(), i);
 
-    const Grid grid(engine, opt);
+    const Grid grid(engine.model().spec(), opt.enumeration.include_row_major);
     const int restarts = std::max(
         1, std::min<int>(spec.restarts, static_cast<int>(budget)));
 
@@ -179,7 +179,15 @@ class AnnealStrategy final : public SearchStrategy {
       return g;
     };
 
-    auto p_cur = grid.decode(cur, prec);
+    // The grid holds no search restrictions; points they exclude are off
+    // the space like any point that fails to decode.
+    const auto decode = [&](const Grid::Coords& c) {
+      auto p = grid.decode(c, prec);
+      if (p && !opt.admits(*p)) p.reset();
+      return p;
+    };
+
+    auto p_cur = decode(cur);
     check(p_cur.has_value(), "anneal: start point failed to decode");
     double g_cur = measure(*p_cur);
 
@@ -212,13 +220,13 @@ class AnnealStrategy final : public SearchStrategy {
         if (v >= size) v = size - 2;
         next[static_cast<std::size_t>(axis)] = v;
         ++out.proposals;
-        p_next = grid.decode(next, prec);
+        p_next = decode(next);
         if (!p_next) ++out.invalid;
       }
       if (!p_next) {
         next = random_start();
         ++out.proposals;
-        p_next = grid.decode(next, prec);
+        p_next = decode(next);
         if (!p_next) {
           ++out.invalid;
           continue;

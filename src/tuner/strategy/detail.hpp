@@ -1,13 +1,11 @@
 // Shared machinery of the guided strategies: the measured-candidate record
-// with its deterministic ordering, the hand-off to the shared finalist
-// stage, and the parameter grid the stochastic strategy moves on.
+// with its deterministic ordering and the hand-off to the shared finalist
+// stage.
 // Internal to gemmtune_strategy.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,34 +55,5 @@ TunedKernel select_winner(const SearchEngine& engine,
                           const SearchOptions& opt,
                           std::vector<Measured> measured,
                           SearchStats* stats);
-
-/// The 14-axis discretized parameter grid (the enumerator's value lists
-/// plus its selector dimensions). decode() applies the enumerator's
-/// structural rules, the search restrictions and codegen::validate, so
-/// every decodable point is a point the exhaustive walk could visit.
-class Grid {
- public:
-  static constexpr int kAxes = 14;
-  using Coords = std::array<int, kAxes>;
-
-  Grid(const SearchEngine& engine, const SearchOptions& opt);
-
-  int axis_size(int axis) const { return sizes_[static_cast<std::size_t>(axis)]; }
-
-  /// Grid point -> kernel params; nullopt when structurally invalid,
-  /// restricted away, or rejected by validate().
-  std::optional<codegen::KernelParams> decode(const Coords& c,
-                                              codegen::Precision prec) const;
-
-  /// Kernel params -> grid point; nullopt when a value is off-axis.
-  std::optional<Coords> encode(const codegen::KernelParams& p) const;
-
- private:
-  GridAxes axes_;
-  std::array<int, kAxes> sizes_{};
-  simcl::DeviceSpec dev_;
-  std::optional<codegen::Algorithm> restrict_algo_;
-  std::optional<bool> restrict_local_;
-};
 
 }  // namespace gemmtune::tuner::strategy::detail

@@ -48,7 +48,7 @@ class ModelTopKStrategy final : public SearchStrategy {
             const auto& p = candidates[static_cast<std::size_t>(i)];
             const double g = engine.measure_candidate(p, opt);
             if (g <= 0) continue;
-            out.push_back({p, g, static_cast<std::size_t>(i), p.key()});
+            out.push_back({p, g, static_cast<std::size_t>(i), {}});
           }
         });
     std::vector<Measured> ranked;
@@ -65,6 +65,9 @@ class ModelTopKStrategy final : public SearchStrategy {
                       ranked.begin() + static_cast<std::ptrdiff_t>(k),
                       ranked.end(), better);
     ranked.resize(k);
+    // Indices are unique, so `better` never compared keys; only the kept
+    // sliver needs them (select_winner dedupes by key).
+    for (Measured& m : ranked) m.key = m.params.key();
     st.measured = static_cast<std::int64_t>(k);
     st.search.stage1_evaluated = static_cast<std::int64_t>(k);
 

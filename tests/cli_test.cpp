@@ -102,6 +102,18 @@ TEST(Cli, TuneSmallBudget) {
   EXPECT_NE(out.find("paper Table II"), std::string::npos);
 }
 
+TEST(Cli, TuneRejectsABadBudgetNamingIt) {
+  for (const char* bad : {"-3", "0", "12x", "abc"}) {
+    auto [rc, out] = run_cli({"tune", "Tahiti", "DGEMM", bad});
+    EXPECT_EQ(rc, 1) << "budget " << bad;
+    EXPECT_NE(out.find(std::string("tune: budget expects an integer >= 1, "
+                                   "got '") +
+                       bad + "'"),
+              std::string::npos)
+        << out;
+  }
+}
+
 TEST(Cli, VerifyPassesAndBoundsSizes) {
   auto [rc, out] = run_cli({"verify", "Tahiti", "DGEMM", "40", "30", "20"});
   EXPECT_EQ(rc, 0);

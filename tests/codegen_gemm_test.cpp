@@ -128,7 +128,7 @@ TEST(CodegenGemm, SingleTileKEqualsKwg) {
       p.NdimB = 8;
     }
     ASSERT_EQ(validate(p, simcl::device_spec(simcl::DeviceId::Tahiti)),
-              std::nullopt)
+              nullptr)
         << codegen::to_string(algo);
     const double err = run_kernel_case<double>(p, 8, 8, 4, 1.0, 1.0, 4);
     EXPECT_LE(err, hostblas::gemm_tolerance<double>(4))
@@ -154,7 +154,7 @@ TEST(CodegenGemm, TableIIRepresentativeTahitiDgemm) {
   p.layout_b = BlockLayout::CBL;
   p.algo = Algorithm::BA;
   ASSERT_EQ(validate(p, simcl::device_spec(simcl::DeviceId::Tahiti)),
-            std::nullopt);
+            nullptr);
   const double err = run_kernel_case<double>(p, 96, 32, 48, 1.0, -1.0, 5);
   EXPECT_LE(err, hostblas::gemm_tolerance<double>(48));
 }
@@ -178,7 +178,7 @@ TEST(CodegenGemm, TableIIRepresentativeFermiDgemmPL) {
   p.layout_b = BlockLayout::RBL;
   p.algo = Algorithm::PL;
   ASSERT_EQ(validate(p, simcl::device_spec(simcl::DeviceId::Fermi)),
-            std::nullopt);
+            nullptr);
   const double err = run_kernel_case<double>(p, 64, 64, 24, 0.5, 2.0, 6);
   EXPECT_LE(err, hostblas::gemm_tolerance<double>(24));
 }
@@ -215,7 +215,7 @@ std::vector<SweepCase> make_sweep() {
                   // Vary the fill reshape when sharing.
                   p.MdimA = p.share_a ? 8 : 4;
                   p.NdimB = p.share_b ? 8 : 4;
-                  if (validate(p, dev) != std::nullopt) continue;
+                  if (validate(p, dev)) continue;
                   cases.push_back({p, p.key()});
                 }
               }

@@ -140,6 +140,26 @@ TEST(ParallelTune, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+// SearchEngine memoizes its candidate space across thread counts, so the
+// tunes above enumerate once; this runs the grid's validity pass itself
+// on several workers.
+TEST(ParallelTune, EnumerationIdenticalAcrossThreadCounts) {
+  tuner::EnumOptions opt;
+  opt.max_candidates = 400;
+  opt.threads = 1;
+  tuner::EnumStats st1;
+  const auto base =
+      tuner::enumerate_candidates(DeviceId::Tahiti, Precision::SP, opt, &st1);
+  opt.threads = 4;
+  tuner::EnumStats st4;
+  const auto got =
+      tuner::enumerate_candidates(DeviceId::Tahiti, Precision::SP, opt, &st4);
+  EXPECT_EQ(got, base);
+  EXPECT_EQ(st4.raw_combinations, st1.raw_combinations);
+  EXPECT_EQ(st4.invalid, st1.invalid);
+  EXPECT_EQ(st4.valid, st1.valid);
+}
+
 TEST(ParallelTune, FallsBackToStage1WhenEverySweepIsEmpty) {
   tuner::SearchEngine engine(DeviceId::Tahiti);
   tuner::SearchOptions opt;
@@ -223,8 +243,7 @@ KernelParams interp_params(Algorithm algo) {
 TEST(ParallelInterp, BuffersAndCountersMatchSerialOnBaAndDb) {
   for (Algorithm algo : {Algorithm::BA, Algorithm::DB}) {
     const KernelParams p = interp_params(algo);
-    ASSERT_EQ(validate(p, simcl::device_spec(DeviceId::Tahiti)),
-              std::nullopt);
+    ASSERT_EQ(validate(p, simcl::device_spec(DeviceId::Tahiti)), nullptr);
     // 4 x 6 = 24 work-groups, so every thread count gets several groups.
     const auto serial = run_generated(p, 32, 48, 12, 1);
     for (int threads : {2, 8}) {

@@ -29,10 +29,10 @@ TEST(PaperKernels, AllTableIIEntriesValidateOnTheirDevice) {
   for (DeviceId id : simcl::all_devices()) {
     for (Precision prec : {Precision::DP, Precision::SP}) {
       const auto entry = codegen::table2_entry(id, prec);
-      const auto why = validate(entry.params, simcl::device_spec(id));
-      EXPECT_EQ(why, std::nullopt)
+      const char* why = validate(entry.params, simcl::device_spec(id));
+      EXPECT_EQ(why, nullptr)
           << simcl::to_string(id) << " " << to_string(prec) << ": "
-          << why.value_or("") << "\n  " << entry.params.summary();
+          << (why ? why : "") << "\n  " << entry.params.summary();
       EXPECT_GT(entry.max_gflops, 0);
     }
   }
@@ -195,7 +195,7 @@ TEST(PerfModel, CaymanPaysForBarriers) {
   auto q = p;
   q.share_b = true;  // sharing both at Kwg=48 would exceed Cayman's 32 KB
   q.NdimB = 8;
-  ASSERT_EQ(validate(q, model.spec()), std::nullopt);
+  ASSERT_EQ(validate(q, model.spec()), nullptr);
   const double with_local = model.kernel_estimate(q, n, n, n).gflops;
   EXPECT_LT(with_local, no_local);
 }

@@ -158,14 +158,6 @@ TEST_F(TraceTest, GaugeLastWriteWins) {
   EXPECT_DOUBLE_EQ(m.at("gauges").at("t.other").as_number(), -4.0);
 }
 
-TEST_F(TraceTest, DerivedCacheHitRate) {
-  trace::counter_add("perfmodel.cache_hit", 3);
-  trace::counter_add("perfmodel.cache_miss", 1);
-  const Json m = trace::metrics_json();
-  EXPECT_DOUBLE_EQ(m.at("derived").at("perfmodel.cache_hit_rate").as_number(),
-                   0.75);
-}
-
 TEST_F(TraceTest, MetricsJsonRoundTripsThroughParser) {
   {
     trace::Span span("t.roundtrip");

@@ -8,6 +8,10 @@
 #include <string>
 
 #include "codegen/paper_kernels.hpp"
+#include "common/error.hpp"
+#include "common/strings.hpp"
+#include "common/thread_pool.hpp"
+#include "enum_oracle.hpp"
 #include "tuner/results_db.hpp"
 #include "tuner/search.hpp"
 
@@ -35,11 +39,11 @@ TEST(Candidates, AllEnumeratedSetsAreValid) {
                                                  Precision::DP, small_enum(),
                                                  &st);
   EXPECT_EQ(cands.size(), 1500u);
-  EXPECT_GT(st.raw_combinations, st.kept);
+  EXPECT_GT(st.raw_combinations, st.valid);
   EXPECT_GT(st.invalid, 0);
   const auto& dev = simcl::device_spec(DeviceId::Tahiti);
   for (const auto& p : cands) {
-    EXPECT_EQ(validate(p, dev), std::nullopt) << p.summary();
+    EXPECT_EQ(validate(p, dev), nullptr) << p.summary();
     EXPECT_EQ(p.prec, Precision::DP);
   }
 }
@@ -51,7 +55,7 @@ TEST(Candidates, SpaceIsTensOfThousands) {
   EnumOptions o;
   o.max_candidates = 10;
   (void)tuner::enumerate_candidates(DeviceId::Tahiti, Precision::SP, o, &st);
-  EXPECT_GT(st.kept, 50000);
+  EXPECT_GT(st.valid, 50000);
 }
 
 TEST(Candidates, DeterministicForSeed) {
@@ -61,6 +65,81 @@ TEST(Candidates, DeterministicForSeed) {
                                              small_enum());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+}
+
+TEST(Candidates, RejectsABudgetBelowOne) {
+  for (int budget : {0, -3}) {
+    EnumOptions o;
+    o.max_candidates = budget;
+    EXPECT_THROW(
+        tuner::enumerate_candidates(DeviceId::Tahiti, Precision::DP, o),
+        Error)
+        << "budget " << budget;
+  }
+}
+
+TEST(Candidates, GridEnumeratorMatchesNestedLoopOracle) {
+  struct Config {
+    DeviceId id;
+    Precision prec;
+    bool row_major;
+  };
+  // Row-major walks are the longest (9 layout pairs instead of 4), so
+  // each lands in a different worker's chunk of the 4-thread pool below.
+  std::vector<Config> configs;
+  const std::vector<DeviceId> devices = simcl::evaluation_devices();
+  std::size_t next = 0;
+  for (DeviceId rm : {DeviceId::Tahiti, DeviceId::SandyBridge}) {
+    for (Precision prec : {Precision::DP, Precision::SP}) {
+      configs.push_back({rm, prec, true});
+      for (int i = 0; i < 3; ++i, ++next)
+        configs.push_back({devices[next / 2],
+                           next % 2 == 0 ? Precision::DP : Precision::SP,
+                           false});
+    }
+  }
+  ASSERT_EQ(next, 2 * devices.size());
+  std::vector<tuner::OracleSample> samples;
+  for (int budget : {10, 1500, 20000})
+    for (std::uint64_t seed : {1, 7}) samples.push_back({budget, seed});
+
+  std::vector<std::string> failures(configs.size());
+  ThreadPool pool(4);
+  pool.parallel_for(
+      static_cast<std::int64_t>(configs.size()),
+      [&](std::int64_t begin, std::int64_t end, int) {
+        for (std::int64_t i = begin; i < end; ++i) {
+          const Config& c = configs[static_cast<std::size_t>(i)];
+          const tuner::OracleResult want =
+              tuner::oracle_enumerate(c.id, c.prec, c.row_major, samples);
+          std::string& failed = failures[static_cast<std::size_t>(i)];
+          for (std::size_t s = 0; s < samples.size(); ++s) {
+            for (int threads : {1, 4}) {
+              EnumOptions o;
+              o.max_candidates = samples[s].max_candidates;
+              o.seed = samples[s].seed;
+              o.include_row_major = c.row_major;
+              o.threads = threads;
+              EnumStats st;
+              const auto got =
+                  tuner::enumerate_candidates(c.id, c.prec, o, &st);
+              if (got != want.lists[s] ||
+                  st.raw_combinations != want.stats.raw_combinations ||
+                  st.invalid != want.stats.invalid ||
+                  st.valid != want.stats.valid)
+                failed += strf(" [budget %d seed %llu threads %d]",
+                               o.max_candidates,
+                               static_cast<unsigned long long>(o.seed),
+                               threads);
+            }
+          }
+        }
+      });
+  for (std::size_t i = 0; i < configs.size(); ++i)
+    EXPECT_EQ(failures[i], "")
+        << simcl::to_string(configs[i].id) << " "
+        << to_string(configs[i].prec)
+        << (configs[i].row_major ? " row-major" : "");
 }
 
 TEST(Candidates, DeviceConstraintsShapeTheSpace) {
