@@ -24,14 +24,38 @@ GemmEngine::GemmEngine(simcl::DeviceId id, tuner::TunedDatabase db)
     : id_(id), model_(id), db_(std::move(db)) {}
 
 const tuner::TunedKernel& GemmEngine::kernel_for(Precision prec) {
-  if (!db_.find(id_, prec)) {
-    // Seed with the paper's kernel rather than running a full search; a
-    // caller who wants freshly searched kernels passes a tuned database in.
-    db_.put(id_, prec,
-            tuner::profile_kernel(id_,
-                                  codegen::table2_entry(id_, prec).params));
+  // Seed a miss with the paper's kernel rather than running a full search;
+  // a caller who wants freshly searched kernels passes a tuned database in.
+  // The database dedups concurrent misses, so the stored row never changes.
+  return db_.get_or_tune(id_, prec, std::nullopt, [&] {
+    return tuner::profile_kernel(id_,
+                                 codegen::table2_entry(id_, prec).params);
+  });
+}
+
+const ir::PreparedKernel& GemmEngine::kernel_handle(Precision prec,
+                                                    bool direct, Transpose ta,
+                                                    Transpose tb,
+                                                    bool guarded) {
+  const ir::Backend tier = ir::resolve_backend(ir::Backend::Auto);
+  std::size_t slot = (prec == Precision::SP ? 1u : 0u) |
+                     (tier == ir::Backend::Native ? 2u : 0u);
+  if (direct)
+    slot |= 4u | (ta == Transpose::Yes ? 8u : 0u) |
+            (tb == Transpose::Yes ? 16u : 0u) | (guarded ? 32u : 0u);
+  {
+    std::lock_guard<std::mutex> lock(handles_mu_);
+    if (handles_[slot]) return *handles_[slot];
   }
-  return db_.get_or_tune(id_, prec);  // guaranteed hit
+  const KernelParams& p = kernel_for(prec).params;
+  ir::KernelHandle h = ir::prepare(
+      direct ? codegen::generate_direct_gemm_kernel(tuner::direct_variant(p),
+                                                    ta, tb, guarded)
+             : codegen::generate_gemm_kernel(p),
+      tier);
+  std::lock_guard<std::mutex> lock(handles_mu_);
+  if (!handles_[slot]) handles_[slot] = std::move(h);
+  return *handles_[slot];
 }
 
 GemmProfile GemmEngine::profile_for(const KernelParams& p, index_t M,
@@ -93,8 +117,6 @@ GemmProfile GemmEngine::gemm(Transpose ta, Transpose tb, index_t M,
     std::memcpy(dA->data(), A.data(), A.size() * sizeof(T));
     std::memcpy(dB->data(), B.data(), B.size() * sizeof(T));
     std::memcpy(dC->data(), C.data(), C.size() * sizeof(T));
-    ir::Kernel kernel =
-        codegen::generate_direct_gemm_kernel(q, ta, tb, guarded);
     const auto geo = codegen::launch_geometry(q, dext.Mp, dext.Np);
     std::vector<ir::ArgValue> args(11);
     args[codegen::DirectGemmKernelArgs::C] = ir::ArgValue::of(dC);
@@ -108,7 +130,8 @@ GemmProfile GemmEngine::gemm(Transpose ta, Transpose tb, index_t M,
     args[codegen::DirectGemmKernelArgs::ldc] = ir::ArgValue::of_int(C.ld());
     args[codegen::DirectGemmKernelArgs::alpha] = ir::ArgValue::of_float(alpha);
     args[codegen::DirectGemmKernelArgs::beta] = ir::ArgValue::of_float(beta);
-    ir::launch(kernel, geo.global, geo.local, args);
+    ir::launch(kernel_handle(prec, true, ta, tb, guarded), geo.global,
+               geo.local, args);
     std::memcpy(C.data(), dC->data(), C.size() * sizeof(T));
     GemmProfile prof = prof_est;
     if (verify) {
@@ -146,7 +169,6 @@ GemmProfile GemmEngine::gemm(Transpose ta, Transpose tb, index_t M,
 
   {
     trace::Span kernel_span("gemm.kernel");
-    ir::Kernel kernel = codegen::generate_gemm_kernel(p);
     const auto geo = codegen::launch_geometry(p, ext.Mp, ext.Np);
     std::vector<ir::ArgValue> args(8);
     args[GemmKernelArgs::C] = ir::ArgValue::of(dC);
@@ -157,7 +179,9 @@ GemmProfile GemmEngine::gemm(Transpose ta, Transpose tb, index_t M,
     args[GemmKernelArgs::K] = ir::ArgValue::of_int(ext.Kp);
     args[GemmKernelArgs::alpha] = ir::ArgValue::of_float(alpha);
     args[GemmKernelArgs::beta] = ir::ArgValue::of_float(beta);
-    ir::launch(kernel, geo.global, geo.local, args);
+    ir::launch(kernel_handle(prec, false, Transpose::No, Transpose::No,
+                             false),
+               geo.global, geo.local, args);
   }
 
   Matrix<T> Cin;

@@ -12,12 +12,20 @@
 //    costs real host time) and reports the simulated device timing.
 //  * estimate(): timing only, any size — this is what the benchmark
 //    harnesses sweep to regenerate the paper's figures.
+//
+// Like the paper's host code, an engine builds each kernel once and
+// enqueues it many times: gemm() generates and prepares a kernel on its
+// first use and launches the kept ir handle afterwards. Concurrent gemm()
+// and estimate() calls on one engine are safe.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <mutex>
 #include <optional>
 
 #include "codegen/params.hpp"
+#include "kernelir/interp.hpp"
 #include "layout/gemm_type.hpp"
 #include "layout/matrix.hpp"
 #include "perfmodel/model.hpp"
@@ -82,10 +90,25 @@ class GemmEngine {
   GemmProfile profile_for(const codegen::KernelParams& p, index_t M,
                           index_t N, index_t K);
 
+  /// The prepared kernel of the packed path (`direct` false, with ta, tb
+  /// No and guarded false) or of one direct-path variant, for `prec`'s
+  /// tuned params on the current tier. Created on first use outside the
+  /// lock; the first insert wins. The tuned params of a precision never
+  /// change once kernel_for() has returned them, so they are not part of
+  /// the key; the tier is, because the backend override can change
+  /// between calls.
+  const ir::PreparedKernel& kernel_handle(codegen::Precision prec,
+                                          bool direct, Transpose ta,
+                                          Transpose tb, bool guarded);
+
   simcl::DeviceId id_;
   perfmodel::PerfModel model_;
   tuner::TunedDatabase db_;
   bool direct_enabled_ = true;
+  std::mutex handles_mu_;
+  /// Indexed by the key bits of kernel_handle(): precision, tier, path,
+  /// ta, tb, guarded.
+  std::array<ir::KernelHandle, 64> handles_;
 };
 
 }  // namespace gemmtune::blas

@@ -253,7 +253,7 @@ int cmd_estimate(const std::vector<std::string>& args, std::ostream& out) {
   const auto id = simcl::device_by_name(args[0]);
   const Precision prec = parse_precision(args[1]);
   const GemmType type = parse_type(args[2]);
-  const index_t n = std::stoll(args[3]);
+  const index_t n = parse_count("estimate: n", args[3]);
   blas::GemmEngine engine(id);
   const auto prof = engine.estimate(type, prec, n, n, n);
   out << strf("%s %s %s N=%lld: %.1f GFlop/s (%s; copy %.3f ms, kernel "
@@ -272,7 +272,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
   check(args.size() >= 3, "usage: sweep <device> <DGEMM|SGEMM> <maxN>");
   const auto id = simcl::device_by_name(args[0]);
   const Precision prec = parse_precision(args[1]);
-  const std::int64_t max_n = std::stoll(args[2]);
+  const std::int64_t max_n = parse_count("sweep: maxN", args[2]);
   tuner::SearchEngine engine(id);
   const auto p = codegen::table2_entry(id, prec).params;
   TextTable t;
@@ -288,10 +288,10 @@ int cmd_verify(const std::vector<std::string>& args, std::ostream& out) {
         "usage: verify <device> <DGEMM|SGEMM> <M> <N> <K>");
   const auto id = simcl::device_by_name(args[0]);
   const Precision prec = parse_precision(args[1]);
-  const index_t M = std::stoll(args[2]);
-  const index_t N = std::stoll(args[3]);
-  const index_t K = std::stoll(args[4]);
-  check(M > 0 && N > 0 && K > 0 && M <= 512 && N <= 512 && K <= 512,
+  const index_t M = parse_count("verify: M", args[2]);
+  const index_t N = parse_count("verify: N", args[3]);
+  const index_t K = parse_count("verify: K", args[4]);
+  check(M <= 512 && N <= 512 && K <= 512,
         "sizes must be in [1, 512] (functional execution is interpreted)");
   blas::GemmEngine engine(id);
   Rng rng(2026);
@@ -348,7 +348,7 @@ int run_serve_async(serve::GemmServer& server,
                     const std::string& report_path, std::ostream& out) {
   serve::AsyncOptions aopt;
   aopt.shed_infeasible = copt.shed_infeasible;
-  aopt.execute_max_n = 64;  // checksum small requests on the executors
+  aopt.execute_max_n = 64;  // checksum small requests on the host's cores
   const auto serial =
       server.run(requests, spec.max_batch, spec.queue_capacity);
   serve::AsyncServer async(server, aopt);
@@ -357,10 +357,8 @@ int run_serve_async(serve::GemmServer& server,
   const Json report = serve::build_async_report(
       spec, requests, outcome, serial, server.options(), aopt);
   const Json& s = report.at("scalars");
-  out << strf("async core: %lld requests executed on %zu device "
-              "executors\n",
-              static_cast<long long>(outcome.executed),
-              server.devices().size());
+  out << strf("async core: %lld requests executed\n",
+              static_cast<long long>(outcome.executed));
   out << strf("served: %lld completed, shed %lld (queue full) + %lld "
               "(infeasible), %lld expired\n",
               static_cast<long long>(s.at("requests.completed").as_int()),
@@ -627,7 +625,7 @@ int usage(std::ostream& out) {
          "                  queue=512,arrival=poisson,devices=Tahiti+Kepler\n"
          "                  --core async runs the concurrent core\n"
          "                  (deterministic: the serial loop, then real\n"
-         "                  GEMMs on per-device executors) with\n"
+         "                  GEMMs on the host's cores) with\n"
          "                  per-shape-class p50/p99/p999; --slo-ms X\n"
          "                  replaces every deadline with arrival + X ms;\n"
          "                  --shed-infeasible (--core async only) also\n"

@@ -23,8 +23,11 @@
 // Compiled programs are immutable and shared: get_or_compile() keys a
 // process-wide, mutex-protected cache on the kernel's exact canonical
 // serialization (no hash collisions), so the tuner's thousands of repeated
-// launches compile once. Cache traffic is traced as interp.cache_hit /
-// interp.cache_miss counters and an "interp.compile" span.
+// launches compile once. ir::prepare() (interp.hpp) is its caller: each
+// launch of a Kernel prepares once, while a kept KernelHandle skips the
+// serialization and the lookup entirely. Cache traffic is traced as
+// interp.cache_hit / interp.cache_miss counters and an "interp.compile"
+// span; they count preparations, not launches.
 #pragma once
 
 #include <cstdint>
@@ -154,7 +157,8 @@ std::string serialize_kernel(const Kernel& kernel);
 
 /// Thread-safe process-wide compiled-program cache keyed by
 /// serialize_kernel(). Compiles outside the lock on a miss (first insert
-/// wins). Traces interp.cache_hit / interp.cache_miss / interp.compile.
+/// wins). Traces interp.cache_hit / interp.cache_miss / interp.compiles
+/// and the interp.compile span, once per call (one per preparation).
 /// The cache is LRU-bounded: at most GEMMTUNE_PROGRAM_CACHE_MAX entries
 /// (default 256, minimum 1); evictions bump interp.cache_evict. One entry
 /// holds both the bytecode program and, when the native backend has run,

@@ -60,45 +60,46 @@ const char* to_string(Backend b) {
   return "auto";
 }
 
-Counters launch_with_backend(const Kernel& kernel,
-                             std::array<std::int64_t, 2> global,
-                             std::array<std::int64_t, 2> local,
-                             const std::vector<ArgValue>& args, int threads,
-                             Backend backend) {
-  trace::Span launch_span("interp.launch");
-  Backend be = resolve_backend(backend);
-  // Validate once on the calling thread before any fan-out; workers share
-  // the immutable plan and only allocate scratch. The plan is built before
-  // any JIT work so malformed launches throw identically on every backend
-  // without ever invoking the host compiler.
-  const LaunchPlan plan(kernel, global, local, args);
-  const std::int64_t ngroups = plan.ngroups;
-  NativeKernelPtr native;
-  if (be == Backend::Native) {
+LaunchSignature LaunchSignature::of(const Kernel& kernel) {
+  return {kernel.args, {kernel.reqd_local[0], kernel.reqd_local[1]}};
+}
+
+KernelHandle prepare(const Kernel& kernel, Backend backend) {
+  auto h = std::make_shared<PreparedKernel>();
+  h->signature = LaunchSignature::of(kernel);
+  if (resolve_backend(backend) == Backend::Native) {
     std::string why;
-    native = get_or_compile_native(kernel, &why);
-    if (!native) {
-      if (trace::enabled()) trace::counter_add("interp.native_fallback", 1);
+    h->native = get_or_compile_native(kernel, &why);
+    if (!h->native) {
+      h->native_fallback = true;
       warn_native_fallback(why);
-      be = Backend::Bytecode;
     }
   }
-  CompiledKernelPtr prog;
-  if (be == Backend::Bytecode) prog = get_or_compile(kernel);
+  if (!h->native) h->bytecode = get_or_compile(kernel);
+  return h;
+}
 
-  std::optional<ThreadPool> local_pool;
-  if (threads > 0) local_pool.emplace(threads);
-  ThreadPool& pool = local_pool ? *local_pool : ThreadPool::global();
+namespace {
 
+/// The one execution body: runs a validated plan on the handle's tier.
+Counters run(const PreparedKernel& k, const LaunchPlan& plan, int threads) {
+  if (k.native_fallback && trace::enabled())
+    trace::counter_add("interp.native_fallback", 1);
+  const std::int64_t ngroups = plan.ngroups;
+  const auto run_range = [&](std::int64_t begin, std::int64_t end) {
+    if (k.native) return native_run_range(*k.native, plan, begin, end);
+    VmMachine vm(*k.bytecode, plan);
+    return vm.run_range(begin, end);
+  };
+
+  const int nthreads = threads > 0 ? threads : configured_threads();
   Counters total;
-  if (pool.size() == 1 || ngroups < 2) {
-    if (native) {
-      total = native_run_range(*native, plan, 0, ngroups);
-    } else {
-      VmMachine vm(*prog, plan);
-      total = vm.run_range(0, ngroups);
-    }
+  if (nthreads == 1 || ngroups < 2) {
+    total = run_range(0, ngroups);
   } else {
+    std::optional<ThreadPool> local_pool;
+    if (threads > 0) local_pool.emplace(threads);
+    ThreadPool& pool = local_pool ? *local_pool : ThreadPool::global();
     // One execution context per worker: all per-group scratch state
     // (work-item registers, private/local arrays, counters) lives in that
     // worker's execution context, and the counter sums are
@@ -107,20 +108,14 @@ Counters launch_with_backend(const Kernel& kernel,
     std::vector<Counters> partial(static_cast<std::size_t>(pool.size()));
     pool.parallel_for(ngroups,
                       [&](std::int64_t begin, std::int64_t end, int worker) {
-                        Counters c;
-                        if (native) {
-                          c = native_run_range(*native, plan, begin, end);
-                        } else {
-                          VmMachine vm(*prog, plan);
-                          c = vm.run_range(begin, end);
-                        }
-                        partial[static_cast<std::size_t>(worker)] = c;
+                        partial[static_cast<std::size_t>(worker)] =
+                            run_range(begin, end);
                       });
     for (const Counters& c : partial) total = merge(total, c);
   }
   total.work_groups = static_cast<std::uint64_t>(ngroups);
   total.work_items = total.work_groups *
-                     static_cast<std::uint64_t>(local[0] * local[1]);
+                     static_cast<std::uint64_t>(plan.items_per_group);
   if (trace::enabled()) {
     // Surface the launch's dynamic counters; each field is a sum, so the
     // trace totals over any number of launches stay order-independent.
@@ -137,6 +132,31 @@ Counters launch_with_backend(const Kernel& kernel,
     trace::counter_add("interp.work_items", total.work_items);
   }
   return total;
+}
+
+}  // namespace
+
+Counters launch(const PreparedKernel& kernel,
+                std::array<std::int64_t, 2> global,
+                std::array<std::int64_t, 2> local,
+                const std::vector<ArgValue>& args, int threads) {
+  trace::Span launch_span("interp.launch");
+  // Validate once on the calling thread before any fan-out; workers share
+  // the immutable plan and only allocate scratch.
+  const LaunchPlan plan(kernel.signature, global, local, args);
+  return run(kernel, plan, threads);
+}
+
+Counters launch_with_backend(const Kernel& kernel,
+                             std::array<std::int64_t, 2> global,
+                             std::array<std::int64_t, 2> local,
+                             const std::vector<ArgValue>& args, int threads,
+                             Backend backend) {
+  trace::Span launch_span("interp.launch");
+  // The plan is built before any JIT work so malformed launches throw
+  // identically on every backend without ever invoking the host compiler.
+  const LaunchPlan plan(LaunchSignature::of(kernel), global, local, args);
+  return run(*prepare(kernel, backend), plan, threads);
 }
 
 Counters launch(const Kernel& kernel, std::array<std::int64_t, 2> global,

@@ -18,6 +18,14 @@
 // independent (OpenCL barriers are intra-group only), so a launch
 // partitions the group space across a thread pool.
 //
+// The host flow is the paper's: build once, enqueue many times. prepare()
+// resolves a kernel's tier once and returns an immutable, shared handle
+// (the bytecode program or the native object, plus the launch signature);
+// launch() on a handle validates the NDRange and arguments and runs, with
+// no serialization, cache lookup or lock. launch() on a Kernel is the same
+// body behind a prepare() through the process-wide program cache, so there
+// is one execution path.
+//
 // Single-precision kernels round every arithmetic result to float, so both
 // tiers bit-match what an SP device would compute (modulo fma contraction,
 // which mad() permits anyway).
@@ -31,6 +39,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "kernelir/kernel.hpp"
@@ -86,6 +95,52 @@ Backend resolve_backend(Backend requested);
 /// reports record the resolved name in their meta block.
 const char* to_string(Backend b);
 
+/// What a launch is validated against: the kernel's arguments (name, kind,
+/// element type) and its required work-group size (0 = none).
+struct LaunchSignature {
+  std::vector<ArgInfo> args;
+  std::array<std::int64_t, 2> reqd_local{0, 0};
+
+  static LaunchSignature of(const Kernel& kernel);
+};
+
+struct CompiledKernel;  // compile.hpp: a bytecode program
+class NativeKernel;     // native.hpp: a dlopen'd JIT object
+
+/// A kernel compiled once for many launches. Exactly one of `bytecode` and
+/// `native` is set. It keeps no IR body: the signature is all a launch
+/// needs besides the program.
+struct PreparedKernel {
+  LaunchSignature signature;
+  std::shared_ptr<const CompiledKernel> bytecode;  ///< runs on the VM
+  std::shared_ptr<const NativeKernel> native;      ///< runs natively
+  /// Native was requested but unavailable; every launch of this handle
+  /// adds interp.native_fallback, as a launch of the kernel itself would.
+  bool native_fallback = false;
+};
+
+/// Shared, immutable kernel handle (see prepare()).
+using KernelHandle = std::shared_ptr<const PreparedKernel>;
+
+/// Resolves `backend` and compiles `kernel` for that tier through the
+/// process-wide program cache (compile.hpp; native.hpp for Native). A
+/// Native request whose JIT is unavailable falls back to bytecode: the
+/// handle records it and each distinct cause is warned once per process.
+/// The interp.cache_hit / cache_miss / compiles counters count
+/// preparations. Thread-safe.
+KernelHandle prepare(const Kernel& kernel, Backend backend = Backend::Auto);
+
+/// Runs a prepared kernel: validates the launch against its signature
+/// (same checks and messages as launch() on the kernel) and executes on
+/// the handle's tier. Does no serialization, cache lookup or locking, so
+/// concurrent launches of one handle only contend for the thread pool.
+/// Buffers, counters and errors equal launch() of the same kernel;
+/// `threads` means what it means there.
+Counters launch(const PreparedKernel& kernel,
+                std::array<std::int64_t, 2> global,
+                std::array<std::int64_t, 2> local,
+                const std::vector<ArgValue>& args, int threads = 0);
+
 /// Executes `kernel` over `global` work-items in groups of `local`.
 /// `global[d]` must be a positive multiple of `local[d]`; when the kernel
 /// declares a required work-group size it must match `local`. Throws
@@ -108,6 +163,11 @@ const char* to_string(Backend b);
 /// work-items fault inside one statement the backends may report a
 /// different faulting instance, and buffer contents after a throw are
 /// unspecified.
+///
+/// The launch is validated first, so a malformed one throws before any
+/// JIT work; then the kernel is prepare()d (one program-cache lookup,
+/// which serializes the kernel) and run exactly as the handle overload
+/// runs it. Callers that launch one kernel repeatedly keep a handle.
 Counters launch(const Kernel& kernel, std::array<std::int64_t, 2> global,
                 std::array<std::int64_t, 2> local,
                 const std::vector<ArgValue>& args, int threads = 0);

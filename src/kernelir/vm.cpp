@@ -19,24 +19,25 @@
 
 namespace gemmtune::ir {
 
-LaunchPlan::LaunchPlan(const Kernel& k, std::array<std::int64_t, 2> g,
+LaunchPlan::LaunchPlan(const LaunchSignature& sig,
+                       std::array<std::int64_t, 2> g,
                        std::array<std::int64_t, 2> l,
                        const std::vector<ArgValue>& a)
-    : kernel(&k), global(g), local(l), args(&a) {
+    : global(g), local(l), args(&a) {
   check(local[0] > 0 && local[1] > 0, "launch: empty work-group");
   check(global[0] > 0 && global[1] > 0, "launch: empty NDRange");
   check(global[0] % local[0] == 0 && global[1] % local[1] == 0,
         "launch: global size not a multiple of local size");
-  if (k.reqd_local[0] > 0) {
-    check(k.reqd_local[0] == local[0] && k.reqd_local[1] == local[1],
+  if (sig.reqd_local[0] > 0) {
+    check(sig.reqd_local == local,
           "launch: work-group size violates reqd_work_group_size");
   }
-  check(a.size() == k.args.size(), "launch: argument count mismatch");
+  check(a.size() == sig.args.size(), "launch: argument count mismatch");
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const bool is_ptr = k.args[i].kind == ArgKind::GlobalPtr ||
-                        k.args[i].kind == ArgKind::GlobalConstPtr;
-    check(is_ptr == (a[i].buffer != nullptr),
-          "launch: argument " + k.args[i].name + " kind mismatch");
+    const bool is_ptr = sig.args[i].kind == ArgKind::GlobalPtr ||
+                        sig.args[i].kind == ArgKind::GlobalConstPtr;
+    if (is_ptr != (a[i].buffer != nullptr))
+      fail("launch: argument " + sig.args[i].name + " kind mismatch");
   }
   ngx = global[0] / local[0];
   ngroups = ngx * (global[1] / local[1]);
@@ -48,7 +49,7 @@ LaunchPlan::LaunchPlan(const Kernel& k, std::array<std::int64_t, 2> g,
     v.f = a[i].f;
     if (a[i].buffer) {
       simcl::Buffer& buf = *a[i].buffer;
-      if (k.args[i].elem == Scalar::F64) {
+      if (sig.args[i].elem == Scalar::F64) {
         v.f64 = buf.as<double>();
         v.elems = static_cast<std::int64_t>(buf.size()) / 8;
       } else {

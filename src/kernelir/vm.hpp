@@ -40,17 +40,16 @@ struct LaunchPlan {
     double f = 0;             ///< Float argument value
   };
 
-  const Kernel* kernel = nullptr;
   std::array<std::int64_t, 2> global{}, local{};
   const std::vector<ArgValue>* args = nullptr;
   std::int64_t ngx = 0, ngroups = 0, items_per_group = 0;
   std::vector<ArgView> views;
 
-  /// Validates the launch (same checks and messages as the interpreter has
-  /// always thrown) and resolves the layout. Throws gemmtune::Error on a
-  /// malformed launch. The kernel and argument vectors must outlive the
-  /// plan.
-  LaunchPlan(const Kernel& k, std::array<std::int64_t, 2> global,
+  /// Validates the launch against the kernel's signature (same checks and
+  /// messages as the interpreter has always thrown) and resolves the
+  /// layout. Throws gemmtune::Error on a malformed launch. The argument
+  /// vector must outlive the plan; the signature need not.
+  LaunchPlan(const LaunchSignature& sig, std::array<std::int64_t, 2> global,
              std::array<std::int64_t, 2> local,
              const std::vector<ArgValue>& args);
 };

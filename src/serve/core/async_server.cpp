@@ -1,6 +1,7 @@
 #include "serve/core/async_server.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <limits>
 #include <thread>
@@ -122,7 +123,6 @@ AsyncOutcome AsyncServer::run(const std::vector<GemmRequest>& requests,
                               int max_batch, int queue_capacity) {
   trace::Span span("servecore.virtual");
   const std::size_t n = requests.size();
-  const std::size_t nd = server_.devices().size();
 
   // 1. The infeasibility shed as a mask the loop applies at admission,
   //    after its distributed test — so the mask marks exactly the requests
@@ -143,37 +143,46 @@ AsyncOutcome AsyncServer::run(const std::vector<GemmRequest>& requests,
   AsyncOutcome out;
   out.base = server_.run(requests, max_batch, queue_capacity, infeasible);
 
-  // 3. Execute: one thread per device runs its completed requests. The
-  //    schedule is final, so execution cannot change any decision.
+  // 3. Execute: one worker per hardware thread claims the executable
+  //    requests one at a time, in request order, and runs each on the
+  //    engine of the device that served it. The schedule is final, so
+  //    execution cannot change any decision, and each hash depends only
+  //    on (request, engine), so it is the same for any worker count.
   out.result_hash.assign(n, 0);
-  if (opt_.execute_max_n > 0) {
-    std::vector<std::vector<std::size_t>> work(nd);
-    for (std::size_t i = 0; i < n; ++i) {
-      const GemmResponse& resp = out.base.responses[i];
-      if (resp.status == RequestStatus::Completed && resp.device_index >= 0 &&
-          executes(requests[i], opt_.execute_max_n))
-        work[static_cast<std::size_t>(resp.device_index)].push_back(i);
-    }
-    std::vector<std::exception_ptr> failure(nd);
-    std::vector<std::thread> executors;
-    for (std::size_t d = 0; d < nd; ++d) {
-      if (work[d].empty()) continue;
-      out.executed += static_cast<std::int64_t>(work[d].size());
-      executors.emplace_back([&, d] {
-        try {
-          blas::GemmEngine& engine = *server_.engines()[d];
-          for (const std::size_t i : work[d])
-            out.result_hash[i] =
-                execute_checksum(engine, requests[i], opt_.result_seed);
-        } catch (...) {
-          failure[d] = std::current_exception();
-        }
-      });
-    }
-    for (auto& t : executors) t.join();
-    for (const std::exception_ptr& e : failure)
-      if (e) std::rethrow_exception(e);
+  std::vector<std::size_t> slots;
+  for (std::size_t i = 0; i < n; ++i) {
+    const GemmResponse& resp = out.base.responses[i];
+    if (resp.status == RequestStatus::Completed && resp.device_index >= 0 &&
+        executes(requests[i], opt_.execute_max_n))
+      slots.push_back(i);
   }
+  out.executed = static_cast<std::int64_t>(slots.size());
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> failure(slots.size());
+  const auto work = [&] {
+    for (;;) {
+      const std::size_t k = next.fetch_add(1);
+      if (k >= slots.size()) return;
+      const std::size_t i = slots[k];
+      try {
+        blas::GemmEngine& engine = *server_.engines()[static_cast<
+            std::size_t>(out.base.responses[i].device_index)];
+        out.result_hash[i] =
+            execute_checksum(engine, requests[i], opt_.result_seed);
+      } catch (...) {
+        failure[k] = std::current_exception();
+      }
+    }
+  };
+  const std::size_t workers = std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), slots.size());
+  std::vector<std::thread> helpers;
+  for (std::size_t w = 1; w < workers; ++w) helpers.emplace_back(work);
+  work();  // the calling thread is the first worker
+  for (auto& t : helpers) t.join();
+  // The lowest failing request, whatever the worker count.
+  for (const std::exception_ptr& e : failure)
+    if (e) std::rethrow_exception(e);
 
   // 4. Account.
   finalize_accounting(requests, infeasible, out);

@@ -1,14 +1,17 @@
-// The concurrent serving core: per-device executor threads, overload
-// shedding, and tail-latency accounting (p50/p99/p999 per shape class).
+// The concurrent serving core: request-granularity executors on the
+// host's cores, overload shedding, and tail-latency accounting
+// (p50/p99/p999 per shape class).
 //
 // AsyncServer::run is four steps. (1) The infeasibility shed builds an
 // admission mask. (2) GemmServer::run — the one discrete-event loop of the
-// serving layer — schedules the workload. (3) One executor thread per
-// device runs the real GEMM (and checksums the C buffer) for every
-// completed request small enough to execute. (4) The responses are folded
-// into per-class accounting and latency histograms. Execution never feeds
-// back into scheduling, so the whole outcome is deterministic at any
-// thread count.
+// serving layer — schedules the workload. (3) The completed requests small
+// enough to execute are claimed one at a time, in request order, by one
+// worker per hardware thread; each runs the real GEMM on the engine of the
+// device that served it and checksums the C buffer into its own slot.
+// (4) The responses are folded into per-class accounting and latency
+// histograms. Execution never feeds back into scheduling, and a checksum
+// depends only on (request, engine), so the whole outcome is deterministic
+// at any thread and worker count.
 //
 // Shedding: queue-full rejection is always on (the bounded queue), and
 // shed_infeasible additionally rejects at admission any request whose
@@ -81,7 +84,8 @@ class AsyncServer {
   const AsyncOptions& options() const { return opt_; }
 
   /// Serves `requests` (sorted by arrival; ids unique). Deterministic at
-  /// any thread count.
+  /// any thread count. When executed requests throw, rethrows the error of
+  /// the lowest request index.
   AsyncOutcome run(const std::vector<GemmRequest>& requests, int max_batch,
                    int queue_capacity);
 

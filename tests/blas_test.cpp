@@ -3,7 +3,10 @@
 // the generated kernels (paper Section IV-B pipeline).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "blas/gemm.hpp"
 #include "blas/hostblas.hpp"
@@ -227,6 +230,87 @@ TEST(GemmEngine, RectangularProblemsAllDevices) {
     run_engine_type<double>(dev, GemmType::TT, 90, 30, 55, 88);
     run_engine_type<float>(dev, GemmType::NT, 33, 120, 47, 89);
   }
+}
+
+// ---- concurrent calls on one engine -----------------------------------------
+
+/// One gemm() call of the concurrency test; `direct` is the path Tahiti's
+/// tuned kernels take at this size.
+struct EngineCall {
+  Precision prec;
+  GemmType type;
+  index_t M, N, K;
+  bool direct;
+};
+
+/// DP/SP x the four types x one direct-path and one packed-path size.
+std::vector<EngineCall> engine_calls() {
+  std::vector<EngineCall> calls;
+  for (Precision prec : {Precision::DP, Precision::SP})
+    for (GemmType type : all_gemm_types()) {
+      calls.push_back({prec, type, 40, 24, 16, true});
+      calls.push_back({prec, type, 64, 64, 256, false});
+    }
+  return calls;
+}
+
+template <typename T>
+std::vector<std::uint8_t> call_bytes(GemmEngine& engine, const EngineCall& c,
+                                     std::uint64_t seed, bool* direct) {
+  const Transpose ta = trans_a(c.type), tb = trans_b(c.type);
+  const bool at = ta == Transpose::Yes, bt = tb == Transpose::Yes;
+  Rng rng(seed);
+  Matrix<T> A(at ? c.K : c.M, at ? c.M : c.K);
+  Matrix<T> B(bt ? c.N : c.K, bt ? c.K : c.N);
+  Matrix<T> C(c.M, c.N);
+  A.fill_random(rng);
+  B.fill_random(rng);
+  C.fill_random(rng);
+  *direct = engine.gemm(ta, tb, c.M, c.N, c.K, T(1.25), A, B, T(-0.5), C)
+                .used_direct;
+  const auto* p = reinterpret_cast<const std::uint8_t*>(C.data());
+  return std::vector<std::uint8_t>(p, p + C.size() * sizeof(T));
+}
+
+std::vector<std::uint8_t> run_call(GemmEngine& engine, const EngineCall& c,
+                                   std::uint64_t seed, bool* direct) {
+  return c.prec == Precision::DP ? call_bytes<double>(engine, c, seed, direct)
+                                 : call_bytes<float>(engine, c, seed, direct);
+}
+
+TEST(GemmEngine, ConcurrentCallsOnOneEngineMatchSerial) {
+  // Four threads share one engine from its first call, so they race to
+  // create its kernel handles and then launch them concurrently. Every C
+  // must equal the same call run alone on a fresh engine, bit for bit.
+  const std::vector<EngineCall> calls = engine_calls();
+  std::vector<std::vector<std::uint8_t>> want(calls.size());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    GemmEngine fresh(DeviceId::Tahiti);
+    bool direct = false;
+    want[i] = run_call(fresh, calls[i], 500 + i, &direct);
+    EXPECT_EQ(direct, calls[i].direct) << "call " << i;
+  }
+
+  constexpr int kThreads = 4;
+  GemmEngine shared(DeviceId::Tahiti);
+  std::vector<std::vector<std::vector<std::uint8_t>>> got(
+      kThreads, std::vector<std::vector<std::uint8_t>>(calls.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      // Each thread walks the list from a different offset, so different
+      // kernels are in flight at once.
+      for (std::size_t k = 0; k < calls.size(); ++k) {
+        const std::size_t i = (k + 4 * static_cast<std::size_t>(t)) %
+                              calls.size();
+        bool direct = false;
+        got[t][i] = run_call(shared, calls[i], 500 + i, &direct);
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < calls.size(); ++i)
+      EXPECT_EQ(got[t][i], want[i]) << "thread " << t << " call " << i;
 }
 
 }  // namespace

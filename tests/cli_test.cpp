@@ -102,16 +102,33 @@ TEST(Cli, TuneSmallBudget) {
   EXPECT_NE(out.find("paper Table II"), std::string::npos);
 }
 
-TEST(Cli, TuneRejectsABadBudgetNamingIt) {
-  for (const char* bad : {"-3", "0", "12x", "abc"}) {
-    auto [rc, out] = run_cli({"tune", "Tahiti", "DGEMM", bad});
-    EXPECT_EQ(rc, 1) << "budget " << bad;
-    EXPECT_NE(out.find(std::string("tune: budget expects an integer >= 1, "
-                                   "got '") +
-                       bad + "'"),
-              std::string::npos)
-        << out;
-  }
+TEST(Cli, CountArgumentsRejectJunkNamingIt) {
+  // Every count or size argument: `name` is how the error names it, and
+  // the bad value replaces the "@" in `args`.
+  struct Case {
+    const char* name;
+    std::vector<std::string> args;
+  };
+  const std::vector<Case> cases = {
+      {"tune: budget", {"tune", "Tahiti", "DGEMM", "@"}},
+      {"estimate: n", {"estimate", "Tahiti", "DGEMM", "NN", "@"}},
+      {"sweep: maxN", {"sweep", "Tahiti", "DGEMM", "@"}},
+      {"verify: M", {"verify", "Tahiti", "DGEMM", "@", "4", "4"}},
+      {"verify: N", {"verify", "Tahiti", "DGEMM", "4", "@", "4"}},
+      {"verify: K", {"verify", "Tahiti", "DGEMM", "4", "4", "@"}},
+  };
+  for (const Case& c : cases)
+    for (const std::string bad : {"-3", "-1", "0", "12x", "abc"}) {
+      std::vector<std::string> args = c.args;
+      for (std::string& a : args)
+        if (a == "@") a = bad;
+      auto [rc, out] = run_cli(args);
+      EXPECT_EQ(rc, 1) << c.name << " " << bad;
+      EXPECT_NE(out.find(std::string(c.name) +
+                         " expects an integer >= 1, got '" + bad + "'"),
+                std::string::npos)
+          << out;
+    }
 }
 
 TEST(Cli, VerifyPassesAndBoundsSizes) {

@@ -4,7 +4,8 @@
 //  (1) the generated kernel matches the host reference on random data,
 //  (2) parse(emit(kernel)) executes bit-identically (text <-> semantics),
 //  (3) the bytecode VM, the native JIT and the tree oracle agree bit for
-//      bit on buffers and counters,
+//      bit on buffers and counters, launched directly or through a
+//      prepared kernel handle,
 //  (4) KernelParams survives the JSON round trip.
 // Deterministic: everything derives from fixed seeds.
 #include <gtest/gtest.h>
@@ -142,10 +143,24 @@ void check_kernel_properties(const KernelParams& p, std::uint64_t seed) {
     };
   };
 
-  ir::Counters c_byte, c_tree;
+  // The same launch through a handle prepared once for the tier.
+  const auto through = [](ir::Backend backend, const ir::Kernel& k) {
+    return [h = ir::prepare(k, backend)](
+               const ir::Kernel&, std::array<std::int64_t, 2> global,
+               std::array<std::int64_t, 2> local,
+               const std::vector<ir::ArgValue>& args) {
+      return ir::launch(*h, global, local, args, 0);
+    };
+  };
+
+  ir::Counters c_byte, c_tree, c_handle;
   const auto out1 = run(k1, on(ir::Backend::Bytecode), &c_byte);
   const auto out2 = run(k2, on(ir::Backend::Bytecode), nullptr);
   EXPECT_EQ(out1, out2) << "round-trip divergence: " << p.summary();
+  EXPECT_EQ(out1, run(k1, through(ir::Backend::Bytecode, k1), &c_handle))
+      << "bytecode handle divergence: " << p.summary();
+  EXPECT_EQ(c_byte, c_handle)
+      << "bytecode handle counter divergence: " << p.summary();
 
   // Differential check: the tree-walking reference interpreter must
   // produce bit-identical buffers and counters for the same launch.
@@ -167,6 +182,10 @@ void check_kernel_properties(const KernelParams& p, std::uint64_t seed) {
     EXPECT_EQ(out1, out_native) << "native divergence: " << p.summary();
     EXPECT_EQ(c_byte, c_native)
         << "native counter divergence: " << p.summary();
+    EXPECT_EQ(out1, run(k1, through(ir::Backend::Native, k1), &c_handle))
+        << "native handle divergence: " << p.summary();
+    EXPECT_EQ(c_byte, c_handle)
+        << "native handle counter divergence: " << p.summary();
   }
 
   Matrix<T> Cgot(M, N);

@@ -187,6 +187,29 @@ TEST_F(NativeTest, FallsBackToBytecodeWithoutToolchain) {
   EXPECT_GE(trace_counter("interp.native_fallback"), 1u);
 }
 
+TEST_F(NativeTest, HandleFallsBackLikeLaunch) {
+  // A Native handle prepared with no toolchain runs on bytecode, and each
+  // launch of it adds interp.native_fallback once, like a launch of the
+  // kernel itself; preparing it launches nothing.
+  setenv("GEMMTUNE_JIT_CXX", "/nonexistent-compiler", 1);
+  reset_native_probe();
+  trace::reset();
+  trace::set_enabled(true);
+  const KernelHandle h = prepare(salted_kernel(15), Backend::Native);
+  EXPECT_EQ(trace_counter("interp.native_fallback"), 0u);
+  const std::vector<double> want = run_salted(15, Backend::Bytecode);
+  for (std::uint64_t rep = 1; rep <= 3; ++rep) {
+    LaunchSetup s = salted_args(8);
+    launch(*h, {8, 1}, {4, 1}, s.args, 1);
+    const double* p = s.bufs[0]->as<double>();
+    EXPECT_EQ(std::vector<double>(p, p + 8), want);
+    EXPECT_EQ(trace_counter("interp.native_fallback"), rep);
+  }
+  run_salted(15, Backend::Native);
+  EXPECT_EQ(trace_counter("interp.native_fallback"), 4u);
+  EXPECT_EQ(trace_counter("interp.launches"), 5u);
+}
+
 TEST_F(NativeTest, ReadOnlyCacheDirStillRunsNatively) {
   if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
   if (::geteuid() == 0) GTEST_SKIP() << "root ignores directory modes";

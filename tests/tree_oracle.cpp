@@ -26,8 +26,8 @@ class Machine {
  public:
   // The plan carries the validated geometry; the storage counts come from
   // the kernel's symbol table (each symbol's `storage` indexes one class).
-  explicit Machine(const LaunchPlan& plan)
-      : k_(*plan.kernel),
+  Machine(const Kernel& k, const LaunchPlan& plan)
+      : k_(k),
         global_(plan.global),
         local_(plan.local),
         args_(*plan.args),
@@ -471,8 +471,8 @@ class Machine {
 Counters tree_launch(const Kernel& kernel, std::array<std::int64_t, 2> global,
                      std::array<std::int64_t, 2> local,
                      const std::vector<ArgValue>& args) {
-  const LaunchPlan plan(kernel, global, local, args);
-  Machine m(plan);
+  const LaunchPlan plan(LaunchSignature::of(kernel), global, local, args);
+  Machine m(kernel, plan);
   Counters total = m.run_range(0, plan.ngroups);
   total.work_groups = static_cast<std::uint64_t>(plan.ngroups);
   total.work_items = total.work_groups *

@@ -4,7 +4,9 @@
 // launches at any thread count, identical error messages (modulo the
 // source-location prefix) for malformed ones, including kernels whose
 // result depends on lockstep order, which the native JIT's item-major runs
-// must preserve; backend resolution precedence, and the process-wide
+// must preserve; prepared kernel handles against ir::launch (every
+// differential case, repeated launches of one handle, four threads on one
+// handle); backend resolution precedence, and the process-wide
 // compiled-program cache. The native legs run whenever a host toolchain
 // answers the probe (CI always has one); without a toolchain they are
 // skipped, not failed — that machine's fallback behaviour has its own test
@@ -16,6 +18,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -79,6 +82,28 @@ RunResult run_one(const Kernel& k, std::array<std::int64_t, 2> global,
   });
 }
 
+/// run_one() through a handle: prepare() once, then launch the handle.
+RunResult run_handle(const Kernel& k, std::array<std::int64_t, 2> global,
+                     std::array<std::int64_t, 2> local, const ArgFactory& make,
+                     Backend backend, int threads) {
+  return run_with(make, [&](const std::vector<ArgValue>& args) {
+    return launch(*prepare(k, backend), global, local, args, threads);
+  });
+}
+
+/// A handle launch must match the ir::launch of the same kernel exactly:
+/// same outcome, same message, and on success the same buffers and
+/// counters.
+void expect_same(const RunResult& want, const RunResult& got,
+                 const std::string& what) {
+  EXPECT_EQ(want.threw, got.threw) << what;
+  EXPECT_EQ(want.message, got.message) << what;
+  if (!want.threw && !got.threw) {
+    EXPECT_EQ(want.bytes, got.bytes) << what;
+    EXPECT_EQ(want.counters, got.counters) << what;
+  }
+}
+
 RunResult run_tree(const Kernel& k, std::array<std::int64_t, 2> global,
                    std::array<std::int64_t, 2> local, const ArgFactory& make) {
   return run_with(make, [&](const std::vector<ArgValue>& args) {
@@ -88,8 +113,9 @@ RunResult run_tree(const Kernel& k, std::array<std::int64_t, 2> global,
 
 /// Runs tree, bytecode(1 thread), bytecode(4 threads) — plus
 /// native(1) and native(4) when a host toolchain is available — and checks
-/// the differential contract. Buffer contents after a throw are
-/// unspecified, so they are only compared on success.
+/// the differential contract. Each tier also runs through a prepared
+/// handle, which must match its ir::launch exactly. Buffer contents after
+/// a throw are unspecified, so they are only compared on success.
 void expect_equivalent(const Kernel& k, std::array<std::int64_t, 2> global,
                        std::array<std::int64_t, 2> local,
                        const ArgFactory& make) {
@@ -108,6 +134,10 @@ void expect_equivalent(const Kernel& k, std::array<std::int64_t, 2> global,
     EXPECT_EQ(byte1.bytes, byte4.bytes) << k.name;
     EXPECT_EQ(byte1.counters, byte4.counters) << k.name;
   }
+  expect_same(byte1, run_handle(k, global, local, make, Backend::Bytecode, 1),
+              k.name + " (bytecode handle)");
+  expect_same(byte4, run_handle(k, global, local, make, Backend::Bytecode, 4),
+              k.name + " (bytecode handle, 4 threads)");
   if (!native_toolchain_available()) return;
   const RunResult nat1 = run_one(k, global, local, make, Backend::Native, 1);
   const RunResult nat4 = run_one(k, global, local, make, Backend::Native, 4);
@@ -121,6 +151,10 @@ void expect_equivalent(const Kernel& k, std::array<std::int64_t, 2> global,
     EXPECT_EQ(nat1.bytes, nat4.bytes) << k.name << " (native)";
     EXPECT_EQ(nat1.counters, nat4.counters) << k.name << " (native)";
   }
+  expect_same(nat1, run_handle(k, global, local, make, Backend::Native, 1),
+              k.name + " (native handle)");
+  expect_same(nat4, run_handle(k, global, local, make, Backend::Native, 4),
+              k.name + " (native handle, 4 threads)");
 }
 
 // A kernel exercising most of the instruction surface: builtins, local
@@ -180,23 +214,24 @@ Kernel stress_kernel(Scalar s) {
   return b.build();
 }
 
-ArgFactory stress_args(Scalar s, int n_items, int trip) {
+ArgFactory stress_args(Scalar s, int n_items, int trip, double alpha = 1.25,
+                       double salt = 0.0) {
   const std::size_t es = s == Scalar::F64 ? 8 : 4;
   return [=](std::vector<simcl::BufferPtr>* bufs) {
     auto out = make_buffer(static_cast<std::size_t>(2 * n_items) * es);
     auto a = make_buffer(static_cast<std::size_t>(2 * n_items) * es);
     for (int j = 0; j < 2 * n_items; ++j) {
       if (s == Scalar::F64) {
-        a->as<double>()[j] = 0.25 * j - 3.0;
+        a->as<double>()[j] = 0.25 * j - 3.0 + salt;
       } else {
-        a->as<float>()[j] = 0.25f * static_cast<float>(j) - 3.0f;
+        a->as<float>()[j] = static_cast<float>(0.25 * j - 3.0 + salt);
       }
     }
     bufs->push_back(out);
     bufs->push_back(a);
     return std::vector<ArgValue>{ArgValue::of(out), ArgValue::of(a),
                                  ArgValue::of_int(trip),
-                                 ArgValue::of_float(1.25)};
+                                 ArgValue::of_float(alpha)};
   };
 }
 
@@ -221,6 +256,82 @@ TEST(VmDifferential, ManyGroupsThreadInvariance) {
   EXPECT_EQ(r1.counters, r3.counters);
   EXPECT_EQ(r1.bytes, r8.bytes);
   EXPECT_EQ(r1.counters, r8.counters);
+}
+
+// ---- kernel handles --------------------------------------------------------
+
+/// The tiers a handle test covers: bytecode always, native with a toolchain.
+std::vector<Backend> handle_tiers() {
+  std::vector<Backend> tiers{Backend::Bytecode};
+  if (native_toolchain_available()) tiers.push_back(Backend::Native);
+  return tiers;
+}
+
+TEST(VmHandles, RepeatedLaunchesMatchFreshLaunches) {
+  // One handle per tier and precision, launched again and again with new
+  // buffers, scalars and NDRanges (and one malformed NDRange in between):
+  // every launch must equal a fresh ir::launch of the same kernel.
+  struct Shape {
+    std::int64_t items, local;
+    int trip;
+    double alpha, salt;
+  };
+  const Shape shapes[] = {{8, 4, 3, 1.25, 0.0},   {4, 4, 0, -2.0, 0.5},
+                          {64, 4, 5, 0.75, -1.0}, {6, 4, 1, 1.0, 0.0},
+                          {16, 8, 1, 3.5, 2.25},  {8, 2, 7, 1.25, 0.125}};
+  for (const Scalar s : {Scalar::F64, Scalar::F32}) {
+    const Kernel k = stress_kernel(s);
+    for (const Backend be : handle_tiers()) {
+      const KernelHandle h = prepare(k, be);
+      for (const Shape& sh : shapes) {
+        const auto make = stress_args(s, static_cast<int>(sh.items), sh.trip,
+                                      sh.alpha, sh.salt);
+        const RunResult want =
+            run_one(k, {sh.items, 1}, {sh.local, 1}, make, be, 1);
+        const RunResult got =
+            run_with(make, [&](const std::vector<ArgValue>& args) {
+              return launch(*h, {sh.items, 1}, {sh.local, 1}, args, 1);
+            });
+        expect_same(want, got,
+                    k.name + " items=" + std::to_string(sh.items) +
+                        " backend=" + to_string(be));
+      }
+    }
+  }
+}
+
+TEST(VmHandles, ConcurrentLaunchesOfOneHandleMatchSerial) {
+  // Four threads launch one handle on disjoint buffers, with the global
+  // pool, no pool and a private pool in turn; each launch must equal the
+  // same launch run alone.
+  constexpr int kThreads = 4, kPerThread = 6;
+  const Kernel k = stress_kernel(Scalar::F64);
+  for (const Backend be : handle_tiers()) {
+    const KernelHandle h = prepare(k, be);
+    const auto make = [](int j) {
+      return stress_args(Scalar::F64, 64, 1 + j % 5, 0.5 + j, 0.25 * j);
+    };
+    std::vector<RunResult> want(kThreads * kPerThread);
+    for (int j = 0; j < kThreads * kPerThread; ++j) {
+      want[static_cast<std::size_t>(j)] =
+          run_one(k, {64, 1}, {4, 1}, make(j), be, 1);
+      ASSERT_FALSE(want[static_cast<std::size_t>(j)].threw);
+    }
+    std::vector<RunResult> got(want.size());
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        for (int j = t * kPerThread; j < (t + 1) * kPerThread; ++j)
+          got[static_cast<std::size_t>(j)] =
+              run_with(make(j), [&](const std::vector<ArgValue>& args) {
+                return launch(*h, {64, 1}, {4, 1}, args, j % 3);
+              });
+      });
+    for (auto& th : threads) th.join();
+    for (std::size_t j = 0; j < want.size(); ++j)
+      expect_same(want[j], got[j],
+                  "launch " + std::to_string(j) + " backend=" + to_string(be));
+  }
 }
 
 // ---- error-message parity --------------------------------------------------

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# CI-style verification: the tier-1 build + full test suite, then a
+# CI-style verification: the tier-1 build + full test suite, a
 # ThreadSanitizer build of the concurrency-sensitive tests (the parallel
-# execution layer, the work-group-parallel interpreter, the native JIT
-# program cache, the trace collector, and the serving core's per-device
-# executor threads).
+# execution layer, the work-group-parallel interpreter, kernel handles and
+# the native JIT program cache, the trace collector, concurrent GemmEngine
+# calls, and the serving core's request executors), and an
+# AddressSanitizer + UndefinedBehaviorSanitizer build of the whole suite.
 #
-# Usage: tools/check.sh [--tier1-only|--tsan-only] [jobs]
+# Usage: tools/check.sh [--tier1-only|--tsan-only|--asan-only] [jobs]
 #
 # Environment:
 #   CTEST_PARALLEL_LEVEL  test-run parallelism (default: the jobs value)
@@ -15,9 +16,11 @@ cd "$(dirname "$0")/.."
 
 RUN_TIER1=1
 RUN_TSAN=1
+RUN_ASAN=1
 case "${1:-}" in
-  --tier1-only) RUN_TSAN=0; shift ;;
-  --tsan-only)  RUN_TIER1=0; shift ;;
+  --tier1-only) RUN_TSAN=0; RUN_ASAN=0; shift ;;
+  --tsan-only)  RUN_TIER1=0; RUN_ASAN=0; shift ;;
+  --asan-only)  RUN_TIER1=0; RUN_TSAN=0; shift ;;
 esac
 
 # Portable core count: nproc is Linux-only.
@@ -46,15 +49,24 @@ if [[ "$RUN_TIER1" == "1" ]]; then
 fi
 
 if [[ "$RUN_TSAN" == "1" ]]; then
-  echo "== ThreadSanitizer: parallel_test + kernelir_test + vm_test + native_test + trace_test + servecore_test =="
+  echo "== ThreadSanitizer: parallel_test + kernelir_test + vm_test + native_test + trace_test + servecore_test + blas_test =="
   cmake -B build-tsan -S . -DGEMMTUNE_TSAN=ON \
     "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}" >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target parallel_test kernelir_test vm_test native_test trace_test \
-             servecore_test
+             servecore_test blas_test
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan --output-on-failure \
-    -R '^(parallel_test|kernelir_test|vm_test|native_test|trace_test|servecore_test)$'
+    -R '^(parallel_test|kernelir_test|vm_test|native_test|trace_test|servecore_test|blas_test)$'
+fi
+
+if [[ "$RUN_ASAN" == "1" ]]; then
+  echo "== AddressSanitizer + UndefinedBehaviorSanitizer: full test suite =="
+  cmake -B build-asan -S . -DGEMMTUNE_ASAN=ON \
+    "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}" >/dev/null
+  cmake --build build-asan -j "$JOBS"
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
+    ctest --test-dir build-asan --output-on-failure -j "$TEST_JOBS"
 fi
 
 echo "== all checks passed =="
