@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   // --- throughput over problem size -----------------------------------------
   // The fleet only wins once tiles are large enough to amortize the host
   // transfers; small problems stay on one device (what the serving layer's
-  // dist_threshold_n encodes).
+  // kDistThresholdN encodes).
   section("Fleet vs best single device over problem size (SGEMM)");
   const std::vector<DeviceId> fleet_devs = {
       DeviceId::Cypress, DeviceId::Cayman, DeviceId::SandyBridge};

@@ -1,6 +1,6 @@
-// Concurrent serving core: overload stress of the async pipeline.
+// Serve pipeline: overload stress of AsyncServer.
 //
-// The async core serves an overloaded workload; every GEMM checksum its
+// The pipeline serves an overloaded workload; every GEMM checksum its
 // executors produced must equal the same request re-run on this thread on
 // the device that served it, and its shed/expiry accounting plus the
 // p50/p99/p999 latency percentiles (overall and for the hottest shape

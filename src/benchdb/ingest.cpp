@@ -101,10 +101,6 @@ Record ingest_report(const Json& doc, const std::string& origin,
         static_cast<long long>(wl.at("seed").as_int()),
         wl.at("rate_rps").as_number(),
         static_cast<long long>(wl.at("max_batch").as_int()));
-    // Concurrent-core reports tag their scenario so serial and async runs
-    // of the same workload track separate trajectories.
-    if (wl.contains("core"))
-      r.scenario += ",core=" + wl.at("core").as_string();
     for (const auto& [name, value] : doc.at("scalars").items())
       r.metrics[name] = value.as_number();
   } else {  // dist

@@ -320,100 +320,96 @@ int cmd_verify(const std::vector<std::string>& args, std::ostream& out) {
   return err <= tol ? 0 : 1;
 }
 
-/// Serving-core selection shared by `serve` and `replay`.
-struct ServeCoreOptions {
-  std::string core = "serial";  ///< serial | async
+/// Largest extent of a request `serve` and `replay` execute on the host's
+/// cores (the pipeline's step 3): real GEMMs cost host milliseconds, so
+/// only the small-shape tail runs.
+constexpr index_t kExecuteMaxN = 64;
+
+/// The flags `serve` and `replay` share, parsed straight into the options
+/// of the server and the pipeline.
+struct ServeFlags {
+  serve::ServeOptions server;
+  serve::AsyncOptions pipeline{.execute_max_n = kExecuteMaxN};
   double slo_ms = 0;  ///< > 0: override every deadline to arrival + SLO
-  bool shed_infeasible = false;
-  std::string tune_strategy;  ///< --tune-strategy: per-class guided warmup
-  int tune_candidates = 1500;  ///< --tune-candidates: per-class search space
+  std::string report_path;
 };
 
-/// Writes a report document to `path` (shared by every serve core).
-void write_report_file(const Json& report, const std::string& path,
-                       std::ostream& out) {
-  std::ofstream f(path, std::ios::trunc);
-  check(f.good(), "serve: cannot write report " + path);
-  f << report.dump(2) << "\n";
-  check(f.good(), "serve: write failed for " + path);
-  out << "wrote " << path << "\n";
+/// Parses one flag shared by `serve` and `replay`. Returns true when
+/// args[i] was consumed.
+bool serve_flag(const std::vector<std::string>& args, std::size_t& i,
+                ServeFlags& flags) {
+  if (auto v = flag_value(args, i, "--report")) {
+    flags.report_path = *v;
+    return true;
+  }
+  if (auto v = flag_value(args, i, "--cache")) {
+    flags.server.cache_path = *v;
+    return true;
+  }
+  if (auto v = flag_value(args, i, "--slo-ms")) {
+    try {
+      std::size_t used = 0;
+      flags.slo_ms = std::stod(*v, &used);
+      check(used == v->size() && flags.slo_ms > 0, "");
+    } catch (const std::exception&) {
+      fail("--slo-ms expects a number > 0, got '" + *v + "'");
+    }
+    return true;
+  }
+  if (args[i] == "--shed-infeasible") {
+    flags.pipeline.shed_infeasible = true;
+    return true;
+  }
+  if (auto v = flag_value(args, i, "--tune-strategy")) {
+    // Validate eagerly so a typo fails before the workload is generated.
+    (void)tuner::strategy::parse_strategy_spec(*v);
+    flags.server.tune_strategy = *v;
+    return true;
+  }
+  if (auto v = flag_value(args, i, "--tune-candidates")) {
+    flags.server.tune_candidates = parse_count("--tune-candidates", *v);
+    return true;
+  }
+  return false;
 }
 
-/// Runs the concurrent core (deterministic) next to the serial reference
-/// and prints/writes the extended report.
-int run_serve_async(serve::GemmServer& server,
-                    const serve::WorkloadSpec& spec,
-                    const std::vector<serve::GemmRequest>& requests,
-                    const ServeCoreOptions& copt,
-                    const std::string& report_path, std::ostream& out) {
-  serve::AsyncOptions aopt;
-  aopt.shed_infeasible = copt.shed_infeasible;
-  aopt.execute_max_n = 64;  // checksum small requests on the host's cores
-  const auto serial =
-      server.run(requests, spec.max_batch, spec.queue_capacity);
-  serve::AsyncServer async(server, aopt);
-  const auto outcome =
-      async.run(requests, spec.max_batch, spec.queue_capacity);
-  const Json report = serve::build_async_report(
-      spec, requests, outcome, serial, server.options(), aopt);
-  const Json& s = report.at("scalars");
-  out << strf("async core: %lld requests executed\n",
-              static_cast<long long>(outcome.executed));
-  out << strf("served: %lld completed, shed %lld (queue full) + %lld "
-              "(infeasible), %lld expired\n",
-              static_cast<long long>(s.at("requests.completed").as_int()),
-              static_cast<long long>(outcome.shed_queue_full),
-              static_cast<long long>(outcome.shed_infeasible),
-              static_cast<long long>(outcome.expired));
-  out << strf("latency: p50 %.3f ms  p99 %.3f ms  p99.9 %.3f ms "
-              "(%zu shape classes)\n",
-              s.at("hist.p50_ms").as_number(),
-              s.at("hist.p99_ms").as_number(),
-              s.at("hist.p999_ms").as_number(), outcome.classes.size());
-  out << strf("vs serial core: completed %.3fx, throughput %.3fx\n",
-              s.at("speedup.completed_vs_serial").as_number(),
-              s.at("speedup.throughput_vs_serial").as_number());
-  if (!report_path.empty()) write_report_file(report, report_path, out);
-  return 0;
-}
-
-/// Shared tail of `serve` and `replay`: warm up, run the selected core,
-/// print the summary and optionally write the report file.
+/// Shared tail of `serve` and `replay`: warm up, run the pipeline and its
+/// unbatched baseline, print the summary and optionally write the report.
 int run_serve(const serve::WorkloadSpec& spec,
               const std::vector<serve::GemmRequest>& requests_in,
-              const std::string& cache_path, const std::string& report_path,
-              const ServeCoreOptions& copt, std::ostream& out) {
-  serve::ServeOptions sopt;
-  sopt.cache_path = cache_path;
-  sopt.tune_strategy = copt.tune_strategy;
-  sopt.tune_candidates = copt.tune_candidates;
-  serve::GemmServer server(spec.resolved_devices(), sopt);
+              const ServeFlags& flags, std::ostream& out) {
+  serve::GemmServer server(spec.resolved_devices(), flags.server);
   const auto info = server.warmup();
   if (info.cache_ignored)
     out << "warning: ignoring corrupt warm cache: " << info.cache_error
         << "\n";
   out << strf("warmup: %zu kernels ready (%zu from cache, %zu profiled)\n",
               info.loaded + info.profiled, info.loaded, info.profiled);
-  if (!copt.tune_strategy.empty())
-    out << "tune strategy: " << copt.tune_strategy
-        << " (per shape class, " << copt.tune_candidates
+  if (!flags.server.tune_strategy.empty())
+    out << "tune strategy: " << flags.server.tune_strategy
+        << " (per shape class, " << flags.server.tune_candidates
         << " candidates)\n";
   std::vector<serve::GemmRequest> requests = requests_in;
-  if (copt.slo_ms > 0) {
+  if (flags.slo_ms > 0) {
     // One service-level objective for every request, replacing the
     // per-class deadline budgets.
     for (auto& r : requests)
-      r.deadline_seconds = r.arrival_seconds + copt.slo_ms / 1e3;
+      r.deadline_seconds = r.arrival_seconds + flags.slo_ms / 1e3;
     out << strf("slo: deadlines overridden to arrival + %.3g ms\n",
-                copt.slo_ms);
+                flags.slo_ms);
   }
-  if (copt.core == "async")
-    return run_serve_async(server, spec, requests, copt, report_path, out);
-  const auto batched =
-      server.run(requests, spec.max_batch, spec.queue_capacity);
-  const auto unbatched = server.run(requests, 1, spec.queue_capacity);
-  const Json report =
-      serve::build_report(spec, requests, batched, unbatched, sopt);
+  const serve::AsyncOutcome served =
+      serve::AsyncServer(server, flags.pipeline)
+          .run(requests, spec.max_batch, spec.queue_capacity);
+  // The baseline sheds like the served run but executes nothing.
+  serve::AsyncOptions baseline_opt = flags.pipeline;
+  baseline_opt.execute_max_n = 0;
+  const serve::ServeOutcome baseline =
+      serve::AsyncServer(server, baseline_opt)
+          .run(requests, 1, spec.queue_capacity)
+          .base;
+  const Json report = serve::build_report(spec, requests, served, baseline,
+                                          flags.server, flags.pipeline);
   const Json& s = report.at("scalars");
   out << strf("workload: %d requests, seed %llu, %.4g req/s, %zu devices\n",
               spec.requests,
@@ -427,6 +423,12 @@ int run_serve(const serve::WorkloadSpec& spec,
                   s.at("requests.rejected_queue_full").as_int()),
               static_cast<long long>(
                   s.at("requests.rejected_deadline").as_int()));
+  out << strf("shed: %lld (queue full) + %lld (infeasible), %lld expired\n",
+              static_cast<long long>(served.shed_queue_full),
+              static_cast<long long>(served.shed_infeasible),
+              static_cast<long long>(served.expired));
+  out << strf("executed: %lld requests on the host's cores\n",
+              static_cast<long long>(served.executed));
   out << strf("batches: %lld (avg %.2f, max %lld, %.0f%% direct path)\n",
               static_cast<long long>(s.at("batches.count").as_int()),
               s.at("batches.avg_size").as_number(),
@@ -444,90 +446,46 @@ int run_serve(const serve::WorkloadSpec& spec,
   out << strf("baseline (unbatched): %.1f GFlop/s -> speedup %.2fx\n",
               s.at("baseline.throughput.gflops").as_number(),
               s.at("speedup.throughput").as_number());
-  if (!report_path.empty()) write_report_file(report, report_path, out);
+  if (!flags.report_path.empty()) {
+    std::ofstream f(flags.report_path, std::ios::trunc);
+    check(f.good(), "serve: cannot write report " + flags.report_path);
+    f << report.dump(2) << "\n";
+    check(f.good(), "serve: write failed for " + flags.report_path);
+    out << "wrote " << flags.report_path << "\n";
+  }
   return 0;
 }
 
-/// Parses the core-selection flags shared by `serve` and `replay`.
-/// Returns true when args[i] was consumed.
-bool core_flag(const std::vector<std::string>& args, std::size_t& i,
-               ServeCoreOptions& copt) {
-  if (auto v = flag_value(args, i, "--core")) {
-    if (*v != "serial" && *v != "async")
-      fail_unknown_value("--core", *v, {"serial", "async"});
-    copt.core = *v;
-    return true;
-  }
-  if (auto v = flag_value(args, i, "--slo-ms")) {
-    try {
-      std::size_t used = 0;
-      copt.slo_ms = std::stod(*v, &used);
-      check(used == v->size() && copt.slo_ms > 0, "");
-    } catch (const std::exception&) {
-      fail("--slo-ms expects a number > 0, got '" + *v + "'");
-    }
-    return true;
-  }
-  if (args[i] == "--shed-infeasible") {
-    copt.shed_infeasible = true;
-    return true;
-  }
-  if (auto v = flag_value(args, i, "--tune-strategy")) {
-    // Validate eagerly so a typo fails before the workload is generated.
-    (void)tuner::strategy::parse_strategy_spec(*v);
-    copt.tune_strategy = *v;
-    return true;
-  }
-  if (auto v = flag_value(args, i, "--tune-candidates")) {
-    copt.tune_candidates = parse_count("--tune-candidates", *v);
-    return true;
-  }
-  return false;
-}
-
-/// Rejects flag combinations core_flag cannot see one flag at a time.
-void check_core_options(const ServeCoreOptions& copt) {
-  check(!copt.shed_infeasible || copt.core == "async",
-        "--shed-infeasible needs --core async (only the async core sheds "
-        "at admission)");
-}
-
 int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
-  std::string spec_text, report_path, cache_path, trace_path;
-  ServeCoreOptions copt;
+  std::string spec_text, trace_path;
+  ServeFlags flags;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (auto v = flag_value(args, i, "--workload")) spec_text = *v;
-    else if (auto v = flag_value(args, i, "--report")) report_path = *v;
-    else if (auto v = flag_value(args, i, "--cache")) cache_path = *v;
     else if (auto v = flag_value(args, i, "--save-trace")) trace_path = *v;
-    else if (core_flag(args, i, copt)) continue;
+    else if (serve_flag(args, i, flags)) continue;
     else fail("serve: unknown argument '" + args[i] + "'");
   }
-  check_core_options(copt);
   const serve::WorkloadSpec spec = serve::parse_spec(spec_text);
   const auto requests = serve::generate_workload(spec);
   if (!trace_path.empty()) {
     serve::save_workload_file(trace_path, spec, requests);
     out << "saved workload trace to " << trace_path << "\n";
   }
-  return run_serve(spec, requests, cache_path, report_path, copt, out);
+  return run_serve(spec, requests, flags, out);
 }
 
 int cmd_replay(const std::vector<std::string>& args, std::ostream& out) {
   check(!args.empty() && !args[0].starts_with("--"),
         "usage: replay <trace.json> [--report FILE] [--cache FILE] "
-        "[--core C] [--slo-ms X] [--shed-infeasible]");
-  std::string report_path, cache_path;
-  ServeCoreOptions copt;
+        "[--slo-ms X] [--shed-infeasible] [--tune-strategy SPEC] "
+        "[--tune-candidates N]");
+  ServeFlags flags;
   for (std::size_t i = 1; i < args.size(); ++i) {
-    if (auto v = flag_value(args, i, "--report")) report_path = *v;
-    else if (auto v = flag_value(args, i, "--cache")) cache_path = *v;
-    else if (core_flag(args, i, copt)) continue;
-    else fail("replay: unknown argument '" + args[i] + "'");
+    if (serve_flag(args, i, flags)) continue;
+    fail("replay: unknown argument '" + args[i] + "'");
   }
-  check_core_options(copt);
   const serve::Workload w = serve::load_workload_file(args[0]);
-  return run_serve(w.spec, w.requests, cache_path, report_path, copt, out);
+  return run_serve(w.spec, w.requests, flags, out);
 }
 
 int cmd_dist(const std::vector<std::string>& args, std::ostream& out) {
@@ -616,26 +574,24 @@ int usage(std::ostream& out) {
          "  sweep <device> <DGEMM|SGEMM> <maxN>\n"
          "  verify <device> <DGEMM|SGEMM> <M> <N> <K>\n"
          "  serve [--workload SPEC] [--report FILE] [--cache FILE]\n"
-         "        [--save-trace FILE] [--core serial|async]\n"
-         "        [--slo-ms X] [--shed-infeasible]\n"
+         "        [--save-trace FILE] [--slo-ms X] [--shed-infeasible]\n"
          "        [--tune-strategy SPEC] [--tune-candidates N]\n"
          "                  run the batched GEMM service on a seeded\n"
          "                  synthetic workload; SPEC is k=v pairs, e.g.\n"
          "                  requests=1000,seed=42,rate=2000,max_batch=16,\n"
          "                  queue=512,arrival=poisson,devices=Tahiti+Kepler\n"
-         "                  --core async runs the concurrent core\n"
-         "                  (deterministic: the serial loop, then real\n"
-         "                  GEMMs on the host's cores) with\n"
-         "                  per-shape-class p50/p99/p999; --slo-ms X\n"
-         "                  replaces every deadline with arrival + X ms;\n"
-         "                  --shed-infeasible (--core async only) also\n"
+         "                  (deterministic: the event loop, then real GEMMs\n"
+         "                  for requests up to 64 on the host's cores, with\n"
+         "                  per-shape-class p50/p99/p999 and an unbatched\n"
+         "                  baseline); --slo-ms X replaces every deadline\n"
+         "                  with arrival + X ms; --shed-infeasible also\n"
          "                  rejects deadline-infeasible requests at\n"
          "                  admission;\n"
          "                  --tune-strategy SPEC tunes a kernel per shape\n"
          "                  class with the budgeted strategy (see tune)\n"
          "                  instead of the Table II warmup kernel\n"
          "  replay <trace.json> [--report FILE] [--cache FILE]\n"
-         "         [--core C] [--slo-ms X] [--shed-infeasible]\n"
+         "         [--slo-ms X] [--shed-infeasible]\n"
          "         [--tune-strategy SPEC] [--tune-candidates N]\n"
          "                  re-run a workload trace saved by serve\n"
          "  dist [--spec SPEC] [--report FILE]\n"

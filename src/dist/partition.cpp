@@ -3,7 +3,27 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/strings.hpp"
+
 namespace gemmtune::dist {
+
+TileGrid::TileGrid(index_t M_, index_t N_, index_t K_, index_t tm,
+                   index_t tn)
+    : M(M_), N(N_), K(K_), tile_m(tm), tile_n(tn) {
+  check(M_ > 0 && N_ > 0 && K_ > 0, "TileGrid: empty problem");
+  check(tm > 0 && tn > 0, "TileGrid: empty tile");
+  // Neither the ceiling division nor rows * cols may overflow: extents
+  // come straight from traces and specs.
+  rows = M_ / tm + (M_ % tm != 0 ? 1 : 0);
+  cols = N_ / tn + (N_ % tn != 0 ? 1 : 0);
+  check(rows <= kMaxTiles / cols,
+        strf("dist: a %lldx%lld output in %lldx%lld tiles is a %lld x %lld "
+             "grid, over the limit of %lld tiles",
+             static_cast<long long>(M_), static_cast<long long>(N_),
+             static_cast<long long>(tm), static_cast<long long>(tn),
+             static_cast<long long>(rows), static_cast<long long>(cols),
+             static_cast<long long>(kMaxTiles)));
+}
 
 std::vector<std::int64_t> proportional_split(
     const std::vector<double>& weights, std::int64_t total) {

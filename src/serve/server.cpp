@@ -8,11 +8,7 @@
 
 #include "codegen/paper_kernels.hpp"
 #include "common/error.hpp"
-#include "common/report_version.hpp"
-#include "common/runmeta.hpp"
-#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
-#include "kernelir/interp.hpp"
 #include "trace/trace.hpp"
 
 namespace gemmtune::serve {
@@ -60,8 +56,7 @@ Placement place(const std::vector<PathEstimate>& row,
 }  // namespace
 
 GemmServer::GemmServer(std::vector<simcl::DeviceId> devices, ServeOptions opt)
-    : devices_(std::move(devices)), opt_(std::move(opt)),
-      pool_(opt_.threads) {
+    : devices_(std::move(devices)), opt_(std::move(opt)) {
   check(!devices_.empty(), "GemmServer: need at least one device");
   if (!opt_.tune_strategy.empty()) {
     strategy_ = tuner::strategy::parse_strategy_spec(opt_.tune_strategy);
@@ -197,7 +192,6 @@ PathEstimate GemmServer::class_estimate(std::size_t d, const ShapeClass& s) {
     trace::Span tune_span("serve.class_tune");
     tuner::SearchOptions sopt;
     sopt.enumeration.max_candidates = opt_.tune_candidates;
-    sopt.threads = opt_.threads;
     sopt.shape = s;
     return tuner::strategy::run_strategy(*search_engines_[d], s.prec, sopt,
                                          *strategy_);
@@ -220,8 +214,7 @@ double GemmServer::dist_seconds(const GemmRequest& r) {
     std::vector<blas::GemmEngine*> engines;
     engines.reserve(engines_.size());
     for (const auto& e : engines_) engines.push_back(e.get());
-    dist_ = std::make_unique<dist::DistExecutor>(
-        std::move(engines), dist::DistOptions{opt_.threads});
+    dist_ = std::make_unique<dist::DistExecutor>(std::move(engines));
   }
   const double s = dist_->estimate_seconds(r.type, r.prec, r.M, r.N, r.K);
   dist_cache_.emplace(key, s);
@@ -229,8 +222,7 @@ double GemmServer::dist_seconds(const GemmRequest& r) {
 }
 
 bool GemmServer::is_distributed(const GemmRequest& r) const {
-  return opt_.dist_threshold_n > 0 &&
-         std::max({r.M, r.N, r.K}) >= opt_.dist_threshold_n;
+  return std::max({r.M, r.N, r.K}) >= kDistThresholdN;
 }
 
 ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
@@ -458,132 +450,6 @@ void check_answered(const std::vector<GemmRequest>& requests,
     check(responses[i].request_id == requests[i].id,
           "serve: request " + std::to_string(requests[i].id) +
               " was never answered");
-}
-
-void outcome_scalars(Json& scalars, const std::string& prefix,
-                     const std::vector<GemmRequest>& requests,
-                     const ServeOutcome& o) {
-  std::int64_t completed = 0, queue_full = 0, deadline = 0;
-  std::vector<double> latencies_ms;
-  for (const GemmResponse& r : o.responses) {
-    switch (r.status) {
-      case RequestStatus::Completed:
-        ++completed;
-        latencies_ms.push_back(r.latency_seconds * 1e3);
-        break;
-      case RequestStatus::RejectedQueueFull: ++queue_full; break;
-      case RequestStatus::RejectedDeadline: ++deadline; break;
-    }
-  }
-  std::int64_t direct_batches = 0;
-  std::int64_t dist_batches = 0;
-  std::int64_t max_batch_size = 0;
-  for (const BatchRecord& b : o.batches) {
-    if (b.used_direct) ++direct_batches;
-    if (b.distributed) ++dist_batches;
-    max_batch_size = std::max(max_batch_size,
-                              static_cast<std::int64_t>(b.size));
-  }
-  scalars[prefix + "requests.total"] =
-      static_cast<std::int64_t>(requests.size());
-  scalars[prefix + "requests.completed"] = completed;
-  scalars[prefix + "requests.rejected_queue_full"] = queue_full;
-  scalars[prefix + "requests.rejected_deadline"] = deadline;
-  scalars[prefix + "batches.count"] =
-      static_cast<std::int64_t>(o.batches.size());
-  scalars[prefix + "batches.avg_size"] = finite_or(
-      static_cast<double>(completed) /
-          static_cast<double>(o.batches.size()),
-      0.0);
-  scalars[prefix + "batches.max_size"] = max_batch_size;
-  scalars[prefix + "batches.distributed"] = dist_batches;
-  scalars[prefix + "batches.direct_fraction"] = finite_or(
-      static_cast<double>(direct_batches) /
-          static_cast<double>(o.batches.size()),
-      0.0);
-  scalars[prefix + "latency_ms.mean"] = mean(latencies_ms);
-  scalars[prefix + "latency_ms.p50"] = percentile(latencies_ms, 0.50);
-  scalars[prefix + "latency_ms.p95"] = percentile(latencies_ms, 0.95);
-  scalars[prefix + "latency_ms.p99"] = percentile(latencies_ms, 0.99);
-  scalars[prefix + "latency_ms.p999"] = percentile(latencies_ms, 0.999);
-  scalars[prefix + "latency_ms.max"] =
-      latencies_ms.empty()
-          ? 0.0
-          : *std::max_element(latencies_ms.begin(), latencies_ms.end());
-  scalars[prefix + "queue.peak_depth"] =
-      static_cast<std::int64_t>(o.peak_queue_depth);
-  scalars[prefix + "sim.makespan_seconds"] = o.makespan_seconds;
-  scalars[prefix + "throughput.gflops"] =
-      safe_gflops(o.completed_flops, o.makespan_seconds);
-}
-
-Json build_report(const WorkloadSpec& spec,
-                  const std::vector<GemmRequest>& requests,
-                  const ServeOutcome& batched, const ServeOutcome& unbatched,
-                  const ServeOptions& opt) {
-  Json doc = Json::object();
-  doc["schema"] = kServeReportSchema;
-  doc["meta"] = run_meta_json(
-      ir::to_string(ir::resolve_backend(ir::Backend::Auto)),
-      configured_threads());
-  // The workload block mirrors the trace's spec object, so a report from
-  // `serve` and one from `replay` of the saved trace are byte-identical.
-  Json wl = Json::object();
-  wl["seed"] = static_cast<std::int64_t>(spec.seed);
-  wl["requests"] = spec.requests;
-  wl["rate_rps"] = spec.rate_rps;
-  wl["arrival"] = to_string(spec.arrival);
-  Json devs = Json::array();
-  for (simcl::DeviceId id : spec.resolved_devices())
-    devs.push_back(simcl::to_string(id));
-  wl["devices"] = std::move(devs);
-  wl["max_batch"] = spec.max_batch;
-  wl["queue_capacity"] = spec.queue_capacity;
-  doc["workload"] = std::move(wl);
-
-  Json options = Json::object();
-  options["dispatch_overhead_us"] = kDispatchOverheadSeconds * 1e6;
-  options["max_batch_ms"] = kMaxBatchSeconds * 1e3;
-  options["warmup_sweep_n"] = kWarmupSweepN;
-  options["dist_threshold_n"] = opt.dist_threshold_n;
-  options["tune_strategy"] =
-      opt.tune_strategy.empty() ? "table2" : opt.tune_strategy;
-  doc["options"] = std::move(options);
-
-  Json scalars = Json::object();
-  outcome_scalars(scalars, "", requests, batched);
-  outcome_scalars(scalars, "baseline.", requests, unbatched);
-  const double batched_tp = scalars.at("throughput.gflops").as_number();
-  const double base_tp =
-      scalars.at("baseline.throughput.gflops").as_number();
-  scalars["speedup.throughput"] = finite_or(batched_tp / base_tp, 1.0);
-  scalars["speedup.makespan"] = finite_or(
-      unbatched.makespan_seconds / batched.makespan_seconds, 1.0);
-  // Under overload the two runs reject different requests, which makes a
-  // raw GFlop/s comparison misleading; completed-count speedup shows how
-  // much more of the offered work batching actually served.
-  scalars["speedup.completed"] = finite_or(
-      scalars.at("requests.completed").as_number() /
-          scalars.at("baseline.requests.completed").as_number(),
-      1.0);
-  doc["scalars"] = std::move(scalars);
-
-  Json per_device = Json::object();
-  const auto devices = spec.resolved_devices();
-  for (std::size_t d = 0; d < devices.size(); ++d) {
-    const DeviceStats ds = d < batched.device_stats.size()
-                               ? batched.device_stats[d]
-                               : DeviceStats{};
-    Json j = Json::object();
-    j["batches"] = ds.batches;
-    j["requests"] = ds.requests;
-    j["busy_seconds"] = ds.busy_seconds;
-    j["utilization"] = finite_or(
-        ds.busy_seconds / batched.makespan_seconds, 0.0);
-    per_device[simcl::to_string(devices[d])] = std::move(j);
-  }
-  doc["per_device"] = std::move(per_device);
-  return doc;
 }
 
 }  // namespace gemmtune::serve

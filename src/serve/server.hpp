@@ -1,5 +1,6 @@
 // The GEMM serving engine: warm cache, shape-aware scheduling across
-// several simulated devices, and the "gemmtune-serve-v1" report.
+// several simulated devices, and the shape-class estimate table the
+// scheduler places batches by.
 //
 // Lifecycle:
 //  1. warmup() — loads the persistent tuned-kernel cache (if configured),
@@ -8,13 +9,15 @@
 //     GemmEngine per device. Cold-start tuning therefore never blocks a
 //     request: no traffic is admitted before warmup returns.
 //  2. run() — a deterministic discrete-event simulation of the service,
-//     and the serving layer's only event loop: the concurrent core
-//     (src/serve/core) runs it too, then executes the schedule it
-//     produced. Per-batch costs come from a shape-class estimate table
-//     that is precomputed in parallel (PerfModel is a pure function, so
-//     thread count cannot change any value in it); the event loop itself
-//     is serial, so the same workload yields the bit-identical outcome at
-//     any --threads / GEMMTUNE_THREADS setting.
+//     and the serving layer's one event loop. The serve pipeline
+//     (AsyncServer in src/serve/core, which also builds the
+//     "gemmtune-serve-v1" report) runs it as its scheduling step, then
+//     executes the schedule it produced. Per-batch costs come from a
+//     shape-class estimate table that is precomputed in parallel
+//     (PerfModel is a pure function, so thread count cannot change any
+//     value in it); the event loop itself is serial, so the same workload
+//     yields the bit-identical outcome at any --threads /
+//     GEMMTUNE_THREADS setting.
 //
 // Batch cost model: one dispatch pays a fixed enqueue overhead (the
 // OpenCL-era kernel-launch cost) plus the per-request time of the batch's
@@ -34,7 +37,6 @@
 #include <vector>
 
 #include "blas/gemm.hpp"
-#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "dist/executor.hpp"
 #include "serve/batch_queue.hpp"
@@ -57,24 +59,22 @@ inline constexpr double kMaxBatchSeconds = 2e-3;
 /// not the full paper curve).
 inline constexpr std::int64_t kWarmupSweepN = 2048;
 
-/// Service configuration beyond what the workload spec carries.
+/// Problem-size threshold for the distributed path: a request whose
+/// largest extent reaches this value bypasses batching and runs as a
+/// tile-partitioned GEMM across the whole fleet (src/dist). Such a request
+/// acts as a fleet barrier — no new batch is fed while it waits, so the
+/// devices drain and then all execute it together. It sits above the
+/// generated workload's largest shape (2048), so distribution only
+/// triggers for explicitly oversized requests.
+inline constexpr index_t kDistThresholdN = 4096;
+
+/// Service configuration beyond what the workload spec carries. Warmup
+/// and the estimate precompute run on the process-wide thread count
+/// (--threads / GEMMTUNE_THREADS / hardware), like the tuner.
 struct ServeOptions {
-  /// Worker threads for warmup and estimate precompute. 0 follows the
-  /// process-wide configuration (--threads / GEMMTUNE_THREADS / hardware),
-  /// so the service honors the same concurrency controls as the tuner.
-  int threads = 0;
   /// Persistent warm-cache path (TunedDatabase JSON). Empty: in-memory
   /// only. A corrupt cache file is ignored (and rewritten), not fatal.
   std::string cache_path;
-  /// Problem-size threshold for the distributed path: a request whose
-  /// largest extent reaches this value bypasses batching and runs as a
-  /// tile-partitioned GEMM across the whole fleet (src/dist). Such a
-  /// request acts as a fleet barrier — no new batch is fed while it
-  /// waits, so the devices drain and then all execute it together.
-  /// <= 0 disables distributed dispatch. The default sits above the
-  /// generated workload's largest shape (2048), so distribution only
-  /// triggers for explicitly oversized requests.
-  index_t dist_threshold_n = 4096;
   /// Input-aware warmup: a --strategy spec (e.g. "model_topk,budget=64").
   /// When set, the estimate table is built from kernels tuned per observed
   /// shape class by the budgeted strategy instead of the size-agnostic
@@ -149,14 +149,14 @@ class GemmServer {
   /// for fixed inputs at any thread count. max_batch == 1 is the
   /// unbatched one-request-at-a-time baseline. `shed_at_admission`, when
   /// non-empty, is parallel to `requests`: a marked request that is not
-  /// distributed is rejected on arrival as RejectedDeadline (the
-  /// concurrent core's infeasibility shed).
+  /// distributed is rejected on arrival as RejectedDeadline (the serve
+  /// pipeline's infeasibility shed).
   ServeOutcome run(const std::vector<GemmRequest>& requests, int max_batch,
                    int queue_capacity,
                    std::span<const char> shed_at_admission = {});
 
   /// True when `r` bypasses batching and runs tiled across the whole
-  /// fleet (largest extent >= ServeOptions::dist_threshold_n).
+  /// fleet (largest extent >= kDistThresholdN).
   bool is_distributed(const GemmRequest& r) const;
 
   /// Fills the estimate table for every shape class in `requests` on every
@@ -220,22 +220,5 @@ class GemmServer {
 /// status Completed) and would count as a 0 ms completion.
 void check_answered(const std::vector<GemmRequest>& requests,
                     const std::vector<GemmResponse>& responses);
-
-/// Flattens one outcome into a report's scalar map under `prefix`
-/// (requests.*, batches.*, latency_ms.*, queue.*, sim.*, throughput.*).
-/// Shared by the serial and the concurrent (src/serve/core) reports.
-void outcome_scalars(Json& scalars, const std::string& prefix,
-                     const std::vector<GemmRequest>& requests,
-                     const ServeOutcome& o);
-
-/// Builds the "gemmtune-serve-v1" report from a batched run and its
-/// unbatched baseline on the same workload. The document is a pure
-/// function of its inputs (no wall clock), so identical runs produce
-/// byte-identical reports; `scalars` follows the bench-report convention
-/// consumed by tools/compare_bench.py.
-Json build_report(const WorkloadSpec& spec,
-                  const std::vector<GemmRequest>& requests,
-                  const ServeOutcome& batched, const ServeOutcome& unbatched,
-                  const ServeOptions& opt);
 
 }  // namespace gemmtune::serve

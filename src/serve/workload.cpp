@@ -258,6 +258,10 @@ Workload workload_from_json(const Json& doc) {
   w.spec.queue_capacity =
       static_cast<int>(sp.at("queue_capacity").as_int());
   const Json& reqs = doc.at("requests");
+  check(reqs.size() == static_cast<std::size_t>(w.spec.requests),
+        "workload: spec.requests is " + std::to_string(w.spec.requests) +
+            " but the trace lists " + std::to_string(reqs.size()) +
+            " requests");
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const Json& j = reqs.at(i);
     GemmRequest r;

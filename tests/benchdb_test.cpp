@@ -477,7 +477,7 @@ TEST(BenchDbLowerIsBetter, NameHeuristic) {
   EXPECT_TRUE(lower_is_better("shed.expired"));
   EXPECT_FALSE(lower_is_better("best_gflops"));
   EXPECT_FALSE(lower_is_better("throughput_rps"));
-  EXPECT_FALSE(lower_is_better("speedup.completed_vs_serial"));
+  EXPECT_FALSE(lower_is_better("speedup.completed"));
 }
 
 // -------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "codegen/paper_kernels.hpp"
+#include "serve/core/async_server.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "tuner/results_db.hpp"
@@ -398,17 +399,16 @@ TEST(ServeGuidedTest, GuidedRunCompletesAndReportsStrategy) {
   opt.tune_candidates = 300;
   serve::GemmServer server(spec.resolved_devices(), opt);
   server.warmup();
-  const auto batched = server.run(requests, spec.max_batch,
-                                  spec.queue_capacity);
-  const auto unbatched = server.run(requests, 1, spec.queue_capacity);
+  const serve::AsyncOptions aopt;
+  const auto served = serve::AsyncServer(server, aopt).run(
+      requests, spec.max_batch, spec.queue_capacity);
+  const auto baseline =
+      serve::AsyncServer(server, aopt).run(requests, 1, spec.queue_capacity);
   const Json report =
-      serve::build_report(spec, requests, batched, unbatched, opt);
+      serve::build_report(spec, requests, served, baseline.base, opt, aopt);
   EXPECT_EQ(report.at("options").at("tune_strategy").as_string(),
             "anneal,budget=32,seed=5");
-  std::int64_t completed = 0;
-  for (const auto& r : batched.responses)
-    if (r.status == serve::RequestStatus::Completed) ++completed;
-  EXPECT_GT(completed, 0);
+  EXPECT_GT(report.at("scalars").at("requests.completed").as_int(), 0);
 }
 
 TEST(ServeGuidedTest, BadStrategySpecFailsAtConstruction) {

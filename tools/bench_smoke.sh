@@ -127,13 +127,13 @@ else
   fi
 fi
 
-# Concurrent-serving stress leg: a sustained overload workload through
-# the async core (deterministic at any thread count), so the serve
-# report's throughput, shed counters and p50/p99/p999 tail percentiles
-# ride the same baseline + trajectory gates as the bench reports.
+# Serving stress leg: a sustained overload workload through the serve
+# pipeline (deterministic at any thread count), so the serve report's
+# throughput, shed counters and p50/p99/p999 tail percentiles ride the
+# same baseline + trajectory gates as the bench reports.
 SERVE_WL="requests=500,seed=23,rate=120000,max_batch=8,queue=32"
 SERVE_WL="$SERVE_WL,devices=Tahiti+Kepler+Cayman+SandyBridge"
-"$GEMMTUNE" serve --workload "$SERVE_WL" --core async \
+"$GEMMTUNE" serve --workload "$SERVE_WL" \
   --report "$OUT_DIR/serve_stress.json" > "$OUT_DIR/serve_stress.txt"
 reports+=("$OUT_DIR/serve_stress.json")
 if [[ "$MODE" == "update" ]]; then
