@@ -61,12 +61,6 @@ struct DistSpec {
 /// key.
 DistSpec parse_dist_spec(const std::string& text);
 
-struct DistOptions {
-  /// Worker threads for the estimate precompute. 0 follows the
-  /// process-wide configuration (--threads / GEMMTUNE_THREADS / hardware).
-  int threads = 0;
-};
-
 /// One executed tile, in simulated time.
 struct TileRecord {
   std::int64_t index = 0;  ///< row-major tile index in the grid
@@ -107,12 +101,10 @@ struct DistOutcome {
 /// Distributed GEMM executor bound to a fleet of simulated devices.
 class DistExecutor {
  public:
-  explicit DistExecutor(std::vector<simcl::DeviceId> devices,
-                        DistOptions opt = {});
+  explicit DistExecutor(std::vector<simcl::DeviceId> devices);
   /// Reuses engines owned by the caller (the serving layer's warmed
   /// engines); `engines` must outlive the executor.
-  explicit DistExecutor(std::vector<blas::GemmEngine*> engines,
-                        DistOptions opt = {});
+  explicit DistExecutor(std::vector<blas::GemmEngine*> engines);
 
   const std::vector<simcl::DeviceId>& devices() const { return devices_; }
 
@@ -158,8 +150,7 @@ class DistExecutor {
       const std::vector<std::int64_t>& shares) const;
 
   std::vector<simcl::DeviceId> devices_;
-  DistOptions opt_;
-  ThreadPool pool_;
+  ThreadPool pool_;  ///< the process-wide thread count at construction
   std::vector<std::unique_ptr<blas::GemmEngine>> owned_;
   std::vector<blas::GemmEngine*> engines_;  ///< parallel to devices_
 };

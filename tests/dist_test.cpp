@@ -13,13 +13,13 @@
 #include "common/report_version.hpp"
 #include "dist/executor.hpp"
 #include "dist/partition.hpp"
+#include "scoped_threads.hpp"
 
 namespace gemmtune {
 namespace {
 
 using codegen::Precision;
 using dist::DistExecutor;
-using dist::DistOptions;
 using dist::DistOutcome;
 using dist::DistSpec;
 using dist::TileGrid;
@@ -37,6 +37,29 @@ TEST(TileGridTest, FringeTilesCarryTheRemainder) {
   // Row-major index round trip.
   EXPECT_EQ(g.row_of(5), 2);
   EXPECT_EQ(g.col_of(5), 1);
+}
+
+TEST(TileGridTest, HoldsAtMostMaxTiles) {
+  // 1024 rows of 1024 columns is exactly the limit; one row more is over
+  // it. The same holds for small tiles on a moderate problem: 8192 in
+  // 4 x 4 tiles is a 2048 x 2048 grid.
+  const TileGrid at(1024 * 8, 1024 * 8, 8, 8, 8);
+  EXPECT_EQ(at.total(), dist::kMaxTiles);
+  EXPECT_THROW(TileGrid(1025 * 8, 1024 * 8, 8, 8, 8), Error);
+  EXPECT_THROW(TileGrid(1024 * 8, 1024 * 8 + 1, 8, 8, 8), Error);
+  try {
+    TileGrid(8192, 8192, 8192, 4, 4);
+    FAIL() << "expected a 2048 x 2048 grid to be rejected";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("2048 x 2048 grid"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("over the limit of 1048576 tiles"), std::string::npos)
+        << msg;
+  }
+  // Extents near the int64 range neither overflow nor pass the check.
+  const index_t huge = std::numeric_limits<index_t>::max();
+  EXPECT_THROW(TileGrid(huge, huge, 1, 1, 1), Error);
+  EXPECT_THROW(TileGrid(huge, 1, 1, 1, 1), Error);
 }
 
 TEST(PartitionTest, SharesSumToTotalAndFollowWeights) {
@@ -172,10 +195,13 @@ TEST(DistExecutorTest, ReportIsByteIdenticalAcrossThreadCounts) {
       "size=8192,prec=SGEMM,devices=Cypress+Cayman+SandyBridge");
   std::vector<std::string> dumps;
   for (int threads : {1, 4}) {
-    DistExecutor ex(spec.resolved_devices(), DistOptions{threads});
+    const ScopedThreadOverride pin(threads);
+    DistExecutor ex(spec.resolved_devices());
     const DistOutcome o =
         ex.run(spec.type, spec.prec, spec.M, spec.N, spec.K, spec.tile);
-    dumps.push_back(dist::build_dist_report(spec, o).dump(2));
+    Json report = dist::build_dist_report(spec, o);
+    report.erase("meta");  // records the thread count by design
+    dumps.push_back(report.dump(2));
   }
   EXPECT_EQ(dumps[0], dumps[1]);
 }
