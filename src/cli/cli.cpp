@@ -22,6 +22,7 @@
 #include "kernelir/interp.hpp"
 #include "kernelir/native.hpp"
 #include "layout/matrix.hpp"
+#include "layout/packing.hpp"
 #include "serve/core/async_server.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
@@ -275,6 +276,9 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
   const std::int64_t max_n = parse_count("sweep: maxN", args[2]);
   tuner::SearchEngine engine(id);
   const auto p = codegen::table2_entry(id, prec).params;
+  // The largest problem of the sweep, padded, must fit the cost model.
+  checked_packed_extents(max_n, max_n, max_n, p.Mwg, p.Nwg, p.Kwg,
+                         element_bytes(p.prec));
   TextTable t;
   t.set_header({"N", "GFlop/s"});
   for (const auto& [n, g] : engine.sweep(p, max_n))

@@ -2,9 +2,10 @@
 //
 // The library reports unrecoverable misuse (bad parameters, out-of-range
 // accesses in the simulator, malformed kernels) through gemmtune::Error,
-// which carries a human-readable message and the source location of the
-// failed check. Recoverable conditions (a candidate kernel that fails
-// validation during tuning) are reported through return values instead.
+// which carries a human-readable message and, apart from it, the source
+// location of the failed check. Recoverable conditions (a candidate kernel
+// that fails validation during tuning) are reported through return values
+// instead.
 #pragma once
 
 #include <source_location>
@@ -14,17 +15,25 @@
 namespace gemmtune {
 
 /// Exception thrown on precondition violations and internal invariant
-/// failures anywhere in the library.
+/// failures anywhere in the library. what() is the message alone, fit to
+/// show a user; where() is the source location of the failed check, for
+/// debugging.
 class Error : public std::runtime_error {
  public:
-  explicit Error(const std::string& what) : std::runtime_error(what) {}
+  explicit Error(const std::string& what,
+                 const std::source_location& loc =
+                     std::source_location::current())
+      : std::runtime_error(what), loc_(loc) {}
+  const std::source_location& where() const { return loc_; }
+
+ private:
+  std::source_location loc_;
 };
 
 namespace detail {
 [[noreturn]] inline void raise(const std::string& msg,
                                const std::source_location& loc) {
-  throw Error(std::string(loc.file_name()) + ":" +
-              std::to_string(loc.line()) + ": " + msg);
+  throw Error(msg, loc);
 }
 }  // namespace detail
 

@@ -11,8 +11,10 @@
 // next. This is a valid execution of any kernel whose loop bounds are
 // work-group uniform and whose barriers are in uniform control flow —
 // exactly the shape of the paper's generated GEMM kernels. The VM executes
-// it literally; the native JIT executes straight-line runs item-major,
-// under rules that make no difference observable (native_emit.cpp). Both
+// it literally; the native JIT executes straight-line runs item-major and
+// barrier-free, store-free uniform loops W work-items per vector
+// instruction, under rules that make no difference observable
+// (native_emit.cpp). Both
 // tiers *verify* loop-bound uniformity at run time and reject non-uniform
 // loops, so the restriction is checked, not assumed. Work-groups are
 // independent (OpenCL barriers are intra-group only), so a launch

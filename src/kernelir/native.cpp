@@ -9,11 +9,11 @@
 //     hash already sits in the cache directory, dlopen it directly — a
 //     warm start never invokes the compiler.
 //  3. otherwise emit the specialized source, run the host C++ compiler
-//     (-O3 -fPIC -shared -ffp-contract=off; contraction off keeps the
-//     generated arithmetic bit-identical to the interpreter's), publish
-//     the object with temp-file + rename (concurrent processes race
-//     benignly: rename is atomic and either winner's object is valid),
-//     and dlopen the result.
+//     (-O1 -fno-ivopts -fPIC -shared -ffp-contract=off; contraction off
+//     keeps the generated arithmetic bit-identical to the interpreter's),
+//     publish the object with temp-file + rename (concurrent processes
+//     race benignly: rename is atomic and either winner's object is
+//     valid), and dlopen the result.
 // Every failure is soft: the cause is recorded in the cache as a sticky
 // per-kernel failure and the caller falls back to the bytecode VM.
 #include "kernelir/native.hpp"
@@ -43,15 +43,17 @@ namespace gemmtune::ir {
 namespace {
 
 /// Bumping this invalidates every cached .so (the hash covers it).
-constexpr const char* kEmitterVersion = "gemmtune-native-emit-v3";
-/// The emitted runs are scalar per work-item, with f32 rounding as a
-/// (double)(float) cast per lane; the loop vectorizer may still vectorize
-/// an item loop, which keeps every element's operations. SLP stays off:
-/// GCC's SLP pass reorganizes scalar (double)(float) rounding chains at a
-/// one-ULP cost on f32 kernels. Contraction is off for the same reason:
-/// the contract is byte-identical buffers against the VM.
+constexpr const char* kEmitterVersion = "gemmtune-native-emit-v4";
+/// The emitted code is already vectorized where it pays: vector loop runs
+/// spell their W-lane operations out in GCC vector types, and straight-line
+/// runs are scalar per work-item. -O1 keeps both as fast as -O3 did while
+/// compiling far quicker; IVOPTs alone takes about half of a large kernel's
+/// -O1 compile and buys nothing on this code. SLP stays off: GCC's SLP
+/// pass reorganizes scalar (double)(float) rounding chains at a one-ULP
+/// cost on f32 kernels. Contraction is off for the same reason: the
+/// contract is byte-identical buffers against the VM.
 constexpr const char* kJitFlags =
-    "-std=c++17 -O3 -fPIC -shared -ffp-contract=off "
+    "-std=c++17 -O1 -fno-ivopts -fPIC -shared -ffp-contract=off "
     "-fno-tree-slp-vectorize";
 
 /// Compiler flags for one native compile at the given emit width. The

@@ -9,12 +9,15 @@
 // constant. The semantics stay the VM's lockstep ones, but straight-line
 // code executes item-major: each run of unmasked, non-control
 // instructions is one `for (t ...)` loop over the work-items that keeps
-// the registers and private-array slots it touches in C++ locals, under
-// rules that make the two orders indistinguishable (native_emit.cpp).
-// Bounds checks the bytecode pass already proved (constant private/local
-// addressing lowered to FmaPP / SplatLaneP / kImmAddr forms) are gone
-// entirely; the remaining runtime checks stay per item and raise the exact
-// message text, for the same faulting item, as the VM.
+// the registers and private-array slots it touches in C++ locals. A
+// barrier-free uniform loop without stores (the GEMM k-loop) runs as a
+// vector loop run instead: W work-items per GCC vector instruction, one
+// lane per item, for the whole loop. Rules make every order
+// indistinguishable from lockstep (native_emit.cpp). Bounds checks the
+// bytecode pass already proved (constant private/local addressing lowered
+// to FmaPP / SplatLaneP / kImmAddr forms) are gone entirely; the remaining
+// runtime checks raise the exact message text, for the same faulting item,
+// as the VM.
 //
 // get_or_compile_native() drives the pipeline: emit the source, invoke the
 // host C++ compiler (GEMMTUNE_JIT_CXX, else the compiler this library was
@@ -82,9 +85,10 @@ class NativeKernel {
 int native_simd_width();
 
 /// Emits the specialized C++ translation unit for one compiled kernel,
-/// for a host of `simd_width` doubles (2, 4, 8 or 16; named in the
-/// header). f32 rounding is a per-lane (double)(float) conversion, so
-/// buffers stay bit-identical to the VM. Pure and deterministic (the source
+/// for a host of `simd_width` doubles (2, 4, 8 or 16): the width W of its
+/// vector loop runs. f32 rounding is a per-lane double -> float -> double
+/// conversion, so buffers stay bit-identical to the VM. Pure and
+/// deterministic (the source
 /// depends only on the program, the kernel's reqd_work_group_size /
 /// argument shapes, and the width). Throws gemmtune::Error on a program it
 /// cannot translate; the JIT then falls back to the VM.

@@ -39,12 +39,44 @@
 // record is the VM's first faulting instruction at its lowest item, so the
 // message text matches. Counter increments are summed once per run.
 //
+// Vector loop runs. A barrier-free uniform loop (a JgeU header, the body,
+// and a Jmp back to the header, with nothing else jumping into the body)
+// runs W work-items per vector instruction, W being the emit width, when
+// the kernel fixes its work-group size with LSX a multiple of W, so that a
+// block of W consecutive items shares t / LSX. The body may hold only
+// loads, arithmetic other than integer division, uniform instructions that
+// cannot fault and constant-offset private slots: no global or local store
+// (a store repeated over iterations is a write-after-write between items
+// that item-major order could reverse), no mask-honouring instruction, no
+// private array at a computed index. Each block loads the values the loop
+// reads first into GCC vector locals, one lane per item, runs the whole
+// loop on them in program order with its uniform registers in block
+// copies, and stores the exit values other code reads; every block
+// computes the same uniform sequence, so the last block's copies are
+// written back. A static pass proves per vi register the step between
+// consecutive lanes (its lane stride): a stride-0 load is one scalar load
+// broadcast, a stride-1 load one vector load, another known stride W loads
+// that far apart, an unknown stride one load per lane. A known stride
+// makes the index monotone across the block, so the bounds check tests the
+// first and last lane; an unknown one tests every lane. A block runs its
+// iterations in order, so its first failing check has its smallest
+// (iteration, pc); the lowest failing lane of that check is the block's
+// fault, and a later block replaces the record only with a strictly
+// smaller (iteration, pc). That is the VM's first fault in lockstep order,
+// and with no stores in the loop a failed launch leaves the VM's buffers.
+// Counters add each per-iteration sum times NI times the trip count.
+//
+// No statement is emitted for a value no instruction reads (for example
+// the zero lanes of a wide register of which two lanes are used): a first
+// translation pass records every value some instruction reads.
+//
 // Floating-point identity with the VM is preserved by construction:
 // arithmetic is emitted as the same double expressions the VM evaluates
-// (single-precision rounding as a (double)(float)(...) cast, per lane),
-// constants are reproduced bit-exactly from their IEEE-754 payloads, and
-// the JIT compiles with -ffp-contract=off so the host compiler cannot fuse
-// a*b+c into an fma the VM didn't perform.
+// (single-precision rounding as a per-lane double -> float -> double
+// conversion), constants are reproduced bit-exactly from their IEEE-754
+// payloads, and the JIT compiles with -ffp-contract=off so the host
+// compiler cannot fuse a*b+c into an fma the VM didn't perform.
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstring>
@@ -152,6 +184,25 @@ bool honours_mask(const Insn& in) {
   }
 }
 
+/// Lane-stride lattice values beside the known strides, which the pass
+/// keeps within +-kMaxStride so that no index between two in-range lanes
+/// can wrap.
+constexpr std::int64_t kNoDef = INT64_MIN;    ///< no definition seen yet
+constexpr std::int64_t kUnknown = INT64_MAX;  ///< not one stride
+constexpr std::int64_t kMaxStride = std::int64_t{1} << 32;
+
+/// a + b, a - b or a * b of two strides, or kUnknown when it leaves the
+/// known range.
+std::int64_t stride_op(char op, std::int64_t a, std::int64_t b) {
+  if (a == kUnknown || b == kUnknown) return kUnknown;
+  if (a == kNoDef || b == kNoDef) return kNoDef;
+  std::int64_t r = 0;
+  const bool ovf = op == '+'   ? __builtin_add_overflow(a, b, &r)
+                   : op == '-' ? __builtin_sub_overflow(a, b, &r)
+                               : __builtin_mul_overflow(a, b, &r);
+  return ovf || r > kMaxStride || r < -kMaxStride ? kUnknown : r;
+}
+
 /// A per-item value a run keeps in a C++ local: a vi register ('v'), one
 /// lane of a vf register ('f'), or one private-array slot ('p', `id` is
 /// its offset in the item's private slab).
@@ -192,24 +243,47 @@ class Emitter {
     collect_labels();
     collect_vf_widths();
     collect_slab_arrays();
-    std::vector<Run> runs;
-    for (std::size_t i = 0; i < p_.code.size(); i = runs.back().end)
-      runs.push_back(make_run(i));
-    // A value must reach the slab only if some code reads it from there:
-    // a run that loads it at item entry, or a control instruction.
-    for (const Run& r : runs) slab_read_.insert(r.loads.begin(), r.loads.end());
+    collect_lane_strides();
+    // Control instructions read vi registers from the slab.
+    std::set<Val> control_reads;
     for (const Insn& in : p_.code) {
       if (in.op == Op::ForCheckV) {
         for (const std::int32_t r : {in.a, in.b, in.c})
-          slab_read_.insert(Val{'v', r, 0});
+          control_reads.insert(Val{'v', r, 0});
       } else if (in.op == Op::MaskPush) {  // MaskFlip re-reads it
-        slab_read_.insert(Val{'v', in.a, 0});
+        control_reads.insert(Val{'v', in.a, 0});
       }
     }
-    prologue();
-    for (const Run& r : runs) {
+    // The first pass only records the values instructions read; the
+    // second drops every write no instruction reads.
+    read_ = control_reads;
+    form_runs();
+    drop_dead_ = true;
+    std::vector<Run> runs = form_runs();
+    // Vector loop runs: the loop headed by runs[i] ends at runs[back[i]].
+    std::vector<std::size_t> back(runs.size(), 0);
+    std::vector<Run> vloops;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      back[i] = vector_loop_at(runs, i);
+      if (back[i] == 0) continue;
+      vloops.push_back(
+          make_vector_run(runs[i + 1].begin, runs[back[i]].begin));
+      i = back[i];
+    }
+    vloop_id_ = 0;  // emission numbers the loops' fault labels again
+    // A value must reach the slab only if some code reads it from there:
+    // a run that loads it at item entry, or a control instruction.
+    slab_read_ = control_reads;
+    for (const auto* rs : {&runs, &vloops})
+      for (const Run& r : *rs) slab_read_.insert(r.loads.begin(), r.loads.end());
+    prologue(!vloops.empty());
+    for (std::size_t i = 0, v = 0; i < runs.size(); ++i) {
+      const Run& r = runs[i];
       if (is_target_[r.begin]) line(strf("L%zu:;", r.begin));
-      if (r.control) {
+      if (back[i] != 0) {
+        emit_vector_loop(p_.code[r.begin], vloops[v++]);
+        i = back[i];  // past the body and the back-edge
+      } else if (r.control) {
         emit_control(p_.code[r.begin], r.begin);
       } else {
         emit_run(r);
@@ -235,14 +309,28 @@ class Emitter {
   static std::string imm64(std::int64_t v) {
     return strf("%lldLL", static_cast<long long>(v));
   }
-  static std::string u(std::int32_t r) { return strf("u[%d]", r); }
+  /// Uniform register r: the u[] slab, or a vector loop's block copy.
+  std::string u(std::int32_t r) {
+    if (uregs_ == nullptr) return strf("u[%d]", r);
+    uregs_->insert(r);
+    return strf("u%d", r);
+  }
   static std::string vi_ptr(std::int32_t r) {
     return strf("(vi + %d * NI)", r);
   }
-  /// Wraps an arithmetic result in the f32 storage round when `rnd`.
-  static std::string rnd(bool on, const std::string& e) {
-    return on ? "(double)(float)(" + e + ")" : "(" + e + ")";
+  /// Wraps an arithmetic result in the f32 storage round when `on`.
+  std::string rnd(bool on, const std::string& e) const {
+    if (!on) return "(" + e + ")";
+    return vec_ ? "r32(" + e + ")" : "(double)(float)(" + e + ")";
   }
+  /// A uniform double / integer expression as a value of every lane.
+  std::string splat_f(const std::string& x) const {
+    return vec_ ? "bd(" + x + ")" : x;
+  }
+  std::string splat_i(const std::string& x) const {
+    return vec_ ? "bi(" + x + ")" : x;
+  }
+  std::string zero_f() const { return vec_ ? "(VD){}" : "0.0"; }
 
   /// `snprintf` into err + jump to the failure label. `fmt` is a literal
   /// (already escaped); `args` are pre-formatted C++ expressions.
@@ -370,7 +458,147 @@ class Emitter {
         slab_arrays_.insert(in.a);
   }
 
+  // ---- lane strides ----------------------------------------------------------
+
+  /// Gives each vi register the step between the values of consecutive
+  /// work-items of a vector block, or kUnknown: a flow-insensitive fixpoint
+  /// that joins every definition of the register and, for variables, the
+  /// per-group zero. LocalId/GlobalId of dimension 0 step by 1; dimension 1
+  /// and uniform values by 0 (a block shares t / LSX); VAdd/VSub add or
+  /// subtract their operands' strides, VMov copies its source's, and VMul
+  /// by a constant scales by it. A constant is a uniform register whose
+  /// only definition is a UConst, or a vi register every definition of
+  /// which copies one (VMovU, VMov). A mask-honouring definition writes
+  /// only some lanes, so it makes the stride unknown, as does every other
+  /// definition.
+  void collect_lane_strides() {
+    const auto n_vi = static_cast<std::size_t>(p_.n_vi);
+    stride_.assign(n_vi, kNoDef);
+    // Constant value per vi register: `konst` holds it while `kstate` is
+    // 1; 0 is no definition yet, 2 not one constant.
+    std::vector<std::int64_t> konst(n_vi, 0);
+    std::vector<char> kstate(n_vi, 0);
+    for (std::size_t r = 0; r < static_cast<std::size_t>(p_.n_vi_vars); ++r) {
+      stride_[r] = 0;
+      kstate[r] = 1;
+    }
+    // A UConst that is its register's only definition holds at a later pc
+    // when the straight-line entry [0, entry), which runs first in every
+    // group, holds it, or when no jump lands between the two.
+    std::size_t entry = 0;
+    while (entry < p_.code.size() && !is_target_[entry] &&
+           !is_control(p_.code[entry].op))
+      ++entry;
+    std::vector<std::size_t> targets_before(p_.code.size() + 2, 0);
+    for (std::size_t pc = 0; pc <= p_.code.size(); ++pc)
+      targets_before[pc + 1] = targets_before[pc] + (is_target_[pc] ? 1 : 0);
+    std::vector<int> ndefs(static_cast<std::size_t>(p_.n_u), 0);
+    std::vector<std::size_t> def_pc(static_cast<std::size_t>(p_.n_u), 0);
+    for (std::size_t pc = 0; pc < p_.code.size(); ++pc) {
+      const Insn& in = p_.code[pc];
+      if (in.op == Op::ForCheckV) {
+        for (std::int32_t d = 0; d < 3; ++d)
+          ++ndefs[static_cast<std::size_t>(in.dst + d)];
+      } else if (is_uniform(in.op) && in.op != Op::UStepCheck) {
+        ++ndefs[static_cast<std::size_t>(in.dst)];
+        def_pc[static_cast<std::size_t>(in.dst)] = pc;
+      }
+    }
+    // The constant operand r holds at instruction pc, if it is one.
+    const auto constant = [&](std::int32_t r, bool uniform, std::size_t pc,
+                              std::int64_t* c) {
+      const auto ur = static_cast<std::size_t>(r);
+      if (!uniform) {
+        *c = konst[ur];
+        return kstate[ur] == 1;
+      }
+      const std::size_t d = def_pc[ur];
+      if (ndefs[ur] != 1 || p_.code[d].op != Op::UConst || d >= pc ||
+          (d >= entry && targets_before[pc + 1] != targets_before[d + 1]))
+        return false;
+      *c = p_.code[d].imm;
+      return true;
+    };
+    const auto src = [this](std::int32_t r, bool uniform) {
+      return uniform ? 0 : stride_[static_cast<std::size_t>(r)];
+    };
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (std::size_t pc = 0; pc < p_.code.size(); ++pc) {
+        const Insn& in = p_.code[pc];
+        const bool au = (in.flags & kAUni) != 0, bu = (in.flags & kBUni) != 0;
+        std::int64_t s = kUnknown, c = 0;
+        char ks = 2;
+        switch (in.op) {
+          case Op::VBuiltin: {
+            const auto fn = static_cast<BuiltinFn>(in.aux >> 1);
+            const bool per_item =
+                fn == BuiltinFn::LocalId || fn == BuiltinFn::GlobalId;
+            s = per_item && (in.aux & 1) == 0 ? 1 : 0;
+            break;
+          }
+          case Op::VAdd:
+          case Op::VSub:
+            s = stride_op(in.op == Op::VAdd ? '+' : '-', src(in.a, au),
+                          src(in.b, bu));
+            break;
+          case Op::VMul: {
+            const std::int64_t sa = src(in.a, au), sb = src(in.b, bu);
+            if (constant(in.a, au, pc, &c)) {
+              s = stride_op('*', sb, c);
+            } else if (constant(in.b, bu, pc, &c)) {
+              s = stride_op('*', sa, c);
+            } else if (sa == 0 && sb == 0) {
+              s = 0;
+            } else if (sa == kNoDef || sb == kNoDef) {
+              s = kNoDef;
+            }
+            break;
+          }
+          case Op::VMovU:
+            s = 0;
+            if (constant(in.a, true, pc, &c)) ks = 1;
+            break;
+          case Op::VMov:
+            s = src(in.a, false);
+            c = konst[static_cast<std::size_t>(in.a)];
+            ks = kstate[static_cast<std::size_t>(in.a)];
+            break;
+          case Op::VDiv:
+          case Op::VMod:
+          case Op::VLt:
+          case Op::VAnd:
+            break;
+          default:
+            continue;  // defines no vi register
+        }
+        if (honours_mask(in)) s = kUnknown, ks = 2;
+        const auto d = static_cast<std::size_t>(in.dst);
+        std::int64_t& cur = stride_[d];
+        const std::int64_t joined =
+            s == kNoDef || cur == s ? cur : cur == kNoDef ? s : kUnknown;
+        const char kjoined = ks == 0 || (kstate[d] == ks && konst[d] == c)
+                                 ? kstate[d]
+                             : kstate[d] == 0 ? ks
+                                              : 2;
+        if (joined != cur || kjoined != kstate[d]) {
+          cur = joined;
+          if (kstate[d] == 0) konst[d] = c;
+          kstate[d] = kjoined;
+          changed = true;
+        }
+      }
+    }
+  }
+
   // ---- run formation -------------------------------------------------------
+
+  std::vector<Run> form_runs() {
+    std::vector<Run> runs;
+    for (std::size_t i = 0; i < p_.code.size(); i = runs.back().end)
+      runs.push_back(make_run(i));
+    return runs;
+  }
 
   /// Forms the segment starting at `begin` under the run rules, translating
   /// each varying instruction as it is admitted.
@@ -419,14 +647,115 @@ class Emitter {
     return r;
   }
 
+  /// When runs[i] heads a barrier-free uniform loop the vector form can
+  /// run, the index of its back-edge; otherwise 0. The loop is a JgeU
+  /// header, runs of lane-safe instructions and non-faulting uniforms (at
+  /// least one varying), and a Jmp back to the header; the header exits to
+  /// the instruction after the Jmp, and no other jump enters the body.
+  std::size_t vector_loop_at(const std::vector<Run>& runs,
+                             std::size_t i) const {
+    if (k_.reqd_local[0] <= 0 || k_.reqd_local[0] % simd_ != 0) return 0;
+    const Run& head = runs[i];
+    if (!head.control || p_.code[head.begin].op != Op::JgeU) return 0;
+    bool varying = false;
+    std::size_t m = i + 1;
+    for (; m < runs.size() && !runs[m].control; ++m) {
+      const Run& r = runs[m];
+      if (r.alone || is_target_[r.begin]) return 0;
+      for (const std::size_t pc : r.body)
+        if (!lane_safe(p_.code[pc])) return 0;
+      varying |= !r.body.empty();
+    }
+    if (m == runs.size() || !varying) return 0;
+    const std::size_t j = runs[m].begin;
+    const Insn& jmp = p_.code[j];
+    const bool loop = jmp.op == Op::Jmp &&
+                      jmp.imm == static_cast<std::int64_t>(head.begin) &&
+                      p_.code[head.begin].imm ==
+                          static_cast<std::int64_t>(j + 1) &&
+                      !is_target_[j];
+    return loop ? m : 0;
+  }
+
+  /// Translates the body [begin, end) of a vector loop run: every
+  /// instruction in program order, uniform ones against block copies of
+  /// their registers (all lanes step together, so the item-major run
+  /// boundaries inside the loop do not apply).
+  Run make_vector_run(std::size_t begin, std::size_t end) {
+    Run r;
+    r.begin = begin;
+    r.end = end;
+    run_ = &r;
+    vec_ = true;
+    uregs_ = &r.u_reads;
+    pad_ = "      ";
+    for (std::size_t pc = begin; pc < end; ++pc) {
+      const Insn& in = p_.code[pc];
+      if (is_uniform(in.op)) {
+        std::swap(out_, r.code);
+        emit_uniform(in);
+        std::swap(out_, r.code);
+      } else {
+        item_code(in, pc);
+      }
+    }
+    pad_.clear();
+    uregs_ = nullptr;
+    vec_ = false;
+    run_ = nullptr;
+    ++vloop_id_;
+    return r;
+  }
+
+  /// Instructions a vector loop run may hold: loads, arithmetic and
+  /// constant-offset private slots (no store to global or local memory, no
+  /// faulting arithmetic, no private array kept in the slab).
+  bool lane_safe(const Insn& in) const {
+    const auto in_slab = [this](std::int32_t arr) {
+      return slab_arrays_.count(arr) != 0;
+    };
+    switch (in.op) {
+      case Op::VBuiltin:
+      case Op::VAdd:
+      case Op::VSub:
+      case Op::VMul:
+      case Op::VLt:
+      case Op::VAnd:
+      case Op::VMovU:
+      case Op::VMov:
+      case Op::FConst:
+      case Op::FArg:
+      case Op::FMov:
+      case Op::FSplat:
+      case Op::FLane:
+      case Op::FAdd:
+      case Op::FSub:
+      case Op::FMul:
+      case Op::FMad:
+      case Op::LoadG:
+      case Op::LoadL:
+        return true;
+      case Op::LoadP:
+      case Op::StoreP:
+        return (in.flags & kImmAddr) != 0 && !in_slab(in.a);
+      case Op::FmaPP:
+        return !in_slab(in.a) && !in_slab(in.b);
+      case Op::SplatLaneP:
+        return !in_slab(in.a);
+      default:
+        return false;
+    }
+  }
+
   // ---- prologue / epilogue --------------------------------------------------
 
-  void prologue() {
-    raw(strf("// Generated by the gemmtune native backend (emitter v3, "
+  void prologue(bool vector_loops) {
+    raw(strf("// Generated by the gemmtune native backend (emitter v4, "
              "simd w=%d) for\n",
              simd_));
     raw("// kernel '" + k_.name + "'. Mirrors kernelir/vm.cpp semantics;\n"
-        "// straight-line runs execute item-major (see native_emit.cpp).\n");
+        "// straight-line runs execute item-major, vector loop runs W\n"
+        "// items per vector instruction (see native_emit.cpp).\n");
     raw("#include <cstddef>\n#include <cstdio>\n#include <cstring>\n\n");
     // Bit-exact floating constant pool, materialized at dlopen time.
     if (!p_.fpool.empty()) {
@@ -444,6 +773,7 @@ class Emitter {
                "};\nconst FpoolInit kFpool;\n}  // namespace\n\n",
                p_.fpool.size()));
     }
+    if (vector_loops) vector_helpers();
     raw("extern \"C\" long long gemmtune_native_entry_v1(\n"
         "    long long group_begin, long long group_end,\n"
         "    long long global0, long long global1,\n"
@@ -524,6 +854,70 @@ class Emitter {
     line("  long long mask_depth = 0; (void)mask_depth;");
   }
 
+  /// Vector types of W lanes and the lane helpers vector loop runs call:
+  /// broadcasts, the f32 round, contiguous (ld1/st1), strided (lds/sts)
+  /// and per-lane (ldv) loads, and the lowest failing lane of a bounds
+  /// check.
+  void vector_helpers() {
+    const int w = simd_;
+    // The W lane terms `f(l)`, comma-separated.
+    const auto lanes = [w](const auto& f) {
+      std::string s;
+      for (int l = 0; l < w; ++l) s += (l ? ", " : "") + f(l);
+      return s;
+    };
+    const auto each = [w](const auto& f) {
+      std::string s;
+      for (int l = 0; l < w; ++l) s += f(l);
+      return s;
+    };
+    const auto bcast = lanes([](int) { return std::string("x"); });
+    raw("namespace {\n");
+    raw(strf("typedef double VD __attribute__((vector_size(%d)));\n", 8 * w));
+    raw(strf("typedef long long VI __attribute__((vector_size(%d)));\n",
+             8 * w));
+    raw(strf("typedef float VF __attribute__((vector_size(%d)));\n", 4 * w));
+    raw("#define GT_INL static inline __attribute__((always_inline))\n");
+    raw("const VI kLane = {" + lanes([](int l) { return strf("%d", l); }) +
+        "};\n");
+    raw("GT_INL VD bd(double x) { return (VD){" + bcast + "}; }\n");
+    raw("GT_INL VI bi(long long x) { return (VI){" + bcast + "}; }\n");
+    raw("GT_INL VD r32(VD x) { return __builtin_convertvector("
+        "__builtin_convertvector(x, VF), VD); }\n");
+    raw("GT_INL VD ld1(const double* p) { VD v; std::memcpy(&v, p, sizeof v);"
+        " return v; }\n");
+    raw("GT_INL VD ld1(const float* p) { VF v; std::memcpy(&v, p, sizeof v);"
+        " return __builtin_convertvector(v, VD); }\n");
+    raw("GT_INL VI ld1(const long long* p) { VI v; std::memcpy(&v, p, "
+        "sizeof v); return v; }\n");
+    raw("GT_INL void st1(double* p, VD v) { std::memcpy(p, &v, sizeof v); }\n");
+    raw("GT_INL void st1(long long* p, VI v) { std::memcpy(p, &v, sizeof v); "
+        "}\n");
+    raw("GT_INL VD lds(const double* p, long long s) { return (VD){" +
+        lanes([](int l) { return strf("p[%d * s]", l); }) + "}; }\n");
+    raw("GT_INL VD lds(const float* p, long long s) { return (VD){" +
+        lanes([](int l) { return strf("(double)p[%d * s]", l); }) + "}; }\n");
+    raw("GT_INL void sts(double* p, long long s, VD v) {" +
+        each([](int l) { return strf(" p[%d * s] = v[%d];", l, l); }) +
+        " }\n");
+    raw("GT_INL VD ldv(const double* p, VI i) { return (VD){" +
+        lanes([](int l) { return strf("p[i[%d]]", l); }) + "}; }\n");
+    raw("GT_INL VD ldv(const float* p, VI i) { return (VD){" +
+        lanes([](int l) { return strf("(double)p[i[%d]]", l); }) + "}; }\n");
+    raw("GT_INL bool any_bad(VI i, long long w, long long n) {\n"
+        "  const VI m = (i < 0) | (i + w > n);\n"
+        "  return (" +
+        each([](int l) { return strf("%sm[%d]", l ? " | " : "", l); }) +
+        ") != 0;\n}\n");
+    raw(strf("__attribute__((noinline, cold)) long long bad_lane(VI i, "
+             "long long w, long long n) {\n"
+             "  for (int l = 0; l < %d; ++l)\n"
+             "    if (i[l] < 0 || i[l] + w > n) return i[l];\n"
+             "  return 0;\n}\n",
+             w));
+    raw("}  // namespace\n\n");
+  }
+
   void epilogue() {
     line("L_done:;");
     line("}");  // group loop
@@ -568,6 +962,17 @@ class Emitter {
     }
   }
 
+  /// The counter increments of a run whose items each executed its body
+  /// `times` times.
+  void count_run(const Run& r, const std::string& times) {
+    const std::pair<const char*, unsigned long long> sums[] = {
+        {"c_flops", r.flops}, {"c_mads", r.mads}, {"c_gld", r.gld},
+        {"c_gst", r.gst},     {"c_lld", r.lld},   {"c_lst", r.lst}};
+    for (const auto& [counter, n] : sums)
+      if (n != 0)
+        line(strf("  %s += %lluULL * %s;", counter, n, times.c_str()));
+  }
+
   void emit_run(const Run& r) {
     line("{");
     pad_ = "  ";
@@ -576,11 +981,7 @@ class Emitter {
     if (!r.body.empty()) {
       for (const std::int32_t reg : r.u_reads)
         line(strf("  const long long u%d = u[%d];", reg, reg));
-      for (const auto& [a, f32] : r.gargs)
-        line(strf("  %s* const gp%d = %s[%d]; const long long en%d = "
-                  "arg_elems[%d];",
-                  f32 ? "float" : "double", a, f32 ? "arg_f32" : "arg_f64",
-                  a, a, a));
+      emit_gargs(r);
       if (!r.faults.empty())
         line(strf("  long long f_ord = %zu, f_val = 0;", p_.code.size()));
       // The body is long straight-line code already: copies of it from
@@ -604,14 +1005,8 @@ class Emitter {
       raw(r.faults);
       // Faults never reach this point, so every item (every active item
       // of a masked run) executed each instruction exactly once.
-      const char* items = r.masked ? "active" : "NI";
-      const std::pair<const char*, unsigned long long> sums[] = {
-          {"c_flops", r.flops}, {"c_mads", r.mads}, {"c_gld", r.gld},
-          {"c_gst", r.gst},     {"c_lld", r.lld},   {"c_lst", r.lst}};
-      for (const auto& [counter, n] : sums)
-        if (n != 0)
-          line(strf("  %s += %lluULL * (unsigned long long)%s;", counter, n,
-                    items));
+      count_run(r, r.masked ? "(unsigned long long)active"
+                            : "(unsigned long long)NI");
     }
     pad_ = "  ";
     for (const std::size_t pc : r.post) emit_uniform(p_.code[pc]);
@@ -619,10 +1014,118 @@ class Emitter {
     line("}");
   }
 
+  void emit_gargs(const Run& r) {
+    for (const auto& [a, f32] : r.gargs)
+      line(strf("  %s* const gp%d = %s[%d]; const long long en%d = "
+                "arg_elems[%d];",
+                f32 ? "float" : "double", a, f32 ? "arg_f32" : "arg_f64", a,
+                a, a));
+  }
+
+  /// Vector form of a value's slab home for the block of items t0 ..
+  /// t0 + W - 1: its address and the distance between two items' copies.
+  std::pair<std::string, long long> vslab(const Val& v) const {
+    switch (v.kind) {
+      case 'v':
+        return {strf("vi + %d * NI + t0", v.id), 1};
+      case 'f': {
+        const int width = vfw_.at(v.id);
+        return {strf("vf + %d * NI + t0 * %d + %d", v.id, width, v.lane),
+                width};
+      }
+      default: {
+        const auto pd = static_cast<long long>(p_.parr_doubles);
+        return {strf("parr + t0 * %lld + %d", pd, v.id), pd};
+      }
+    }
+  }
+
+  /// The loop header `jge` and its body `r` (make_vector_run) as blocks
+  /// of W work-items.
+  void emit_vector_loop(const Insn& jge, const Run& r) {
+    std::set<std::int32_t> uregs = r.u_reads, uwritten;
+    for (std::size_t pc = r.begin; pc < r.end; ++pc)
+      if (is_uniform(p_.code[pc].op)) uwritten.insert(p_.code[pc].dst);
+    uregs_ = &uregs;
+    const std::string cond = u(jge.a) + " >= " + u(jge.b);
+    uregs_ = nullptr;
+    const bool faults = !r.faults.empty();
+    line(strf("{  // vector loop run: %d work-items per vector instruction",
+              simd_));
+    emit_gargs(r);
+    std::string copies;
+    for (const std::int32_t reg : uregs)
+      copies += (copies.empty() ? "" : ", ") + strf("u%d = 0", reg);
+    line("  long long " + copies + ";");
+    line("  long long trips = 0;");
+    if (faults)
+      line(strf("  long long f_ord = %zu, f_val = 0, f_it = 0;",
+                p_.code.size()));
+    line("  #pragma GCC unroll 1");
+    line(strf("  for (long long t0 = 0; t0 < NI; t0 += %d) {", simd_));
+    for (const std::int32_t reg : uregs)
+      line(strf("    u%d = u[%d];", reg, reg));
+    // Entry values are what the loop reads before writing; the body
+    // writes every other value it holds in each iteration.
+    for (const Val& v : r.writes)
+      if (r.loads.count(v) == 0) line("    " + vdecl(v) + " = {};");
+    for (const Val& v : r.loads)
+      line("    " + vdecl(v) + " = " + vload(v) + ";");
+    line(faults ? "    long long it = 0, b_pc = 0, b_val = 0;"
+                : "    long long it = 0;");
+    line("    while (!(" + cond + ")) {");
+    raw(r.code);
+    line("      ++it;");
+    line("    }");
+    // Exit values other code reads from the slabs; a loop that ran no
+    // iteration changed none.
+    std::vector<std::string> exits;
+    for (const Val& v : r.writes) {
+      if (slab_read_.count(v) == 0) continue;
+      const auto [addr, dist] = vslab(v);
+      exits.push_back(dist == 1 ? "st1(" + addr + ", " + name(v) + ");"
+                                : strf("sts(%s, %lld, %s);", addr.c_str(),
+                                       dist, name(v).c_str()));
+    }
+    if (!exits.empty()) {
+      line("    if (it != 0) {");
+      for (const std::string& st : exits) line("      " + st);
+      line("    }");
+    }
+    line("    trips = it;");
+    if (faults) {
+      // The block's first failing check has its smallest (iteration, pc);
+      // an earlier block keeps a tie.
+      line("    continue;");
+      line(strf("  LF%zu:;", vloop_id_));
+      line(strf("    if (f_ord == %zu || it < f_it || (it == f_it && b_pc < "
+                "f_ord)) {",
+                p_.code.size()));
+      line("      f_ord = b_pc; f_val = b_val; f_it = it;");
+      line("    }");
+    }
+    line("  }");
+    raw(r.faults);
+    for (const std::int32_t reg : uwritten)
+      line(strf("  u[%d] = u%d;", reg, reg));
+    count_run(r, "(unsigned long long)NI * (unsigned long long)trips");
+    line("}");
+    ++vloop_id_;
+  }
+
+  static std::string vdecl(const Val& v) {
+    return (v.kind == 'v' ? "VI " : "VD ") + name(v);
+  }
+  std::string vload(const Val& v) const {
+    const auto [addr, dist] = vslab(v);
+    return dist == 1 ? "ld1(" + addr + ")"
+                     : strf("lds(%s, %lld)", addr.c_str(), dist);
+  }
+
   // ---- per-item translation (into run_->code) ------------------------------
 
   void stmt(const std::string& s) {
-    run_->code += "      ";
+    run_->code += vec_ ? "        " : "      ";  // the loop body's depth
     run_->code += s;
     run_->code += '\n';
   }
@@ -630,31 +1133,38 @@ class Emitter {
   std::string rd(const Val& v) {
     if (run_->writes.count(v) == 0) run_->loads.insert(v);
     run_->private_slab |= v.kind == 'p';
+    if (!drop_dead_) read_.insert(v);
     return name(v);
   }
-  /// Records a write of `v` and returns its local. Statements call rd()
-  /// for every operand before wr() for the destination.
-  std::string wr(const Val& v) {
+  /// `v = e;` unless no instruction reads `v`. Statements build `e` (and
+  /// so read their operands) before writing the destination.
+  void set(const Val& v, const std::string& e, const char* indent = "") {
+    if (drop_dead_ && read_.count(v) == 0) return;
     run_->writes.insert(v);
     run_->private_slab |= v.kind == 'p';
-    return name(v);
+    stmt(indent + name(v) + " = " + e + ";");
   }
   std::string rd_v(std::int32_t r) { return rd(Val{'v', r, 0}); }
-  std::string wr_v(std::int32_t r) { return wr(Val{'v', r, 0}); }
+  void set_v(std::int32_t r, const std::string& e) { set(Val{'v', r, 0}, e); }
   std::string rd_f(std::int32_t base, int lane) {
     return rd(Val{'f', base, lane});
   }
-  std::string wr_f(std::int32_t base, int lane) {
-    return wr(Val{'f', base, lane});
+  void set_f(std::int32_t base, int lane, const std::string& e,
+             const char* indent = "") {
+    set(Val{'f', base, lane}, e, indent);
   }
   /// Slot `off` of private array `arr` (its offset in the item's slab).
   std::string rd_p(std::int32_t arr, std::int64_t off) {
     if (slab_arrays_.count(arr) != 0) return pp(off);
     return rd(Val{'p', static_cast<std::int32_t>(off), 0});
   }
-  std::string wr_p(std::int32_t arr, std::int64_t off) {
-    if (slab_arrays_.count(arr) != 0) return pp(off);
-    return wr(Val{'p', static_cast<std::int32_t>(off), 0});
+  void set_p(std::int32_t arr, std::int64_t off, const std::string& e,
+             const char* indent = "") {
+    if (slab_arrays_.count(arr) != 0) {
+      stmt(indent + pp(off) + " = " + e + ";");
+    } else {
+      set(Val{'p', static_cast<std::int32_t>(off), 0}, e, indent);
+    }
   }
   /// Direct access to the item's private slab.
   std::string pp(std::int64_t off) {
@@ -667,7 +1177,7 @@ class Emitter {
     return strf("u%d", r);
   }
   std::string int_operand(std::int32_t r, bool uniform) {
-    return uniform ? uni(r) : rd_v(r);
+    return uniform ? splat_i(uni(r)) : rd_v(r);
   }
   std::string address(const Insn& in) {
     if (in.flags & kImmAddr) return imm64(in.imm);
@@ -679,10 +1189,62 @@ class Emitter {
   std::string fault(std::size_t pc, const std::string& val,
                     const std::string& fails) {
     run_->faults += strf("    if (f_ord == %zu) ", pc) + fails + "\n";
+    if (vec_)
+      return strf("{ b_pc = %zu; b_val = %s; goto LF%zu; }", pc, val.c_str(),
+                  vloop_id_);
     if (run_->alone)
       return strf("{ f_ord = %zu; f_val = %s; break; }", pc, val.c_str());
     return strf("{ if (%zu < f_ord) { f_ord = %zu; f_val = %s; } continue; }",
                 pc, pc, val.c_str());
+  }
+
+  /// A vector loop run's LoadG / LoadL: one check and one load per block
+  /// of W items, shaped by the address register's lane stride.
+  void vector_load(const Insn& in, std::size_t pc, const std::string& base,
+                   bool f32, const std::string& limit,
+                   const std::string& fails) {
+    const int w = in.lanes;
+    const std::string over = strf(" + %d > ", w) + limit;
+    std::int64_t s = 0;  // lane stride of the index
+    if (in.flags & (kImmAddr | kBUni)) {
+      stmt("{ const long long i0 = " +
+           ((in.flags & kImmAddr) ? imm64(in.imm) : uni(in.b)) + ";");
+    } else {
+      stmt("{ const VI ix = " + rd_v(in.b) + ";");
+      s = stride_[static_cast<std::size_t>(in.b)];
+      if (s == kNoDef) s = kUnknown;
+      if (s == 0) {
+        stmt("  const long long i0 = ix[0];");
+      } else if (s != kUnknown) {
+        stmt(strf("  const long long i0 = ix[0], iL = ix[%d];", simd_ - 1));
+      }
+    }
+    const std::string scan = strf("bad_lane(ix, %d, %s)", w, limit.c_str());
+    if (s == 0) {
+      stmt("  if (i0 < 0 || i0" + over + ") " + fault(pc, "i0", fails));
+    } else if (s == kUnknown) {
+      stmt(strf("  if (any_bad(ix, %d, %s)) ", w, limit.c_str()) +
+           fault(pc, scan, fails));
+    } else {
+      stmt("  if (i0 < 0 || i0" + over + " || iL < 0 || iL" + over + ") " +
+           fault(pc, scan, fails));
+    }
+    for (int l = 0; l < w; ++l) {
+      const std::string at = strf("%s + i0 + %d", base.c_str(), l);
+      std::string e;
+      if (s == 0) {
+        const std::string x = strf("%s[i0 + %d]", base.c_str(), l);
+        e = "bd(" + (f32 ? "(double)" + x : x) + ")";
+      } else if (s == 1) {
+        e = "ld1(" + at + ")";
+      } else if (s == kUnknown) {
+        e = strf("ldv(%s + %d, ix)", base.c_str(), l);
+      } else {
+        e = strf("lds(%s, %lld)", at.c_str(), static_cast<long long>(s));
+      }
+      set_f(in.dst, l, e, "  ");
+    }
+    stmt("}");
   }
 
   void item_code(const Insn& in, std::size_t pc) {
@@ -692,14 +1254,19 @@ class Emitter {
         const int dim = in.aux & 1;
         const auto fn = static_cast<BuiltinFn>(in.aux >> 1);
         std::string e;
-        if (fn == BuiltinFn::LocalId) {
-          e = dim == 0 ? "t % LSX" : "t / LSX";
-        } else if (fn == BuiltinFn::GlobalId) {
-          e = dim == 0 ? "gx * LSX + t % LSX" : "gy * LSY + t / LSX";
+        if (fn == BuiltinFn::LocalId || fn == BuiltinFn::GlobalId) {
+          const char* group = fn == BuiltinFn::LocalId ? ""
+                              : dim == 0               ? "gx * LSX + "
+                                                       : "gy * LSY + ";
+          // A vector block's items share t0 / LSX and step t0 % LSX.
+          e = vec_ ? strf("bi(%s%s)", group,
+                          dim == 0 ? "t0 % LSX" : "t0 / LSX") +
+                         (dim == 0 ? " + kLane" : "")
+                   : strf("%s%s", group, dim == 0 ? "t % LSX" : "t / LSX");
         } else {
-          e = builtin_expr(in.aux);
+          e = splat_i(builtin_expr(in.aux));
         }
-        stmt(wr_v(in.dst) + " = " + e + ";");
+        set_v(in.dst, e);
         return;
       }
       case Op::VAdd:
@@ -714,16 +1281,21 @@ class Emitter {
           case Op::VAdd: e = x + " + " + y; break;
           case Op::VSub: e = x + " - " + y; break;
           case Op::VMul: e = x + " * " + y; break;
-          case Op::VLt: e = "(" + x + " < " + y + ") ? 1 : 0"; break;
+          case Op::VLt:
+            e = vec_ ? "-(" + x + " < " + y + ")"
+                     : "(" + x + " < " + y + ") ? 1 : 0";
+            break;
           default:
-            e = "(" + x + " != 0 && " + y + " != 0) ? 1 : 0";
+            e = vec_ ? "-((" + x + " != 0) & (" + y + " != 0))"
+                     : "(" + x + " != 0 && " + y + " != 0) ? 1 : 0";
             break;
         }
-        stmt(wr_v(in.dst) + " = " + e + ";");
+        set_v(in.dst, e);
         return;
       }
       case Op::VDiv:
       case Op::VMod: {
+        check(!vec_, "native emit: division in a vector loop run");
         const bool div = in.op == Op::VDiv;
         const std::string x = int_operand(in.a, (in.flags & kAUni) != 0);
         const std::string y = int_operand(in.b, (in.flags & kBUni) != 0);
@@ -732,50 +1304,44 @@ class Emitter {
              fault(pc, "0",
                    fail_msg(div ? "interp: integer division by zero"
                                 : "interp: integer modulo by zero")));
-        stmt("  " + wr_v(in.dst) + " = " + x + (div ? " / y_; }" : " % y_; }"));
+        set_v(in.dst, x + (div ? " / y_" : " % y_"));
+        stmt("}");
         return;
       }
-      case Op::VMovU: {
-        const std::string x = uni(in.a);
-        stmt(wr_v(in.dst) + " = " + x + ";");
+      case Op::VMovU:
+        set_v(in.dst, splat_i(uni(in.a)));
         return;
-      }
-      case Op::VMov: {
-        const std::string x = rd_v(in.a);
-        stmt(wr_v(in.dst) + " = " + x + ";");
+      case Op::VMov:
+        set_v(in.dst, rd_v(in.a));
         return;
-      }
       case Op::FConst:
         for (int l = 0; l < w; ++l)
-          stmt(wr_f(in.dst, l) +
-               strf(" = kFpool.v[%lld];", static_cast<long long>(in.imm) + l));
+          set_f(in.dst, l,
+                splat_f(strf("kFpool.v[%lld]",
+                             static_cast<long long>(in.imm) + l)));
         return;
       case Op::FArg: {
         const std::string x = strf("arg_f[%d]", in.a);
-        stmt(wr_f(in.dst, 0) + " = " +
-             ((in.aux & kRoundF32) ? "(double)(float)" + x : x) + ";");
-        for (int l = 1; l < w; ++l) stmt(wr_f(in.dst, l) + " = 0.0;");
+        set_f(in.dst, 0,
+              splat_f((in.aux & kRoundF32) ? "(double)(float)" + x : x));
+        for (int l = 1; l < w; ++l) set_f(in.dst, l, zero_f());
         return;
       }
       case Op::FMov: {
         const int dw = in.b, n = in.lanes;
-        for (int l = 0; l < n; ++l) {
-          const std::string x = rd_f(in.a, l);
-          stmt(wr_f(in.dst, l) + " = " + x + ";");
-        }
-        for (int l = n; l < dw; ++l) stmt(wr_f(in.dst, l) + " = 0.0;");
+        for (int l = 0; l < n; ++l) set_f(in.dst, l, rd_f(in.a, l));
+        for (int l = n; l < dw; ++l) set_f(in.dst, l, zero_f());
         return;
       }
       case Op::FSplat: {
-        stmt("{ const double x_ = " + rd_f(in.a, 0) + ";");
-        for (int l = 0; l < w; ++l) stmt("  " + wr_f(in.dst, l) + " = x_;");
+        stmt("{ const auto x_ = " + rd_f(in.a, 0) + ";");
+        for (int l = 0; l < w; ++l) set_f(in.dst, l, "x_", "  ");
         stmt("}");
         return;
       }
       case Op::FLane: {
         const auto ln = static_cast<int>(in.imm);
-        const std::string x = ln < in.aux ? rd_f(in.a, ln) : "0.0";
-        stmt(wr_f(in.dst, 0) + " = " + x + ";");
+        set_f(in.dst, 0, ln < in.aux ? rd_f(in.a, ln) : zero_f());
         return;
       }
       case Op::FAdd:
@@ -790,7 +1356,7 @@ class Emitter {
         for (int l = 0; l < w; ++l) {
           std::string e = rd_f(in.a, l) + op + rd_f(in.b, l);
           if (mad) e += " + " + rd_f(in.c, l);
-          stmt(wr_f(in.dst, l) + " = " + rnd(f32, e) + ";");
+          set_f(in.dst, l, rnd(f32, e));
         }
         run_->flops += static_cast<unsigned long long>(mad ? 2 * w : w);
         if (mad) ++run_->mads;
@@ -806,7 +1372,7 @@ class Emitter {
         for (int l = 0; l < w; ++l) {
           const std::string e = rd_f(in.c, l) + " * " + rd_p(in.b, boff + l) +
                                 " + " + rd_p(in.a, coff + l);
-          stmt(wr_p(in.a, coff + l) + " = " + rnd(f32, e) + ";");
+          set_p(in.a, coff + l, rnd(f32, e));
         }
         run_->flops += 2ull * static_cast<unsigned long long>(w);
         ++run_->mads;
@@ -816,7 +1382,7 @@ class Emitter {
         const ArrayRef& ar = p_.arrays[static_cast<std::size_t>(in.a)];
         const std::string x = rd_p(in.a, ar.offset + in.imm);
         for (int l = 0; l < in.b; ++l)
-          stmt(wr_f(in.dst, l) + " = " + (l < w ? x : "0.0") + ";");
+          set_f(in.dst, l, l < w ? x : zero_f());
         return;
       }
       case Op::LoadG:
@@ -829,6 +1395,14 @@ class Emitter {
                       "buffer %%lld elements",
                       store ? "store" : "load", w)),
             {"f_val", strf("en%d", in.a)});
+        (store ? run_->gst : run_->gld) +=
+            static_cast<unsigned long long>(w * (f32 ? 4 : 8));
+        if (vec_) {
+          check(!store, "native emit: store in a vector loop run");
+          vector_load(in, pc, strf("gp%d", in.a), f32, strf("en%d", in.a),
+                      fails);
+          return;
+        }
         stmt("{ const long long idx = " + address(in) + ";");
         stmt(strf("  if (idx < 0 || idx + %d > en%d) ", w, in.a) +
              fault(pc, "idx", fails));
@@ -838,13 +1412,10 @@ class Emitter {
             const std::string x = rd_f(in.c, l);
             stmt("  " + g + " = " + (f32 ? "(float)" + x : x) + ";");
           } else {
-            stmt("  " + wr_f(in.dst, l) + " = " + (f32 ? "(double)" + g : g) +
-                 ";");
+            set_f(in.dst, l, f32 ? "(double)" + g : g, "  ");
           }
         }
         stmt("}");
-        (store ? run_->gst : run_->gld) +=
-            static_cast<unsigned long long>(w * (f32 ? 4 : 8));
         return;
       }
       case Op::LoadL:
@@ -860,42 +1431,50 @@ class Emitter {
                       local ? "local" : "private", store ? "store" : "load",
                       w)),
             {cstr(ar.name), "f_val", strf("(std::size_t)%d", ar.len)});
-        // Element l of the access at `idx` (a literal when constant).
-        const bool imm = (in.flags & kImmAddr) != 0;
-        const auto elem = [&](int l, bool write) {
-          if (local)
-            return imm ? strf("larr[%lld]", static_cast<long long>(
-                                                ar.offset + in.imm + l))
-                       : strf("larr[%d + idx + %d]", ar.offset, l);
-          if (!imm) {
-            run_->private_slab = true;
-            return strf("pp[%d + idx + %d]", ar.offset, l);
-          }
-          const long long off = ar.offset + in.imm + l;
-          return write ? wr_p(in.a, off) : rd_p(in.a, off);
-        };
-        if (imm && (in.imm < 0 || in.imm + w > ar.len)) {
-          stmt(fault(pc, imm64(in.imm), fails));  // every item faults here
-        } else {
-          if (!imm) {
-            stmt("{ const long long idx = " + address(in) + ";");
-            stmt(strf("  if (idx < 0 || idx + %d > %d) ", w, ar.len) +
-                 fault(pc, "idx", fails));
-          }
-          for (int l = 0; l < w; ++l) {
-            if (store) {
-              const std::string x = rd_f(in.c, l);
-              stmt("  " + elem(l, true) + " = " + x + ";");
-            } else {
-              const std::string x = elem(l, false);
-              stmt("  " + wr_f(in.dst, l) + " = " + x + ";");
-            }
-          }
-          if (!imm) stmt("}");
-        }
         if (local)
           (store ? run_->lst : run_->lld) += static_cast<unsigned long long>(
               w * ((in.aux & kCount8) ? 8 : 4));
+        const bool imm = (in.flags & kImmAddr) != 0;
+        if (imm && (in.imm < 0 || in.imm + w > ar.len)) {
+          stmt(fault(pc, imm64(in.imm), fails));  // every item faults here
+          return;
+        }
+        if (vec_ && local) {
+          check(!store, "native emit: store in a vector loop run");
+          vector_load(in, pc, strf("(larr + %d)", ar.offset), false,
+                      strf("%d", ar.len), fails);
+          return;
+        }
+        if (!imm) {
+          stmt("{ const long long idx = " + address(in) + ";");
+          stmt(strf("  if (idx < 0 || idx + %d > %d) ", w, ar.len) +
+               fault(pc, "idx", fails));
+        }
+        for (int l = 0; l < w; ++l) {
+          // Element l of the access at `idx` (a literal when constant).
+          std::string at;
+          if (local) {
+            at = imm ? strf("larr[%lld]",
+                            static_cast<long long>(ar.offset + in.imm + l))
+                     : strf("larr[%d + idx + %d]", ar.offset, l);
+          } else if (!imm) {
+            run_->private_slab = true;
+            at = strf("pp[%d + idx + %d]", ar.offset, l);
+          }
+          if (store) {
+            const std::string x = rd_f(in.c, l);
+            if (at.empty()) {
+              set_p(in.a, ar.offset + in.imm + l, x, "  ");
+            } else {
+              stmt("  " + at + " = " + x + ";");
+            }
+          } else {
+            set_f(in.dst, l,
+                  at.empty() ? rd_p(in.a, ar.offset + in.imm + l) : at,
+                  "  ");
+          }
+        }
+        if (!imm) stmt("}");
         return;
       }
       default:
@@ -1043,14 +1622,20 @@ class Emitter {
 
   const Kernel& k_;
   const CompiledKernel& p_;
-  const int simd_;  ///< host vector width in doubles (named in the header)
+  const int simd_;  ///< host vector width in doubles: a vector block's items
   std::string out_;
   std::string pad_;  ///< extra indentation of line()
   std::vector<char> is_target_;
   std::map<std::int32_t, int> vfw_;     ///< vf register base -> slab width
   std::set<std::int32_t> slab_arrays_;  ///< private arrays kept in the slab
+  std::vector<std::int64_t> stride_;    ///< vi register -> lane stride
+  std::set<Val> read_;       ///< values some instruction reads
+  bool drop_dead_ = false;   ///< skip writes of values not in read_
   std::set<Val> slab_read_;  ///< values some code reads from the slabs
   Run* run_ = nullptr;       ///< the run being translated
+  bool vec_ = false;         ///< translating a vector loop run
+  std::size_t vloop_id_ = 0;  ///< numbers vector loops' fault labels
+  std::set<std::int32_t>* uregs_ = nullptr;  ///< u() names block copies
 };
 
 }  // namespace

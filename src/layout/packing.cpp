@@ -1,7 +1,9 @@
 #include "layout/packing.hpp"
 
 #include <algorithm>
+#include <limits>
 
+#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 
 namespace gemmtune {
@@ -11,6 +13,34 @@ PackedExtents packed_extents(index_t M, index_t N, index_t K, index_t Mwg,
   check(M > 0 && N > 0 && K > 0, "packed_extents: empty problem");
   check(Mwg > 0 && Nwg > 0 && Kwg > 0, "packed_extents: bad blocking");
   return PackedExtents{round_up(M, Mwg), round_up(N, Nwg), round_up(K, Kwg)};
+}
+
+PackedExtents checked_packed_extents(index_t M, index_t N, index_t K,
+                                     index_t Mwg, index_t Nwg, index_t Kwg,
+                                     index_t elem_bytes) {
+  check(M > 0 && N > 0 && K > 0, "packed_extents: empty problem");
+  check(Mwg > 0 && Nwg > 0 && Kwg > 0, "packed_extents: bad blocking");
+  const auto pad = [](index_t x, index_t block, index_t* padded) {
+    index_t up = 0;
+    if (__builtin_add_overflow(x, block - 1, &up)) return false;
+    *padded = up / block * block;
+    return true;
+  };
+  const auto bytes_fit = [elem_bytes](index_t rows, index_t cols) {
+    index_t bytes = 0;
+    return !__builtin_mul_overflow(elem_bytes, rows, &bytes) &&
+           !__builtin_mul_overflow(bytes, cols, &bytes);
+  };
+  PackedExtents e;
+  if (!(pad(M, Mwg, &e.Mp) && pad(N, Nwg, &e.Np) && pad(K, Kwg, &e.Kp) &&
+        bytes_fit(e.Mp, e.Kp) && bytes_fit(e.Kp, e.Np) &&
+        bytes_fit(e.Mp, e.Np)))
+    fail(strf("problem %lldx%lldx%lld: a padded operand of %lld-byte "
+              "elements is over the limit of %lld bytes",
+              static_cast<long long>(M), static_cast<long long>(N),
+              static_cast<long long>(K), static_cast<long long>(elem_bytes),
+              static_cast<long long>(std::numeric_limits<index_t>::max())));
+  return e;
 }
 
 namespace {

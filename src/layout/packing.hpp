@@ -30,6 +30,15 @@ struct PackedExtents {
 PackedExtents packed_extents(index_t M, index_t N, index_t K, index_t Mwg,
                              index_t Nwg, index_t Kwg);
 
+/// packed_extents() for a problem whose operand byte sizes are computed in
+/// int64 (the cost model, the dist simulation): throws gemmtune::Error,
+/// naming the extents and the limit, unless the padding and the byte size
+/// of every padded operand of `elem_bytes`-byte elements (Mp * Kp for A,
+/// Kp * Np for B, Mp * Np for C) fit in int64.
+PackedExtents checked_packed_extents(index_t M, index_t N, index_t K,
+                                     index_t Mwg, index_t Nwg, index_t Kwg,
+                                     index_t elem_bytes);
+
 /// Packs the A operand. `op(A)` is logically M x K; `trans` says whether the
 /// stored matrix `A` must be read transposed to obtain op(A). The result
 /// holds op(A)^T — a Kp x Mp matrix — in `layout` with (Kwg, Mwg) blocking,

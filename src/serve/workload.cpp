@@ -309,10 +309,19 @@ Workload load_workload_file(const std::string& path) {
   check(f.good(), "load_workload_file: cannot open " + path);
   std::ostringstream ss;
   ss << f.rdbuf();
+  // A file that is not JSON is corrupt; a well-formed one whose contents
+  // disagree is invalid.
+  Json doc;
   try {
-    return workload_from_json(Json::parse(ss.str()));
+    doc = Json::parse(ss.str());
   } catch (const Error& e) {
     fail("load_workload_file: corrupt workload trace '" + path +
+         "': " + e.what());
+  }
+  try {
+    return workload_from_json(doc);
+  } catch (const Error& e) {
+    fail("load_workload_file: invalid workload trace '" + path +
          "': " + e.what());
   }
 }

@@ -26,7 +26,8 @@ ShapeCost shape_cost(const perfmodel::PerfModel& model, const KernelParams& p,
   // buffer through global memory (the paper's copy overhead, amortized as
   // O(N^2)/O(N^3)) — then the tuned kernel on the padded extents.
   {
-    const PackedExtents ext = packed_extents(M, N, K, p.Mwg, p.Nwg, p.Kwg);
+    const PackedExtents ext = checked_packed_extents(
+        M, N, K, p.Mwg, p.Nwg, p.Kwg, element_bytes(p.prec));
     const auto es = static_cast<std::uint64_t>(element_bytes(p.prec));
     const double copy =
         model.copy_seconds(es * static_cast<std::uint64_t>(ext.Kp * ext.Mp)) +
@@ -56,7 +57,8 @@ ShapeCost shape_cost(const perfmodel::PerfModel& model, const KernelParams& p,
           M % q.Mwg != 0 || N % q.Nwg != 0 || K % q.Kwg != 0;
       // The model requires tile-aligned extents; the guarded kernel does
       // the padded amount of work (its guards zero the phantom fringe).
-      const PackedExtents ext = packed_extents(M, N, K, q.Mwg, q.Nwg, q.Kwg);
+      const PackedExtents ext = checked_packed_extents(
+          M, N, K, q.Mwg, q.Nwg, q.Kwg, element_bytes(q.prec));
       const auto e = model.kernel_estimate(q, ext.Mp, ext.Np, ext.Kp);
       if (e.ok) {
         const double secs = e.seconds * model.calib().direct_penalty *

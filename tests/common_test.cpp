@@ -142,13 +142,17 @@ TEST(Json, AccessorsEnforceKinds) {
 }
 
 TEST(ErrorCheck, CarriesLocation) {
+  // The message is what() alone; the failed check's location rides
+  // beside it.
+  const int line = __LINE__ + 2;
   try {
     check(false, "boom");
     FAIL() << "check did not throw";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("common_test.cpp"),
+    EXPECT_STREQ(e.what(), "boom");
+    EXPECT_NE(std::string(e.where().file_name()).find("common_test.cpp"),
               std::string::npos);
+    EXPECT_EQ(e.where().line(), static_cast<unsigned>(line));
   }
 }
 

@@ -1,5 +1,6 @@
 // Tests for the native JIT backend's machinery (native.hpp) and the
-// LRU-bounded program cache (compile.hpp): emitter determinism, the
+// LRU-bounded program cache (compile.hpp): emitter determinism and form
+// (Table II kernels at every width run their k-loop as a vector loop), the
 // on-disk .so cache round-trip (a warm start needs no compiler at all),
 // graceful fallback to bytecode when no toolchain is usable, read-only
 // cache-dir handling, and cache eviction under GEMMTUNE_PROGRAM_CACHE_MAX.
@@ -16,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "codegen/gemm_generator.hpp"
+#include "codegen/paper_kernels.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "kernelir/compile.hpp"
@@ -140,6 +143,25 @@ TEST_F(NativeTest, EmitterIsDeterministicAndSelfContained) {
   EXPECT_NE(src1.find(kNativeEntrySymbol), std::string::npos);
   EXPECT_NE(src1.find("extern \"C\""), std::string::npos);
   EXPECT_EQ(src1.find("#include \""), std::string::npos);
+  // Tahiti's Table II kernels at every emit width: the k-loop runs as a
+  // vector loop run of that width, and the straight-line runs keep their
+  // item loop.
+  for (const auto prec : {codegen::Precision::DP, codegen::Precision::SP}) {
+    const Kernel g = codegen::generate_gemm_kernel(
+        codegen::table2_entry(simcl::DeviceId::Tahiti, prec).params);
+    const CompiledKernelPtr gp = compile(g);
+    for (const int width : {2, 4, 8}) {
+      const std::string src = emit_native_source(g, *gp, width);
+      EXPECT_EQ(src, emit_native_source(g, *gp, width)) << g.name << width;
+      EXPECT_NE(src.find("vector loop run: " + std::to_string(width) +
+                         " work-items"),
+                std::string::npos)
+          << g.name << " width " << width;
+      EXPECT_NE(src.find("for (long long t = 0; t < NI; ++t) {"),
+                std::string::npos)
+          << g.name << " width " << width;
+    }
+  }
 }
 
 // ---- JIT + disk cache ------------------------------------------------------

@@ -1,10 +1,10 @@
 // Differential tests for the bytecode VM (compile.hpp / vm.hpp) and the
 // native JIT (native.hpp) against the tree-walking reference interpreter
 // (tree_oracle.hpp): identical buffers and counters for well-formed
-// launches at any thread count, identical error messages (modulo the
-// source-location prefix) for malformed ones, including kernels whose
-// result depends on lockstep order, which the native JIT's item-major runs
-// must preserve; prepared kernel handles against ir::launch (every
+// launches at any thread count, identical error messages for malformed
+// ones, including kernels whose result depends on lockstep order, which
+// the native JIT's item-major runs and vector loop runs must preserve;
+// prepared kernel handles against ir::launch (every
 // differential case, repeated launches of one handle, four threads on one
 // handle); backend resolution precedence, and the process-wide
 // compiled-program cache. The native legs run whenever a host toolchain
@@ -36,13 +36,6 @@ simcl::BufferPtr make_buffer(std::size_t bytes) {
   return std::make_shared<simcl::Buffer>(bytes);
 }
 
-// Error::what() is "<file>:<line>: <message>"; the backends raise from
-// different source files, so parity is on the stripped message.
-std::string strip_loc(const std::string& s) {
-  const auto pos = s.find(": ");
-  return pos == std::string::npos ? s : s.substr(pos + 2);
-}
-
 /// Builds fresh argument buffers for one launch (runs must not share
 /// writable state) and returns the args; buffers land in `bufs`.
 using ArgFactory =
@@ -65,7 +58,7 @@ RunResult run_with(const ArgFactory& make, const Exec& exec) {
     r.counters = exec(args);
   } catch (const Error& e) {
     r.threw = true;
-    r.message = strip_loc(e.what());
+    r.message = e.what();
   }
   for (const auto& b : bufs) {
     const auto* p = reinterpret_cast<const std::uint8_t*>(b->data());
@@ -648,6 +641,236 @@ TEST(VmRuns, BarrierFreeExchangesMatchLockstep) {
   }
 }
 
+// ---- vector loop runs ------------------------------------------------------
+
+// The native JIT runs a barrier-free uniform loop whose body is one run W
+// work-items per vector instruction, when the kernel fixes a work-group
+// size whose x extent is a multiple of W. These kernels check that form
+// against lockstep: lane strides, f32 rounding, and which fault a launch
+// reports when items of different blocks, lanes and instructions fail.
+
+/// True when the native emission at width `w` holds a vector loop run.
+bool has_vector_loop(const Kernel& k, int w) {
+  return emit_native_source(k, *compile(k), w).find("// vector loop run:") !=
+         std::string::npos;
+}
+
+/// A barrier-free uniform loop over k reading global memory at lane
+/// strides 0 (ly), 1 (lx), 3 (3 * lx) and one unknown stride ((lx * lx) %
+/// 7), and local memory at strides 0 and 1, accumulating into a variable
+/// and two private slots. Launch it on a {2 * lsx, 2 * lsy} NDRange.
+Kernel lanes_kernel(Scalar s, std::int64_t lsx, std::int64_t lsy,
+                    bool reqd = true) {
+  const Type t1 = fp(s, 1);
+  KernelBuilder b((s == Scalar::F64 ? "lanes64_" : "lanes32_") +
+                      std::to_string(lsx) + "x" + std::to_string(lsy),
+                  s);
+  b.add_arg("out", ArgKind::GlobalPtr, s);
+  b.add_arg("a", ArgKind::GlobalConstPtr, s);
+  b.add_arg("n", ArgKind::Int, Scalar::I32);
+  if (reqd) b.set_reqd_local(lsx, lsy);
+  const int lx = b.decl_var("lx", i32());
+  const int ly = b.decl_var("ly", i32());
+  const int g = b.decl_var("g", i32());
+  const int q = b.decl_var("q", i32());
+  const int k = b.decl_var("k", i32());
+  const int x = b.decl_var("x", t1);
+  const int lm = b.decl_array("Lm", s, static_cast<int>(lsx * lsy + 8),
+                              AddrSpace::Local);
+  const int pa = b.decl_array("P", s, 2, AddrSpace::Private);
+  const auto at = [&](ExprPtr idx) {
+    return load_global(1, b.ref(g) + std::move(idx) + b.ref(k), t1);
+  };
+  b.append(assign(lx, builtin(BuiltinFn::LocalId, 0)));
+  b.append(assign(ly, builtin(BuiltinFn::LocalId, 1)));
+  b.append(assign(g, builtin(BuiltinFn::GroupId, 0) +
+                         builtin(BuiltinFn::GroupId, 1) * 2));
+  b.append(assign(q, bin(BinOp::Mod, b.ref(lx) * b.ref(lx), iconst(7))));
+  b.append(store_local(lm, b.ref(ly) * lsx + b.ref(lx),
+                       load_global(1, b.ref(ly) * lsx + b.ref(lx), t1)));
+  b.append(barrier());
+  b.append(for_loop(
+      k, iconst(0), arg_ref(2, i32()), iconst(1),
+      {assign(x, bin(BinOp::FAdd, b.ref(x),
+                     bin(BinOp::FMul, at(b.ref(ly)), at(b.ref(lx))))),
+       store_private(pa, iconst(0),
+                     mad(at(b.ref(lx) * 3),
+                         load_local(lm, b.ref(ly) + b.ref(k), t1),
+                         load_private(pa, iconst(0), t1))),
+       store_private(pa, iconst(1),
+                     mad(at(b.ref(q)), load_local(lm, b.ref(lx) + b.ref(k), t1),
+                         load_private(pa, iconst(1), t1)))}));
+  b.append(store_global(
+      0, builtin(BuiltinFn::GlobalId, 1) * (2 * lsx) +
+             builtin(BuiltinFn::GlobalId, 0),
+      bin(BinOp::FAdd, b.ref(x),
+          bin(BinOp::FAdd, load_private(pa, iconst(0), t1),
+              load_private(pa, iconst(1), t1)))));
+  return b.build();
+}
+
+/// Arguments of lanes_kernel: `a` holds 0.1 * j + 0.7 (rounded to float
+/// for both precisions, so the f64 and f32 kernels read equal inputs).
+ArgFactory lanes_args(Scalar s, std::int64_t items, int trip) {
+  const bool f64 = s == Scalar::F64;
+  const std::size_t es = f64 ? 8 : 4;
+  return [=](std::vector<simcl::BufferPtr>* bufs) {
+    auto out = make_buffer(static_cast<std::size_t>(items) * es);
+    auto a = make_buffer(64 * es);
+    for (int j = 0; j < 64; ++j) {
+      const float v = static_cast<float>(0.1 * j + 0.7);
+      if (f64) {
+        a->as<double>()[j] = v;
+      } else {
+        a->as<float>()[j] = v;
+      }
+    }
+    bufs->push_back(out);
+    bufs->push_back(a);
+    return std::vector<ArgValue>{ArgValue::of(out), ArgValue::of(a),
+                                 ArgValue::of_int(trip)};
+  };
+}
+
+TEST(VmLoopRuns, LanesMatchLockstep) {
+  for (const auto& [lsx, lsy] : {std::pair<std::int64_t, std::int64_t>{16, 2},
+                                 {8, 4}}) {
+    std::vector<double> f64_out;
+    for (const Scalar s : {Scalar::F64, Scalar::F32}) {
+      const Kernel k = lanes_kernel(s, lsx, lsy);
+      EXPECT_TRUE(has_vector_loop(k, 8)) << k.name;
+      EXPECT_TRUE(has_vector_loop(k, native_simd_width())) << k.name;
+      const auto make = lanes_args(s, 4 * lsx * lsy, 5);
+      expect_equivalent(k, {2 * lsx, 2 * lsy}, {lsx, lsy}, make);
+      expect_equivalent(k, {2 * lsx, 2 * lsy}, {lsx, lsy},
+                        lanes_args(s, 4 * lsx * lsy, 0));  // zero trips
+      // f32 rounding must matter: the f32 result is not the f64 result
+      // rounded once at the end.
+      const RunResult r =
+          run_one(k, {2 * lsx, 2 * lsy}, {lsx, lsy}, make, Backend::Bytecode, 1);
+      ASSERT_FALSE(r.threw) << r.message;
+      std::size_t rounded_apart = 0;
+      for (std::size_t j = 0; j < r.bytes.size() / (s == Scalar::F64 ? 8 : 4);
+           ++j) {
+        if (s == Scalar::F64) {
+          double v = 0;
+          std::memcpy(&v, r.bytes.data() + 8 * j, 8);
+          f64_out.push_back(v);
+        } else {
+          float v = 0;
+          std::memcpy(&v, r.bytes.data() + 4 * j, 4);
+          rounded_apart += v != static_cast<float>(f64_out[j]);
+        }
+      }
+      if (s == Scalar::F32) {
+        EXPECT_GT(rounded_apart, 0u) << k.name;
+      }
+    }
+  }
+}
+
+/// `lx == v` as a 0/1 integer.
+ExprPtr lane_is(ExprPtr lx, std::int64_t v) {
+  return bin(BinOp::And, bin(BinOp::Lt, iconst(v - 1), lx),
+             bin(BinOp::Lt, lx, iconst(v + 1)));
+}
+
+/// A 16-item group (reqd 16x1) running `for (k = 0; k < 2; ++k) x += a[i]`
+/// for each index i = idx(lx, k) in turn, over a 40-element buffer, so the
+/// indices decide which items fault at which load and iteration.
+void expect_loop_fault(
+    const char* name,
+    const std::vector<std::function<ExprPtr(ExprPtr, ExprPtr)>>& idx,
+    const std::string& want) {
+  const Type t1 = fp(Scalar::F64, 1);
+  KernelBuilder b(name, Scalar::F64);
+  b.add_arg("out", ArgKind::GlobalPtr, Scalar::F64);
+  b.add_arg("a", ArgKind::GlobalConstPtr, Scalar::F64);
+  b.set_reqd_local(16, 1);
+  const int lx = b.decl_var("lx", i32());
+  const int k = b.decl_var("k", i32());
+  const int x = b.decl_var("x", t1);
+  b.append(assign(lx, builtin(BuiltinFn::LocalId, 0)));
+  std::vector<StmtPtr> body;
+  for (const auto& f : idx)
+    body.push_back(assign(x, bin(BinOp::FAdd, b.ref(x),
+                                 load_global(1, f(b.ref(lx), b.ref(k)), t1))));
+  b.append(for_loop(k, iconst(0), iconst(2), iconst(1), std::move(body)));
+  b.append(store_global(0, b.ref(lx), b.ref(x)));
+  const Kernel kern = b.build();
+  EXPECT_TRUE(has_vector_loop(kern, 8)) << name;
+  const auto make = [](std::vector<simcl::BufferPtr>* bufs) {
+    auto out = make_buffer(16 * 8);
+    auto a = make_buffer(40 * 8);
+    bufs->push_back(out);
+    bufs->push_back(a);
+    return std::vector<ArgValue>{ArgValue::of(out), ArgValue::of(a)};
+  };
+  EXPECT_EQ(run_tree(kern, {16, 1}, {16, 1}, make).message, want) << name;
+  expect_equivalent(kern, {16, 1}, {16, 1}, make);
+}
+
+// Blocks are 8 items wide with AVX-512 (4 with AVX2, 2 otherwise); the
+// items named below sit in different blocks, or in one, at every width.
+TEST(VmLoopRuns, FaultOrderAcrossIterationsBlocksAndLanes) {
+  const auto msg = [](int idx) {
+    return "global load out of range: index " + std::to_string(idx) +
+           " + 1 lanes, buffer 40 elements";
+  };
+  // Item 9 (second block) faults at iteration 0, item 2 (first block) at
+  // iteration 1: lockstep reports item 9. Keeping the first block's
+  // fault would report item 2's index 60.
+  expect_loop_fault("fault_iteration",
+                    {[](ExprPtr lx, ExprPtr k) {
+                      return lane_is(lx, 9) * 50 +
+                             lane_is(lx, 2) * std::move(k) * 60;
+                    }},
+                    msg(50));
+  // Index 7 * lx (lane stride 7): items 6 and 7 of one block fail the same
+  // load at iteration 0; lockstep reports item 6, not item 7's 49.
+  expect_loop_fault("fault_lane",
+                    {[](ExprPtr lx, ExprPtr) { return std::move(lx) * 7; }},
+                    msg(42));
+  // Item 4 fails the second load, item 6 the first, both at iteration 0:
+  // lockstep reports the first load's item 6.
+  expect_loop_fault(
+      "fault_pc",
+      {[](ExprPtr lx, ExprPtr) { return lane_is(std::move(lx), 6) * 50; },
+       [](ExprPtr lx, ExprPtr) { return lane_is(std::move(lx), 4) * 55; }},
+      msg(50));
+}
+
+TEST(VmLoopRuns, IneligibleLoopsKeepTheScalarForm) {
+  // A work-group 12 wide (not a multiple of 8), and one of no fixed size.
+  for (const bool reqd : {true, false}) {
+    const std::int64_t lsx = reqd ? 12 : 16, lsy = reqd ? 1 : 2;
+    const Kernel k = lanes_kernel(Scalar::F64, lsx, lsy, reqd);
+    EXPECT_FALSE(has_vector_loop(k, 8)) << k.name;
+    expect_equivalent(k, {2 * lsx, 2 * lsy}, {lsx, lsy},
+                      lanes_args(Scalar::F64, 4 * lsx * lsy, 3));
+  }
+  // A loop body that stores to local memory.
+  const Type t1 = fp(Scalar::F64, 1);
+  KernelBuilder b("loop_store_local", Scalar::F64);
+  b.add_arg("out", ArgKind::GlobalPtr, Scalar::F64);
+  b.add_arg("a", ArgKind::GlobalConstPtr, Scalar::F64);
+  b.add_arg("n", ArgKind::Int, Scalar::I32);
+  b.set_reqd_local(16, 1);
+  const int lx = b.decl_var("lx", i32());
+  const int k = b.decl_var("k", i32());
+  const int lm = b.decl_array("Lm", Scalar::F64, 16, AddrSpace::Local);
+  b.append(assign(lx, builtin(BuiltinFn::LocalId, 0)));
+  b.append(for_loop(k, iconst(0), arg_ref(2, i32()), iconst(1),
+                    {store_local(lm, b.ref(lx),
+                                 load_global(1, b.ref(lx) + b.ref(k), t1))}));
+  b.append(barrier());
+  b.append(store_global(0, builtin(BuiltinFn::GlobalId, 0),
+                        load_local(lm, b.ref(lx), t1)));
+  const Kernel st = b.build();
+  EXPECT_FALSE(has_vector_loop(st, 8));
+  expect_equivalent(st, {32, 1}, {16, 1}, lanes_args(Scalar::F64, 32, 4));
+}
+
 // ---- backend resolution and the compiled cache -----------------------------
 
 struct EnvGuard {
@@ -685,8 +908,8 @@ TEST(VmBackend, ResolutionPrecedence) {
       resolve_backend(Backend::Auto);
       FAIL() << "expected Error for " << bad;
     } catch (const Error& e) {
-      EXPECT_EQ(strip_loc(e.what()), "GEMMTUNE_INTERP: unknown value '" +
-                                         bad + "' (use bytecode, native)");
+      EXPECT_EQ(std::string(e.what()), "GEMMTUNE_INTERP: unknown value '" +
+                                           bad + "' (use bytecode, native)");
     }
   }
   // An explicit backend never consults the (invalid) environment.
