@@ -35,6 +35,19 @@ inline std::int64_t lcm3(std::int64_t a, std::int64_t b, std::int64_t c) {
   return std::lcm(std::lcm(a, b), c);
 }
 
+/// Stores a + b in `*out` and returns true, or returns false when the sum
+/// is outside the int64 range. The check is one flag test, so build any
+/// error message on the false path only.
+inline bool add_fits(std::int64_t a, std::int64_t b, std::int64_t* out) {
+  return !__builtin_add_overflow(a, b, out);
+}
+
+/// Stores a * b in `*out` and returns true, or returns false when the
+/// product is outside the int64 range.
+inline bool mul_fits(std::int64_t a, std::int64_t b, std::int64_t* out) {
+  return !__builtin_mul_overflow(a, b, out);
+}
+
 /// True when `x` is a power of two (x > 0).
 constexpr bool is_pow2(std::int64_t x) { return x > 0 && (x & (x - 1)) == 0; }
 

@@ -12,6 +12,7 @@
 #include "common/report_version.hpp"
 #include "common/runmeta.hpp"
 #include "common/stats.hpp"
+#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "kernelir/interp.hpp"
 #include "layout/packing.hpp"
@@ -157,6 +158,31 @@ DistExecutor::tile_estimates(const TileGrid& grid, GemmType type,
       per_dev[static_cast<std::size_t>(d)] =
           flat[static_cast<std::size_t>(d * ns + si)];
   }
+  // A simulation ships each tile once: at most its C block down and up
+  // and one A and one B panel. Bounding that by the costliest tile on any
+  // device keeps every per-tile, per-device and report byte sum in int64.
+  const std::int64_t es = element_bytes(prec);
+  const auto block_bytes = [es](std::int64_t copies, index_t rows,
+                                index_t cols, std::int64_t* bytes) {
+    return mul_fits(copies * es, rows, bytes) &&
+           mul_fits(*bytes, cols, bytes);
+  };
+  std::int64_t worst = 0;
+  bool fits = true;
+  for (const TileEstimate& te : flat) {
+    std::int64_t c = 0, a = 0, b = 0;
+    fits = fits && block_bytes(2, te.Mp, te.Np, &c) &&
+           block_bytes(1, te.Kp, te.Mp, &a) &&
+           block_bytes(1, te.Kp, te.Np, &b) && add_fits(c, a, &c) &&
+           add_fits(c, b, &c);
+    worst = std::max(worst, c);
+  }
+  if (!(fits && mul_fits(worst, grid.total(), &worst)))
+    fail(strf("problem %lldx%lldx%lld: the tiles' transfers of %lld-byte "
+              "elements are over the limit of %lld bytes",
+              static_cast<long long>(grid.M), static_cast<long long>(grid.N),
+              static_cast<long long>(grid.K), static_cast<long long>(es),
+              static_cast<long long>(std::numeric_limits<index_t>::max())));
   return out;
 }
 

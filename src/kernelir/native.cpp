@@ -42,8 +42,10 @@ namespace gemmtune::ir {
 
 namespace {
 
-/// Bumping this invalidates every cached .so (the hash covers it).
-constexpr const char* kEmitterVersion = "gemmtune-native-emit-v4";
+/// Bumping this invalidates every cached .so: the hash covers it and the
+/// flags, not the emitted text. v5: the lane helpers are the host's
+/// conversions and gathers.
+constexpr const char* kEmitterVersion = "gemmtune-native-emit-v5";
 /// The emitted code is already vectorized where it pays: vector loop runs
 /// spell their W-lane operations out in GCC vector types, and straight-line
 /// runs are scalar per work-item. -O1 keeps both as fast as -O3 did while
@@ -354,12 +356,12 @@ void reset_native_probe() {
   g_probe_cxx.clear();
 }
 
-NativeKernelPtr get_or_compile_native(const Kernel& kernel,
-                                      std::string* why) {
+NativeKernelPtr get_or_compile_native(const Kernel& kernel, std::string* why,
+                                      int simd_width) {
   // The vector width is part of the identity of a compiled object (and of
   // its hash-named .so file), so hosts of different ISAs sharing one cache
   // directory never load each other's objects.
-  const int simd_w = native_simd_width();
+  const int simd_w = simd_width > 0 ? simd_width : native_simd_width();
   const std::string key =
       serialize_kernel(kernel) + strf("#simd=w%d", simd_w);
   const NativeSlot slot = native_cache_lookup(key);

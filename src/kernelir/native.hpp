@@ -86,12 +86,14 @@ int native_simd_width();
 
 /// Emits the specialized C++ translation unit for one compiled kernel,
 /// for a host of `simd_width` doubles (2, 4, 8 or 16): the width W of its
-/// vector loop runs. f32 rounding is a per-lane double -> float -> double
-/// conversion, so buffers stay bit-identical to the VM. Pure and
-/// deterministic (the source
-/// depends only on the program, the kernel's reqd_work_group_size /
-/// argument shapes, and the width). Throws gemmtune::Error on a program it
-/// cannot translate; the JIT then falls back to the VM.
+/// vector loop runs. f32 rounding is a double -> float -> double
+/// conversion of each lane, so buffers stay bit-identical to the VM; at
+/// W = 8 and 4 a GCC build spells it, the float loads and (at W = 8) the
+/// strided loads as the host's conversion and gather instructions. Pure
+/// and deterministic (the source depends only on the program, the
+/// kernel's reqd_work_group_size / argument shapes, and the width). Throws
+/// gemmtune::Error on a program it cannot translate; the JIT then falls
+/// back to the VM.
 std::string emit_native_source(const Kernel& kernel,
                                const CompiledKernel& prog, int simd_width);
 
@@ -113,9 +115,13 @@ void reset_native_probe();
 /// cache. Returns nullptr when the native backend is unavailable for this
 /// kernel — no toolchain, compile or dlopen failure — with the cause in
 /// `*why`; the failure is cached per kernel so repeated launches don't
-/// re-run the compiler. Thread-safe; first insert wins.
+/// re-run the compiler. `simd_width` > 0 builds for that emit width and
+/// its JIT flags instead of native_simd_width() (tests run every width the
+/// CPU can); the width keys the cache and the .so hash either way.
+/// Thread-safe; first insert wins.
 NativeKernelPtr get_or_compile_native(const Kernel& kernel,
-                                      std::string* why = nullptr);
+                                      std::string* why = nullptr,
+                                      int simd_width = 0);
 
 /// Prints a one-line warning to stderr naming the fallback cause; each
 /// distinct cause is printed once per process.

@@ -56,9 +56,10 @@
 // written back. A static pass proves per vi register the step between
 // consecutive lanes (its lane stride): a stride-0 load is one scalar load
 // broadcast, a stride-1 load one vector load, another known stride W loads
-// that far apart, an unknown stride one load per lane. A known stride
-// makes the index monotone across the block, so the bounds check tests the
-// first and last lane; an unknown one tests every lane. A block runs its
+// that far apart (at W = 8 one gather for doubles), an unknown stride one
+// load per lane. A known stride makes the index monotone across the block,
+// so the bounds check, which runs before the load, tests the first and
+// last lane; an unknown one tests every lane. A block runs its
 // iterations in order, so its first failing check has its smallest
 // (iteration, pc); the lowest failing lane of that check is the block's
 // fault, and a later block replaces the record only with a strictly
@@ -72,10 +73,12 @@
 //
 // Floating-point identity with the VM is preserved by construction:
 // arithmetic is emitted as the same double expressions the VM evaluates
-// (single-precision rounding as a per-lane double -> float -> double
-// conversion), constants are reproduced bit-exactly from their IEEE-754
-// payloads, and the JIT compiles with -ffp-contract=off so the host
-// compiler cannot fuse a*b+c into an fma the VM didn't perform.
+// (single-precision rounding as a double -> float -> double conversion of
+// each lane; in a vector loop run at W = 8 and 4 that is one host
+// conversion instruction each way, which rounds every lane as the VM's
+// scalar cast does), constants are reproduced bit-exactly from their
+// IEEE-754 payloads, and the JIT compiles with -ffp-contract=off so the
+// host compiler cannot fuse a*b+c into an fma the VM didn't perform.
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
@@ -750,7 +753,7 @@ class Emitter {
   // ---- prologue / epilogue --------------------------------------------------
 
   void prologue(bool vector_loops) {
-    raw(strf("// Generated by the gemmtune native backend (emitter v4, "
+    raw(strf("// Generated by the gemmtune native backend (emitter v5, "
              "simd w=%d) for\n",
              simd_));
     raw("// kernel '" + k_.name + "'. Mirrors kernelir/vm.cpp semantics;\n"
@@ -882,21 +885,61 @@ class Emitter {
         "};\n");
     raw("GT_INL VD bd(double x) { return (VD){" + bcast + "}; }\n");
     raw("GT_INL VI bi(long long x) { return (VI){" + bcast + "}; }\n");
-    raw("GT_INL VD r32(VD x) { return __builtin_convertvector("
-        "__builtin_convertvector(x, VF), VD); }\n");
     raw("GT_INL VD ld1(const double* p) { VD v; std::memcpy(&v, p, sizeof v);"
         " return v; }\n");
-    raw("GT_INL VD ld1(const float* p) { VF v; std::memcpy(&v, p, sizeof v);"
-        " return __builtin_convertvector(v, VD); }\n");
     raw("GT_INL VI ld1(const long long* p) { VI v; std::memcpy(&v, p, "
         "sizeof v); return v; }\n");
     raw("GT_INL void st1(double* p, VD v) { std::memcpy(p, &v, sizeof v); }\n");
     raw("GT_INL void st1(long long* p, VI v) { std::memcpy(p, &v, sizeof v); "
         "}\n");
-    raw("GT_INL VD lds(const double* p, long long s) { return (VD){" +
-        lanes([](int l) { return strf("p[%d * s]", l); }) + "}; }\n");
-    raw("GT_INL VD lds(const float* p, long long s) { return (VD){" +
-        lanes([](int l) { return strf("(double)p[%d * s]", l); }) + "}; }\n");
+    // The f32 round, the float load and the strided loads. At W = 8 and 4
+    // GCC 12 compiles the portable forms to half-width conversions and
+    // lane-by-lane inserts, so GCC builds for the JIT's -m flag spell the
+    // host instruction each one stands for as a builtin (no header:
+    // <immintrin.h> costs more compile time than most kernels): one
+    // conversion each way, and at W = 8 a 64-bit-index gather for doubles
+    // and eight float loads with one widening conversion for floats.
+    // AVX2's gather is slower than the lane loads, so W = 4 keeps them.
+    // Clang keeps the portable forms, as does W = 2, where they already
+    // are one instruction each.
+    const std::string portable_r32 =
+        "GT_INL VD r32(VD x) { return __builtin_convertvector("
+        "__builtin_convertvector(x, VF), VD); }\n";
+    const std::string portable_ld1f =
+        "GT_INL VD ld1(const float* p) { VF v; std::memcpy(&v, p, sizeof v);"
+        " return __builtin_convertvector(v, VD); }\n";
+    const std::string portable_lds =
+        "GT_INL VD lds(const double* p, long long s) { return (VD){" +
+        lanes([](int l) { return strf("p[%d * s]", l); }) +
+        "}; }\nGT_INL VD lds(const float* p, long long s) { return (VD){" +
+        lanes([](int l) { return strf("(double)p[%d * s]", l); }) + "}; }\n";
+    if (w != 8 && w != 4) {
+      raw(portable_r32 + portable_ld1f + portable_lds);
+    } else {
+      const bool avx512 = w == 8;
+      std::string gcc =
+          strf("GT_INL VD wide(VF x) { return %s; }\n",
+               avx512 ? "__builtin_ia32_cvtps2pd512_mask(x, (VD){}, 0xFF, 4)"
+                      : "__builtin_ia32_cvtps2pd256(x)") +
+          strf("GT_INL VD r32(VD x) { return wide(%s); }\n",
+               avx512 ? "__builtin_ia32_cvtpd2ps512_mask(x, (VF){}, 0xFF, 4)"
+                      : "__builtin_ia32_cvtpd2ps256(x)") +
+          "GT_INL VD ld1(const float* p) { VF v; std::memcpy(&v, p, sizeof "
+          "v); return wide(v); }\n";
+      if (avx512)
+        gcc += "GT_INL VD lds(const double* p, long long s) { return "
+               "__builtin_ia32_gatherdiv8df((VD){}, p, (VI){" +
+               lanes([](int l) { return strf("%d * s", l); }) +
+               "}, 0xFF, 8); }\n"
+               "GT_INL VD lds(const float* p, long long s) { return "
+               "wide((VF){" +
+               lanes([](int l) { return strf("p[%d * s]", l); }) + "}); }\n";
+      raw(strf("#if defined(%s) && !defined(__clang__)\n",
+               avx512 ? "__AVX512F__" : "__AVX2__") +
+          gcc + "#else\n" + portable_r32 + portable_ld1f +
+          (avx512 ? portable_lds : "") + "#endif\n" +
+          (avx512 ? "" : portable_lds));
+    }
     raw("GT_INL void sts(double* p, long long s, VD v) {" +
         each([](int l) { return strf(" p[%d * s] = v[%d];", l, l); }) +
         " }\n");

@@ -22,14 +22,13 @@ PackedExtents checked_packed_extents(index_t M, index_t N, index_t K,
   check(Mwg > 0 && Nwg > 0 && Kwg > 0, "packed_extents: bad blocking");
   const auto pad = [](index_t x, index_t block, index_t* padded) {
     index_t up = 0;
-    if (__builtin_add_overflow(x, block - 1, &up)) return false;
+    if (!add_fits(x, block - 1, &up)) return false;
     *padded = up / block * block;
     return true;
   };
   const auto bytes_fit = [elem_bytes](index_t rows, index_t cols) {
     index_t bytes = 0;
-    return !__builtin_mul_overflow(elem_bytes, rows, &bytes) &&
-           !__builtin_mul_overflow(bytes, cols, &bytes);
+    return mul_fits(elem_bytes, rows, &bytes) && mul_fits(bytes, cols, &bytes);
   };
   PackedExtents e;
   if (!(pad(M, Mwg, &e.Mp) && pad(N, Nwg, &e.Np) && pad(K, Kwg, &e.Kp) &&

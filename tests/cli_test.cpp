@@ -430,8 +430,9 @@ TEST(Cli, OversizedProblemsFailNamingTheLimit) {
 
 TEST(Cli, PaddedOperandsOverInt64FailNamingTheLimit) {
   // The cost model and the dist simulation compute operand bytes in
-  // int64; a problem whose padded operands pass 2^63 bytes is refused by
-  // every entry point that reaches them, naming the extents and the limit.
+  // int64; a problem whose padded operands, or a dist tile's transfers,
+  // pass 2^63 bytes is refused by every entry point that reaches them,
+  // naming the extents and the limit.
   const std::string limit = "over the limit of 9223372036854775807 bytes";
   const auto expect_refused = [&](const std::vector<std::string>& args,
                                   const std::string& extents) {
@@ -447,6 +448,11 @@ TEST(Cli, PaddedOperandsOverInt64FailNamingTheLimit) {
   expect_refused({"dist", "--spec=m=1024,n=1024,k=4611686018427387904,"
                   "prec=DGEMM,devices=Tahiti"},
                  "1024x1024x4611686018427387904");
+  // Each padded operand fits, but one tile's C block twice plus its A and
+  // B panels does not.
+  expect_refused({"dist", "--spec=m=1024,n=1024,k=1000000000000000,"
+                  "prec=DGEMM,devices=Tahiti"},
+                 "1024x1024x1000000000000000");
   // A replayed trace (workload_from_json) whose first request is
   // 9223372036854774784 x 9223372036854774784.
   const std::string trace = edited_trace("cli_int64_wl.json", [](Json& doc) {
@@ -454,9 +460,14 @@ TEST(Cli, PaddedOperandsOverInt64FailNamingTheLimit) {
   });
   expect_refused({"replay", trace}, "9223372036854774784x9223372036854774784x");
   std::remove(trace.c_str());
-  // Problems inside the limit still run.
+  // Problems inside the limit still run, the dist one a tenth of the
+  // refused k.
   EXPECT_EQ(run_cli({"estimate", "Tahiti", "DGEMM", "NN", "4096"}).first, 0);
   EXPECT_EQ(run_cli({"sweep", "Tahiti", "SGEMM", "1024"}).first, 0);
+  EXPECT_EQ(run_cli({"dist", "--spec=m=1024,n=1024,k=100000000000000,"
+                     "prec=DGEMM,devices=Tahiti"})
+                .first,
+            0);
 }
 
 TEST(Cli, ErrorsNameNoSourceFiles) {

@@ -1,6 +1,7 @@
 // Tests for the native JIT backend's machinery (native.hpp) and the
 // LRU-bounded program cache (compile.hpp): emitter determinism and form
-// (Table II kernels at every width run their k-loop as a vector loop), the
+// (Table II kernels at every width run their k-loop as a vector loop),
+// Table II kernels built at every width the CPU runs against bytecode, the
 // on-disk .so cache round-trip (a warm start needs no compiler at all),
 // graceful fallback to bytecode when no toolchain is usable, read-only
 // cache-dir handling, and cache eviction under GEMMTUNE_PROGRAM_CACHE_MAX.
@@ -13,6 +14,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "kernelir/interp.hpp"
 #include "kernelir/kernel.hpp"
 #include "kernelir/native.hpp"
+#include "simcl/device_registry.hpp"
 #include "simcl/runtime.hpp"
 #include "trace/trace.hpp"
 
@@ -388,6 +391,104 @@ TEST_F(NativeTest, SimdDifferentialAcrossFuzzedShapes) {
     EXPECT_EQ(byte.counters, simd.counters)
         << "SIMD-native counter divergence: " << f.summary();
   }
+}
+
+// ---- Table II kernels: native builds against bytecode ----------------------
+
+/// C's bytes and the counters of one launch.
+struct GemmRun {
+  std::vector<std::uint8_t> c;
+  Counters counters;
+};
+
+/// Launches `h` on a 2 x 2-group packed problem of `p` (Mp = 2 Mwg,
+/// Np = 2 Nwg, Kp = 2 Kwg) with seeded operands and C, on `threads`
+/// threads.
+GemmRun run_packed(const PreparedKernel& h, const codegen::KernelParams& p,
+                   int threads) {
+  const std::int64_t M = 2 * p.Mwg, N = 2 * p.Nwg, K = 2 * p.Kwg;
+  const bool f64 = p.prec == codegen::Precision::DP;
+  Rng rng(0x7AB1E2);
+  const auto buffer = [&](std::int64_t elems) {
+    auto buf = std::make_shared<simcl::Buffer>(
+        static_cast<std::size_t>(elems) * (f64 ? 8 : 4));
+    for (std::int64_t j = 0; j < elems; ++j) {
+      const double v = rng.next_double(-1.0, 1.0);
+      if (f64) {
+        buf->as<double>()[j] = v;
+      } else {
+        buf->as<float>()[j] = static_cast<float>(v);
+      }
+    }
+    return buf;
+  };
+  const simcl::BufferPtr a = buffer(K * M), b = buffer(K * N),
+                         c = buffer(M * N);
+  using codegen::GemmKernelArgs;
+  std::vector<ArgValue> args(8);
+  args[GemmKernelArgs::C] = ArgValue::of(c);
+  args[GemmKernelArgs::A] = ArgValue::of(a);
+  args[GemmKernelArgs::B] = ArgValue::of(b);
+  args[GemmKernelArgs::M] = ArgValue::of_int(M);
+  args[GemmKernelArgs::N] = ArgValue::of_int(N);
+  args[GemmKernelArgs::K] = ArgValue::of_int(K);
+  args[GemmKernelArgs::alpha] = ArgValue::of_float(1.5);
+  args[GemmKernelArgs::beta] = ArgValue::of_float(-0.5);
+  const codegen::LaunchGeometry geo = codegen::launch_geometry(p, M, N);
+  GemmRun r;
+  r.counters = launch(h, geo.global, geo.local, args, threads);
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(c->data());
+  r.c.assign(bytes, bytes + c->size());
+  return r;
+}
+
+/// Builds `p`'s kernel natively at emit width `w`, with that width's JIT
+/// flags, and expects C's bytes and the counters of bytecode at 1 and 4
+/// threads.
+void expect_native_matches_bytecode(const codegen::KernelParams& p, int w) {
+  const Kernel k = codegen::generate_gemm_kernel(p);
+  const std::string what = k.name + " at width " + std::to_string(w);
+  std::string why;
+  PreparedKernel native;
+  native.signature = LaunchSignature::of(k);
+  native.native = get_or_compile_native(k, &why, w);
+  ASSERT_NE(native.native, nullptr) << what << ": " << why;
+  const GemmRun want = run_packed(*prepare(k, Backend::Bytecode), p, 1);
+  for (const int threads : {1, 4}) {
+    const GemmRun got = run_packed(native, p, threads);
+    EXPECT_EQ(got.c, want.c) << what << ", " << threads << " threads";
+    EXPECT_EQ(got.counters, want.counters)
+        << what << ", " << threads << " threads";
+  }
+}
+
+TEST_F(NativeTest, EveryEmitWidthMatchesBytecode) {
+  // Only the host width runs anywhere else, so each width the CPU can run
+  // is built here: Tahiti's two Table II kernels, whose k-loops exercise
+  // the f32 round, float loads and stride-6 double loads of every width's
+  // lane helpers.
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  for (const int w : {2, 4, 8}) {
+    if (w > native_simd_width()) {
+      std::printf("width %d skipped: the CPU runs at most %d\n", w,
+                  native_simd_width());
+      continue;
+    }
+    for (const auto prec : {codegen::Precision::DP, codegen::Precision::SP})
+      expect_native_matches_bytecode(
+          codegen::table2_entry(simcl::DeviceId::Tahiti, prec).params, w);
+  }
+}
+
+// All twelve Table II kernels at the host width. Twelve cold compiles cost
+// about 35 CPU-seconds, so the case is disabled in tier-1; the native CI
+// job runs it with --gtest_also_run_disabled_tests under its JIT cache.
+TEST_F(NativeTest, DISABLED_TableIIKernelsMatchBytecode) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  for (const simcl::DeviceId dev : simcl::evaluation_devices())
+    for (const auto prec : {codegen::Precision::DP, codegen::Precision::SP})
+      expect_native_matches_bytecode(codegen::table2_entry(dev, prec).params,
+                                     native_simd_width());
 }
 
 // ---- toolchain probe caching -----------------------------------------------
