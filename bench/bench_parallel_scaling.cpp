@@ -134,10 +134,11 @@ int main(int argc, char** argv) {
   args[codegen::GemmKernelArgs::alpha] = ir::ArgValue::of_float(1.0);
   args[codegen::GemmKernelArgs::beta] = ir::ArgValue::of_float(0.0);
 
+  const ir::KernelHandle handle = ir::prepare(kern);
   std::vector<Run> interp_runs;
   for (const int threads : kThreadCounts) {
     const double t0 = now_seconds();
-    (void)ir::launch(kern, geo.global, geo.local, args, threads);
+    (void)ir::launch(*handle, geo.global, geo.local, args, threads);
     const double dt = now_seconds() - t0;
     interp_runs.push_back({threads, dt, interp_runs.empty()
                                             ? 1.0

@@ -43,18 +43,14 @@ const ir::PreparedKernel& GemmEngine::kernel_handle(Precision prec,
   if (direct)
     slot |= 4u | (ta == Transpose::Yes ? 8u : 0u) |
             (tb == Transpose::Yes ? 16u : 0u) | (guarded ? 32u : 0u);
-  {
-    std::lock_guard<std::mutex> lock(handles_mu_);
-    if (handles_[slot]) return *handles_[slot];
-  }
-  const KernelParams& p = kernel_for(prec).params;
-  ir::KernelHandle h = ir::prepare(
-      direct ? codegen::generate_direct_gemm_kernel(tuner::direct_variant(p),
-                                                    ta, tb, guarded)
-             : codegen::generate_gemm_kernel(p),
-      tier);
-  std::lock_guard<std::mutex> lock(handles_mu_);
-  if (!handles_[slot]) handles_[slot] = std::move(h);
+  std::call_once(prepared_[slot], [&] {
+    const KernelParams& p = kernel_for(prec).params;
+    handles_[slot] = ir::prepare(
+        direct ? codegen::generate_direct_gemm_kernel(
+                     tuner::direct_variant(p), ta, tb, guarded)
+               : codegen::generate_gemm_kernel(p),
+        tier);
+  });
   return *handles_[slot];
 }
 

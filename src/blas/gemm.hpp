@@ -92,11 +92,11 @@ class GemmEngine {
 
   /// The prepared kernel of the packed path (`direct` false, with ta, tb
   /// No and guarded false) or of one direct-path variant, for `prec`'s
-  /// tuned params on the current tier. Created on first use outside the
-  /// lock; the first insert wins. The tuned params of a precision never
-  /// change once kernel_for() has returned them, so they are not part of
-  /// the key; the tier is, because the backend override can change
-  /// between calls.
+  /// tuned params on the current tier. Prepared exactly once, on first
+  /// use; concurrent first calls wait for that one preparation. The tuned
+  /// params of a precision never change once kernel_for() has returned
+  /// them, so they are not part of the key; the tier is, because the
+  /// backend override can change between calls.
   const ir::PreparedKernel& kernel_handle(codegen::Precision prec,
                                           bool direct, Transpose ta,
                                           Transpose tb, bool guarded);
@@ -105,10 +105,10 @@ class GemmEngine {
   perfmodel::PerfModel model_;
   tuner::TunedDatabase db_;
   bool direct_enabled_ = true;
-  std::mutex handles_mu_;
   /// Indexed by the key bits of kernel_handle(): precision, tier, path,
-  /// ta, tb, guarded.
+  /// ta, tb, guarded. A slot is written once, under its flag.
   std::array<ir::KernelHandle, 64> handles_;
+  std::array<std::once_flag, 64> prepared_;
 };
 
 }  // namespace gemmtune::blas

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -30,9 +31,24 @@ double Json::as_number() const {
   return num_;
 }
 
-std::int64_t Json::as_int() const {
+std::optional<std::int64_t> Json::int_in(std::int64_t lo,
+                                         std::int64_t hi) const {
   check(kind_ == Kind::Number, "Json: not a number");
-  return static_cast<std::int64_t>(std::llround(num_));
+  // Every double in [-2^63, 2^63) rounds to an int64; no other does.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (!(num_ >= -kTwo63 && num_ < kTwo63)) return std::nullopt;
+  const std::int64_t n = std::llround(num_);
+  if (n < lo || n > hi) return std::nullopt;
+  return n;
+}
+
+std::int64_t Json::as_int() const {
+  constexpr std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  if (const std::optional<std::int64_t> n = int_in(lo, hi)) return *n;
+  fail(strf("Json: %s is outside the int64 range [%lld, %lld]",
+            dump().c_str(), static_cast<long long>(lo),
+            static_cast<long long>(hi)));
 }
 
 const std::string& Json::as_string() const {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,11 +36,17 @@ class Json {
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::Null; }
 
-  /// Typed accessors; throw gemmtune::Error on kind mismatch.
+  /// Typed accessors; throw gemmtune::Error on kind mismatch. as_int()
+  /// also throws, naming the number and the range, when the number rounds
+  /// to no int64.
   bool as_bool() const;
   double as_number() const;
   std::int64_t as_int() const;
   const std::string& as_string() const;
+
+  /// The number rounded to the nearest integer, or nullopt when that lies
+  /// outside [lo, hi]; throws gemmtune::Error when this is not a number.
+  std::optional<std::int64_t> int_in(std::int64_t lo, std::int64_t hi) const;
 
   /// Array operations.
   void push_back(Json v);

@@ -31,14 +31,10 @@
 #include "kernelir/compile.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <list>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <tuple>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -1611,69 +1607,6 @@ class Compiler {
   int mask_depth_ = 0;
 };
 
-// ---- compiled-program cache ------------------------------------------------
-
-// One entry per distinct kernel serialization, holding every compiled form
-// of that kernel: the bytecode program and (once the native backend has
-// visited it) its dlopen'd shared object or a sticky failure marker. The
-// entries sit on an LRU list bounded by GEMMTUNE_PROGRAM_CACHE_MAX so a
-// fuzzer streaming thousands of distinct kernels cannot grow the cache
-// without bound; the shared_ptrs keep any in-flight program alive across
-// its own eviction.
-struct CacheEntry {
-  CompiledKernelPtr bytecode;  ///< null when created by a native store
-  NativeKernelPtr native;
-  bool native_failed = false;
-  bool native_present = false;
-  std::list<std::string>::iterator lru;  ///< position in g_lru
-};
-
-std::mutex g_cache_mutex;
-std::size_t g_cache_max_override = 0;  // 0 = use the environment/default
-
-std::unordered_map<std::string, CacheEntry>& cache_map() {
-  static auto* m = new std::unordered_map<std::string, CacheEntry>();
-  return *m;
-}
-std::list<std::string>& lru_list() {  // front = most recently used
-  static auto* l = new std::list<std::string>();
-  return *l;
-}
-
-std::size_t cache_capacity() {
-  if (g_cache_max_override > 0) return g_cache_max_override;
-  static const std::size_t from_env = [] {
-    std::size_t cap = 256;
-    if (const char* s = std::getenv("GEMMTUNE_PROGRAM_CACHE_MAX")) {
-      char* end = nullptr;
-      const long long v = std::strtoll(s, &end, 10);
-      if (end != s && *end == '\0' && v > 0)
-        cap = static_cast<std::size_t>(v);
-    }
-    return cap;
-  }();
-  return from_env;
-}
-
-// Callers hold g_cache_mutex. Touches move the entry to the LRU front;
-// inserts evict from the back once over capacity.
-void lru_touch(CacheEntry& e) {
-  lru_list().splice(lru_list().begin(), lru_list(), e.lru);
-}
-
-CacheEntry& lru_insert(const std::string& key) {
-  auto& map = cache_map();
-  while (map.size() >= cache_capacity() && !lru_list().empty()) {
-    map.erase(lru_list().back());
-    lru_list().pop_back();
-    if (trace::enabled()) trace::counter_add("interp.cache_evict", 1);
-  }
-  lru_list().push_front(key);
-  CacheEntry& e = map[key];
-  e.lru = lru_list().begin();
-  return e;
-}
-
 }  // namespace
 
 std::string serialize_kernel(const Kernel& kernel) {
@@ -1702,87 +1635,12 @@ std::string serialize_kernel(const Kernel& kernel) {
 }
 
 CompiledKernelPtr compile(const Kernel& kernel) {
+  if (trace::enabled()) trace::counter_add("interp.compiles", 1);
+  trace::Span span("interp.compile");
   Compiler c(kernel);
   return std::make_shared<const CompiledKernel>(c.run());
 }
 
-CompiledKernelPtr get_or_compile(const Kernel& kernel) {
-  const std::string key = serialize_kernel(kernel);
-  {
-    std::lock_guard<std::mutex> lock(g_cache_mutex);
-    auto it = cache_map().find(key);
-    if (it != cache_map().end() && it->second.bytecode) {
-      if (trace::enabled()) trace::counter_add("interp.cache_hit", 1);
-      lru_touch(it->second);
-      return it->second.bytecode;
-    }
-  }
-  if (trace::enabled()) {
-    trace::counter_add("interp.cache_miss", 1);
-    trace::counter_add("interp.compiles", 1);
-  }
-  CompiledKernelPtr prog;
-  {
-    trace::Span span("interp.compile");
-    prog = compile(kernel);
-  }
-  std::lock_guard<std::mutex> lock(g_cache_mutex);
-  auto it = cache_map().find(key);
-  if (it == cache_map().end()) {
-    lru_insert(key).bytecode = prog;
-    return prog;
-  }
-  lru_touch(it->second);
-  if (!it->second.bytecode) it->second.bytecode = prog;
-  return it->second.bytecode;  // first insert wins under concurrency
-}
-
-NativeSlot native_cache_lookup(const std::string& key) {
-  std::lock_guard<std::mutex> lock(g_cache_mutex);
-  auto it = cache_map().find(key);
-  NativeSlot slot;
-  if (it == cache_map().end()) return slot;
-  lru_touch(it->second);
-  slot.kernel = it->second.native;
-  slot.failed = it->second.native_failed;
-  slot.present = it->second.native_present;
-  return slot;
-}
-
-NativeKernelPtr native_cache_store(const std::string& key,
-                                   NativeKernelPtr kernel, bool failed) {
-  std::lock_guard<std::mutex> lock(g_cache_mutex);
-  auto it = cache_map().find(key);
-  CacheEntry& e = it == cache_map().end() ? lru_insert(key) : it->second;
-  if (it != cache_map().end()) lru_touch(e);
-  if (!e.native_present) {  // first outcome wins, like get_or_compile
-    e.native = std::move(kernel);
-    e.native_failed = failed;
-    e.native_present = true;
-  }
-  return e.native;
-}
-
-void set_program_cache_max(std::size_t cap) {
-  std::lock_guard<std::mutex> lock(g_cache_mutex);
-  g_cache_max_override = cap;
-  auto& map = cache_map();
-  while (cache_capacity() < map.size() && !lru_list().empty()) {
-    map.erase(lru_list().back());
-    lru_list().pop_back();
-    if (trace::enabled()) trace::counter_add("interp.cache_evict", 1);
-  }
-}
-
-std::size_t compiled_cache_size() {
-  std::lock_guard<std::mutex> lock(g_cache_mutex);
-  return cache_map().size();
-}
-
-void compiled_cache_clear() {
-  std::lock_guard<std::mutex> lock(g_cache_mutex);
-  cache_map().clear();
-  lru_list().clear();
-}
+void compiled_cache_clear() {}
 
 }  // namespace gemmtune::ir

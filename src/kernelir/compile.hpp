@@ -20,14 +20,11 @@
 //  * precision-aware rounding: the per-op float32 round is a flag that F64
 //    kernels simply never set, eliding round_fp entirely.
 //
-// Compiled programs are immutable and shared: get_or_compile() keys a
-// process-wide, mutex-protected cache on the kernel's exact canonical
-// serialization (no hash collisions), so the tuner's thousands of repeated
-// launches compile once. ir::prepare() (interp.hpp) is its caller: each
-// launch of a Kernel prepares once, while a kept KernelHandle skips the
-// serialization and the lookup entirely. Cache traffic is traced as
-// interp.cache_hit / interp.cache_miss counters and an "interp.compile"
-// span; they count preparations, not launches.
+// Compiled programs are immutable, and their owners are the only cache:
+// compile() lowers on every call, and ir::prepare() (interp.hpp) wraps the
+// result in a KernelHandle that the caller keeps for as long as it
+// relaunches the kernel. Every lowering is traced as an interp.compiles
+// counter and an "interp.compile" span.
 #pragma once
 
 #include <cstdint>
@@ -142,49 +139,20 @@ struct CompiledKernel {
 
 using CompiledKernelPtr = std::shared_ptr<const CompiledKernel>;
 
-class NativeKernel;  // native.hpp: a dlopen'd JIT-compiled kernel
-using NativeKernelPtr = std::shared_ptr<const NativeKernel>;
-
 /// Lowers `kernel` to bytecode. Deterministic; throws gemmtune::Error only
 /// on IR that the builders cannot produce (malformed-but-reachable
 /// constructs lower to runtime Throw instructions so dead code stays
-/// launchable, exactly like the tree-walker).
+/// launchable, exactly like the tree-walker). Every call lowers and is
+/// counted on interp.compiles; callers that relaunch keep the result.
 CompiledKernelPtr compile(const Kernel& kernel);
 
-/// Canonical byte serialization of a kernel; two kernels share a compiled
-/// program iff their serializations are equal.
+/// Canonical byte serialization of a kernel: equal serializations lower to
+/// equal programs. The native JIT keys its on-disk objects on it
+/// (native.hpp).
 std::string serialize_kernel(const Kernel& kernel);
 
-/// Thread-safe process-wide compiled-program cache keyed by
-/// serialize_kernel(). Compiles outside the lock on a miss (first insert
-/// wins). Traces interp.cache_hit / interp.cache_miss / interp.compiles
-/// and the interp.compile span, once per call (one per preparation).
-/// The cache is LRU-bounded: at most GEMMTUNE_PROGRAM_CACHE_MAX entries
-/// (default 256, minimum 1); evictions bump interp.cache_evict. One entry
-/// holds both the bytecode program and, when the native backend has run,
-/// its dlopen'd shared object (or a sticky per-kernel native failure so
-/// the JIT compiler isn't re-invoked every launch).
-CompiledKernelPtr get_or_compile(const Kernel& kernel);
-
-/// Native-backend slot of a cache entry (see native.hpp for the producer).
-struct NativeSlot {
-  NativeKernelPtr kernel;  ///< null when absent or failed
-  bool failed = false;     ///< sticky: native compile failed for this key
-  bool present = false;    ///< a native outcome (either way) is recorded
-};
-
-/// Reads / publishes the native slot for a serialized-kernel key. Stores
-/// follow first-insert-wins like get_or_compile; storing refreshes the
-/// entry's LRU position. Both are thread-safe.
-NativeSlot native_cache_lookup(const std::string& key);
-NativeKernelPtr native_cache_store(const std::string& key,
-                                   NativeKernelPtr kernel, bool failed);
-
-/// Overrides the entry cap (tests); 0 restores the environment default.
-void set_program_cache_max(std::size_t cap);
-
-/// Entries currently cached / drop all entries (tests and benchmarks).
-std::size_t compiled_cache_size();
+/// Does nothing: kernel handles are the only cache of compiled programs.
+/// It stays because the benchmark (perfbench/) calls it.
 void compiled_cache_clear();
 
 }  // namespace gemmtune::ir

@@ -75,7 +75,7 @@ KernelHandle prepare(const Kernel& kernel, Backend backend) {
       warn_native_fallback(why);
     }
   }
-  if (!h->native) h->bytecode = get_or_compile(kernel);
+  if (!h->native) h->bytecode = compile(kernel);
   return h;
 }
 

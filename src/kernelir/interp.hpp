@@ -24,9 +24,10 @@
 // resolves a kernel's tier once and returns an immutable, shared handle
 // (the bytecode program or the native object, plus the launch signature);
 // launch() on a handle validates the NDRange and arguments and runs, with
-// no serialization, cache lookup or lock. launch() on a Kernel is the same
-// body behind a prepare() through the process-wide program cache, so there
-// is one execution path.
+// no serialization, lookup or lock. The handle is the only cache of a
+// built kernel: whoever relaunches one keeps its handle. launch() on a
+// Kernel is the same body behind a fresh prepare(), so there is one
+// execution path.
 //
 // Single-precision kernels round every arithmetic result to float, so both
 // tiers bit-match what an SP device would compute (modulo fma contraction,
@@ -76,8 +77,7 @@ struct Counters {
 };
 
 /// Execution tier. `Bytecode` compiles the kernel to a flat register
-/// program via a process-wide compiled-kernel cache (compile.hpp) and runs
-/// it on the VM (vm.hpp); `Native` JIT-compiles the bytecode to a
+/// program (compile.hpp) and runs it on the VM (vm.hpp); `Native` JIT-compiles the bytecode to a
 /// specialized C++ shared object via the host toolchain (native.hpp) and
 /// falls back to Bytecode — with an interp.native_fallback counter and a
 /// one-line warning naming the cause — when no toolchain or cache object
@@ -124,12 +124,12 @@ struct PreparedKernel {
 /// Shared, immutable kernel handle (see prepare()).
 using KernelHandle = std::shared_ptr<const PreparedKernel>;
 
-/// Resolves `backend` and compiles `kernel` for that tier through the
-/// process-wide program cache (compile.hpp; native.hpp for Native). A
-/// Native request whose JIT is unavailable falls back to bytecode: the
-/// handle records it and each distinct cause is warned once per process.
-/// The interp.cache_hit / cache_miss / compiles counters count
-/// preparations. Thread-safe.
+/// Resolves `backend` and compiles `kernel` for that tier: lowers it
+/// (compile.hpp), or for Native loads its object from the on-disk JIT cache
+/// or builds it (native.hpp). Every call does that work again; the
+/// returned handle is what callers keep. A Native request whose JIT is
+/// unavailable falls back to bytecode: the handle records it and each
+/// distinct cause is warned once per process. Thread-safe.
 KernelHandle prepare(const Kernel& kernel, Backend backend = Backend::Auto);
 
 /// Runs a prepared kernel: validates the launch against its signature
@@ -167,8 +167,8 @@ Counters launch(const PreparedKernel& kernel,
 /// unspecified.
 ///
 /// The launch is validated first, so a malformed one throws before any
-/// JIT work; then the kernel is prepare()d (one program-cache lookup,
-/// which serializes the kernel) and run exactly as the handle overload
+/// JIT work; then the kernel is prepare()d (lowered, or JIT-built or
+/// loaded from the on-disk cache) and run exactly as the handle overload
 /// runs it. Callers that launch one kernel repeatedly keep a handle.
 Counters launch(const Kernel& kernel, std::array<std::int64_t, 2> global,
                 std::array<std::int64_t, 2> local,

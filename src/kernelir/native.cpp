@@ -1,21 +1,21 @@
 // JIT driver for the native backend: host-toolchain compilation, on-disk
 // shared-object cache, dlopen, and the launch bridge.
 //
-// Pipeline (get_or_compile_native):
-//  1. key = serialize_kernel(); consult the process-wide program cache's
-//     native slot (compile.hpp) — hits and sticky failures return
-//     immediately, so the compiler runs at most once per kernel shape.
-//  2. hash the (emitter version + flags + key) bytes; if a .so with that
-//     hash already sits in the cache directory, dlopen it directly — a
-//     warm start never invokes the compiler.
-//  3. otherwise emit the specialized source, run the host C++ compiler
-//     (-O1 -fno-ivopts -fPIC -shared -ffp-contract=off; contraction off
-//     keeps the generated arithmetic bit-identical to the interpreter's),
-//     publish the object with temp-file + rename (concurrent processes
-//     race benignly: rename is atomic and either winner's object is
-//     valid), and dlopen the result.
-// Every failure is soft: the cause is recorded in the cache as a sticky
-// per-kernel failure and the caller falls back to the bytecode VM.
+// Pipeline (get_or_compile_native), run once per kernel handle:
+//  1. hash the (emitter version + flags + serialized kernel + width)
+//     bytes; a hash whose build failed before in this process fails again
+//     at once, so the compiler runs at most once per failing kernel.
+//  2. if a .so with that hash already sits in the cache directory, dlopen
+//     it directly — a warm start never invokes the compiler.
+//  3. otherwise lower and emit the specialized source, and run the host
+//     C++ compiler (-O1 -fno-ivopts -fPIC -shared -ffp-contract=off;
+//     contraction off keeps the generated arithmetic bit-identical to the
+//     interpreter's) in a private mkdtemp directory next to where the
+//     object lands. Two builds of one kernel, in two threads or two
+//     processes, never share a file: each renames its finished object into
+//     the cache directory (rename is atomic and either winner's object is
+//     valid), dlopens it, and removes its build directory.
+// Every failure is soft: the caller falls back to the bytecode VM.
 #include "kernelir/native.hpp"
 
 #include <dlfcn.h>
@@ -24,7 +24,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <set>
@@ -75,9 +75,9 @@ std::string jit_flags_for(int simd_w) {
 
 std::mutex g_native_mutex;
 std::string g_cache_dir_override;   // --jit-cache-dir
-std::string g_temp_dir;             // lazily created mkdtemp fallback
 bool g_probe_done = false;
 std::string g_probe_cxx;            // empty = no usable compiler
+std::set<std::uint64_t> g_failed;   // jit_hash() of every failed build
 
 bool file_exists(const std::string& path) {
   struct stat st {};
@@ -134,37 +134,34 @@ const std::string& toolchain_cxx() {
   return g_probe_cxx;
 }
 
-/// FNV-1a 64 over the emitter version, JIT flags, and the cache key (the
-/// serialized kernel plus the SIMD-mode suffix).
-std::uint64_t jit_hash(const std::string& flags, const std::string& key) {
+/// FNV-1a 64 over the emitter version, the JIT flags, the serialized
+/// kernel and its emit width: the name of its .so and its failure key.
+std::uint64_t jit_hash(const std::string& flags, const Kernel& kernel,
+                       int simd_w) {
   std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](const char* s, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= static_cast<unsigned char>(s[i]);
+  const auto mix = [&h](const std::string& s) {
+    for (const char c : s) {
+      h ^= static_cast<unsigned char>(c);
       h *= 1099511628211ull;
     }
   };
-  mix(kEmitterVersion, std::strlen(kEmitterVersion));
-  mix(flags.data(), flags.size());
-  mix(key.data(), key.size());
+  mix(kEmitterVersion);
+  mix(flags);
+  mix(serialize_kernel(kernel));
+  mix(strf("#simd=w%d", simd_w));
   return h;
 }
 
-/// Lazily created process-lifetime temp directory for objects that have no
-/// persistent home (no cache dir configured, or the configured one is
-/// unwritable). Never cleaned up mid-process: dlopen'd objects must
-/// outlive their NativeKernel.
-const std::string& temp_dir() {
-  std::lock_guard<std::mutex> lock(g_native_mutex);
-  if (g_temp_dir.empty()) {
-    const char* base = std::getenv("TMPDIR");
-    std::string tmpl =
-        std::string(base && *base ? base : "/tmp") + "/gemmtune-jit-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) != nullptr) g_temp_dir = buf.data();
+/// A fresh build directory next to where an object lands: in `pdir`, else
+/// in TMPDIR (or /tmp). Returns "" when none can be made.
+std::string make_build_dir(const std::string& pdir) {
+  std::string base = pdir;
+  if (base.empty()) {
+    const char* tmp = std::getenv("TMPDIR");
+    base = tmp != nullptr && *tmp != '\0' ? tmp : "/tmp";
   }
-  return g_temp_dir;
+  std::string tmpl = base + "/gemmtune-jit-XXXXXX";
+  return ::mkdtemp(tmpl.data()) != nullptr ? tmpl : "";
 }
 
 /// The persistent cache directory, or "" when none is usable. Creates the
@@ -216,42 +213,70 @@ bool write_file(const std::string& path, const std::string& body) {
   return static_cast<bool>(f);
 }
 
-/// Runs the host compiler on `src_path`, producing `so_path` via a
-/// temporary + rename. Returns "" on success, else the cause (with the
+/// Runs the host compiler on `src_path`, producing `so_path`, with its
+/// diagnostics in `log`. Returns "" on success, else the cause (with the
 /// first compiler diagnostic line when available).
 std::string run_jit_compiler(const std::string& cxx,
                              const std::string& flags,
                              const std::string& src_path,
-                             const std::string& so_path) {
-  const std::string tmp_so = so_path + strf(".tmp.%d", ::getpid());
-  const std::string log = tmp_so + ".log";
-  const std::string cmd = shq(cxx) + " " + flags + " -o " + shq(tmp_so) +
+                             const std::string& so_path,
+                             const std::string& log) {
+  const std::string cmd = shq(cxx) + " " + flags + " -o " + shq(so_path) +
                           " " + shq(src_path) + " 2> " + shq(log);
   const int rc = std::system(cmd.c_str());
-  std::string cause;
-  if (rc != 0) {
-    std::ifstream lf(log);
-    std::string first_line;
-    std::getline(lf, first_line);
-    cause = strf("host compiler failed (exit %d)", rc);
-    if (!first_line.empty()) cause += ": " + first_line;
-    std::remove(tmp_so.c_str());
-  } else if (std::rename(tmp_so.c_str(), so_path.c_str()) != 0) {
-    cause = "rename into cache failed";
-    std::remove(tmp_so.c_str());
-  }
-  std::remove(log.c_str());
+  if (rc == 0) return "";
+  std::ifstream lf(log);
+  std::string first_line;
+  std::getline(lf, first_line);
+  std::string cause = strf("host compiler failed (exit %d)", rc);
+  if (!first_line.empty()) cause += ": " + first_line;
   return cause;
 }
 
-/// Builds (or loads) the shared object for one kernel. On success returns
-/// the NativeKernel; on failure returns null with the cause in `why`.
-NativeKernelPtr jit_build(const Kernel& kernel, const std::string& key,
-                          int simd_w, std::string* why) {
-  const std::string flags = jit_flags_for(simd_w);
+/// Compiles `source` in `build` and loads the object from the cache
+/// directory `pdir`, or from `build` when there is none. Returns the
+/// NativeKernel, or null with the cause in `why`.
+NativeKernelPtr compile_and_load(const std::string& source,
+                                 const std::string& flags,
+                                 const std::string& so_name,
+                                 const std::string& pdir,
+                                 const std::string& build, std::string* why) {
+  const std::string src_path = build + "/kernel.cpp";
+  if (!write_file(src_path, source)) {
+    *why = "cannot write JIT source to " + build;
+    return nullptr;
+  }
+  std::string so_path = build + "/" + so_name;
+  {
+    trace::Span span("interp.native_jit");
+    if (trace::enabled()) trace::counter_add("interp.native_compiles", 1);
+    *why = run_jit_compiler(toolchain_cxx(), flags, src_path, so_path,
+                            build + "/compile.log");
+  }
+  if (!why->empty()) return nullptr;
+  if (!pdir.empty()) {
+    const std::string cached = pdir + "/" + so_name;
+    if (std::rename(so_path.c_str(), cached.c_str()) != 0) {
+      *why = "rename into cache failed";
+      return nullptr;
+    }
+    so_path = cached;
+  }
+  DlHandle h = dl_load(so_path);
+  if (h.fn == nullptr) {
+    *why = h.error;
+    return nullptr;
+  }
+  return std::make_shared<const NativeKernel>(h.handle, h.fn);
+}
+
+/// Loads the shared object for one kernel from the cache directory, or
+/// builds it. On failure returns null with the cause in `why`.
+NativeKernelPtr jit_build(const Kernel& kernel, int simd_w,
+                          const std::string& flags, std::uint64_t hash,
+                          std::string* why) {
   const std::string so_name = strf("gemmtune-%016llx.so",
-                                   static_cast<unsigned long long>(
-                                       jit_hash(flags, key)));
+                                   static_cast<unsigned long long>(hash));
   const std::string pdir = persistent_dir();
 
   // Warm start: a cached object needs no compiler at all.
@@ -262,68 +287,40 @@ NativeKernelPtr jit_build(const Kernel& kernel, const std::string& key,
       if (h.fn != nullptr) {
         if (trace::enabled())
           trace::counter_add("interp.native_disk_hits", 1);
-        return std::make_shared<const NativeKernel>(h.handle, h.fn, cached);
+        return std::make_shared<const NativeKernel>(h.handle, h.fn);
       }
       // Stale or corrupt: fall through and rebuild over it.
     }
   }
 
-  const std::string& cxx = toolchain_cxx();
-  if (cxx.empty()) {
-    if (why != nullptr) {
-      const char* env = std::getenv("GEMMTUNE_JIT_CXX");
-      *why = env != nullptr
-                 ? strf("GEMMTUNE_JIT_CXX compiler '%s' is not usable", env)
-                 : "no usable host C++ compiler found";
-    }
+  if (toolchain_cxx().empty()) {
+    const char* env = std::getenv("GEMMTUNE_JIT_CXX");
+    *why = env != nullptr
+               ? strf("GEMMTUNE_JIT_CXX compiler '%s' is not usable", env)
+               : "no usable host C++ compiler found";
     return nullptr;
   }
-
-  std::string dir = pdir.empty() ? temp_dir() : pdir;
-  if (dir.empty()) {
-    if (why != nullptr) *why = "no writable directory for JIT objects";
-    return nullptr;
-  }
-
-  const CompiledKernelPtr prog = get_or_compile(kernel);
+  // Malformed IR throws here as it would on bytecode: not a JIT failure.
+  const CompiledKernelPtr prog = compile(kernel);
   std::string source;
   try {
     source = emit_native_source(kernel, *prog, simd_w);
   } catch (const Error& e) {
-    if (why != nullptr) *why = e.what();
+    *why = e.what();
     return nullptr;
   }
-  const std::string src_path =
-      dir + strf("/gemmtune-%016llx.%d.cpp",
-                 static_cast<unsigned long long>(jit_hash(flags, key)),
-                 ::getpid());
-  if (!write_file(src_path, source)) {
-    if (why != nullptr) *why = "cannot write JIT source to " + dir;
+  const std::string build = make_build_dir(pdir);
+  if (build.empty()) {
+    *why = "no writable directory for JIT objects";
     return nullptr;
   }
-
-  std::string so_path = dir + "/" + so_name;
-  std::string cause;
-  {
-    trace::Span span("interp.native_jit");
-    if (trace::enabled()) trace::counter_add("interp.native_compiles", 1);
-    cause = run_jit_compiler(cxx, flags, src_path, so_path);
-  }
-  std::remove(src_path.c_str());
-  if (!cause.empty()) {
-    if (why != nullptr) *why = cause;
-    return nullptr;
-  }
-
-  DlHandle h = dl_load(so_path);
-  if (h.fn == nullptr) {
-    if (why != nullptr) *why = h.error;
-    return nullptr;
-  }
-  // Objects in the process temp dir are unlinked once mapped; the mapping
-  // stays valid and the directory stays clean.
-  if (pdir.empty()) std::remove(so_path.c_str());
-  return std::make_shared<const NativeKernel>(h.handle, h.fn, so_path);
+  NativeKernelPtr nk =
+      compile_and_load(source, flags, so_name, pdir, build, why);
+  // A loaded object stays mapped after its file is gone, so the build
+  // directory goes whatever the outcome.
+  std::error_code ignored;
+  std::filesystem::remove_all(build, ignored);
+  return nk;
 }
 
 }  // namespace
@@ -354,6 +351,7 @@ void reset_native_probe() {
   std::lock_guard<std::mutex> lock(g_native_mutex);
   g_probe_done = false;
   g_probe_cxx.clear();
+  g_failed.clear();
 }
 
 NativeKernelPtr get_or_compile_native(const Kernel& kernel, std::string* why,
@@ -362,25 +360,23 @@ NativeKernelPtr get_or_compile_native(const Kernel& kernel, std::string* why,
   // its hash-named .so file), so hosts of different ISAs sharing one cache
   // directory never load each other's objects.
   const int simd_w = simd_width > 0 ? simd_width : native_simd_width();
-  const std::string key =
-      serialize_kernel(kernel) + strf("#simd=w%d", simd_w);
-  const NativeSlot slot = native_cache_lookup(key);
-  if (slot.present) {
-    if (slot.kernel) {
-      if (trace::enabled()) trace::counter_add("interp.native_hits", 1);
-      return slot.kernel;
+  const std::string flags = jit_flags_for(simd_w);
+  const std::uint64_t hash = jit_hash(flags, kernel, simd_w);
+  {
+    std::lock_guard<std::mutex> lock(g_native_mutex);
+    if (g_failed.count(hash) != 0) {
+      if (why != nullptr) *why = "native compilation previously failed";
+      return nullptr;
     }
-    if (why != nullptr) *why = "native compilation previously failed";
-    return nullptr;
   }
   std::string cause;
-  NativeKernelPtr nk = jit_build(kernel, key, simd_w, &cause);
+  NativeKernelPtr nk = jit_build(kernel, simd_w, flags, hash, &cause);
   if (!nk) {
-    native_cache_store(key, nullptr, true);
+    std::lock_guard<std::mutex> lock(g_native_mutex);
+    g_failed.insert(hash);
     if (why != nullptr) *why = cause;
-    return nullptr;
   }
-  return native_cache_store(key, std::move(nk), false);
+  return nk;
 }
 
 void warn_native_fallback(const std::string& why) {

@@ -21,14 +21,15 @@
 //
 // get_or_compile_native() drives the pipeline: emit the source, invoke the
 // host C++ compiler (GEMMTUNE_JIT_CXX, else the compiler this library was
-// built with, else c++/g++/clang++ from PATH), dlopen the resulting shared
-// object, and publish it into the process-wide program cache
-// (kernelir/compile.hpp) keyed on the kernel's serialized bytes. Shared
-// objects are also cached on disk, hash-named under --jit-cache-dir /
-// GEMMTUNE_JIT_CACHE (temp-file + rename, like TunedDatabase), so a warm
-// start dlopens the cached .so without ever running the compiler. Every
-// failure path (no toolchain, unwritable cache dir, compile error) is
-// soft: the caller falls back to the bytecode VM.
+// built with, else c++/g++/clang++ from PATH) and dlopen the resulting
+// shared object. A kernel handle (interp.hpp) keeps the result; nothing
+// else in the process does. Shared objects are cached on disk, hash-named
+// under --jit-cache-dir / GEMMTUNE_JIT_CACHE, so a warm start dlopens the
+// cached .so without ever running the compiler. Each build compiles in
+// its own temporary directory and renames its object into the cache, so
+// concurrent builds of one kernel, by threads or by processes, race
+// safely. Every failure path (no toolchain, unwritable cache dir, compile
+// error) is soft: the caller falls back to the bytecode VM.
 #pragma once
 
 #include <cstdint>
@@ -59,29 +60,28 @@ using NativeEntryFn = long long (*)(
 inline constexpr const char* kNativeEntrySymbol = "gemmtune_native_entry_v1";
 
 /// A dlopen'd compiled kernel; closes the handle when the last reference
-/// (program cache entry or in-flight launch) drops.
+/// (a kernel handle or an in-flight launch) drops.
 class NativeKernel {
  public:
-  NativeKernel(void* handle, NativeEntryFn fn, std::string so_path)
-      : handle_(handle), fn_(fn), so_path_(std::move(so_path)) {}
+  NativeKernel(void* handle, NativeEntryFn fn) : handle_(handle), fn_(fn) {}
   ~NativeKernel();
   NativeKernel(const NativeKernel&) = delete;
   NativeKernel& operator=(const NativeKernel&) = delete;
 
   NativeEntryFn fn() const { return fn_; }
-  const std::string& so_path() const { return so_path_; }
 
  private:
   void* handle_ = nullptr;
   NativeEntryFn fn_ = nullptr;
-  std::string so_path_;
 };
+
+using NativeKernelPtr = std::shared_ptr<const NativeKernel>;
 
 /// Vector width (in doubles) of the host the native JIT compiles for: 8
 /// with AVX-512F, 4 with AVX2, 2 baseline. It selects the -m flags of the
-/// JIT compile and is folded into both the program-cache key and the
-/// on-disk .so hash, so a cache directory shared by hosts of different
-/// ISAs never serves a foreign object.
+/// JIT compile and is folded into the on-disk .so hash, so a cache
+/// directory shared by hosts of different ISAs never serves a foreign
+/// object.
 int native_simd_width();
 
 /// Emits the specialized C++ translation unit for one compiled kernel,
@@ -98,27 +98,28 @@ std::string emit_native_source(const Kernel& kernel,
                                const CompiledKernel& prog, int simd_width);
 
 /// Sets the on-disk .so cache directory (the --jit-cache-dir flag). An
-/// empty string restores the default: GEMMTUNE_JIT_CACHE if set, else a
-/// process-lifetime temporary directory whose objects are unlinked after
-/// dlopen.
+/// empty string restores the default: GEMMTUNE_JIT_CACHE if set, else no
+/// cache, and each build's object is unlinked from TMPDIR once loaded.
 void set_jit_cache_dir(const std::string& dir);
 
 /// True when a host C++ compiler answers the probe. The probe runs once
 /// per process and is cached; every probe subprocess actually spawned is
 /// counted on interp.toolchain_probe, so repeated cold compiles add
-/// nothing. reset_native_probe() re-reads the environment (tests).
+/// nothing. reset_native_probe() re-reads the environment and forgets the
+/// sticky failures (tests).
 bool native_toolchain_available();
 void reset_native_probe();
 
-/// Returns the native-compiled kernel for `kernel`, building (or loading
-/// from the on-disk cache) on first use, via the process-wide program
-/// cache. Returns nullptr when the native backend is unavailable for this
+/// Returns the native-compiled kernel for `kernel`: loaded from the on-disk
+/// cache, else built. Each call loads or builds again, so callers that
+/// relaunch keep the result in a kernel handle (prepare(), interp.hpp).
+/// Returns nullptr when the native backend is unavailable for this
 /// kernel — no toolchain, compile or dlopen failure — with the cause in
-/// `*why`; the failure is cached per kernel so repeated launches don't
-/// re-run the compiler. `simd_width` > 0 builds for that emit width and
-/// its JIT flags instead of native_simd_width() (tests run every width the
-/// CPU can); the width keys the cache and the .so hash either way.
-/// Thread-safe; first insert wins.
+/// `*why`. A failure is sticky: later calls for the same kernel fail at
+/// once, without the compiler, until reset_native_probe(). `simd_width` >
+/// 0 builds for that emit width and its JIT flags instead of
+/// native_simd_width() (tests run every width the CPU can); the width keys
+/// the .so hash either way. Thread-safe.
 NativeKernelPtr get_or_compile_native(const Kernel& kernel,
                                       std::string* why = nullptr,
                                       int simd_width = 0);

@@ -4,12 +4,15 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/keyval.hpp"
 #include "common/report_version.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 
 namespace gemmtune::serve {
 
@@ -76,6 +79,18 @@ std::int64_t parse_int(const std::string& key, const std::string& value) {
   }
 }
 
+/// parse_int() of an int field; a value outside int's range is refused,
+/// naming the key and the range.
+int parse_int32(const std::string& key, const std::string& value) {
+  constexpr int lo = std::numeric_limits<int>::min();
+  constexpr int hi = std::numeric_limits<int>::max();
+  const std::int64_t n = parse_int(key, value);
+  if (n < lo || n > hi)
+    fail(strf("workload spec: %s is %lld, outside the range [%d, %d]",
+              key.c_str(), static_cast<long long>(n), lo, hi));
+  return static_cast<int>(n);
+}
+
 double parse_double(const std::string& key, const std::string& value) {
   try {
     std::size_t used = 0;
@@ -89,6 +104,25 @@ double parse_double(const std::string& key, const std::string& value) {
   } catch (const std::exception&) {
     fail("workload spec: " + key + " expects a number, got '" + value + "'");
   }
+}
+
+/// obj.at(key) as a T. A number outside T's range is refused, naming the
+/// field (`where`.key, or `where`[index].key) and the range.
+template <typename T>
+T int_field(const Json& obj, const char* key, const char* where,
+            std::size_t index = std::string::npos) {
+  constexpr std::int64_t lo = std::numeric_limits<T>::min();
+  constexpr std::int64_t hi = std::numeric_limits<T>::max();
+  const Json& v = obj.at(key);
+  if (const std::optional<std::int64_t> n = v.int_in(lo, hi))
+    return static_cast<T>(*n);
+  const std::string field =
+      index == std::string::npos
+          ? strf("%s.%s", where, key)
+          : strf("%s[%zu].%s", where, index, key);
+  fail(strf("workload: %s is %s, outside the range [%lld, %lld]",
+            field.c_str(), v.dump().c_str(), static_cast<long long>(lo),
+            static_cast<long long>(hi)));
 }
 
 }  // namespace
@@ -108,7 +142,7 @@ WorkloadSpec parse_spec(const std::string& text) {
   WorkloadSpec spec;
   for (const auto& [key, value] : parse_keyval_spec(text, "workload spec")) {
     if (key == "requests") {
-      spec.requests = static_cast<int>(parse_int(key, value));
+      spec.requests = parse_int32(key, value);
       check(spec.requests > 0, "workload spec: requests must be > 0");
     } else if (key == "seed") {
       spec.seed = static_cast<std::uint64_t>(parse_int(key, value));
@@ -118,10 +152,10 @@ WorkloadSpec parse_spec(const std::string& text) {
     } else if (key == "arrival") {
       spec.arrival = parse_arrival("workload spec: arrival", value);
     } else if (key == "max_batch") {
-      spec.max_batch = static_cast<int>(parse_int(key, value));
+      spec.max_batch = parse_int32(key, value);
       check(spec.max_batch >= 1, "workload spec: max_batch must be >= 1");
     } else if (key == "queue") {
-      spec.queue_capacity = static_cast<int>(parse_int(key, value));
+      spec.queue_capacity = parse_int32(key, value);
       check(spec.queue_capacity >= 1, "workload spec: queue must be >= 1");
     } else if (key == "devices") {
       spec.devices.clear();
@@ -243,8 +277,9 @@ Workload workload_from_json(const Json& doc) {
         "workload: not a " + std::string(kWorkloadSchema) + " document");
   Workload w;
   const Json& sp = doc.at("spec");
-  w.spec.seed = static_cast<std::uint64_t>(sp.at("seed").as_int());
-  w.spec.requests = static_cast<int>(sp.at("requests").as_int());
+  w.spec.seed =
+      static_cast<std::uint64_t>(int_field<std::int64_t>(sp, "seed", "spec"));
+  w.spec.requests = int_field<int>(sp, "requests", "spec");
   w.spec.rate_rps = sp.at("rate_rps").as_number();
   // Traces written before the arrival key existed are Poisson by
   // construction, so the absent-field default keeps them loading.
@@ -254,9 +289,8 @@ Workload workload_from_json(const Json& doc) {
   const Json& devs = sp.at("devices");
   for (std::size_t i = 0; i < devs.size(); ++i)
     w.spec.devices.push_back(simcl::device_by_name(devs.at(i).as_string()));
-  w.spec.max_batch = static_cast<int>(sp.at("max_batch").as_int());
-  w.spec.queue_capacity =
-      static_cast<int>(sp.at("queue_capacity").as_int());
+  w.spec.max_batch = int_field<int>(sp, "max_batch", "spec");
+  w.spec.queue_capacity = int_field<int>(sp, "queue_capacity", "spec");
   const Json& reqs = doc.at("requests");
   check(reqs.size() == static_cast<std::size_t>(w.spec.requests),
         "workload: spec.requests is " + std::to_string(w.spec.requests) +
@@ -265,16 +299,16 @@ Workload workload_from_json(const Json& doc) {
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const Json& j = reqs.at(i);
     GemmRequest r;
-    r.id = j.at("id").as_int();
+    r.id = int_field<std::int64_t>(j, "id", "requests", i);
     r.type = parse_type(j.at("type").as_string());
     r.prec = parse_precision(j.at("prec").as_string());
-    r.M = j.at("m").as_int();
-    r.N = j.at("n").as_int();
-    r.K = j.at("k").as_int();
+    r.M = int_field<index_t>(j, "m", "requests", i);
+    r.N = int_field<index_t>(j, "n", "requests", i);
+    r.K = int_field<index_t>(j, "k", "requests", i);
     check(r.M > 0 && r.N > 0 && r.K > 0,
           "workload: request " + std::to_string(r.id) +
               " has non-positive extents");
-    r.priority = static_cast<int>(j.at("priority").as_int());
+    r.priority = int_field<int>(j, "priority", "requests", i);
     r.arrival_seconds = j.at("arrival_s").as_number();
     r.deadline_seconds = j.at("deadline_s").as_number();
     w.requests.push_back(r);

@@ -1,11 +1,19 @@
 #include "tuner/shape.hpp"
 
+#include "common/error.hpp"
 #include "common/stats.hpp"
+#include "common/strings.hpp"
 #include "layout/packing.hpp"
 
 namespace gemmtune::tuner {
 
 using codegen::KernelParams;
+
+void fail_shape_extent(index_t n) {
+  fail(strf("shape class: extent %lld is over the limit of %lld",
+            static_cast<long long>(n),
+            static_cast<long long>(kMaxShapeExtent)));
+}
 
 KernelParams direct_variant(const KernelParams& p) {
   KernelParams q = p;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <tuple>
 
@@ -25,13 +26,23 @@
 
 namespace gemmtune::tuner {
 
+/// The largest extent a shape class holds: rounded up to a multiple of 16
+/// it stays inside int64.
+inline constexpr index_t kMaxShapeExtent =
+    std::numeric_limits<index_t>::max() - 15;
+
+/// Refuses an extent over kMaxShapeExtent, naming it and the limit.
+[[noreturn]] void fail_shape_extent(index_t n);
+
 /// Batching/tuning key: problems of one shape class share a kernel.
 struct ShapeClass {
   codegen::Precision prec = codegen::Precision::DP;
   GemmType type = GemmType::NN;
   index_t Mc = 0, Nc = 0, Kc = 0;  ///< extents rounded up to multiples of 16
 
+  /// Throws, via fail_shape_extent(), for n over kMaxShapeExtent.
   static index_t quantize(index_t n) {
+    if (n > kMaxShapeExtent) fail_shape_extent(n);
     return n <= 16 ? 16 : (n + 15) / 16 * 16;
   }
   /// Classifies any request-like object carrying prec/type/M/N/K.

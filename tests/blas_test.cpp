@@ -5,13 +5,17 @@
 
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "blas/gemm.hpp"
 #include "blas/hostblas.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "simcl/device_registry.hpp"
+#include "trace/trace.hpp"
 
 namespace gemmtune {
 namespace {
@@ -281,8 +285,13 @@ std::vector<std::uint8_t> run_call(GemmEngine& engine, const EngineCall& c,
 TEST(GemmEngine, ConcurrentCallsOnOneEngineMatchSerial) {
   // Four threads share one engine from its first call, so they race to
   // create its kernel handles and then launch them concurrently. Every C
-  // must equal the same call run alone on a fresh engine, bit for bit.
+  // must equal the same call run alone on a fresh engine, bit for bit, and
+  // the shared engine lowers each distinct kernel once: the packed kernel
+  // of each precision, and a direct one per precision and type.
   const std::vector<EngineCall> calls = engine_calls();
+  std::set<std::tuple<Precision, bool, GemmType>> kernels;
+  for (const EngineCall& c : calls)
+    kernels.insert({c.prec, c.direct, c.direct ? c.type : GemmType::NN});
   std::vector<std::vector<std::uint8_t>> want(calls.size());
   for (std::size_t i = 0; i < calls.size(); ++i) {
     GemmEngine fresh(DeviceId::Tahiti);
@@ -292,6 +301,8 @@ TEST(GemmEngine, ConcurrentCallsOnOneEngineMatchSerial) {
   }
 
   constexpr int kThreads = 4;
+  trace::reset();
+  trace::set_enabled(true);
   GemmEngine shared(DeviceId::Tahiti);
   std::vector<std::vector<std::vector<std::uint8_t>>> got(
       kThreads, std::vector<std::vector<std::uint8_t>>(calls.size()));
@@ -308,9 +319,13 @@ TEST(GemmEngine, ConcurrentCallsOnOneEngineMatchSerial) {
       }
     });
   for (auto& th : threads) th.join();
+  const Json counters = trace::metrics_json().at("counters");
+  trace::set_enabled(false);
   for (int t = 0; t < kThreads; ++t)
     for (std::size_t i = 0; i < calls.size(); ++i)
       EXPECT_EQ(got[t][i], want[i]) << "thread " << t << " call " << i;
+  EXPECT_EQ(counters.at("interp.compiles").as_int(),
+            static_cast<std::int64_t>(kernels.size()));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 #include "cli/cli.hpp"
@@ -190,10 +191,6 @@ TEST(Cli, JitCacheDirFlagPopulatesCache) {
   // with a toolchain present a native verify leaves an object behind.
   const std::string dir = ::testing::TempDir() + "cli_jit_cache";
   std::system(("rm -rf " + dir).c_str());
-  // Earlier tests may have native-compiled the same kernel into the
-  // process-wide cache; clear it so this launch must go through the JIT
-  // (and hence the cache directory) again.
-  ir::compiled_cache_clear();
   auto [rc, out] = run_cli({"--interp=native", "--jit-cache-dir", dir,
                             "verify", "Tahiti", "DGEMM", "24", "16", "8"});
   EXPECT_EQ(rc, 0) << out;
@@ -426,6 +423,33 @@ TEST(Cli, OversizedProblemsFailNamingTheLimit) {
   auto [rc4, out4] = run_cli(
       {"dist", "--spec=size=100000,prec=SGEMM,devices=Tahiti+Cayman"});
   EXPECT_EQ(rc4, 0) << out4;
+  // Trace integers are range-checked before they are narrowed: an extent
+  // that rounds to no int64, and a request count that an int would wrap
+  // to the two requests the trace lists.
+  const std::string huge =
+      edited_trace("cli_huge_extent_wl.json", [](Json& doc) {
+        set_first_request(doc, {"m"},
+                          std::numeric_limits<std::int64_t>::max());
+      });
+  auto [rc5, out5] = run_cli({"replay", huge});
+  EXPECT_EQ(rc5, 1) << out5;
+  EXPECT_NE(out5.find("requests[0].m is 9.2233720368547758e+18, outside "
+                      "the range [-9223372036854775808, "
+                      "9223372036854775807]"),
+            std::string::npos)
+      << out5;
+  std::remove(huge.c_str());
+  const std::string wrapped =
+      edited_trace("cli_wrapped_count_wl.json", [](Json& doc) {
+        doc["spec"]["requests"] = std::int64_t{4294967298};
+      });
+  auto [rc6, out6] = run_cli({"replay", wrapped});
+  EXPECT_EQ(rc6, 1) << out6;
+  EXPECT_NE(out6.find("spec.requests is 4294967298, outside the range "
+                      "[-2147483648, 2147483647]"),
+            std::string::npos)
+      << out6;
+  std::remove(wrapped.c_str());
 }
 
 TEST(Cli, PaddedOperandsOverInt64FailNamingTheLimit) {
@@ -460,6 +484,19 @@ TEST(Cli, PaddedOperandsOverInt64FailNamingTheLimit) {
   });
   expect_refused({"replay", trace}, "9223372036854774784x9223372036854774784x");
   std::remove(trace.c_str());
+  // A --shape extent whose shape class, rounded up to a multiple of 16,
+  // would pass int64 is refused naming it and the limit; the largest one
+  // allowed reaches the padded-operand check.
+  auto [rc, out] = run_cli(
+      {"tune", "Tahiti", "DGEMM", "--shape", "9223372036854775807x16x16"});
+  EXPECT_EQ(rc, 1) << out;
+  EXPECT_NE(out.find("extent 9223372036854775807 is over the limit of "
+                     "9223372036854775792"),
+            std::string::npos)
+      << out;
+  expect_refused(
+      {"tune", "Tahiti", "DGEMM", "--shape", "9223372036854775792x16x16"},
+      "9223372036854775792x16x16");
   // Problems inside the limit still run, the dist one a tenth of the
   // refused k.
   EXPECT_EQ(run_cli({"estimate", "Tahiti", "DGEMM", "NN", "4096"}).first, 0);

@@ -2,6 +2,10 @@
 // string helpers, table rendering, and the JSON round trip.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+
 #include "common/error.hpp"
 #include "common/intmath.hpp"
 #include "common/json.hpp"
@@ -139,6 +143,30 @@ TEST(Json, AccessorsEnforceKinds) {
   EXPECT_THROW(j.at("missing"), Error);
   EXPECT_EQ(j.at("a").size(), 2u);
   EXPECT_THROW(j.at("a").at(std::size_t{5}), Error);
+}
+
+TEST(Json, IntegersOutsideTheRangeAreRefused) {
+  // A JSON number is a double: every one in [-2^63, 2^63) rounds to an
+  // int64, and 2^63 (what 9223372036854775807 parses to) is refused
+  // instead of wrapping.
+  EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Json::parse("9223372036854774784").as_int(),
+            std::int64_t{9223372036854774784});
+  try {
+    Json::parse("9223372036854775807").as_int();
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "Json: 9.2233720368547758e+18 is outside the int64 range "
+              "[-9223372036854775808, 9223372036854775807]");
+  }
+  EXPECT_THROW(Json::parse("-1e300").as_int(), Error);
+  // A narrower range reports a miss rather than narrowing.
+  const Json n = Json::parse("4294967299");
+  EXPECT_EQ(n.int_in(-2147483648, 2147483647), std::nullopt);
+  EXPECT_EQ(n.int_in(0, 4294967299), std::int64_t{4294967299});
+  EXPECT_THROW(Json::parse("\"7\"").int_in(0, 9), Error);
 }
 
 TEST(ErrorCheck, CarriesLocation) {

@@ -1,22 +1,26 @@
-// Tests for the native JIT backend's machinery (native.hpp) and the
-// LRU-bounded program cache (compile.hpp): emitter determinism and form
-// (Table II kernels at every width run their k-loop as a vector loop),
-// Table II kernels built at every width the CPU runs against bytecode, the
-// on-disk .so cache round-trip (a warm start needs no compiler at all),
-// graceful fallback to bytecode when no toolchain is usable, read-only
-// cache-dir handling, and cache eviction under GEMMTUNE_PROGRAM_CACHE_MAX.
-// Semantic equivalence of the native backend (buffers, counters, error
-// parity) against the tree oracle lives in vm_test.cpp and
-// fuzz_codegen_test.cpp.
+// Tests for the native JIT backend's machinery (native.hpp): emitter
+// determinism and form (Table II kernels at every width run their k-loop
+// as a vector loop), Table II kernels built at every width the CPU runs
+// against bytecode, the on-disk .so cache round-trip (a warm start needs
+// no compiler at all), concurrent cold builds of one kernel (none falls
+// back, nothing is left in TMPDIR), graceful fallback to bytecode when no
+// toolchain is usable, sticky per-kernel failures, and read-only
+// cache-dir handling. Semantic equivalence of the native backend
+// (buffers, counters, error parity) against the tree oracle lives in
+// vm_test.cpp and fuzz_codegen_test.cpp.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "codegen/gemm_generator.hpp"
@@ -35,7 +39,7 @@ namespace gemmtune::ir {
 namespace {
 
 // Restores every piece of process-wide state a test may touch: the JIT
-// probe/dir, the backend override, the program cache and its cap, and the
+// probe, its sticky failures and its dir, the backend override, and the
 // environment knobs.
 class NativeTest : public ::testing::Test {
  protected:
@@ -50,8 +54,6 @@ class NativeTest : public ::testing::Test {
     set_jit_cache_dir("");
     reset_native_probe();
     set_backend_override(Backend::Auto);
-    set_program_cache_max(0);
-    compiled_cache_clear();
   }
 };
 
@@ -80,7 +82,7 @@ int count_shared_objects(const std::string& dir) {
 }
 
 /// A small kernel parameterized by `salt` so each value compiles to a
-/// distinct cache entry: out[gid] = a[gid] * salt + gid.
+/// distinct object: out[gid] = a[gid] * salt + gid.
 Kernel salted_kernel(int salt) {
   const Type t1 = fp(Scalar::F64, 1);
   KernelBuilder b("salted", Scalar::F64);
@@ -177,9 +179,8 @@ TEST_F(NativeTest, DiskCacheRoundTripSkipsCompilerOnWarmStart) {
   const std::vector<double> cold = run_salted(7, Backend::Native);
   EXPECT_EQ(count_shared_objects(dir), 1);
 
-  // Warm start: fresh program cache, *broken* compiler. The cached .so
-  // must carry the launch without any fallback.
-  compiled_cache_clear();
+  // Warm start: a *broken* compiler. The cached .so must carry the launch
+  // without any fallback.
   setenv("GEMMTUNE_JIT_CXX", "/nonexistent-compiler", 1);
   reset_native_probe();
   trace::reset();
@@ -501,10 +502,9 @@ TEST_F(NativeTest, ToolchainProbeIsCachedProcessWide) {
   run_salted(21, Backend::Native);
   const std::uint64_t probes = trace_counter("interp.toolchain_probe");
   EXPECT_GE(probes, 1u);
-  // Three more cold compiles (fresh program cache, fresh disk cache, so
-  // the compiler genuinely runs each time) must not probe again.
+  // Three more cold compiles (fresh kernels, fresh disk cache, so the
+  // compiler genuinely runs each time) must not probe again.
   for (int salt = 22; salt <= 24; ++salt) {
-    compiled_cache_clear();
     set_jit_cache_dir(make_temp_dir());
     run_salted(salt, Backend::Native);
   }
@@ -512,40 +512,63 @@ TEST_F(NativeTest, ToolchainProbeIsCachedProcessWide) {
   EXPECT_EQ(trace_counter("interp.toolchain_probe"), probes);
 }
 
-// ---- LRU-bounded program cache ---------------------------------------------
+// ---- concurrent cold builds ------------------------------------------------
 
-TEST_F(NativeTest, ProgramCacheEvictsLeastRecentlyUsed) {
-  set_program_cache_max(8);
-  trace::reset();
-  trace::set_enabled(true);
-  // A fuzzing-style stream of distinct kernels must not grow the cache
-  // beyond the cap no matter how many shapes flow through.
-  for (int salt = 1; salt <= 300; ++salt) {
-    run_salted(salt, Backend::Bytecode);
-    ASSERT_LE(compiled_cache_size(), 8u) << "salt " << salt;
+/// Four threads prepare `salt`'s kernel natively at once, while no object
+/// for it exists yet. No handle may fall back, and each one's C must equal
+/// bytecode's.
+void expect_concurrent_native_preparations(int salt) {
+  constexpr int kThreads = 4;
+  const Kernel k = salted_kernel(salt);
+  std::vector<KernelHandle> handles(kThreads);
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (KernelHandle& h : handles)
+    threads.emplace_back([&] {
+      // Start together, so the builds overlap.
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      h = prepare(k, Backend::Native);
+    });
+  for (std::thread& t : threads) t.join();
+  const std::vector<double> want = run_salted(salt, Backend::Bytecode);
+  for (const KernelHandle& h : handles) {
+    EXPECT_FALSE(h->native_fallback) << "salt " << salt;
+    EXPECT_NE(h->native, nullptr) << "salt " << salt;
+    LaunchSetup s = salted_args(8);
+    launch(*h, {8, 1}, {4, 1}, s.args, 1);
+    const double* p = s.bufs[0]->as<double>();
+    EXPECT_EQ(std::vector<double>(p, p + 8), want) << "salt " << salt;
   }
-  EXPECT_EQ(compiled_cache_size(), 8u);
-  EXPECT_GE(trace_counter("interp.cache_evict"), 292u);
-
-  // Recency: re-touch salt 300 (the newest), then push 7 fresh kernels —
-  // 300 must survive; salt 294 (the oldest of the final eight) must not.
-  run_salted(300, Backend::Bytecode);
-  const std::uint64_t misses_before = trace_counter("interp.cache_miss");
-  for (int salt = 301; salt <= 307; ++salt)
-    run_salted(salt, Backend::Bytecode);
-  run_salted(300, Backend::Bytecode);  // still cached -> no new miss
-  EXPECT_EQ(trace_counter("interp.cache_miss"), misses_before + 7);
-  run_salted(294, Backend::Bytecode);  // evicted -> recompiles
-  EXPECT_EQ(trace_counter("interp.cache_miss"), misses_before + 8);
 }
 
-TEST_F(NativeTest, ShrinkingCapEvictsImmediately) {
-  set_program_cache_max(16);
-  for (int salt = 1; salt <= 12; ++salt)
-    run_salted(salt, Backend::Bytecode);
-  EXPECT_EQ(compiled_cache_size(), 12u);
-  set_program_cache_max(4);
-  EXPECT_LE(compiled_cache_size(), 4u);
+TEST_F(NativeTest, ConcurrentColdBuildsNeverCollide) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  namespace fs = std::filesystem;
+  // With a cache directory, each build renames its own object into it and
+  // leaves nothing else behind.
+  const std::string dir = make_temp_dir();
+  set_jit_cache_dir(dir);
+  expect_concurrent_native_preparations(31);
+  EXPECT_EQ(count_shared_objects(dir), 1);
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                          fs::directory_iterator()),
+            1);
+  // Without one, the builds work under TMPDIR and remove what they made.
+  set_jit_cache_dir("");
+  const std::string tmp = make_temp_dir();
+  const char* old_tmpdir = std::getenv("TMPDIR");
+  const std::string saved = old_tmpdir != nullptr ? old_tmpdir : "";
+  setenv("TMPDIR", tmp.c_str(), 1);
+  expect_concurrent_native_preparations(32);
+  if (old_tmpdir != nullptr) {
+    setenv("TMPDIR", saved.c_str(), 1);
+  } else {
+    unsetenv("TMPDIR");
+  }
+  EXPECT_TRUE(fs::is_empty(tmp)) << tmp;
+  fs::remove_all(dir);
+  fs::remove_all(tmp);
 }
 
 }  // namespace

@@ -171,6 +171,16 @@ TEST(WorkloadTest, SpecParserRoundTrip) {
   EXPECT_EQ(spec.devices[1], DeviceId::SandyBridge);
   EXPECT_THROW(serve::parse_spec("bogus_key=1"), Error);
   EXPECT_THROW(serve::parse_spec("requests=-5"), Error);
+  // An int field is range-checked before it is narrowed: 2^32 + 3 must
+  // not become 3 requests.
+  try {
+    serve::parse_spec("requests=4294967299");
+    FAIL() << "expected an error for an out-of-range request count";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "workload spec: requests is 4294967299, outside the range "
+              "[-2147483648, 2147483647]");
+  }
 }
 
 TEST(WorkloadTest, SpecParserNamesUnknownKeys) {

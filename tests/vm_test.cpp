@@ -6,16 +6,16 @@
 // the native JIT's item-major runs and vector loop runs must preserve;
 // prepared kernel handles against ir::launch (every
 // differential case, repeated launches of one handle, four threads on one
-// handle); backend resolution precedence, and the process-wide
-// compiled-program cache. The native legs run whenever a host toolchain
-// answers the probe (CI always has one); without a toolchain they are
-// skipped, not failed — that machine's fallback behaviour has its own test
-// in native_test.cpp.
+// handle); and backend resolution precedence. The native legs run
+// whenever a host toolchain answers the probe (CI always has one);
+// without a toolchain they are skipped, not failed — that machine's
+// fallback behaviour has its own test in native_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <thread>
@@ -31,6 +31,31 @@
 
 namespace gemmtune::ir {
 namespace {
+
+// Each native leg compares launches that prepare the kernel afresh, and
+// every such preparation loads or builds its object again. This binary's
+// own JIT cache directory turns all but the first into warm loads of the
+// object on disk, as a second process would see them; it is removed at
+// exit.
+class JitCacheDir : public ::testing::Environment {
+ public:
+  void SetUp() override {
+    std::string tmpl = ::testing::TempDir() + "vm-test-jit-XXXXXX";
+    if (::mkdtemp(tmpl.data()) == nullptr) return;
+    dir_ = tmpl;
+    set_jit_cache_dir(dir_);
+  }
+  void TearDown() override {
+    set_jit_cache_dir("");
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
+  }
+
+ private:
+  std::string dir_;
+};
+
+const ::testing::Environment* const kJitCacheDir =
+    ::testing::AddGlobalTestEnvironment(new JitCacheDir);
 
 simcl::BufferPtr make_buffer(std::size_t bytes) {
   return std::make_shared<simcl::Buffer>(bytes);
@@ -871,7 +896,7 @@ TEST(VmLoopRuns, IneligibleLoopsKeepTheScalarForm) {
   expect_equivalent(st, {32, 1}, {16, 1}, lanes_args(Scalar::F64, 32, 4));
 }
 
-// ---- backend resolution and the compiled cache -----------------------------
+// ---- backend resolution ----------------------------------------------------
 
 struct EnvGuard {
   ~EnvGuard() {
@@ -914,25 +939,6 @@ TEST(VmBackend, ResolutionPrecedence) {
   }
   // An explicit backend never consults the (invalid) environment.
   EXPECT_EQ(resolve_backend(Backend::Native), Backend::Native);
-}
-
-TEST(VmCache, CompileOncePerKernelShape) {
-  compiled_cache_clear();
-  EXPECT_EQ(compiled_cache_size(), 0u);
-  const Kernel k1 = stress_kernel(Scalar::F64);
-  const auto make = stress_args(Scalar::F64, 8, 2);
-  run_one(k1, {8, 1}, {4, 1}, make, Backend::Bytecode, 1);
-  EXPECT_EQ(compiled_cache_size(), 1u);
-  // Re-launching the same kernel (rebuilt, so a different object identity
-  // but identical serialized form) hits the cache.
-  run_one(stress_kernel(Scalar::F64), {8, 1}, {4, 1}, make,
-          Backend::Bytecode, 4);
-  EXPECT_EQ(compiled_cache_size(), 1u);
-  run_one(stress_kernel(Scalar::F32), {8, 1}, {4, 1},
-          stress_args(Scalar::F32, 8, 2), Backend::Bytecode, 1);
-  EXPECT_EQ(compiled_cache_size(), 2u);
-  compiled_cache_clear();
-  EXPECT_EQ(compiled_cache_size(), 0u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 # CI-style verification: the tier-1 build + full test suite, a
 # ThreadSanitizer build of the concurrency-sensitive tests (the parallel
 # execution layer, the work-group-parallel interpreter, kernel handles and
-# the native JIT program cache, the trace collector, concurrent GemmEngine
+# concurrent native JIT builds, the trace collector, concurrent GemmEngine
 # calls, and the serving core's request executors), and an
 # AddressSanitizer + UndefinedBehaviorSanitizer build of the whole suite.
 #
