@@ -1,34 +1,26 @@
-// Micro-benchmarks (google-benchmark): execution throughput on generated
-// GEMM kernels for the bytecode VM (plus the native JIT in --native mode),
-// and performance-model / search-engine evaluation rates (the quantities
-// that bound a full tuning run's wall-clock).
+// Micro bench of the two execution tiers on a generated GEMM kernel, run
+// as deterministic checks gated against bench/baselines/micro_interp.json:
+// the bytecode VM must produce bit-identical buffers and counters at 1 and
+// 4 threads, and the pass/fail bits and its dynamic counters are the gated
+// scalars. Host wall-clock throughput of each layer is perfbench's
+// (BENCHMARK.json). The tree-walking reference interpreter is test-only;
+// fuzz_codegen_test holds both tiers to it on this bench's kernel shape.
 //
-// Besides the timed runs, main() performs a deterministic differential
-// check: the bytecode VM must produce bit-identical buffers and counters
-// at 1 and 4 threads. The pass/fail bits and the dynamic counters are
-// recorded as scalars (gated against bench/baselines/micro_interp.json);
-// wall-clock numbers go to gauges, which the baseline gate never compares.
-// The tree-walking reference interpreter is test-only; fuzz_codegen_test
-// holds both tiers to it on this bench's kernel shape.
-//
-// With --native the bench becomes "micro_interp_native": it times the
-// native JIT backend too and gates a native-vs-bytecode differential plus
-// the native >= 3x-over-bytecode speedup bit against
+// With --native the bench becomes "micro_interp_native": it gates a
+// native-vs-bytecode differential plus the native >= 3x-over-bytecode
+// speedup bit (minimum single-thread steady_clock times) against
 // bench/baselines/micro_interp_native.json. Without a usable host
-// toolchain the native run exits 3 so harnesses can skip it.
-#include <benchmark/benchmark.h>
-
+// toolchain the native run exits 3 so harnesses can skip it. Any argument
+// besides --native and bench::init's flags is refused (exit 1).
 #include <chrono>
 #include <cstring>
 
 #include "bench_util.hpp"
 
 #include "codegen/gemm_generator.hpp"
-#include "codegen/paper_kernels.hpp"
 #include "common/rng.hpp"
 #include "kernelir/interp.hpp"
 #include "kernelir/native.hpp"
-#include "perfmodel/model.hpp"
 #include "simcl/runtime.hpp"
 
 using namespace gemmtune;
@@ -99,52 +91,6 @@ struct MicroLaunch {
                       threads);
   }
 };
-
-void BM_InterpretGemmKernel(benchmark::State& state, ir::Backend backend) {
-  const MicroLaunch ml(state.range(0));
-  // The first run prepares the tier's handle, so a JIT build (native
-  // backend) or lowering never lands inside the timing loop.
-  (void)ml.run(backend, 1);
-  std::uint64_t mads = 0;
-  for (auto _ : state) {
-    const auto c = ml.run(backend, 1);
-    mads += c.mads;
-  }
-  state.counters["interp_mads/s"] = benchmark::Counter(
-      static_cast<double>(mads), benchmark::Counter::kIsRate);
-}
-
-void BM_InterpBytecode(benchmark::State& s) {
-  BM_InterpretGemmKernel(s, ir::Backend::Bytecode);
-}
-void BM_InterpNative(benchmark::State& s) {
-  BM_InterpretGemmKernel(s, ir::Backend::Native);
-}
-
-BENCHMARK(BM_InterpBytecode)->Arg(32)->Arg(64);
-
-void BM_GenerateKernel(benchmark::State& state) {
-  const auto p =
-      codegen::table2_entry(simcl::DeviceId::Tahiti, Precision::SP).params;
-  for (auto _ : state) {
-    ir::Kernel k = codegen::generate_gemm_kernel(p);
-    benchmark::DoNotOptimize(k.body.data());
-  }
-}
-
-BENCHMARK(BM_GenerateKernel);
-
-void BM_PerfModelEstimate(benchmark::State& state) {
-  perfmodel::PerfModel model(simcl::DeviceId::Tahiti);
-  const auto p =
-      codegen::table2_entry(simcl::DeviceId::Tahiti, Precision::DP).params;
-  (void)model.kernel_gflops(p, 4032);  // warm the anchor cache
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.kernel_gflops(p, 4032));
-  }
-}
-
-BENCHMARK(BM_PerfModelEstimate);
 
 // ---- deterministic differential + speedup gate -----------------------------
 
@@ -226,26 +172,6 @@ void native_differential_check() {
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): records each benchmark's
-// per-iteration real time as a gauge (wall-clock lives in the "metrics"
-// section, outside the baseline gate) and runs the differential check.
-namespace {
-
-class CaptureReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& r : runs) {
-      if (r.error_occurred) continue;
-      gemmtune::trace::gauge_set(
-          (r.benchmark_name() + ".real_time_ns").c_str(),
-          r.GetAdjustedRealTime());
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bool native_mode = false;
   for (int i = 1; i < argc; ++i) {
@@ -258,20 +184,11 @@ int main(int argc, char** argv) {
   }
   gemmtune::bench::init(native_mode ? "micro_interp_native" : "micro_interp",
                         &argc, argv);
+  if (gemmtune::bench::reject_unknown_arguments(argc, argv)) return 1;
   if (native_mode && !ir::native_toolchain_available()) {
     std::printf("no usable host toolchain; native differential skipped\n");
     return 3;  // harnesses (tools/bench_smoke.sh) treat 3 as "skip"
   }
-  if (native_mode) {
-    benchmark::RegisterBenchmark("BM_InterpNative", BM_InterpNative)
-        ->Arg(32)
-        ->Arg(64);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  CaptureReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
   if (native_mode) {
     native_differential_check();
   } else {

@@ -1,17 +1,13 @@
-// Micro-benchmarks (google-benchmark): host packing throughput across the
-// three operand layouts, and the reference GEMM tiers.
-//
-// main() also runs a deterministic packing check: every layout's packed
-// buffer must match the PackedIndexer ground truth element by element and
-// must be byte-identical whether packed with 1 or 4 threads (the packing
-// loops are tiled and parallel). The pass/fail bits and exact element sums
-// are recorded as scalars gated against bench/baselines/micro_layout.json;
-// wall-clock numbers go to gauges, which the gate never compares.
-#include <benchmark/benchmark.h>
-
+// Micro bench of host packing, run as a deterministic check gated against
+// bench/baselines/micro_layout.json: every layout's packed A buffer must
+// match the PackedIndexer ground truth element by element and be
+// byte-identical whether packed with 1 or 4 threads (the packing loops are
+// tiled and parallel), and the exact element sums are gated too. Host
+// wall-clock packing and reference-GEMM throughput are perfbench's
+// layout.pack_gbs and hostblas.gflops (BENCHMARK.json). Any argument
+// besides bench::init's flags is refused (exit 1).
 #include "bench_util.hpp"
 
-#include "blas/hostblas.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "layout/packing.hpp"
@@ -19,62 +15,6 @@
 using namespace gemmtune;
 
 namespace {
-
-void BM_PackA(benchmark::State& state, BlockLayout layout) {
-  const index_t M = state.range(0), K = state.range(0);
-  Rng rng(1);
-  Matrix<double> A(M, K);
-  A.fill_random(rng);
-  const auto e = packed_extents(M, 8, K, 32, 8, 16);
-  for (auto _ : state) {
-    auto buf = pack_a(A, Transpose::No, M, K, e.Mp, e.Kp, layout, 32, 16);
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * M *
-                          K * static_cast<std::int64_t>(sizeof(double)));
-}
-
-void BM_PackA_RM(benchmark::State& s) { BM_PackA(s, BlockLayout::RowMajor); }
-void BM_PackA_CBL(benchmark::State& s) { BM_PackA(s, BlockLayout::CBL); }
-void BM_PackA_RBL(benchmark::State& s) { BM_PackA(s, BlockLayout::RBL); }
-
-BENCHMARK(BM_PackA_RM)->Arg(256)->Arg(512);
-BENCHMARK(BM_PackA_CBL)->Arg(256)->Arg(512);
-BENCHMARK(BM_PackA_RBL)->Arg(256)->Arg(512);
-
-void BM_HostGemm(benchmark::State& state, int tier) {
-  const index_t n = state.range(0);
-  Rng rng(2);
-  Matrix<double> A(n, n), B(n, n), C(n, n);
-  A.fill_random(rng);
-  B.fill_random(rng);
-  for (auto _ : state) {
-    if (tier == 0) {
-      hostblas::gemm_naive(Transpose::No, Transpose::No, n, n, n, 1.0, A, B,
-                           0.0, C);
-    } else if (tier == 1) {
-      hostblas::gemm_blocked(Transpose::No, Transpose::No, n, n, n, 1.0, A,
-                             B, 0.0, C);
-    } else {
-      hostblas::gemm_parallel(Transpose::No, Transpose::No, n, n, n, 1.0, A,
-                              B, 0.0, C);
-    }
-    benchmark::DoNotOptimize(C.data());
-  }
-  state.counters["GFlop/s"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * n * n * state.iterations() / 1e9,
-      benchmark::Counter::kIsRate);
-}
-
-void BM_HostGemmNaive(benchmark::State& s) { BM_HostGemm(s, 0); }
-void BM_HostGemmBlocked(benchmark::State& s) { BM_HostGemm(s, 1); }
-void BM_HostGemmParallel(benchmark::State& s) { BM_HostGemm(s, 2); }
-
-BENCHMARK(BM_HostGemmNaive)->Arg(128);
-BENCHMARK(BM_HostGemmBlocked)->Arg(128)->Arg(256);
-BENCHMARK(BM_HostGemmParallel)->Arg(256);
-
-// ---- deterministic packing correctness / thread-invariance gate ------------
 
 void packing_check() {
   bench::section("Packing determinism (all layouts, 1 vs 4 threads)");
@@ -117,33 +57,9 @@ void packing_check() {
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): records each benchmark's
-// per-iteration real time as a gauge (wall-clock lives in the "metrics"
-// section, outside the baseline gate) and runs the packing check.
-namespace {
-
-class CaptureReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& r : runs) {
-      if (r.error_occurred) continue;
-      gemmtune::trace::gauge_set(
-          (r.benchmark_name() + ".real_time_ns").c_str(),
-          r.GetAdjustedRealTime());
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   gemmtune::bench::init("micro_layout", &argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  CaptureReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
+  if (gemmtune::bench::reject_unknown_arguments(argc, argv)) return 1;
   packing_check();
   return 0;
 }

@@ -84,8 +84,8 @@ inline void write_report() {
 }
 
 /// Enables result recording for this bench. Parses and strips --json,
-/// --trace and --metrics from argv (so google-benchmark binaries can pass
-/// the remainder to benchmark::Initialize). Safe to call with null argv.
+/// --trace and --metrics from argv, so a bench parses only its own
+/// arguments from what is left. Safe to call with null argv.
 inline void init(const std::string& name, int* argc = nullptr,
                  char** argv = nullptr) {
   ReportState& r = report();
@@ -116,6 +116,16 @@ inline void init(const std::string& name, int* argc = nullptr,
   }
   trace::set_enabled(true);  // benches always collect their own metrics
   std::atexit(write_report);
+}
+
+/// For a bench that takes no arguments besides init()'s: when argv holds
+/// one more, prints it and disables the result file, so a refused run
+/// writes no report. Returns whether it refused; call after init().
+inline bool reject_unknown_arguments(int argc, char** argv) {
+  if (argc <= 1) return false;
+  std::fprintf(stderr, "%s: unrecognized argument '%s'\n", argv[0], argv[1]);
+  report().initialized = false;
+  return true;
 }
 
 inline void section(const std::string& title) {

@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.stage1_evaluated),
               static_cast<long long>(stats.stage1_failed));
   std::printf("stage 2: %lld sweep points over the top-%d kernels\n\n",
-              static_cast<long long>(stats.stage2_points), opt.stage1_keep);
+              static_cast<long long>(stats.stage2_points),
+              tuner::kStage1Keep);
 
   std::printf("selected kernel: %s\n", best.params.summary().c_str());
   std::printf("  stage-1 performance: %.1f GFlop/s\n", best.stage1_gflops);

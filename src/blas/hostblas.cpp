@@ -38,14 +38,17 @@ std::pair<index_t, index_t> op_strides(const Matrix<T>& X, Transpose t) {
   return t == Transpose::No ? std::pair{rs, cs} : std::pair{cs, rs};
 }
 
-// Computes rows [m0, m1) of C for the blocked algorithm. Every element is
-// scaled by beta, then accumulates (alpha * a) * b over ascending k; the
-// innermost loop runs along C's unit stride over raw pointers (the extents
-// were validated by check_shapes).
+constexpr index_t kBlock = 64;
+
+// Computes rows [m0, m1) of C for the blocked algorithm, in blocks of
+// kBlock along k, m and n. Every element is scaled by beta, then
+// accumulates (alpha * a) * b over ascending k; the innermost loop runs
+// along C's unit stride over raw pointers (the extents were validated by
+// check_shapes).
 template <typename T>
 void blocked_rows(Transpose ta, Transpose tb, index_t m0, index_t m1,
                   index_t N, index_t K, T alpha, const Matrix<T>& A,
-                  const Matrix<T>& B, T beta, Matrix<T>& C, index_t block) {
+                  const Matrix<T>& B, T beta, Matrix<T>& C) {
   const auto [am, ak] = op_strides(A, ta);
   const auto [bk, bn] = op_strides(B, tb);
   const auto [cm, cn] = op_strides(C, Transpose::No);
@@ -55,12 +58,12 @@ void blocked_rows(Transpose ta, Transpose tb, index_t m0, index_t m1,
   for (index_t n = 0; n < N; ++n)
     for (index_t m = m0; m < m1; ++m)
       c[m * cm + n * cn] = beta * c[m * cm + n * cn];
-  for (index_t kb = 0; kb < K; kb += block) {
-    const index_t ke = std::min(K, kb + block);
-    for (index_t mb = m0; mb < m1; mb += block) {
-      const index_t me = std::min(m1, mb + block);
-      for (index_t nb = 0; nb < N; nb += block) {
-        const index_t ne = std::min(N, nb + block);
+  for (index_t kb = 0; kb < K; kb += kBlock) {
+    const index_t ke = std::min(K, kb + kBlock);
+    for (index_t mb = m0; mb < m1; mb += kBlock) {
+      const index_t me = std::min(m1, mb + kBlock);
+      for (index_t nb = 0; nb < N; nb += kBlock) {
+        const index_t ne = std::min(N, nb + kBlock);
         if (cm == 1) {  // column-major C: run down each column
           for (index_t n = nb; n < ne; ++n) {
             T* const col = c + n * cn;
@@ -103,15 +106,6 @@ void gemm_naive(Transpose ta, Transpose tb, index_t M, index_t N, index_t K,
 }
 
 template <typename T>
-void gemm_blocked(Transpose ta, Transpose tb, index_t M, index_t N,
-                  index_t K, T alpha, const Matrix<T>& A, const Matrix<T>& B,
-                  T beta, Matrix<T>& C, index_t block) {
-  check_shapes(ta, tb, M, N, K, A, B, C);
-  check(block > 0, "gemm_blocked: bad block size");
-  blocked_rows(ta, tb, index_t{0}, M, N, K, alpha, A, B, beta, C, block);
-}
-
-template <typename T>
 void gemm_parallel(Transpose ta, Transpose tb, index_t M, index_t N,
                    index_t K, T alpha, const Matrix<T>& A,
                    const Matrix<T>& B, T beta, Matrix<T>& C, int threads) {
@@ -122,7 +116,7 @@ void gemm_parallel(Transpose ta, Transpose tb, index_t M, index_t N,
   if (nt < 1) nt = 1;
   nt = static_cast<int>(std::min<index_t>(nt, M));
   if (nt <= 1) {
-    blocked_rows(ta, tb, index_t{0}, M, N, K, alpha, A, B, beta, C, 64);
+    blocked_rows(ta, tb, index_t{0}, M, N, K, alpha, A, B, beta, C);
     return;
   }
   std::vector<std::thread> pool;
@@ -133,7 +127,7 @@ void gemm_parallel(Transpose ta, Transpose tb, index_t M, index_t N,
     const index_t m1 = std::min(M, m0 + chunk);
     if (m0 >= m1) break;
     pool.emplace_back([&, m0, m1] {
-      blocked_rows(ta, tb, m0, m1, N, K, alpha, A, B, beta, C, index_t{64});
+      blocked_rows(ta, tb, m0, m1, N, K, alpha, A, B, beta, C);
     });
   }
   for (auto& th : pool) th.join();
@@ -145,13 +139,6 @@ template void gemm_naive(Transpose, Transpose, index_t, index_t, index_t,
 template void gemm_naive(Transpose, Transpose, index_t, index_t, index_t,
                          double, const Matrix<double>&,
                          const Matrix<double>&, double, Matrix<double>&);
-template void gemm_blocked(Transpose, Transpose, index_t, index_t, index_t,
-                           float, const Matrix<float>&, const Matrix<float>&,
-                           float, Matrix<float>&, index_t);
-template void gemm_blocked(Transpose, Transpose, index_t, index_t, index_t,
-                           double, const Matrix<double>&,
-                           const Matrix<double>&, double, Matrix<double>&,
-                           index_t);
 template void gemm_parallel(Transpose, Transpose, index_t, index_t, index_t,
                             float, const Matrix<float>&,
                             const Matrix<float>&, float, Matrix<float>&,

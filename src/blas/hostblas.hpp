@@ -1,7 +1,7 @@
 // Host reference GEMM implementations.
 //
-// Three tiers: a naive triple loop (ground truth in tests), a cache-blocked
-// single-thread variant, and a thread-parallel blocked variant. These play
+// Two tiers: a naive triple loop (ground truth in tests) and a cache-blocked
+// variant that splits C's rows over threads (one thread included). These play
 // the role the authors' host-side verification code plays — every device
 // kernel result is checked against them — and serve as the CPU fallback in
 // the examples.
@@ -18,13 +18,8 @@ void gemm_naive(Transpose ta, Transpose tb, index_t M, index_t N, index_t K,
                 T alpha, const Matrix<T>& A, const Matrix<T>& B, T beta,
                 Matrix<T>& C);
 
-/// Cache-blocked single-threaded GEMM (same contract as gemm_naive).
-template <typename T>
-void gemm_blocked(Transpose ta, Transpose tb, index_t M, index_t N,
-                  index_t K, T alpha, const Matrix<T>& A, const Matrix<T>& B,
-                  T beta, Matrix<T>& C, index_t block = 64);
-
-/// Thread-parallel blocked GEMM; `threads` <= 0 uses the hardware count.
+/// Cache-blocked GEMM (same contract as gemm_naive), its rows split over
+/// `threads` threads; `threads` <= 0 uses the hardware count.
 template <typename T>
 void gemm_parallel(Transpose ta, Transpose tb, index_t M, index_t N,
                    index_t K, T alpha, const Matrix<T>& A,

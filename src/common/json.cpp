@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -34,10 +35,15 @@ double Json::as_number() const {
 std::optional<std::int64_t> Json::int_in(std::int64_t lo,
                                          std::int64_t hi) const {
   check(kind_ == Kind::Number, "Json: not a number");
-  // Every double in [-2^63, 2^63) rounds to an int64; no other does.
-  constexpr double kTwo63 = 9223372036854775808.0;
-  if (!(num_ >= -kTwo63 && num_ < kTwo63)) return std::nullopt;
-  const std::int64_t n = std::llround(num_);
+  std::int64_t n = 0;
+  if (int_) {
+    n = *int_;
+  } else {
+    // Every double in [-2^63, 2^63) rounds to an int64; no other does.
+    constexpr double kTwo63 = 9223372036854775808.0;
+    if (!(num_ >= -kTwo63 && num_ < kTwo63)) return std::nullopt;
+    n = std::llround(num_);
+  }
   if (n < lo || n > hi) return std::nullopt;
   return n;
 }
@@ -140,7 +146,13 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   switch (kind_) {
     case Kind::Null: out += "null"; break;
     case Kind::Bool: out += bool_ ? "true" : "false"; break;
-    case Kind::Number: number_to(num_, out); break;
+    case Kind::Number:
+      if (int_) {
+        out += strf("%lld", static_cast<long long>(*int_));
+      } else {
+        number_to(num_, out);
+      }
+      break;
     case Kind::String: escape_to(str_, out); break;
     case Kind::Array: {
       if (arr_.empty()) {
@@ -188,10 +200,9 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-namespace {
-class Parser {
+class JsonParser {
  public:
-  explicit Parser(const std::string& text) : s_(text) {}
+  explicit JsonParser(const std::string& text) : s_(text) {}
 
   Json parse_document() {
     Json v = parse_value();
@@ -296,7 +307,13 @@ class Parser {
             s_[pos_] == '+' || s_[pos_] == '-'))
       ++pos_;
     check(pos_ > start, "Json: invalid number");
-    return Json(std::stod(s_.substr(start, pos_ - start)));
+    const std::string text = s_.substr(start, pos_ - start);
+    Json j(std::stod(text));
+    std::int64_t n = 0;
+    const char* const end = text.data() + text.size();
+    const auto [last, ec] = std::from_chars(text.data(), end, n);
+    if (ec == std::errc() && last == end) j.int_ = n;
+    return j;
   }
 
   Json parse_array() {
@@ -342,10 +359,9 @@ class Parser {
   const std::string& s_;
   std::size_t pos_ = 0;
 };
-}  // namespace
 
 Json Json::parse(const std::string& text) {
-  return Parser(text).parse_document();
+  return JsonParser(text).parse_document();
 }
 
 bool operator==(const Json& a, const Json& b) {
@@ -353,7 +369,8 @@ bool operator==(const Json& a, const Json& b) {
   switch (a.kind_) {
     case Json::Kind::Null: return true;
     case Json::Kind::Bool: return a.bool_ == b.bool_;
-    case Json::Kind::Number: return a.num_ == b.num_;
+    case Json::Kind::Number:
+      return a.int_ && b.int_ ? *a.int_ == *b.int_ : a.num_ == b.num_;
     case Json::Kind::String: return a.str_ == b.str_;
     case Json::Kind::Array: return a.arr_ == b.arr_;
     case Json::Kind::Object: return a.obj_ == b.obj_;

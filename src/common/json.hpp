@@ -4,6 +4,9 @@
 // device/precision) and by benches to emit machine-readable series. Supports
 // the JSON subset the library emits: objects, arrays, strings, finite
 // numbers, booleans and null; no unicode escapes beyond \uXXXX pass-through.
+// A parsed integer literal (no '.', 'e' or 'E') that fits int64 keeps its
+// exact value beside the double, so integers past 2^53 read back and dump
+// unchanged.
 #pragma once
 
 #include <cstdint>
@@ -38,14 +41,16 @@ class Json {
 
   /// Typed accessors; throw gemmtune::Error on kind mismatch. as_int()
   /// also throws, naming the number and the range, when the number rounds
-  /// to no int64.
+  /// to no int64. as_number() of a parsed integer literal is the nearest
+  /// double; as_int() and int_in() read its exact value.
   bool as_bool() const;
   double as_number() const;
   std::int64_t as_int() const;
   const std::string& as_string() const;
 
-  /// The number rounded to the nearest integer, or nullopt when that lies
-  /// outside [lo, hi]; throws gemmtune::Error when this is not a number.
+  /// The number rounded to the nearest integer (a parsed integer literal's
+  /// exact value), or nullopt when that lies outside [lo, hi]; throws
+  /// gemmtune::Error when this is not a number.
   std::optional<std::int64_t> int_in(std::int64_t lo, std::int64_t hi) const;
 
   /// Array operations.
@@ -70,11 +75,15 @@ class Json {
   friend bool operator==(const Json& a, const Json& b);
 
  private:
+  friend class JsonParser;
+
   void dump_to(std::string& out, int indent, int depth) const;
 
   Kind kind_;
   bool bool_ = false;
   double num_ = 0.0;
+  /// The exact value of a parsed integer literal that fits int64.
+  std::optional<std::int64_t> int_;
   std::string str_;
   std::vector<Json> arr_;
   std::map<std::string, Json> obj_;

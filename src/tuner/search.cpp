@@ -38,7 +38,6 @@ std::vector<KernelParams> SearchEngine::candidate_space(
       std::to_string(opt.enumeration.max_candidates) + "|" +
       std::to_string(opt.enumeration.seed) + "|" +
       (opt.enumeration.include_row_major ? "rm" : "cm") + "|" +
-      (opt.seed_with_table2 ? "t2" : "-") + "|" +
       (opt.restrict_algo ? to_string(*opt.restrict_algo) : "*") + "|" +
       (opt.restrict_local ? (*opt.restrict_local ? "L" : "l") : "*");
   {
@@ -57,9 +56,7 @@ std::vector<KernelParams> SearchEngine::candidate_space(
     trace::Span span("tuner.enumerate");
     candidates = enumerate_candidates(id_, prec, eopt, &est);
   }
-  if (opt.seed_with_table2) {
-    candidates.push_back(codegen::table2_entry(id_, prec).params);
-  }
+  candidates.push_back(codegen::table2_entry(id_, prec).params);
   std::erase_if(candidates,
                 [&](const KernelParams& p) { return !opt.admits(p); });
   if (stats) *stats = est;
@@ -175,8 +172,7 @@ TunedKernel SearchEngine::tune(Precision prec, const SearchOptions& opt,
                     part_scored[w].end());
     }
     check(!scored.empty(), "tune: every candidate failed stage 1");
-    keep = std::min<std::size_t>(static_cast<std::size_t>(opt.stage1_keep),
-                                 scored.size());
+    keep = std::min<std::size_t>(kStage1Keep, scored.size());
     // Tie-break equal scores by candidate index: partial_sort is not
     // stable, and the finalist order must not depend on how chunks
     // interleaved.
@@ -231,8 +227,8 @@ TunedKernel SearchEngine::finalist_stage(const std::vector<Finalist>& ranked,
     if (opt.threads > 0) local_pool.emplace(opt.threads);
     pool = local_pool ? &*local_pool : &ThreadPool::global();
   }
-  const std::size_t keep = std::min<std::size_t>(
-      static_cast<std::size_t>(opt.stage1_keep), ranked.size());
+  const std::size_t keep =
+      std::min<std::size_t>(kStage1Keep, ranked.size());
   std::vector<SweepResult> sweeps(keep);
   pool->parallel_for(static_cast<std::int64_t>(keep),
                      [&](std::int64_t begin, std::int64_t end, int) {

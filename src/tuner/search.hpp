@@ -3,7 +3,7 @@
 // The procedure for selecting the best kernel follows the paper:
 //  1. Measure every candidate at one problem size: the largest multiple of
 //     LCM(Mwg, Nwg, Kwg) not exceeding 4096 on GPUs / 1536 on CPUs.
-//  2. Re-measure the fastest `stage1_keep` (default 50) kernels over all
+//  2. Re-measure the fastest kStage1Keep (50) kernels over all
 //     sizes N in multiples of their LCM with N <= 8192.
 //  3. Select the kernel with the highest observed performance.
 //
@@ -32,12 +32,13 @@ class ThreadPool;
 
 namespace gemmtune::tuner {
 
+/// Stage-1 finalists swept in stage 2. Paper: the fastest 50 kernels.
+inline constexpr int kStage1Keep = 50;
+
 /// Search controls.
 struct SearchOptions {
   EnumOptions enumeration;
-  int stage1_keep = 50;           ///< paper: the fastest 50 kernels
   std::int64_t stage2_max_n = 8192;  ///< paper: N <= 8192
-  bool seed_with_table2 = true;   ///< include the paper's kernels as seeds
 
   /// Worker threads for stage-1 scoring and stage-2 sweeps. 0 uses the
   /// process-wide configuration (--threads / GEMMTUNE_THREADS / hardware).
@@ -119,7 +120,7 @@ class SearchEngine {
   /// the winner. `ranked` holds stage-1 measurements, best first. In shape
   /// mode (opt.shape) the measurement already is the objective, so the
   /// top-ranked candidate wins outright and no thread pool is created.
-  /// Otherwise the first stage1_keep are swept over sizes <= stage2_max_n
+  /// Otherwise the first kStage1Keep are swept over sizes <= stage2_max_n
   /// in parallel and reduced in rank order with a strict >, so ties go to
   /// the better rank; when every sweep is empty the top stage-1
   /// measurement wins. Fills only the stage-2 fields of `stats`. The
@@ -134,7 +135,7 @@ class SearchEngine {
       const codegen::KernelParams& p, std::int64_t max_n) const;
 
   /// The candidate space the search runs over: enumeration, the Table II
-  /// seed (appended last when seed_with_table2), and the restriction
+  /// seed (always appended last), and the restriction
   /// filters. Every strategy — exhaustive or guided — draws from exactly
   /// this list, in exactly this order. The space is memoized per option
   /// set (opt.shape does not change it), so a server tuning many shape

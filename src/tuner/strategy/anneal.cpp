@@ -147,7 +147,7 @@ class AnnealStrategy final : public SearchStrategy {
 
     Grid::Coords cur{};
     std::optional<Grid::Coords> start;
-    if (chain == 0 && opt.seed_with_table2) {
+    if (chain == 0) {
       // The Table II seed is appended last by candidate_space.
       start = grid.encode(candidates.back());
     } else if (chain >= 1 &&

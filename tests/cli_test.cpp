@@ -507,6 +507,45 @@ TEST(Cli, PaddedOperandsOverInt64FailNamingTheLimit) {
             0);
 }
 
+TEST(Cli, TraceIntegersPast2To53ReadBackExactly) {
+  // Replays a 512x512 first request whose `key` is the integer literal
+  // `literal`, written into the trace text because set_first_request
+  // stores a double.
+  const auto replay_with = [](const std::string& key,
+                              const std::string& literal) {
+    const std::string trace =
+        edited_trace("cli_past53_wl.json", [&](Json& doc) {
+          set_first_request(doc, {"m", "n"}, 512);
+          set_first_request(doc, {key.c_str()}, 7777);
+        });
+    std::string text = slurp(trace);
+    const std::string placeholder = "\"" + key + "\": 7777";
+    const std::size_t at = text.find(placeholder);
+    EXPECT_NE(at, std::string::npos) << text;
+    if (at != std::string::npos)
+      text.replace(at, placeholder.size(), "\"" + key + "\": " + literal);
+    std::ofstream(trace, std::ios::trunc) << text;
+    auto result = run_cli({"replay", trace});
+    std::remove(trace.c_str());
+    return result;
+  };
+  // 2^53 + 1 is refused naming itself, where a double reads 2^53.
+  auto [rc, out] = replay_with("priority", "9007199254740993");
+  EXPECT_EQ(rc, 1) << out;
+  EXPECT_NE(out.find("requests[0].priority is 9007199254740993, outside "
+                     "the range [-2147483648, 2147483647]"),
+            std::string::npos)
+      << out;
+  // The server prices a request's shape class, its extents rounded up to
+  // multiples of 16: k = 2^53 + 1 gives 2^53 + 16, where a double read
+  // 2^53 and priced that.
+  auto [rc_k, out_k] = replay_with("k", "9007199254740993");
+  EXPECT_EQ(rc_k, 1) << out_k;
+  EXPECT_NE(out_k.find("problem 512x512x9007199254741008: a padded operand"),
+            std::string::npos)
+      << out_k;
+}
+
 TEST(Cli, ErrorsNameNoSourceFiles) {
   // User-facing errors carry the message only: no build-tree path and
   // line, also when an error is rethrown with context.

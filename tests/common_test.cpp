@@ -146,15 +146,28 @@ TEST(Json, AccessorsEnforceKinds) {
 }
 
 TEST(Json, IntegersOutsideTheRangeAreRefused) {
-  // A JSON number is a double: every one in [-2^63, 2^63) rounds to an
-  // int64, and 2^63 (what 9223372036854775807 parses to) is refused
-  // instead of wrapping.
+  // An integer literal that fits int64 reads back exactly, also past 2^53
+  // where a double would round it; one outside int64 is a double, and
+  // 2^63 is refused instead of wrapping.
   EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
             std::numeric_limits<std::int64_t>::min());
   EXPECT_EQ(Json::parse("9223372036854774784").as_int(),
             std::int64_t{9223372036854774784});
+  EXPECT_EQ(Json::parse("9223372036854775807").as_int(),
+            std::numeric_limits<std::int64_t>::max());
+  const Json past53 = Json::parse("9007199254740993");
+  EXPECT_EQ(past53.as_int(), std::int64_t{9007199254740993});
+  EXPECT_EQ(past53.int_in(0, 9007199254740993),
+            std::int64_t{9007199254740993});
+  EXPECT_EQ(past53.int_in(0, 9007199254740992), std::nullopt);
+  EXPECT_EQ(past53.as_number(), 9007199254740992.0);
+  EXPECT_EQ(past53.dump(), "9007199254740993");
+  EXPECT_EQ(Json::parse("[-9007199254740993]").dump(), "[-9007199254740993]");
+  // A constructed number is a double and dumps rounded.
+  EXPECT_EQ(Json(std::int64_t{9007199254740993}).dump(),
+            "9007199254740992");
   try {
-    Json::parse("9223372036854775807").as_int();
+    Json::parse("9223372036854775808").as_int();
     FAIL() << "expected Error";
   } catch (const Error& e) {
     EXPECT_EQ(std::string(e.what()),

@@ -3,13 +3,16 @@
 // and zero padding.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "layout/block_layout.hpp"
 #include "layout/gemm_type.hpp"
 #include "layout/matrix.hpp"
 #include "layout/packing.hpp"
+#include "scoped_threads.hpp"
 
 namespace gemmtune {
 namespace {
@@ -210,6 +213,53 @@ TEST(Packing, CRoundTrip) {
   // Padding is zero.
   EXPECT_EQ(buf[static_cast<std::size_t>(0 * Np + 7)], 0.0);
   EXPECT_EQ(buf[static_cast<std::size_t>(7 * Np + 0)], 0.0);
+}
+
+TEST(Packing, ThreadCountLeavesEveryBufferByteIdentical) {
+  // Every pack loop cuts the rows into 64-row tiles spread over the global
+  // pool, and each element's value and location depend only on its
+  // indices. Extents are multiples of neither the blocking nor the tile,
+  // and each loop has at least five tiles, so every one of four workers
+  // gets one.
+  const index_t M = 330, N = 203, K = 297, Mwg = 32, Nwg = 16, Kwg = 8;
+  const auto e = packed_extents(M, N, K, Mwg, Nwg, Kwg);
+  Rng rng(13);
+  Matrix<double> A(M, K), At(K, M), B(K, N), Bt(N, K);
+  Matrix<double> Ccol(M, N), Crow(M, N, StorageOrder::RowMajor);
+  for (Matrix<double>* x : {&A, &At, &B, &Bt, &Ccol, &Crow})
+    x->fill_random(rng);
+  const auto pack_all = [&](int threads) {
+    const ScopedThreadOverride pin(threads);
+    std::vector<std::vector<double>> bufs;
+    for (BlockLayout layout :
+         {BlockLayout::RowMajor, BlockLayout::CBL, BlockLayout::RBL}) {
+      bufs.push_back(
+          pack_a(A, Transpose::No, M, K, e.Mp, e.Kp, layout, Mwg, Kwg));
+      bufs.push_back(
+          pack_a(At, Transpose::Yes, M, K, e.Mp, e.Kp, layout, Mwg, Kwg));
+      bufs.push_back(
+          pack_b(B, Transpose::No, K, N, e.Kp, e.Np, layout, Kwg, Nwg));
+      bufs.push_back(
+          pack_b(Bt, Transpose::Yes, K, N, e.Kp, e.Np, layout, Kwg, Nwg));
+    }
+    for (const Matrix<double>* c : {&Ccol, &Crow}) {
+      bufs.push_back(pack_c(*c, M, N, e.Mp, e.Np));
+      Matrix<double> back(M, N, c->order());
+      unpack_c(bufs.back(), e.Mp, e.Np, back, M, N);
+      bufs.emplace_back(back.data(), back.data() + back.size());
+    }
+    return bufs;
+  };
+  const auto one = pack_all(1);
+  const auto four = pack_all(4);
+  ASSERT_EQ(one.size(), four.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    ASSERT_EQ(one[i].size(), four[i].size()) << i;
+    EXPECT_EQ(std::memcmp(one[i].data(), four[i].data(),
+                          one[i].size() * sizeof(double)),
+              0)
+        << "buffer " << i;
+  }
 }
 
 TEST(GemmTypeHelpers, MapBothWays) {

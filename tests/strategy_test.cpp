@@ -125,7 +125,7 @@ TEST(StrategyTest, ExhaustiveMatchesEngineTune) {
 
 TEST(StrategyTest, ModelTopKMatchesExhaustiveAtFractionalBudget) {
   // The measurement IS the analytic model, so ranking the space with the
-  // model and measuring only the top-K >= stage1_keep candidates must
+  // model and measuring only the top-K >= kStage1Keep candidates must
   // select the exact kernel the exhaustive search selects.
   const SearchEngine engine(DeviceId::Cayman);
   const SearchOptions opt = small_search();

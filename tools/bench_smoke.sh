@@ -30,9 +30,9 @@ SMOKE_DB="$OUT_DIR/smoke.jsonl"
 CI_DB=bench/db/ci.jsonl
 
 # Model-driven benches (pure functions of the device tables, so the
-# baselines are tight) plus the micro benches, whose gated scalars are
-# deterministic pass/fail bits, dynamic counters and exact element sums —
-# wall-clock numbers live in the (uncompared) metrics section. serve_core
+# baselines are tight) plus the micro benches, which run only deterministic
+# checks: their gated scalars are pass/fail bits, dynamic counters and
+# exact element sums (host wall-clock is perfbench's). serve_core
 # follows the same contract: its checksum check and overload accounting
 # are exact. strategy_quality gates the guided-search acceptance criterion
 # (model_topk and anneal match the exhaustive winner at <= 10% of its
@@ -71,11 +71,8 @@ for b in $SMOKE; do
     echo "error: $bin not built (build the repo first)" >&2
     exit 2
   fi
-  # The micro benches embed google-benchmark timing loops; a short
-  # min_time keeps the smoke fast (their gated scalars don't depend on it).
   extra=""
   case "$b" in
-    micro_*) extra="--benchmark_min_time=0.05" ;;
     # Smaller space (800 candidates, budget 80 = 10%) keeps the smoke
     # fast; the acceptance gate is identical to the full-size run.
     strategy_quality) extra="800 80" ;;
@@ -104,8 +101,7 @@ rm -rf "$NATIVE_CACHE"
 mkdir -p "$NATIVE_CACHE"
 native_rc=0
 GEMMTUNE_JIT_CACHE="$NATIVE_CACHE" "$BUILD_DIR/bench/bench_micro_interp" \
-  --native --benchmark_min_time=0.05 \
-  --json "$OUT_DIR/micro_interp_native.json" \
+  --native --json "$OUT_DIR/micro_interp_native.json" \
   > "$OUT_DIR/micro_interp_native.txt" || native_rc=$?
 if [[ "$native_rc" == "3" ]]; then
   echo "[micro_interp_native] skipped: no usable host toolchain"
