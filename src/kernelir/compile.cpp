@@ -428,17 +428,51 @@ class Compiler {
   // ---- storage layout ------------------------------------------------------
 
   // Per-variable state. Integer variables live in a dedicated register
-  // (uniform or varying per the analysis); floating variables own a
-  // kMaxLanes-wide slab matching the tree's Val storage. `cur` snapshots
-  // the last assigned integer value so reads forward the RHS register
-  // (pinned, written at its own level — hoist-safe); control-flow joins
-  // invalidate it back to the architectural register.
+  // (uniform or varying per the analysis); floating variables own a slab
+  // as wide as their widest use (var_widths). The tree's Vals are zero
+  // past their type's lanes, so those lanes read 0 on both sides: an
+  // assignment zero-fills the slab past its value's lanes, and a read
+  // wider than the slab zero-pads like any width conversion. `cur`
+  // snapshots the last assigned integer value so reads forward the RHS
+  // register (pinned, written at its own level — hoist-safe); control-flow
+  // joins invalidate it back to the architectural register.
   struct VarBind {
     bool uniform = false;
     std::int32_t ireg = 0;   ///< u or vi register (by `uniform`)
-    std::int32_t fbase = 0;  ///< vf base, kMaxLanes wide
+    std::int32_t fbase = 0;  ///< vf base, `fw` lanes wide
+    int fw = 1;
     Value cur;
   };
+
+  /// Each variable's floating slab width: the largest of its declared
+  /// lanes, the lanes of every value assigned to it and every read's type.
+  std::vector<int> var_widths() const {
+    std::vector<int> w(k_.symbols.size(), 1);
+    for (std::size_t i = 0; i < w.size(); ++i)
+      w[i] = std::max(1, k_.symbols[i].type.lanes);
+    const auto widen = [&](int slot, const Type& t) {
+      if (slot_in_range(slot))
+        w[static_cast<std::size_t>(slot)] =
+            std::max(w[static_cast<std::size_t>(slot)], t.lanes);
+    };
+    const auto expr = [&](const auto& self, const ExprPtr& e) -> void {
+      if (!e) return;
+      if (e->kind == ExprKind::VarRef) widen(e->slot, e->type);
+      for (const auto& kid : e->kids) self(self, kid);
+    };
+    const auto stmts = [&](const auto& self,
+                           const std::vector<StmtPtr>& body) -> void {
+      for (const auto& s : body) {
+        if (s->kind == StmtKind::Assign && s->a) widen(s->slot, s->a->type);
+        expr(expr, s->a);
+        expr(expr, s->b);
+        expr(expr, s->c);
+        self(self, s->body);
+      }
+    };
+    stmts(stmts, k_.body);
+    return w;
+  }
 
   void alloc_storage() {
     for (std::size_t i = 0; i < k_.symbols.size(); ++i) {
@@ -461,12 +495,14 @@ class Compiler {
     }
     // Variables first so the zero-initialized region is a prefix.
     vars_.resize(k_.symbols.size());
+    const std::vector<int> widths = var_widths();
     for (std::size_t i = 0; i < k_.symbols.size(); ++i) {
       if (k_.symbols[i].array_len != 0) continue;
       VarBind vb;
       vb.uniform = analysis_.uniform[i] != 0;
       vb.ireg = vb.uniform ? fresh_u() : fresh_vi();
-      vb.fbase = fresh_vf(kMaxLanes);
+      vb.fw = widths[i];
+      vb.fbase = fresh_vf(vb.fw);
       vb.cur = Value{};  // Const 0: unassigned variables read as zero
       vb.cur.vn = fresh_vn();
       vars_[i] = vb;
@@ -880,7 +916,7 @@ class Compiler {
   }
 
   /// Lowers a floating expression into a vf value normalized to `lanes`
-  /// width (the tree zero-pads Vals to kMaxLanes, so a narrower source
+  /// width (the tree zero-pads Vals past their lanes, so a narrower source
   /// reads as zero in the extra lanes).
   Value lower_fp(const ExprPtr& e, int lanes) {
     Value v = lower_fp_raw(e);
@@ -965,10 +1001,11 @@ class Compiler {
         check(sym.array_len == 0,
               "compile: variable reference to array symbol '" + sym.name +
                   "'");
+        const VarBind& vb = vars_[static_cast<std::size_t>(e->slot)];
         Value v;
         v.k = Value::K::VF;
-        v.reg = vars_[static_cast<std::size_t>(e->slot)].fbase;
-        v.lanes = kMaxLanes;
+        v.reg = vb.fbase;
+        v.lanes = vb.fw;
         v.level = depth();  // mutable: reads never hoist
         return v;
       }
@@ -1253,7 +1290,7 @@ class Compiler {
       in.op = Op::FMov;
       in.dst = vb.fbase;
       in.a = v.reg;
-      in.b = kMaxLanes;
+      in.b = vb.fw;
       in.c = static_cast<std::int32_t>(v.lanes);
       in.lanes = static_cast<std::uint8_t>(v.lanes);
       if (masked()) in.flags |= kMasked;
@@ -1323,7 +1360,7 @@ class Compiler {
     in.a = array_of_slot_.at(ld->slot);
     in.imm = *idx + ln->lane;
     in.lanes = static_cast<std::uint8_t>(sp->type.lanes);
-    in.b = kMaxLanes;
+    in.b = vb.fw;
     emit(in);
     return true;
   }
@@ -1388,16 +1425,21 @@ class Compiler {
     if (bsym.array_len == 0 || bsym.space != AddrSpace::Private) return false;
     if (*bi < 0 || *bi + L > bsym.array_len) return false;
     if (ci < 0 || ci + L > cref.len) return false;
-    // The multiplicand may be any expression; a variable read skips the
-    // normalization copy (the slab is read directly at its native width).
+    // The multiplicand may be any expression; a read of a variable whose
+    // slab holds all L lanes skips the normalization copy (the slab is read
+    // directly at its own width).
     const ExprPtr& a = m->kids[0];
+    const VarBind* var =
+        a->kind == ExprKind::VarRef && slot_in_range(a->slot) &&
+                k_.symbols[static_cast<std::size_t>(a->slot)].array_len == 0
+            ? &vars_[static_cast<std::size_t>(a->slot)]
+            : nullptr;
     Value av;
     int stride;
-    if (a->kind == ExprKind::VarRef && slot_in_range(a->slot) &&
-        k_.symbols[static_cast<std::size_t>(a->slot)].array_len == 0) {
+    if (var && var->fw >= L) {
       av.k = Value::K::VF;
-      av.reg = vars_[static_cast<std::size_t>(a->slot)].fbase;
-      stride = kMaxLanes;
+      av.reg = var->fbase;
+      stride = var->fw;
     } else {
       av = lower_fp(a, L);
       stride = L;

@@ -20,6 +20,14 @@
 //  * precision-aware rounding: the per-op float32 round is a flag that F64
 //    kernels simply never set, eliding round_fp entirely.
 //
+// Register layout: integer variables and temporaries take one register
+// each; a floating variable takes a slab as wide as its widest use (its
+// declared lanes, every value assigned to it, every read's type), so a
+// scalar variable costs one double per work-item, and the variable slabs
+// come first so the VM zeroes one prefix per group. Private arrays are
+// listed by element offset; the VM and the native tier each choose where
+// an item's elements live.
+//
 // Compiled programs are immutable, and their owners are the only cache:
 // compile() lowers on every call, and ir::prepare() (interp.hpp) wraps the
 // result in a KernelHandle that the caller keeps for as long as it
@@ -131,7 +139,8 @@ struct CompiledKernel {
   int n_vi = 0;            ///< varying int registers
   int n_vi_vars = 0;       ///< leading vi registers zeroed per group (vars)
   int n_vf = 0;            ///< per-item floating slab doubles
-  int n_vf_vars = 0;       ///< leading vf doubles zeroed per group (vars)
+  int n_vf_vars = 0;       ///< leading vf doubles zeroed per group: the
+                           ///< variables' slabs, each its widest use
   std::int64_t parr_doubles = 0;  ///< private slab doubles per item
   std::int64_t larr_doubles = 0;  ///< local slab doubles per group
   int max_mask_depth = 0;

@@ -43,9 +43,9 @@ namespace gemmtune::ir {
 namespace {
 
 /// Bumping this invalidates every cached .so: the hash covers it and the
-/// flags, not the emitted text. v5: the lane helpers are the host's
-/// conversions and gathers.
-constexpr const char* kEmitterVersion = "gemmtune-native-emit-v5";
+/// flags, not the emitted text. v6: each floating variable's slab is as
+/// wide as its widest use, not 16 lanes.
+constexpr const char* kEmitterVersion = "gemmtune-native-emit-v6";
 /// The emitted code is already vectorized where it pays: vector loop runs
 /// spell their W-lane operations out in GCC vector types, and straight-line
 /// runs are scalar per work-item. -O1 keeps both as fast as -O3 did while

@@ -753,7 +753,7 @@ class Emitter {
   // ---- prologue / epilogue --------------------------------------------------
 
   void prologue(bool vector_loops) {
-    raw(strf("// Generated by the gemmtune native backend (emitter v5, "
+    raw(strf("// Generated by the gemmtune native backend (emitter v6, "
              "simd w=%d) for\n",
              simd_));
     raw("// kernel '" + k_.name + "'. Mirrors kernelir/vm.cpp semantics;\n"

@@ -2,11 +2,16 @@
 // CompiledKernel. Every run-time check the reference tree walker
 // (tests/tree_oracle.hpp) performs (launch validation, loop-bound
 // uniformity, bounds, divide-by-zero, barrier divergence) is re-raised here
-// with the same message text, and every counter is accumulated per
-// work-item exactly where the tree would.
+// with the same message text, and every counter ends at the tree's total:
+// an instruction adds its per-item amount times the items it ran for.
 #include "kernelir/vm.hpp"
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
 #include "common/error.hpp"
+#include "common/intmath.hpp"
 #include "common/strings.hpp"
 
 // Threaded-code dispatch needs the GNU labels-as-values extension
@@ -28,6 +33,24 @@ LaunchPlan::LaunchPlan(const LaunchSignature& sig,
   check(global[0] > 0 && global[1] > 0, "launch: empty NDRange");
   check(global[0] % local[0] == 0 && global[1] % local[1] == 0,
         "launch: global size not a multiple of local size");
+  // Both tiers index a group's work-items with an int, and the group
+  // space is linearized in int64.
+  constexpr std::int64_t kMaxGroupItems = std::numeric_limits<int>::max();
+  if (!mul_fits(local[0], local[1], &items_per_group) ||
+      items_per_group > kMaxGroupItems)
+    fail(strf("launch: a %lldx%lld work-group exceeds the limit of %lld "
+              "work-items",
+              static_cast<long long>(local[0]),
+              static_cast<long long>(local[1]),
+              static_cast<long long>(kMaxGroupItems)));
+  ngx = global[0] / local[0];
+  if (!mul_fits(ngx, global[1] / local[1], &ngroups))
+    fail(strf("launch: %lldx%lld work-groups exceed the limit of %lld "
+              "work-groups",
+              static_cast<long long>(ngx),
+              static_cast<long long>(global[1] / local[1]),
+              static_cast<long long>(
+                  std::numeric_limits<std::int64_t>::max())));
   if (sig.reqd_local[0] > 0) {
     check(sig.reqd_local == local,
           "launch: work-group size violates reqd_work_group_size");
@@ -39,9 +62,6 @@ LaunchPlan::LaunchPlan(const LaunchSignature& sig,
     if (is_ptr != (a[i].buffer != nullptr))
       fail("launch: argument " + sig.args[i].name + " kind mismatch");
   }
-  ngx = global[0] / local[0];
-  ngroups = ngx * (global[1] / local[1]);
-  items_per_group = local[0] * local[1];
   views.resize(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ArgView& v = views[i];
@@ -135,11 +155,18 @@ void VmMachine::run_group(std::int64_t gx, std::int64_t gy) {
 // RND, divergence masking MASKED, operand uniformity — so the optimizer
 // unrolls the lane loops and drops the dead tests a generic handler
 // re-evaluates per item. Every body replicates the reference tree walker
-// (tests/tree_oracle.hpp) exactly: same evaluation order, same counter
-// totals, same error messages. f32 rounding chains keep the runtime-width
-// loop shape (W == 0) the generic handlers also run, so the host build
-// compiles every rounding chain from one loop form.
+// (tests/tree_oracle.hpp) exactly: same per-item evaluation order, same
+// counter totals, same error messages. f32 rounding chains keep the
+// runtime-width loop shape (W == 0) the generic handlers also run, so the
+// host build compiles every rounding chain from one loop form.
 struct VmMachine::Ops {
+  /// Items an instruction runs for: the active ones under a mask, else
+  /// all (unmasked counting instructions only occur outside divergence).
+  template <bool MASKED>
+  static std::uint64_t ran(const VmMachine& m) {
+    return static_cast<std::uint64_t>(MASKED ? m.active_ : m.nitems_);
+  }
+
   template <Op OPK, int W, bool RND, bool MASKED>
   static void fbin(VmMachine& m, const Insn& in) {
     const auto nu = static_cast<std::size_t>(m.nitems_);
@@ -158,8 +185,8 @@ struct VmMachine::Ops {
         if (OPK == Op::FMul) r = a[i] * b[i];
         dst[i] = RND ? static_cast<double>(static_cast<float>(r)) : r;
       }
-      m.counters_.flops += static_cast<std::uint64_t>(w);
     }
+    m.counters_.flops += static_cast<std::uint64_t>(w) * ran<MASKED>(m);
   }
 
   template <int W, bool RND, bool MASKED>
@@ -178,9 +205,15 @@ struct VmMachine::Ops {
         const double r = a[i] * b[i] + c[i];
         dst[i] = RND ? static_cast<double>(static_cast<float>(r)) : r;
       }
-      m.counters_.flops += 2u * static_cast<std::uint64_t>(w);
-      ++m.counters_.mads;
     }
+    m.counters_.flops += 2u * static_cast<std::uint64_t>(w) * ran<MASKED>(m);
+    m.counters_.mads += ran<MASKED>(m);
+  }
+
+  /// Private element e of every item: the nitems doubles at
+  /// parr[e * nitems], one per item.
+  static double* prow(VmMachine& m, std::int64_t e) {
+    return m.parr_.data() + e * static_cast<std::int64_t>(m.nitems_);
   }
 
   template <int W, bool RND>
@@ -190,24 +223,20 @@ struct VmMachine::Ops {
     const auto nu = static_cast<std::size_t>(m.nitems_);
     const double* const av = &m.vf_[static_cast<std::size_t>(in.c) * nu];
     const int w = W > 0 ? W : in.lanes;
-    const int stride = in.aux >> 3;
-    const std::int64_t coff = cr.offset + in.dst;
-    const std::int64_t boff = br.offset + in.imm;
-    const std::size_t pd = static_cast<std::size_t>(m.p_.parr_doubles);
-    double* const parr = m.parr_.data();
-    const int ni = m.nitems_;
-    for (int t = 0; t < ni; ++t) {
-      double* const pa = parr + static_cast<std::size_t>(t) * pd;
-      double* const cp = pa + coff;
-      const double* const bp = pa + boff;
-      const double* const ap = av + t * stride;
-      for (int l = 0; l < w; ++l) {
-        const double r = ap[l] * bp[l] + cp[l];
-        cp[l] = RND ? static_cast<double>(static_cast<float>(r)) : r;
+    const auto stride = static_cast<std::size_t>(in.aux >> 3);
+    // Lane-outer: each lane is one unit-stride pass over the items, and
+    // every item still updates its lanes in order.
+    for (int l = 0; l < w; ++l) {
+      double* const cp = prow(m, cr.offset + in.dst + l);
+      const double* const bp = prow(m, br.offset + in.imm + l);
+      const double* const ap = av + l;
+      for (std::size_t t = 0; t < nu; ++t) {
+        const double r = ap[t * stride] * bp[t] + cp[t];
+        cp[t] = RND ? static_cast<double>(static_cast<float>(r)) : r;
       }
-      m.counters_.flops += 2u * static_cast<std::uint64_t>(w);
-      ++m.counters_.mads;
     }
+    m.counters_.flops += 2u * static_cast<std::uint64_t>(w) * nu;
+    m.counters_.mads += nu;
   }
 
   template <int W>
@@ -217,24 +246,105 @@ struct VmMachine::Ops {
     double* const dst = &m.vf_[static_cast<std::size_t>(in.dst) * nu];
     const int w = W > 0 ? W : in.lanes;
     const int dw = in.b;
-    const std::int64_t off = ar.offset + in.imm;
-    const std::size_t pd = static_cast<std::size_t>(m.p_.parr_doubles);
-    const double* const parr = m.parr_.data();
+    const double* const src = prow(m, ar.offset + in.imm);
     const int ni = m.nitems_;
     if (w == dw) {  // splat fills the whole register: no zero tail
-      for (int t = 0; t < ni; ++t) {
-        const double x = parr[static_cast<std::size_t>(t) * pd +
-                              static_cast<std::size_t>(off)];
-        for (int l = 0; l < w; ++l) dst[t * w + l] = x;
-      }
+      for (int t = 0; t < ni; ++t)
+        for (int l = 0; l < w; ++l) dst[t * w + l] = src[t];
     } else {
       for (int t = 0; t < ni; ++t) {
-        const double x = parr[static_cast<std::size_t>(t) * pd +
-                              static_cast<std::size_t>(off)];
-        for (int l = 0; l < w; ++l) dst[t * dw + l] = x;
+        for (int l = 0; l < w; ++l) dst[t * dw + l] = src[t];
         for (int l = w; l < dw; ++l) dst[t * dw + l] = 0.0;
       }
     }
+  }
+
+  /// A memory instruction's index operand: per item `iv[t]`, or `iu` for
+  /// every item when `iv` is null (uniform register or immediate).
+  static std::pair<const std::int64_t*, std::int64_t> address(
+      const VmMachine& m, const Insn& in) {
+    if (in.flags & kImmAddr) return {nullptr, in.imm};
+    if (in.flags & kBUni) return {nullptr, m.u_[static_cast<std::size_t>(in.b)]};
+    return {&m.vi_[static_cast<std::size_t>(in.b) *
+                   static_cast<std::size_t>(m.nitems_)],
+            0};
+  }
+
+  /// The first active item whose `w`-lane access leaves an `len`-element
+  /// space, or nitems when none does. One min/max pass over the active
+  /// items' indices settles the common case; only a failed pass rescans.
+  template <bool MASKED>
+  static int first_fault(const VmMachine& m, const std::int64_t* iv,
+                         std::int64_t iu, int w, std::int64_t len) {
+    const int ni = m.nitems_;
+    const char* const mask = m.mask_.data();
+    const std::int64_t last = len - w;  // highest in-range index
+    if (!iv) {
+      if (iu >= 0 && iu <= last) return ni;
+      int t = 0;
+      while (MASKED && t < ni && !mask[t]) ++t;
+      return t;
+    }
+    std::int64_t lo = std::numeric_limits<std::int64_t>::max();
+    std::int64_t hi = std::numeric_limits<std::int64_t>::min();
+    for (int t = 0; t < ni; ++t) {
+      if (MASKED && !mask[t]) continue;
+      lo = std::min(lo, iv[t]);
+      hi = std::max(hi, iv[t]);
+    }
+    if (lo >= 0 && hi <= last) return ni;
+    for (int t = 0; t < ni; ++t)
+      if ((!MASKED || mask[t]) && (iv[t] < 0 || iv[t] > last)) return t;
+    return ni;
+  }
+
+  /// Runs body(t, index) for the active items t < f in item order.
+  template <bool MASKED, typename Body>
+  static void for_items(const VmMachine& m, int f, const std::int64_t* iv,
+                        std::int64_t iu, const Body& body) {
+    const char* const mask = m.mask_.data();
+    if (iv) {
+      for (int t = 0; t < f; ++t)
+        if (!MASKED || mask[t]) body(t, iv[t]);
+    } else {
+      for (int t = 0; t < f; ++t)
+        if (!MASKED || mask[t]) body(t, iu);
+    }
+  }
+
+  template <bool STORE, bool MASKED>
+  static void gmem(VmMachine& m, const Insn& in) {
+    const LaunchPlan::ArgView& view =
+        m.plan_.views[static_cast<std::size_t>(in.a)];
+    const auto nu = static_cast<std::size_t>(m.nitems_);
+    const int w = in.lanes;
+    const bool f32 = in.aux & kElemF32;
+    const auto [iv, iu] = address(m, in);
+    double* const dst =
+        STORE ? nullptr : &m.vf_[static_cast<std::size_t>(in.dst) * nu];
+    const double* const val =
+        STORE ? &m.vf_[static_cast<std::size_t>(in.c) * nu] : nullptr;
+    const int f = first_fault<MASKED>(m, iv, iu, w, view.elems);
+    for_items<MASKED>(m, f, iv, iu, [&](int t, std::int64_t idx) {
+      double* const r = STORE ? nullptr : dst + t * w;
+      const double* const v = STORE ? val + t * w : nullptr;
+      for (int l = 0; l < w; ++l) {
+        if (STORE && f32) view.f32[idx + l] = static_cast<float>(v[l]);
+        if (STORE && !f32) view.f64[idx + l] = v[l];
+        if (!STORE && f32) r[l] = static_cast<double>(view.f32[idx + l]);
+        if (!STORE && !f32) r[l] = view.f64[idx + l];
+      }
+    });
+    if (f < m.nitems_)
+      fail(strf("global %s out of range: index %lld + %d lanes, "
+                "buffer %lld elements",
+                STORE ? "store" : "load",
+                static_cast<long long>(iv ? iv[f] : iu), w,
+                static_cast<long long>(view.elems)));
+    const std::uint64_t bytes = static_cast<std::uint64_t>(w) *
+                                (f32 ? 4u : 8u) * ran<MASKED>(m);
+    (STORE ? m.counters_.global_store_bytes : m.counters_.global_load_bytes) +=
+        bytes;
   }
 
   template <bool STORE, bool LOCAL, int W, bool MASKED>
@@ -242,42 +352,40 @@ struct VmMachine::Ops {
     const ArrayRef& ar = m.p_.arrays[static_cast<std::size_t>(in.a)];
     const auto nu = static_cast<std::size_t>(m.nitems_);
     const int w = W > 0 ? W : in.lanes;
-    const std::int64_t* const addr_v =
-        (in.flags & (kImmAddr | kBUni))
-            ? nullptr
-            : &m.vi_[static_cast<std::size_t>(in.b) * nu];
-    const std::int64_t addr_u =
-        in.flags & kImmAddr
-            ? in.imm
-            : (addr_v ? 0 : m.u_[static_cast<std::size_t>(in.b)]);
+    const auto [iv, iu] = address(m, in);
     double* const dst =
         STORE ? nullptr : &m.vf_[static_cast<std::size_t>(in.dst) * nu];
     const double* const val =
         STORE ? &m.vf_[static_cast<std::size_t>(in.c) * nu] : nullptr;
-    const auto bytes = static_cast<std::uint64_t>(w) *
-                       (in.aux & kCount8 ? 8u : 4u);
-    const std::size_t pd = static_cast<std::size_t>(m.p_.parr_doubles);
-    const int ni = m.nitems_;
-    for (int t = 0; t < ni; ++t) {
-      if (MASKED && !m.mask_[static_cast<std::size_t>(t)]) continue;
-      const std::int64_t idx = addr_v ? addr_v[t] : addr_u;
-      if (idx < 0 || idx + w > ar.len)
-        fail(strf("%s array '%s' %s out of range: index %lld + %d "
-                  "lanes, %zu elements",
-                  LOCAL ? "local" : "private", ar.name.c_str(),
-                  STORE ? "store" : "load", static_cast<long long>(idx), w,
-                  static_cast<std::size_t>(ar.len)));
-      double* const slab =
-          LOCAL ? m.larr_.data()
-                : &m.parr_[static_cast<std::size_t>(t) * pd];
-      double* const p = slab + ar.offset + idx;
-      if (STORE) {
-        for (int l = 0; l < w; ++l) p[l] = val[t * w + l];
-        if (LOCAL) m.counters_.local_store_bytes += bytes;
-      } else {
-        for (int l = 0; l < w; ++l) dst[t * w + l] = p[l];
-        if (LOCAL) m.counters_.local_load_bytes += bytes;
+    const int f = first_fault<MASKED>(m, iv, iu, w, ar.len);
+    // A local array is one group-wide run of elements; private element e
+    // of item t sits at prow(e)[t], so its lanes are nitems doubles apart.
+    double* const base =
+        LOCAL ? m.larr_.data() + ar.offset : prow(m, ar.offset);
+    const auto ls = static_cast<std::int64_t>(LOCAL ? 1 : nu);
+    for_items<MASKED>(m, f, iv, iu, [&](int t, std::int64_t idx) {
+      double* const p = base + (LOCAL ? idx : idx * ls + t);
+      for (int l = 0; l < w; ++l) {
+        if (STORE) {
+          p[l * ls] = val[t * w + l];
+        } else {
+          dst[t * w + l] = p[l * ls];
+        }
       }
+    });
+    if (f < m.nitems_)
+      fail(strf("%s array '%s' %s out of range: index %lld + %d "
+                "lanes, %zu elements",
+                LOCAL ? "local" : "private", ar.name.c_str(),
+                STORE ? "store" : "load",
+                static_cast<long long>(iv ? iv[f] : iu), w,
+                static_cast<std::size_t>(ar.len)));
+    if (LOCAL) {
+      const std::uint64_t bytes = static_cast<std::uint64_t>(w) *
+                                  (in.aux & kCount8 ? 8u : 4u) *
+                                  ran<MASKED>(m);
+      (STORE ? m.counters_.local_store_bytes : m.counters_.local_load_bytes) +=
+          bytes;
     }
   }
 
@@ -370,6 +478,10 @@ void VmMachine::run_group_threaded() {
           break;
         case Op::SplatLaneP:
           h = GEMMTUNE_PICK_W(s_splat_w);
+          break;
+        case Op::FMov:
+          if (!masked && in.lanes == 1 && in.b == 1 && in.c == 1)
+            h = &&s_fmov_1;
           break;
         case Op::LoadL:
           h = masked ? &&s_ldl_m : GEMMTUNE_PICK_W(s_ldl_w);
@@ -697,54 +809,17 @@ g_splatp:
   GT_NEXT;
 g_gmem: {
   const Insn& in = *ip;
-  const bool is_store = in.op == Op::StoreG;
-  const LaunchPlan::ArgView& view =
-      plan_.views[static_cast<std::size_t>(in.a)];
-  const int w = in.lanes;
-  const bool f32 = in.aux & kElemF32;
-  const int ebytes = f32 ? 4 : 8;
-  const bool masked = in.flags & kMasked;
-  const std::int64_t* addr_v =
-      (in.flags & (kImmAddr | kBUni))
-          ? nullptr
-          : &vi_[static_cast<std::size_t>(in.b) * nu];
-  const std::int64_t addr_u =
-      in.flags & kImmAddr
-          ? in.imm
-          : (addr_v ? 0 : u_[static_cast<std::size_t>(in.b)]);
-  double* dst =
-      is_store ? nullptr : &vf_[static_cast<std::size_t>(in.dst) * nu];
-  const double* val =
-      is_store ? &vf_[static_cast<std::size_t>(in.c) * nu] : nullptr;
-  for (int t = 0; t < ni; ++t) {
-    if (masked && !mask_[static_cast<std::size_t>(t)]) continue;
-    const std::int64_t idx = addr_v ? addr_v[t] : addr_u;
-    if (idx < 0 || idx + w > view.elems)
-      fail(strf("global %s out of range: index %lld + %d lanes, "
-                "buffer %lld elements",
-                is_store ? "store" : "load", static_cast<long long>(idx), w,
-                static_cast<long long>(view.elems)));
-    if (is_store) {
-      if (f32) {
-        for (int l = 0; l < w; ++l)
-          view.f32[idx + l] = static_cast<float>(val[t * w + l]);
-      } else {
-        for (int l = 0; l < w; ++l) view.f64[idx + l] = val[t * w + l];
-      }
+  if (in.op == Op::StoreG) {
+    if (in.flags & kMasked) {
+      Ops::gmem<true, true>(*this, in);
     } else {
-      if (f32) {
-        for (int l = 0; l < w; ++l)
-          dst[t * w + l] = static_cast<double>(view.f32[idx + l]);
-      } else {
-        for (int l = 0; l < w; ++l) dst[t * w + l] = view.f64[idx + l];
-      }
+      Ops::gmem<true, false>(*this, in);
     }
-    const auto bytes = static_cast<std::uint64_t>(w) *
-                       static_cast<std::uint64_t>(ebytes);
-    if (is_store) {
-      counters_.global_store_bytes += bytes;
+  } else {
+    if (in.flags & kMasked) {
+      Ops::gmem<false, true>(*this, in);
     } else {
-      counters_.global_load_bytes += bytes;
+      Ops::gmem<false, false>(*this, in);
     }
   }
 }
@@ -872,6 +947,12 @@ g_throw:
   fail(p_.messages[static_cast<std::size_t>(ip->imm)]);
 
   // --- specialized handlers: shape baked at decode time ---
+s_fmov_1: {
+  double* const dst = &vf_[static_cast<std::size_t>(ip->dst) * nu];
+  const double* const src = &vf_[static_cast<std::size_t>(ip->a) * nu];
+  for (int t = 0; t < ni; ++t) dst[t] = src[t];
+}
+  GT_NEXT;
 s_fadd_w1: Ops::fbin<Op::FAdd, 1, false, false>(*this, *ip); GT_NEXT;
 s_fadd_w2: Ops::fbin<Op::FAdd, 2, false, false>(*this, *ip); GT_NEXT;
 s_fadd_w4: Ops::fbin<Op::FAdd, 4, false, false>(*this, *ip); GT_NEXT;

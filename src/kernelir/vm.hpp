@@ -16,6 +16,17 @@
 // specialized on their baked operand shapes (lane width, f32 rounding,
 // divergence masking, operand uniformity). It needs the GNU
 // labels-as-values extension (GCC/Clang).
+//
+// Per-group state is lane-major, so a handler is one unit-stride loop over
+// the group's work-items: a varying integer register holds one value per
+// item, and private array element e of item t sits at
+// parr_[e * nitems + t]. A floating register of width w keeps an item's
+// lanes together (vf_[base * nitems + t * w + l]); for the single-lane
+// registers that dominate, that too is one double per item. A memory
+// instruction tests bounds once: a min/max pass over the active items'
+// indices, and only when that fails a rescan for the first faulting item
+// f. It runs for the items before f, then raises f's error, so partial
+// effects match a per-item walk. Counters are added once per instruction.
 #pragma once
 
 #include <array>
@@ -47,8 +58,9 @@ struct LaunchPlan {
 
   /// Validates the launch against the kernel's signature (same checks and
   /// messages as the interpreter has always thrown) and resolves the
-  /// layout. Throws gemmtune::Error on a malformed launch. The argument
-  /// vector must outlive the plan; the signature need not.
+  /// layout. Throws gemmtune::Error on a malformed launch, including a
+  /// work-group of more than 2^31 - 1 items or a group count past int64.
+  /// The argument vector must outlive the plan; the signature need not.
   LaunchPlan(const LaunchSignature& sig, std::array<std::int64_t, 2> global,
              std::array<std::int64_t, 2> local,
              const std::vector<ArgValue>& args);
@@ -78,7 +90,7 @@ class VmMachine {
   std::vector<std::int64_t> u_;
   std::vector<std::int64_t> vi_;   ///< reg-major: vi_[reg * nitems + item]
   std::vector<double> vf_;         ///< vf_[base * nitems + item * width + l]
-  std::vector<double> parr_;       ///< parr_[item * parr_doubles + off]
+  std::vector<double> parr_;       ///< element-major: parr_[e * nitems + item]
   std::vector<double> larr_;
   std::vector<char> mask_;
   int active_ = 0;

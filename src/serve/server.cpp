@@ -5,6 +5,7 @@
 #include <deque>
 #include <fstream>
 #include <limits>
+#include <set>
 
 #include "codegen/paper_kernels.hpp"
 #include "common/error.hpp"
@@ -140,40 +141,70 @@ void GemmServer::ensure_estimates(
   shapes.erase(std::unique(shapes.begin(), shapes.end()), shapes.end());
   if (shapes.empty()) return;
   trace::Span span("serve.precompute");
-  if (strategy_) {
-    // Guided warmup: tune a kernel per (device, shape class) with the
-    // configured strategy. The outer loop stays serial — each strategy
-    // parallelizes its own search internally, and every strategy is
-    // bit-reproducible at any thread count, so the table is too.
-    for (const ShapeClass& s : shapes) {
-      std::vector<PathEstimate>& per_dev = estimates_[s];
-      per_dev.resize(devices_.size());
-      for (std::size_t d = 0; d < devices_.size(); ++d)
-        per_dev[d] = class_estimate(d, s);
+  try {
+    if (strategy_) {
+      // Guided warmup: tune a kernel per (device, shape class) with the
+      // configured strategy. The outer loop stays serial — each strategy
+      // parallelizes its own search internally, and every strategy is
+      // bit-reproducible at any thread count, so the table is too.
+      for (const ShapeClass& s : shapes) {
+        std::vector<PathEstimate> per_dev(devices_.size());
+        for (std::size_t d = 0; d < devices_.size(); ++d)
+          per_dev[d] = price(d, s);
+        estimates_[s] = std::move(per_dev);
+      }
+      return;
     }
-    return;
+    const std::int64_t nd = static_cast<std::int64_t>(devices_.size());
+    const std::int64_t ns = static_cast<std::int64_t>(shapes.size());
+    // Device-major flat index; GemmEngine::estimate is safe to call
+    // concurrently once warmup populated every (device, precision) entry,
+    // and PerfModel is pure, so this table is thread-count invariant.
+    const auto flat = parallel_map<PathEstimate>(
+        pool_, nd * ns, [&](std::int64_t i) {
+          return price(static_cast<std::size_t>(i / ns),
+                       shapes[static_cast<std::size_t>(i % ns)]);
+        });
+    for (std::int64_t si = 0; si < ns; ++si) {
+      std::vector<PathEstimate>& per_dev =
+          estimates_[shapes[static_cast<std::size_t>(si)]];
+      per_dev.resize(static_cast<std::size_t>(nd));
+      for (std::int64_t d = 0; d < nd; ++d)
+        per_dev[static_cast<std::size_t>(d)] =
+            flat[static_cast<std::size_t>(d * ns + si)];
+    }
+  } catch (const Error&) {
+    fail_naming_request(requests);
+    throw;
   }
-  const std::int64_t nd = static_cast<std::int64_t>(devices_.size());
-  const std::int64_t ns = static_cast<std::int64_t>(shapes.size());
-  // Device-major flat index; GemmEngine::estimate is safe to call
-  // concurrently once warmup populated every (device, precision) entry,
-  // and PerfModel is pure, so this table is thread-count invariant.
-  const auto flat = parallel_map<PathEstimate>(
-      pool_, nd * ns, [&](std::int64_t i) {
-        const auto d = static_cast<std::size_t>(i / ns);
-        const ShapeClass& s = shapes[static_cast<std::size_t>(i % ns)];
-        const auto prof =
-            engines_[d]->estimate(s.type, s.prec, s.Mc, s.Nc, s.Kc);
-        return PathEstimate{prof.total_seconds, prof.used_direct,
-                            prof.gflops};
-      });
-  for (std::int64_t si = 0; si < ns; ++si) {
-    std::vector<PathEstimate>& per_dev =
-        estimates_[shapes[static_cast<std::size_t>(si)]];
-    per_dev.resize(static_cast<std::size_t>(nd));
-    for (std::int64_t d = 0; d < nd; ++d)
-      per_dev[static_cast<std::size_t>(d)] =
-          flat[static_cast<std::size_t>(d * ns + si)];
+}
+
+PathEstimate GemmServer::price(std::size_t d, const ShapeClass& s) {
+  if (strategy_) return class_estimate(d, s);
+  const auto prof = engines_[d]->estimate(s.type, s.prec, s.Mc, s.Nc, s.Kc);
+  return PathEstimate{prof.total_seconds, prof.used_direct, prof.gflops};
+}
+
+void GemmServer::fail_naming_request(
+    const std::vector<GemmRequest>& requests) {
+  // Pricing is pure, so pricing the classes again, serially and in the
+  // order their first requests arrive, fails at the same class at any
+  // thread count.
+  std::set<ShapeClass> seen;
+  for (const GemmRequest& r : requests) {
+    const ShapeClass s = ShapeClass::of(r);
+    if (!seen.insert(s).second) continue;
+    for (std::size_t d = 0; d < devices_.size(); ++d) {
+      try {
+        (void)price(d, s);
+      } catch (const Error& e) {
+        fail("request " + std::to_string(r.id) + " (" + to_string(r.prec) +
+             " " + to_string(r.type) + " " + std::to_string(r.M) + "x" +
+             std::to_string(r.N) + "x" + std::to_string(r.K) +
+             ") cannot be priced as shape class " + to_string(s) + ": " +
+             e.what());
+      }
+    }
   }
 }
 
@@ -201,8 +232,9 @@ PathEstimate GemmServer::class_estimate(std::size_t d, const ShapeClass& s) {
   // modes; the strategy can only improve on the Table II seed it includes.
   const tuner::ShapeCost c =
       tuner::shape_cost(engines_[d]->model(), t.params, s.Mc, s.Nc, s.Kc);
-  check(c.ok, "GemmServer::class_estimate: tuned kernel unusable for " +
-                  to_string(s));
+  if (!c.ok)
+    fail("GemmServer::class_estimate: tuned kernel unusable for " +
+         to_string(s));
   return PathEstimate{c.seconds, c.used_direct, c.gflops};
 }
 

@@ -160,7 +160,10 @@ class GemmServer {
   bool is_distributed(const GemmRequest& r) const;
 
   /// Fills the estimate table for every shape class in `requests` on every
-  /// device (parallel; pure, so thread-count invariant).
+  /// device (parallel; pure, so thread-count invariant). When a class
+  /// cannot be priced, throws naming the first arriving request of the
+  /// first such class (its id, precision, type and own extents), the
+  /// class, and the pricing error.
   void ensure_estimates(const std::vector<GemmRequest>& requests);
 
   /// The estimate row (index parallel to devices()) for one shape class;
@@ -190,6 +193,15 @@ class GemmServer {
   /// kernel for the class (memoized in class_db_) and prices it with
   /// shape_cost, the same cost model the classic path uses.
   PathEstimate class_estimate(std::size_t d, const ShapeClass& s);
+
+  /// One device x shape-class estimate on the configured path: the
+  /// guided strategy's class_estimate, or the device engine's estimate.
+  PathEstimate price(std::size_t d, const ShapeClass& s);
+
+  /// After a pricing failure: throws naming the first request, in
+  /// `requests` order, whose class fails to price, or returns when none
+  /// fails again.
+  void fail_naming_request(const std::vector<GemmRequest>& requests);
 
   std::vector<simcl::DeviceId> devices_;
   ServeOptions opt_;

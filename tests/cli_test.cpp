@@ -538,9 +538,13 @@ TEST(Cli, TraceIntegersPast2To53ReadBackExactly) {
       << out;
   // The server prices a request's shape class, its extents rounded up to
   // multiples of 16: k = 2^53 + 1 gives 2^53 + 16, where a double read
-  // 2^53 and priced that.
+  // 2^53 and priced that. The refusal names the request (id 0) with its
+  // own extents before the class.
   auto [rc_k, out_k] = replay_with("k", "9007199254740993");
   EXPECT_EQ(rc_k, 1) << out_k;
+  EXPECT_NE(out_k.find("request 0 (DGEMM NN 512x512x9007199254740993)"),
+            std::string::npos)
+      << out_k;
   EXPECT_NE(out_k.find("problem 512x512x9007199254741008: a padded operand"),
             std::string::npos)
       << out_k;

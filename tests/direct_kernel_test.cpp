@@ -10,10 +10,12 @@
 #include "codegen/gemm_generator.hpp"
 #include "codegen/paper_kernels.hpp"
 #include "common/rng.hpp"
+#include "kernelir/compile.hpp"
 #include "kernelir/emit.hpp"
 #include "kernelir/interp.hpp"
 #include "layout/packing.hpp"
 #include "simcl/device_registry.hpp"
+#include "tuner/shape.hpp"
 
 namespace gemmtune {
 namespace {
@@ -177,6 +179,18 @@ TEST(DirectKernel, GuardedSourceHasTernariesAndIfs) {
   EXPECT_NE(src.find(" ? "), std::string::npos);
   EXPECT_NE(src.find("if ("), std::string::npos);
   EXPECT_NE(src.find("&&"), std::string::npos);
+}
+
+TEST(DirectKernel, GuardedKeplerDgemmKeepsOneDoublePerScalarVariable) {
+  // The bytecode sizes a floating variable's slab by its widest use. The
+  // serve path's hottest kernel, Kepler's guarded NN direct DGEMM, has
+  // twelve variables, all scalar: twelve doubles per work-item to zero
+  // per group, where sixteen-lane slabs took 192.
+  const KernelParams p = tuner::direct_variant(
+      codegen::table2_entry(simcl::DeviceId::Kepler, Precision::DP).params);
+  const ir::Kernel k = codegen::generate_direct_gemm_kernel(
+      p, Transpose::No, Transpose::No, /*guarded=*/true);
+  EXPECT_EQ(ir::compile(k)->n_vf_vars, 12);
 }
 
 TEST(DirectPath, ImprovesSmallSizePerformance) {

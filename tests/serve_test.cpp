@@ -602,5 +602,38 @@ TEST(ServerGuardsTest, DuplicateRequestIdsThrow) {
   EXPECT_THROW(server.run(reqs, 1, 4), Error);
 }
 
+TEST(ServerGuardsTest, UnpriceableClassNamesItsFirstArrivingRequest) {
+  // k = 2^53 + 1 pads to a class whose operands pass int64 bytes. The
+  // DGEMM request 7 arrives before the SGEMM request 3, whose class sorts
+  // first; a priceable request arrives in between. The refusal names
+  // request 7 with its own extents, then its class, at any thread count.
+  const index_t k = 9007199254740993;
+  GemmRequest d = small_request(7, 0.001);
+  d.prec = Precision::DP;
+  d.M = d.N = 512;
+  d.K = k;
+  GemmRequest s = small_request(3, 0.003);
+  s.M = s.N = 512;
+  s.K = k;
+  const std::vector<GemmRequest> reqs{d, small_request(5, 0.002), s};
+  for (const int threads : {1, 4}) {
+    const ScopedThreadOverride pin(threads);
+    GemmServer server({DeviceId::Tahiti}, ServeOptions{});
+    server.warmup();
+    try {
+      server.ensure_estimates(reqs);
+      FAIL() << "expected the pricing to fail";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    "request 7 (DGEMM NN 512x512x9007199254740993) cannot be "
+                    "priced as shape class DGEMM.NN.512x512x9007199254741008: "
+                    "problem 512x512x9007199254741008: a padded operand",
+                    0),
+                0u)
+          << threads << " threads: " << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gemmtune

@@ -364,6 +364,18 @@ TEST(VmErrors, LaunchValidationParity) {
   expect_equivalent(k, {8, 1}, {0, 1}, make);   // empty work-group
   expect_equivalent(k, {0, 1}, {4, 1}, make);   // empty NDRange
   expect_equivalent(k, {6, 1}, {4, 1}, make);   // not a multiple
+  // 2^32 items in one group, past the int that indexes them; and 2^65
+  // single-item groups, past int64. Only refused sizes: a launch that ran
+  // would allocate per-item state for billions of items.
+  const std::int64_t g62 = std::int64_t{1} << 62;
+  expect_equivalent(k, {65536, 65536}, {65536, 65536}, make);
+  expect_equivalent(k, {g62, 8}, {1, 1}, make);
+  EXPECT_EQ(run_tree(k, {65536, 65536}, {65536, 65536}, make).message,
+            "launch: a 65536x65536 work-group exceeds the limit of "
+            "2147483647 work-items");
+  EXPECT_EQ(run_tree(k, {g62, 8}, {1, 1}, make).message,
+            "launch: 4611686018427387904x8 work-groups exceed the limit of "
+            "9223372036854775807 work-groups");
   // Argument count mismatch.
   expect_equivalent(k, {8, 1}, {4, 1}, [](std::vector<simcl::BufferPtr>*) {
     return std::vector<ArgValue>{ArgValue::of_int(1)};
@@ -656,6 +668,163 @@ TEST(VmRuns, BarrierFreeExchangesMatchLockstep) {
                           } else {
                             a->as<float>()[j] = 1.5f * static_cast<float>(j) +
                                                 1.0f;
+                          }
+                        }
+                        bufs->push_back(out);
+                        bufs->push_back(a);
+                        return std::vector<ArgValue>{ArgValue::of(out),
+                                                     ArgValue::of(a)};
+                      });
+  }
+}
+
+// ---- one bounds test per instruction ----------------------------------------
+
+// The VM tests a memory instruction's bounds once per work-group, runs the
+// items before the first faulting one and then raises that item's error.
+// Each kernel below holds one access of its kind at a computed index that
+// is in range for every item but `bad` (an argument). Under a divergent
+// `if`, every fourth item other than `bad` is inactive and holds an index
+// far out of range, which must not fault.
+enum class Access { LoadL, StoreL, LoadP, StoreP, LoadG, StoreG };
+
+Kernel access_kernel(Access acc, bool divergent) {
+  const Type t1 = fp(Scalar::F64, 1);
+  KernelBuilder b("access", Scalar::F64);
+  b.add_arg("out", ArgKind::GlobalPtr, Scalar::F64);
+  b.add_arg("a", ArgKind::GlobalConstPtr, Scalar::F64);
+  b.add_arg("bad", ArgKind::Int, Scalar::I32);
+  const int lx = b.decl_var("lx", i32());
+  const int ix = b.decl_var("ix", i32());
+  const int x = b.decl_var("x", t1);
+  const int lm = b.decl_array("Lm", Scalar::F64, 64, AddrSpace::Local);
+  const int pm = b.decl_array("Pm", Scalar::F64, 4, AddrSpace::Private);
+  b.append(assign(lx, builtin(BuiltinFn::LocalId, 0)));
+  const ExprPtr bad = arg_ref(2, i32());
+  // lx == bad, as (bad < lx + 1) && (lx < bad + 1).
+  const ExprPtr is_bad = bin(BinOp::And, bin(BinOp::Lt, bad, b.ref(lx) + 1),
+                             bin(BinOp::Lt, b.ref(lx), bad + 1));
+  // lx % 4 != 3 || lx == bad, as 0 < (lx % 4 < 3) + (lx == bad).
+  const ExprPtr active = bin(
+      BinOp::Lt, iconst(0),
+      bin(BinOp::Lt, bin(BinOp::Mod, b.ref(lx), iconst(4)), iconst(3)) +
+          is_bad);
+  const bool priv = acc == Access::LoadP || acc == Access::StoreP;
+  const ExprPtr home = priv ? bin(BinOp::Mod, b.ref(lx), iconst(4)) : b.ref(lx);
+  ExprPtr idx = home + is_bad * 1000;
+  if (divergent) idx = idx + (iconst(1) - active) * 5000;
+  // Computed before the `if`, so inactive items hold their index too.
+  b.append(assign(ix, idx));
+  idx = b.ref(ix);
+  const ExprPtr mine = load_global(1, b.ref(lx), t1);
+  if (acc == Access::LoadL) b.append(store_local(lm, home, mine));
+  if (acc == Access::LoadP) b.append(store_private(pm, home, mine));
+  StmtPtr access;
+  switch (acc) {
+    case Access::LoadL: access = assign(x, load_local(lm, idx, t1)); break;
+    case Access::StoreL: access = store_local(lm, idx, mine); break;
+    case Access::LoadP: access = assign(x, load_private(pm, idx, t1)); break;
+    case Access::StoreP: access = store_private(pm, idx, mine); break;
+    case Access::LoadG: access = assign(x, load_global(1, idx, t1)); break;
+    case Access::StoreG: access = store_global(0, idx, mine); break;
+  }
+  b.append(divergent ? if_then(active, {access}) : access);
+  b.append(store_global(0, b.ref(lx) + 64, b.ref(x)));
+  return b.build();
+}
+
+ArgFactory access_args(std::int64_t bad) {
+  return [bad](std::vector<simcl::BufferPtr>* bufs) {
+    auto out = make_buffer(128 * 8);
+    auto a = make_buffer(64 * 8);
+    for (int j = 0; j < 64; ++j) a->as<double>()[j] = j + 1.5;
+    bufs->push_back(out);
+    bufs->push_back(a);
+    return std::vector<ArgValue>{ArgValue::of(out), ArgValue::of(a),
+                                 ArgValue::of_int(bad)};
+  };
+}
+
+TEST(VmBounds, OneFaultingItemMatchesTheOracle) {
+  const char* const names[] = {"LoadL",  "StoreL", "LoadP",
+                               "StoreP", "LoadG",  "StoreG"};
+  for (const Access acc : {Access::LoadL, Access::StoreL, Access::LoadP,
+                           Access::StoreP, Access::LoadG, Access::StoreG}) {
+    for (const bool divergent : {false, true}) {
+      const Kernel k = access_kernel(acc, divergent);
+      const std::string what =
+          std::string(names[static_cast<int>(acc)]) +
+          (divergent ? " under a divergent if" : " unmasked");
+      // bad = -1 faults nowhere; 0, 33 and 63 fault first, in the middle
+      // and last.
+      for (const std::int64_t bad : {-1, 0, 33, 63}) {
+        SCOPED_TRACE(what + ", bad item " + std::to_string(bad));
+        expect_equivalent(k, {64, 1}, {64, 1}, access_args(bad));
+        const RunResult byte =
+            run_one(k, {64, 1}, {64, 1}, access_args(bad), Backend::Bytecode,
+                    1);
+        EXPECT_EQ(byte.threw, bad >= 0) << byte.message;
+        if (acc != Access::StoreG || bad < 0) continue;
+        // A failed global store keeps the stores of the active items
+        // before the bad one, and only those.
+        std::vector<double> out(128, 0.0), a(64);
+        for (int j = 0; j < 64; ++j) a[j] = j + 1.5;
+        for (int t = 0; t < bad; ++t)
+          if (!divergent || t % 4 != 3) out[t] = a[t];
+        std::vector<std::uint8_t> want((128 + 64) * 8);
+        std::memcpy(want.data(), out.data(), 128 * 8);
+        std::memcpy(want.data() + 128 * 8, a.data(), 64 * 8);
+        EXPECT_EQ(run_tree(k, {64, 1}, {64, 1}, access_args(bad)).bytes,
+                  want);
+        EXPECT_EQ(byte.bytes, want);
+        if (native_toolchain_available()) {
+          EXPECT_EQ(run_one(k, {64, 1}, {64, 1}, access_args(bad),
+                            Backend::Native, 1)
+                        .bytes,
+                    want);
+        }
+      }
+    }
+  }
+}
+
+// Floating variables take slabs as wide as their widest use. A double4
+// variable assigned a double2 value reads zeros in lanes 2 and 3, at four
+// lanes (v + v) and through lane(v, 3); a variable assigned at four lanes
+// and then at two reads zeros there after the second assignment.
+TEST(VmLowering, NarrowAssignmentsReadZeroInTheUpperLanes) {
+  for (const Scalar s : {Scalar::F64, Scalar::F32}) {
+    const Type t2 = fp(s, 2), t4 = fp(s, 4);
+    KernelBuilder b(s == Scalar::F64 ? "widths64" : "widths32", s);
+    b.add_arg("out", ArgKind::GlobalPtr, s);
+    b.add_arg("a", ArgKind::GlobalConstPtr, s);
+    const int lx = b.decl_var("lx", i32());
+    const int v = b.decl_var("v", t4);
+    const int u = b.decl_var("u", t4);
+    const auto twice = [&](int var) {
+      return bin(BinOp::FAdd, b.ref(var), b.ref(var));
+    };
+    b.append(assign(lx, builtin(BuiltinFn::LocalId, 0)));
+    b.append(assign(v, load_global(1, b.ref(lx) * 4, t2)));
+    b.append(store_global(0, b.ref(lx) * 4, twice(v)));
+    b.append(store_global(0, b.ref(lx) + 32, lane(b.ref(v), 3)));
+    b.append(store_global(0, b.ref(lx) + 40, lane(b.ref(v), 1)));
+    b.append(assign(u, load_global(1, b.ref(lx) * 4, t4)));
+    b.append(store_global(0, b.ref(lx) * 4 + 48, twice(u)));
+    b.append(assign(u, bin(BinOp::FAdd, load_global(1, b.ref(lx) * 4, t2),
+                           load_global(1, b.ref(lx) * 4 + 2, t2))));
+    b.append(store_global(0, b.ref(lx) * 4 + 80, twice(u)));
+    b.append(store_global(0, b.ref(lx) + 112, lane(b.ref(u), 3)));
+    const std::size_t es = s == Scalar::F64 ? 8 : 4;
+    expect_equivalent(b.build(), {8, 1}, {8, 1},
+                      [s, es](std::vector<simcl::BufferPtr>* bufs) {
+                        auto out = make_buffer(120 * es);
+                        auto a = make_buffer(32 * es);
+                        for (int j = 0; j < 32; ++j) {
+                          if (s == Scalar::F64) {
+                            a->as<double>()[j] = 0.75 * j + 1.0;
+                          } else {
+                            a->as<float>()[j] = 0.75f * j + 1.0f;
                           }
                         }
                         bufs->push_back(out);
