@@ -1,6 +1,7 @@
 #include "blas/gemm.hpp"
 
 #include <cstring>
+#include <vector>
 
 #include "blas/hostblas.hpp"
 #include "codegen/gemm_generator.hpp"
@@ -8,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "kernelir/interp.hpp"
+#include "kernelir/native.hpp"
 #include "layout/packing.hpp"
 #include "trace/trace.hpp"
 #include "tuner/shape.hpp"
@@ -22,6 +24,20 @@ GemmEngine::GemmEngine(simcl::DeviceId id) : id_(id), model_(id) {}
 
 GemmEngine::GemmEngine(simcl::DeviceId id, tuner::TunedDatabase db)
     : id_(id), model_(id), db_(std::move(db)) {}
+
+GemmEngine::~GemmEngine() { ir::settle_native_builds(handles_); }
+
+void GemmEngine::settle_native_builds(
+    std::span<const std::unique_ptr<GemmEngine>> engines) {
+  std::vector<ir::KernelHandle> handles;
+  for (const std::unique_ptr<GemmEngine>& e : engines)
+    handles.insert(handles.end(), e->handles_.begin(), e->handles_.end());
+  ir::settle_native_builds(handles);
+}
+
+bool GemmEngine::wait_native_builds() {
+  return ir::wait_native_builds(handles_);
+}
 
 const tuner::TunedKernel& GemmEngine::kernel_for(Precision prec) {
   // Seed a miss with the paper's kernel rather than running a full search;
@@ -45,11 +61,12 @@ const ir::PreparedKernel& GemmEngine::kernel_handle(Precision prec,
             (tb == Transpose::Yes ? 16u : 0u) | (guarded ? 32u : 0u);
   std::call_once(prepared_[slot], [&] {
     const KernelParams& p = kernel_for(prec).params;
-    handles_[slot] = ir::prepare(
+    const ir::Kernel kernel =
         direct ? codegen::generate_direct_gemm_kernel(
                      tuner::direct_variant(p), ta, tb, guarded)
-               : codegen::generate_gemm_kernel(p),
-        tier);
+               : codegen::generate_gemm_kernel(p);
+    handles_[slot] = tier == ir::Backend::Native ? ir::prepare_tiered(kernel)
+                                                 : ir::prepare(kernel, tier);
   });
   return *handles_[slot];
 }

@@ -15,14 +15,20 @@
 //
 // Like the paper's host code, an engine builds each kernel once and
 // enqueues it many times: gemm() generates and prepares a kernel on its
-// first use and launches the kept ir handle afterwards. Concurrent gemm()
-// and estimate() calls on one engine are safe.
+// first use and launches the kept ir handle afterwards. On the native tier
+// that first use does not wait for the host compiler: the kernel's object
+// loads from the on-disk JIT cache if it is there, and otherwise the kernel
+// runs on bytecode until a background build fills its handle
+// (ir::prepare_tiered()). Destroying an engine drops its queued builds and
+// waits for its running one; wait_native_builds() waits for all of them.
+// Concurrent gemm() and estimate() calls on one engine are safe.
 #pragma once
 
 #include <array>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 
 #include "codegen/params.hpp"
 #include "kernelir/interp.hpp"
@@ -57,6 +63,24 @@ class GemmEngine {
   /// (falling back to a paper-seeded profile on a miss).
   explicit GemmEngine(simcl::DeviceId id);
   GemmEngine(simcl::DeviceId id, tuner::TunedDatabase db);
+  /// Drops the engine's queued native builds and waits for its running
+  /// one, which fills its handle and is never killed.
+  ~GemmEngine();
+  GemmEngine(const GemmEngine&) = delete;
+  GemmEngine& operator=(const GemmEngine&) = delete;
+
+  /// Drops the queued native builds of all `engines` and waits for their
+  /// running one (ir::settle_native_builds()). An owner of several engines
+  /// calls this before destroying them, so that it waits for at most one
+  /// build rather than one per engine.
+  static void settle_native_builds(
+      std::span<const std::unique_ptr<GemmEngine>> engines);
+
+  /// Waits until every native build of this engine's kernels has run, so
+  /// that its later calls run on the tier they name. Returns true when a
+  /// kernel of it was built in the background: calls before this one may
+  /// have run on bytecode. Not concurrent with gemm().
+  bool wait_native_builds();
 
   simcl::DeviceId device_id() const { return id_; }
   const perfmodel::PerfModel& model() const { return model_; }
@@ -93,10 +117,10 @@ class GemmEngine {
   /// The prepared kernel of the packed path (`direct` false, with ta, tb
   /// No and guarded false) or of one direct-path variant, for `prec`'s
   /// tuned params on the current tier. Prepared exactly once, on first
-  /// use; concurrent first calls wait for that one preparation. The tuned
-  /// params of a precision never change once kernel_for() has returned
-  /// them, so they are not part of the key; the tier is, because the
-  /// backend override can change between calls.
+  /// use (tiered on Native); concurrent first calls wait for that one
+  /// preparation. The tuned params of a precision never change once
+  /// kernel_for() has returned them, so they are not part of the key; the
+  /// tier is, because the backend override can change between calls.
   const ir::PreparedKernel& kernel_handle(codegen::Precision prec,
                                           bool direct, Transpose ta,
                                           Transpose tb, bool guarded);

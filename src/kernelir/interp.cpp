@@ -65,29 +65,28 @@ LaunchSignature LaunchSignature::of(const Kernel& kernel) {
 }
 
 KernelHandle prepare(const Kernel& kernel, Backend backend) {
+  if (resolve_backend(backend) == Backend::Native)
+    return prepare_native(kernel, false);
   auto h = std::make_shared<PreparedKernel>();
   h->signature = LaunchSignature::of(kernel);
-  if (resolve_backend(backend) == Backend::Native) {
-    std::string why;
-    h->native = get_or_compile_native(kernel, &why);
-    if (!h->native) {
-      h->native_fallback = true;
-      warn_native_fallback(why);
-    }
-  }
-  if (!h->native) h->bytecode = compile(kernel);
+  h->bytecode = compile(kernel);
   return h;
+}
+
+KernelHandle prepare_tiered(const Kernel& kernel) {
+  return prepare_native(kernel, true);
 }
 
 namespace {
 
 /// The one execution body: runs a validated plan on the handle's tier.
 Counters run(const PreparedKernel& k, const LaunchPlan& plan, int threads) {
-  if (k.native_fallback && trace::enabled())
+  if (k.native_fallback() && trace::enabled())
     trace::counter_add("interp.native_fallback", 1);
+  const NativeKernel* const nk = k.native();
   const std::int64_t ngroups = plan.ngroups;
   const auto run_range = [&](std::int64_t begin, std::int64_t end) {
-    if (k.native) return native_run_range(*k.native, plan, begin, end);
+    if (nk != nullptr) return native_run_range(*nk, plan, begin, end);
     VmMachine vm(*k.bytecode, plan);
     return vm.run_range(begin, end);
   };

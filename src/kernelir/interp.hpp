@@ -21,13 +21,19 @@
 // partitions the group space across a thread pool.
 //
 // The host flow is the paper's: build once, enqueue many times. prepare()
-// resolves a kernel's tier once and returns an immutable, shared handle
-// (the bytecode program or the native object, plus the launch signature);
-// launch() on a handle validates the NDRange and arguments and runs, with
-// no serialization, lookup or lock. The handle is the only cache of a
-// built kernel: whoever relaunches one keeps its handle. launch() on a
-// Kernel is the same body behind a fresh prepare(), so there is one
-// execution path.
+// resolves a kernel's tier once and returns a shared handle (the launch
+// signature plus the bytecode program, the native object or both); launch()
+// on a handle validates the NDRange and arguments and runs, with no
+// serialization, lookup or lock. The handle is the only cache of a built
+// kernel: whoever relaunches one keeps its handle. launch() on a Kernel is
+// the same body behind a fresh prepare(), so there is one execution path.
+//
+// A native build takes the host compiler up to seconds, so a handle can
+// also tier up: prepare_tiered() lowers the kernel at once, and the
+// handle's launches run on the VM while a background worker builds its
+// native object (native.hpp). The object fills the handle's native slot
+// once, and every launch that starts after that runs natively. Both tiers
+// produce the same bytes and counters, so only latency moves.
 //
 // Single-precision kernels round every arithmetic result to float, so both
 // tiers bit-match what an SP device would compute (modulo fma contraction,
@@ -41,6 +47,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -108,29 +115,62 @@ struct LaunchSignature {
 
 struct CompiledKernel;  // compile.hpp: a bytecode program
 class NativeKernel;     // native.hpp: a dlopen'd JIT object
+struct NativeBuild;     // native.cpp: a queued or running background build
 
-/// A kernel compiled once for many launches. Exactly one of `bytecode` and
-/// `native` is set. It keeps no IR body: the signature is all a launch
-/// needs besides the program.
+/// A kernel compiled once for many launches. It keeps no IR body: the
+/// signature is all a launch needs besides the program.
 struct PreparedKernel {
   LaunchSignature signature;
-  std::shared_ptr<const CompiledKernel> bytecode;  ///< runs on the VM
-  std::shared_ptr<const NativeKernel> native;      ///< runs natively
-  /// Native was requested but unavailable; every launch of this handle
-  /// adds interp.native_fallback, as a launch of the kernel itself would.
-  bool native_fallback = false;
+  /// The lowered program; null only when the native object was ready at
+  /// prepare time.
+  std::shared_ptr<const CompiledKernel> bytecode;
+  /// The background build that fills the native slot (prepare_tiered()).
+  std::shared_ptr<NativeBuild> build;
+
+  /// The native object, or null while launches run on bytecode. The slot
+  /// goes from empty to an object at most once, and the handle keeps the
+  /// object loaded, so a launch reads it once (one acquire load) and runs
+  /// wholly on one tier.
+  const NativeKernel* native() const {
+    return native_.load(std::memory_order_acquire);
+  }
+  /// Native was requested but is unavailable (at prepare time, or its
+  /// background build failed); every launch of this handle adds
+  /// interp.native_fallback, as a launch of the kernel itself would.
+  bool native_fallback() const { return fallback_.load(); }
+
+  /// Fills the native slot and publishes it to launches; once per handle.
+  void fill_native(std::shared_ptr<const NativeKernel> nk) {
+    native_owner_ = std::move(nk);
+    native_.store(native_owner_.get(), std::memory_order_release);
+  }
+  void fall_back() { fallback_.store(true); }
+
+ private:
+  std::shared_ptr<const NativeKernel> native_owner_;
+  std::atomic<const NativeKernel*> native_{nullptr};
+  std::atomic<bool> fallback_{false};
 };
 
 /// Shared, immutable kernel handle (see prepare()).
 using KernelHandle = std::shared_ptr<const PreparedKernel>;
 
-/// Resolves `backend` and compiles `kernel` for that tier: lowers it
-/// (compile.hpp), or for Native loads its object from the on-disk JIT cache
-/// or builds it (native.hpp). Every call does that work again; the
-/// returned handle is what callers keep. A Native request whose JIT is
-/// unavailable falls back to bytecode: the handle records it and each
-/// distinct cause is warned once per process. Thread-safe.
+/// Resolves `backend` and compiles `kernel` for that tier, on the calling
+/// thread: lowers it (compile.hpp), or for Native loads its object from
+/// the on-disk JIT cache or builds it (native.hpp). Every call does that
+/// work again; the returned handle is what callers keep. A Native request
+/// whose JIT is unavailable falls back to bytecode: the handle records it
+/// and each distinct cause is warned once per process. Thread-safe.
 KernelHandle prepare(const Kernel& kernel, Backend backend = Backend::Auto);
+
+/// prepare(kernel, Backend::Native) without waiting for the compiler. An
+/// object in the on-disk cache loads at once, and a missing toolchain or a
+/// sticky failure falls back at once, as there. Otherwise the kernel is
+/// lowered now and its build is queued on the build worker (native.hpp):
+/// launches run on bytecode until the object fills the handle's native
+/// slot. Whoever keeps the handle calls settle_native_builds() before
+/// letting it go, or the build may finish after it. Thread-safe.
+KernelHandle prepare_tiered(const Kernel& kernel);
 
 /// Runs a prepared kernel: validates the launch against its signature
 /// (same checks and messages as launch() on the kernel) and executes on

@@ -1,33 +1,47 @@
 // JIT driver for the native backend: host-toolchain compilation, on-disk
-// shared-object cache, dlopen, and the launch bridge.
+// shared-object cache, dlopen, the background build worker, and the launch
+// bridge.
 //
-// Pipeline (get_or_compile_native), run once per kernel handle:
-//  1. hash the (emitter version + flags + serialized kernel + width)
-//     bytes; a hash whose build failed before in this process fails again
-//     at once, so the compiler runs at most once per failing kernel.
+// Pipeline, run once per kernel handle:
+//  1. (find_native) hash the (emitter version + flags + serialized kernel
+//     + width) bytes; a hash whose build failed before in this process
+//     fails again at once, so the compiler runs at most once per failing
+//     kernel.
 //  2. if a .so with that hash already sits in the cache directory, dlopen
 //     it directly — a warm start never invokes the compiler.
-//  3. otherwise lower and emit the specialized source, and run the host
-//     C++ compiler (-O1 -fno-ivopts -fPIC -shared -ffp-contract=off;
-//     contraction off keeps the generated arithmetic bit-identical to the
-//     interpreter's) in a private mkdtemp directory next to where the
-//     object lands. Two builds of one kernel, in two threads or two
-//     processes, never share a file: each renames its finished object into
-//     the cache directory (rename is atomic and either winner's object is
-//     valid), dlopens it, and removes its build directory.
+//  3. (build_native) otherwise emit the specialized source from the
+//     lowered program, and run the host C++ compiler (-O1 -fno-ivopts
+//     -fPIC -shared -ffp-contract=off; contraction off keeps the generated
+//     arithmetic bit-identical to the interpreter's) in a private mkdtemp
+//     directory next to where the object lands. Two builds of one kernel,
+//     in two threads or two processes, never share a file: each renames
+//     its finished object into the cache directory (rename is atomic and
+//     either winner's object is valid), dlopens it, and removes its build
+//     directory.
 // Every failure is soft: the caller falls back to the bytecode VM.
+//
+// Step 3 of a tiered handle runs on the build worker: one thread, started
+// with the first queued build, that runs builds in queue order. A build is
+// running from the moment the worker is free to take it, so an owner that
+// settles right after queueing still waits for it. The handle's bytecode
+// carries its launches meanwhile; serve's executors already use every
+// core, so one compile at a time is what the host can spare.
 #include "kernelir/native.hpp"
 
 #include <dlfcn.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -113,8 +127,9 @@ bool probe_cxx(const std::string& cxx) {
 /// Resolves the host compiler once. GEMMTUNE_JIT_CXX, when set, is used
 /// exclusively (even if unusable — that's how tests simulate a machine
 /// without a toolchain); otherwise the compiler this library was built
-/// with, then common names from PATH.
-const std::string& toolchain_cxx() {
+/// with, then common names from PATH. Returns a copy: a build queued now
+/// keeps the compiler of now.
+std::string toolchain_cxx() {
   std::lock_guard<std::mutex> lock(g_native_mutex);
   if (!g_probe_done) {
     g_probe_done = true;
@@ -152,14 +167,16 @@ std::uint64_t jit_hash(const std::string& flags, const Kernel& kernel,
   return h;
 }
 
-/// A fresh build directory next to where an object lands: in `pdir`, else
-/// in TMPDIR (or /tmp). Returns "" when none can be made.
-std::string make_build_dir(const std::string& pdir) {
-  std::string base = pdir;
-  if (base.empty()) {
-    const char* tmp = std::getenv("TMPDIR");
-    base = tmp != nullptr && *tmp != '\0' ? tmp : "/tmp";
-  }
+/// Where builds go: next to where their objects land, in `pdir`, else in
+/// TMPDIR (or /tmp).
+std::string build_base_for(const std::string& pdir) {
+  if (!pdir.empty()) return pdir;
+  const char* tmp = std::getenv("TMPDIR");
+  return tmp != nullptr && *tmp != '\0' ? tmp : "/tmp";
+}
+
+/// A fresh build directory under `base`; "" when none can be made.
+std::string make_build_dir(const std::string& base) {
   std::string tmpl = base + "/gemmtune-jit-XXXXXX";
   return ::mkdtemp(tmpl.data()) != nullptr ? tmpl : "";
 }
@@ -233,29 +250,43 @@ std::string run_jit_compiler(const std::string& cxx,
   return cause;
 }
 
-/// Compiles `source` in `build` and loads the object from the cache
-/// directory `pdir`, or from `build` when there is none. Returns the
+/// How and where one kernel's object is built, fixed when the build is
+/// asked for: a build that runs later uses the compiler, and lands in the
+/// cache directory, of that moment.
+struct NativeTarget {
+  int simd_w = 0;
+  std::uint64_t hash = 0;  ///< names the object and keys sticky failures
+  std::string cxx;         ///< the probed host compiler
+  std::string cache_dir;   ///< "" = none: the object is unlinked once loaded
+  std::string build_base;  ///< where the build's temporary directory goes
+};
+
+std::string so_name_for(std::uint64_t hash) {
+  return strf("gemmtune-%016llx.so", static_cast<unsigned long long>(hash));
+}
+
+/// Compiles `source` in `build` and loads the object from the target's
+/// cache directory, or from `build` when there is none. Returns the
 /// NativeKernel, or null with the cause in `why`.
 NativeKernelPtr compile_and_load(const std::string& source,
-                                 const std::string& flags,
-                                 const std::string& so_name,
-                                 const std::string& pdir,
+                                 const NativeTarget& t,
                                  const std::string& build, std::string* why) {
   const std::string src_path = build + "/kernel.cpp";
   if (!write_file(src_path, source)) {
     *why = "cannot write JIT source to " + build;
     return nullptr;
   }
+  const std::string so_name = so_name_for(t.hash);
   std::string so_path = build + "/" + so_name;
   {
     trace::Span span("interp.native_jit");
     if (trace::enabled()) trace::counter_add("interp.native_compiles", 1);
-    *why = run_jit_compiler(toolchain_cxx(), flags, src_path, so_path,
-                            build + "/compile.log");
+    *why = run_jit_compiler(t.cxx, jit_flags_for(t.simd_w), src_path,
+                            so_path, build + "/compile.log");
   }
   if (!why->empty()) return nullptr;
-  if (!pdir.empty()) {
-    const std::string cached = pdir + "/" + so_name;
+  if (!t.cache_dir.empty()) {
+    const std::string cached = t.cache_dir + "/" + so_name;
     if (std::rename(so_path.c_str(), cached.c_str()) != 0) {
       *why = "rename into cache failed";
       return nullptr;
@@ -270,18 +301,38 @@ NativeKernelPtr compile_and_load(const std::string& source,
   return std::make_shared<const NativeKernel>(h.handle, h.fn);
 }
 
-/// Loads the shared object for one kernel from the cache directory, or
-/// builds it. On failure returns null with the cause in `why`.
-NativeKernelPtr jit_build(const Kernel& kernel, int simd_w,
-                          const std::string& flags, std::uint64_t hash,
-                          std::string* why) {
-  const std::string so_name = strf("gemmtune-%016llx.so",
-                                   static_cast<unsigned long long>(hash));
-  const std::string pdir = persistent_dir();
+/// True when `hash` failed to build before; `*why` then says so.
+bool failed_before(std::uint64_t hash, std::string* why) {
+  std::lock_guard<std::mutex> lock(g_native_mutex);
+  if (g_failed.count(hash) == 0) return false;
+  *why = "native compilation previously failed";
+  return true;
+}
+
+void mark_failed(std::uint64_t hash) {
+  std::lock_guard<std::mutex> lock(g_native_mutex);
+  g_failed.insert(hash);
+}
+
+/// The half of the pipeline that never runs the compiler. Returns the
+/// object when the on-disk cache holds it. Otherwise returns null, and
+/// either sets `*why` (no toolchain, or a sticky failure) or leaves it
+/// empty and fills `*target` for build_native().
+NativeKernelPtr find_native(const Kernel& kernel, NativeTarget* target,
+                            std::string* why, int simd_width = 0) {
+  NativeTarget& t = *target;
+  // The vector width is part of the identity of a compiled object (and of
+  // its hash-named .so file), so hosts of different ISAs sharing one cache
+  // directory never load each other's objects.
+  t.simd_w = simd_width > 0 ? simd_width : native_simd_width();
+  t.hash = jit_hash(jit_flags_for(t.simd_w), kernel, t.simd_w);
+  if (failed_before(t.hash, why)) return nullptr;
+  t.cache_dir = persistent_dir();
+  t.build_base = build_base_for(t.cache_dir);
 
   // Warm start: a cached object needs no compiler at all.
-  if (!pdir.empty()) {
-    const std::string cached = pdir + "/" + so_name;
+  if (!t.cache_dir.empty()) {
+    const std::string cached = t.cache_dir + "/" + so_name_for(t.hash);
     if (file_exists(cached)) {
       DlHandle h = dl_load(cached);
       if (h.fn != nullptr) {
@@ -289,41 +340,260 @@ NativeKernelPtr jit_build(const Kernel& kernel, int simd_w,
           trace::counter_add("interp.native_disk_hits", 1);
         return std::make_shared<const NativeKernel>(h.handle, h.fn);
       }
-      // Stale or corrupt: fall through and rebuild over it.
+      // Stale or corrupt: rebuild over it.
     }
   }
 
-  if (toolchain_cxx().empty()) {
+  t.cxx = toolchain_cxx();
+  if (t.cxx.empty()) {
     const char* env = std::getenv("GEMMTUNE_JIT_CXX");
     *why = env != nullptr
                ? strf("GEMMTUNE_JIT_CXX compiler '%s' is not usable", env)
                : "no usable host C++ compiler found";
-    return nullptr;
+    mark_failed(t.hash);
   }
-  // Malformed IR throws here as it would on bytecode: not a JIT failure.
-  const CompiledKernelPtr prog = compile(kernel);
-  std::string source;
+  return nullptr;
+}
+
+/// The other half: emits `kernel`'s source from its lowered program
+/// `prog`, compiles it at `target` and loads the object. On failure
+/// returns null with the cause in `*why`, and the failure is sticky.
+NativeKernelPtr build_native(const Kernel& kernel, const CompiledKernel& prog,
+                             const NativeTarget& target, std::string* why) {
+  // An earlier build of this kernel may have failed since `target` was
+  // resolved (a second handle's queued build).
+  if (failed_before(target.hash, why)) return nullptr;
+  NativeKernelPtr nk;
+  std::string build;
   try {
-    source = emit_native_source(kernel, *prog, simd_w);
+    const std::string source =
+        emit_native_source(kernel, prog, target.simd_w);
+    build = make_build_dir(target.build_base);
+    if (build.empty()) {
+      *why = "no writable directory for JIT objects";
+    } else {
+      nk = compile_and_load(source, target, build, why);
+    }
   } catch (const Error& e) {
     *why = e.what();
-    return nullptr;
   }
-  const std::string build = make_build_dir(pdir);
-  if (build.empty()) {
-    *why = "no writable directory for JIT objects";
-    return nullptr;
-  }
-  NativeKernelPtr nk =
-      compile_and_load(source, flags, so_name, pdir, build, why);
   // A loaded object stays mapped after its file is gone, so the build
   // directory goes whatever the outcome.
-  std::error_code ignored;
-  std::filesystem::remove_all(build, ignored);
+  if (!build.empty()) {
+    std::error_code ignored;
+    std::filesystem::remove_all(build, ignored);
+  }
+  if (!nk) mark_failed(target.hash);
   return nk;
 }
 
 }  // namespace
+
+/// A tiered handle's build: queued, running on the worker, then done or
+/// dropped. The worker's mutex guards `state`.
+struct NativeBuild {
+  enum class State { Queued, Running, Done, Dropped };
+  std::weak_ptr<PreparedKernel> handle;
+  Kernel kernel;
+  NativeTarget target;
+  State state = State::Queued;
+};
+
+namespace {
+
+using BuildState = NativeBuild::State;
+
+void count_dropped() {
+  if (trace::enabled()) trace::counter_add("interp.native_dropped", 1);
+}
+
+/// Builds `b`'s object from its handle's own program and fills the
+/// handle's slot, or leaves the handle on bytecode, fallen back.
+void run_build(const NativeBuild& b, PreparedKernel& h) {
+  std::string why;
+  NativeKernelPtr nk;
+  try {
+    nk = build_native(b.kernel, *h.bytecode, b.target, &why);
+  } catch (const std::exception& e) {
+    why = e.what();  // nothing may escape the worker's thread
+  }
+  if (nk) {
+    h.fill_native(std::move(nk));
+    if (trace::enabled()) trace::counter_add("interp.native_tierup", 1);
+  } else {
+    warn_native_fallback(why);
+    h.fall_back();
+  }
+}
+
+/// The process-wide build worker (see the file comment).
+class BuildWorker {
+ public:
+  BuildWorker() = default;
+  BuildWorker(const BuildWorker&) = delete;
+  BuildWorker& operator=(const BuildWorker&) = delete;
+
+  void push(std::shared_ptr<NativeBuild> b) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_) {
+      b->state = BuildState::Dropped;
+      return;
+    }
+    if (!thread_.joinable()) thread_ = std::thread([this] { loop(); });
+    queue_.push_back(std::move(b));
+    take_next();
+  }
+
+  /// Waits until no build of `handles` is queued or running; with `drop`,
+  /// their queued builds are dropped first.
+  void settle(std::span<const KernelHandle> handles, bool drop) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (drop) {
+      for (const KernelHandle& h : handles) {
+        if (h && h->build && h->build->state == BuildState::Queued) {
+          h->build->state = BuildState::Dropped;
+          count_dropped();
+        }
+      }
+      std::erase_if(queue_, [](const std::shared_ptr<NativeBuild>& b) {
+        return b->state == BuildState::Dropped;
+      });
+    }
+    done_.wait(lock, [&] {
+      return std::none_of(handles.begin(), handles.end(),
+                          [](const KernelHandle& h) {
+                            return h && h->build &&
+                                   (h->build->state == BuildState::Queued ||
+                                    h->build->state == BuildState::Running);
+                          });
+    });
+  }
+
+  /// At exit: drops the queued builds, lets the running one finish (its
+  /// build directory goes with it) and joins the thread.
+  void stop() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stopping_ = true;
+      for (const std::shared_ptr<NativeBuild>& b : queue_)
+        b->state = BuildState::Dropped;
+      queue_.clear();
+      wake_.notify_one();
+      done_.notify_all();
+    }
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  /// Under mu_: when no build runs, the first queued build whose handle is
+  /// still held becomes the running one.
+  void take_next() {
+    while (!running_ && !queue_.empty()) {
+      std::shared_ptr<NativeBuild> b = std::move(queue_.front());
+      queue_.pop_front();
+      running_handle_ = b->handle.lock();
+      if (!running_handle_) {
+        b->state = BuildState::Dropped;
+        count_dropped();
+        continue;
+      }
+      b->state = BuildState::Running;
+      running_ = std::move(b);
+      wake_.notify_one();
+    }
+  }
+
+  void loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      wake_.wait(lock, [this] { return running_ || stopping_; });
+      if (!running_) return;
+      const std::shared_ptr<NativeBuild> b = running_;
+      std::shared_ptr<PreparedKernel> h = std::move(running_handle_);
+      lock.unlock();
+      run_build(*b, *h);
+      b->kernel = Kernel();  // a handle keeps no IR body
+      h.reset();  // the last reference when the owner let the handle go
+      lock.lock();
+      b->state = BuildState::Done;
+      running_.reset();
+      take_next();
+      done_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable wake_;  // a build to run, or stop
+  std::condition_variable done_;  // a build finished or was dropped
+  std::deque<std::shared_ptr<NativeBuild>> queue_;
+  std::shared_ptr<NativeBuild> running_;
+  std::shared_ptr<PreparedKernel> running_handle_;  // until the worker runs it
+  bool stopping_ = false;
+  std::thread thread_;
+};
+
+BuildWorker& build_worker() {
+  // Leaked, so a handle settled during exit still finds it; its thread is
+  // joined when static destruction reaches the guard, before anything
+  // constructed earlier (the JIT's own state among it) is destroyed.
+  static BuildWorker* const worker = new BuildWorker;
+  static const struct StopAtExit {
+    ~StopAtExit() { worker->stop(); }
+  } stop_at_exit;
+  return *worker;
+}
+
+/// Queues `h`'s build on the worker and records it in `h->build`.
+void queue_build(const std::shared_ptr<PreparedKernel>& h, Kernel kernel,
+                 NativeTarget target) {
+  auto b = std::make_shared<NativeBuild>();
+  b->handle = h;
+  b->kernel = std::move(kernel);
+  b->target = std::move(target);
+  h->build = b;
+  build_worker().push(std::move(b));
+}
+
+bool any_built_in_background(std::span<const KernelHandle> handles) {
+  return std::any_of(handles.begin(), handles.end(),
+                     [](const KernelHandle& h) { return h && h->build; });
+}
+
+}  // namespace
+
+KernelHandle prepare_native(const Kernel& kernel, bool in_background) {
+  auto h = std::make_shared<PreparedKernel>();
+  h->signature = LaunchSignature::of(kernel);
+  NativeTarget target;
+  std::string why;
+  NativeKernelPtr nk = find_native(kernel, &target, &why);
+  if (!nk) {
+    // Malformed IR throws here as it would on bytecode: not a JIT failure.
+    h->bytecode = compile(kernel);
+    if (why.empty() && in_background) {
+      queue_build(h, kernel, std::move(target));
+      return h;
+    }
+    if (why.empty()) nk = build_native(kernel, *h->bytecode, target, &why);
+  }
+  if (nk) {
+    h->fill_native(std::move(nk));
+  } else {
+    h->fall_back();
+    warn_native_fallback(why);
+  }
+  return h;
+}
+
+void settle_native_builds(std::span<const KernelHandle> handles) {
+  if (any_built_in_background(handles)) build_worker().settle(handles, true);
+}
+
+bool wait_native_builds(std::span<const KernelHandle> handles) {
+  if (!any_built_in_background(handles)) return false;
+  build_worker().settle(handles, false);
+  return true;
+}
 
 NativeKernel::~NativeKernel() {
   if (handle_ != nullptr) ::dlclose(handle_);
@@ -356,26 +626,14 @@ void reset_native_probe() {
 
 NativeKernelPtr get_or_compile_native(const Kernel& kernel, std::string* why,
                                       int simd_width) {
-  // The vector width is part of the identity of a compiled object (and of
-  // its hash-named .so file), so hosts of different ISAs sharing one cache
-  // directory never load each other's objects.
-  const int simd_w = simd_width > 0 ? simd_width : native_simd_width();
-  const std::string flags = jit_flags_for(simd_w);
-  const std::uint64_t hash = jit_hash(flags, kernel, simd_w);
-  {
-    std::lock_guard<std::mutex> lock(g_native_mutex);
-    if (g_failed.count(hash) != 0) {
-      if (why != nullptr) *why = "native compilation previously failed";
-      return nullptr;
-    }
-  }
+  NativeTarget target;
   std::string cause;
-  NativeKernelPtr nk = jit_build(kernel, simd_w, flags, hash, &cause);
-  if (!nk) {
-    std::lock_guard<std::mutex> lock(g_native_mutex);
-    g_failed.insert(hash);
-    if (why != nullptr) *why = cause;
-  }
+  NativeKernelPtr nk = find_native(kernel, &target, &cause, simd_width);
+  // Malformed IR throws from compile() as it would on bytecode: not a JIT
+  // failure.
+  if (!nk && cause.empty())
+    nk = build_native(kernel, *compile(kernel), target, &cause);
+  if (!nk && why != nullptr) *why = cause;
   return nk;
 }
 

@@ -30,10 +30,20 @@
 // concurrent builds of one kernel, by threads or by processes, race
 // safely. Every failure path (no toolchain, unwritable cache dir, compile
 // error) is soft: the caller falls back to the bytecode VM.
+//
+// A tiered handle (prepare_tiered(), interp.hpp) takes the compile off its
+// caller's thread: the disk cache, the toolchain probe and the sticky
+// failures are checked at once, and a build is queued on one process-wide
+// build worker, which runs builds one at a time in the order they were
+// queued and fills each handle's native slot as its object loads.
+// settle_native_builds() drops an owner's queued builds and waits for its
+// running one, wait_native_builds() waits for all of them, and the worker
+// finishes its running build and drops the rest when the process exits.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "kernelir/compile.hpp"
@@ -111,18 +121,41 @@ bool native_toolchain_available();
 void reset_native_probe();
 
 /// Returns the native-compiled kernel for `kernel`: loaded from the on-disk
-/// cache, else built. Each call loads or builds again, so callers that
-/// relaunch keep the result in a kernel handle (prepare(), interp.hpp).
-/// Returns nullptr when the native backend is unavailable for this
-/// kernel — no toolchain, compile or dlopen failure — with the cause in
-/// `*why`. A failure is sticky: later calls for the same kernel fail at
-/// once, without the compiler, until reset_native_probe(). `simd_width` >
-/// 0 builds for that emit width and its JIT flags instead of
-/// native_simd_width() (tests run every width the CPU can); the width keys
-/// the .so hash either way. Thread-safe.
+/// cache, else built, on the calling thread. Each call loads or builds
+/// again, so callers that relaunch keep the result in a kernel handle
+/// (prepare(), interp.hpp). Returns nullptr when the native backend is
+/// unavailable for this kernel — no toolchain, compile or dlopen failure —
+/// with the cause in `*why`. A failure is sticky: later calls for the same
+/// kernel fail at once, without the compiler, until reset_native_probe().
+/// `simd_width` > 0 builds for that emit width and its JIT flags instead
+/// of native_simd_width() (tests run every width the CPU can); the width
+/// keys the .so hash either way. Thread-safe.
 NativeKernelPtr get_or_compile_native(const Kernel& kernel,
                                       std::string* why = nullptr,
                                       int simd_width = 0);
+
+/// The Native half of prepare() and prepare_tiered() (interp.hpp): a
+/// handle with the object from the on-disk cache; else with the lowered
+/// program and the object built now, or with `in_background` queued on
+/// the process-wide build worker, which fills the handle's native slot
+/// (interp.native_tierup) or, when the build fails, warns once per cause
+/// and marks the handle fallen back. A build whose handle is gone by its
+/// turn is skipped without touching the disk.
+KernelHandle prepare_native(const Kernel& kernel, bool in_background);
+
+/// Drops every queued build of `handles` (interp.native_dropped), then
+/// waits for the running build if it is one of theirs, so their owner can
+/// go without leaving a build behind. The running build finishes and
+/// fills its slot; it is never killed. An owner of many handles settles
+/// them in one call: settled one group at a time, each group would wait
+/// for a build the worker started while the previous group waited.
+void settle_native_builds(std::span<const KernelHandle> handles);
+
+/// Waits until every build of `handles` has run (in queue order, behind
+/// any build queued before it), so each handle is native or fallen back.
+/// Returns false at once when none of them was built in the background,
+/// true otherwise: their launches until now may have run on bytecode.
+bool wait_native_builds(std::span<const KernelHandle> handles);
 
 /// Prints a one-line warning to stderr naming the fallback cause; each
 /// distinct cause is printed once per process.

@@ -69,6 +69,10 @@ GemmServer::GemmServer(std::vector<simcl::DeviceId> devices, ServeOptions opt)
   }
 }
 
+GemmServer::~GemmServer() {
+  blas::GemmEngine::settle_native_builds(engines_);
+}
+
 WarmupInfo GemmServer::warmup() {
   trace::Span span("serve.warmup");
   WarmupInfo info;

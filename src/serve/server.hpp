@@ -135,6 +135,11 @@ struct PathEstimate {
 class GemmServer {
  public:
   GemmServer(std::vector<simcl::DeviceId> devices, ServeOptions opt);
+  /// Settles every engine's native builds at once (see
+  /// blas::GemmEngine::settle_native_builds()) before destroying them.
+  ~GemmServer();
+  GemmServer(const GemmServer&) = delete;
+  GemmServer& operator=(const GemmServer&) = delete;
 
   const std::vector<simcl::DeviceId>& devices() const { return devices_; }
   const ServeOptions& options() const { return opt_; }

@@ -186,29 +186,37 @@ TEST(Cli, RemovedExecutorFlagsAreUnknownOptions) {
   }
 }
 
-TEST(Cli, JitCacheDirFlagPopulatesCache) {
-  // --jit-cache-dir points the native backend's .so cache at a directory;
-  // with a toolchain present a native verify leaves an object behind.
-  const std::string dir = ::testing::TempDir() + "cli_jit_cache";
-  std::system(("rm -rf " + dir).c_str());
-  auto [rc, out] = run_cli({"--interp=native", "--jit-cache-dir", dir,
-                            "verify", "Tahiti", "DGEMM", "24", "16", "8"});
-  EXPECT_EQ(rc, 0) << out;
-  if (ir::native_toolchain_available()) {
-    EXPECT_EQ(std::system(
-                  ("ls " + dir + "/gemmtune-*.so >/dev/null 2>&1").c_str()),
-              0);
-  }
-  ir::set_jit_cache_dir("");
-  ir::set_backend_override(ir::Backend::Auto);
-  std::system(("rm -rf " + dir).c_str());
-}
-
 std::string slurp(const std::string& path) {
   std::ifstream f(path);
   std::ostringstream ss;
   ss << f.rdbuf();
   return ss.str();
+}
+
+TEST(Cli, JitCacheDirFlagPopulatesCache) {
+  // --jit-cache-dir points the native backend's .so cache at a directory;
+  // with a toolchain present a native verify leaves an object behind.
+  const std::string dir = ::testing::TempDir() + "cli_jit_cache";
+  const std::string metrics = ::testing::TempDir() + "cli_jit_metrics.json";
+  std::system(("rm -rf " + dir).c_str());
+  auto [rc, out] = run_cli({"--interp=native", "--jit-cache-dir", dir,
+                            "--metrics", metrics, "verify", "Tahiti",
+                            "DGEMM", "24", "16", "8"});
+  EXPECT_EQ(rc, 0) << out;
+  if (ir::native_toolchain_available()) {
+    EXPECT_EQ(std::system(
+                  ("ls " + dir + "/gemmtune-*.so >/dev/null 2>&1").c_str()),
+              0);
+    // The cold kernel's first call ran on bytecode while its object built;
+    // verify waited for the object and checked a second call natively.
+    const Json m = Json::parse(slurp(metrics));
+    EXPECT_EQ(m.at("counters").at("interp.native_tierup").as_int(), 1);
+    EXPECT_EQ(m.at("counters").at("gemm.calls").as_int(), 2);
+  }
+  std::remove(metrics.c_str());
+  ir::set_jit_cache_dir("");
+  ir::set_backend_override(ir::Backend::Auto);
+  std::system(("rm -rf " + dir).c_str());
 }
 
 TEST(Cli, ServeThenReplayMatches) {

@@ -4,25 +4,34 @@
 // against bytecode, the on-disk .so cache round-trip (a warm start needs
 // no compiler at all), concurrent cold builds of one kernel (none falls
 // back, nothing is left in TMPDIR), graceful fallback to bytecode when no
-// toolchain is usable, sticky per-kernel failures, and read-only
-// cache-dir handling. Semantic equivalence of the native backend
-// (buffers, counters, error parity) against the tree oracle lives in
-// vm_test.cpp and fuzz_codegen_test.cpp.
+// toolchain is usable, sticky per-kernel failures, read-only cache-dir
+// handling, and tier-up: tiered handles run on bytecode until the
+// background worker fills their native slot, behind a compiler the test
+// gates. Semantic equivalence of the native backend (buffers, counters,
+// error parity) against the tree oracle lives in vm_test.cpp and
+// fuzz_codegen_test.cpp.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <iterator>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "blas/gemm.hpp"
+#include "blas/hostblas.hpp"
 #include "codegen/gemm_generator.hpp"
 #include "codegen/paper_kernels.hpp"
 #include "common/json.hpp"
@@ -31,9 +40,11 @@
 #include "kernelir/interp.hpp"
 #include "kernelir/kernel.hpp"
 #include "kernelir/native.hpp"
+#include "layout/packing.hpp"
 #include "simcl/device_registry.hpp"
 #include "simcl/runtime.hpp"
 #include "trace/trace.hpp"
+#include "tuner/shape.hpp"
 
 namespace gemmtune::ir {
 namespace {
@@ -402,6 +413,33 @@ struct GemmRun {
   Counters counters;
 };
 
+/// A buffer of `elems` seeded values in [-1, 1).
+simcl::BufferPtr seeded_buffer(Rng& rng, std::int64_t elems, bool f64) {
+  auto buf = std::make_shared<simcl::Buffer>(static_cast<std::size_t>(elems) *
+                                             (f64 ? 8 : 4));
+  for (std::int64_t j = 0; j < elems; ++j) {
+    const double v = rng.next_double(-1.0, 1.0);
+    if (f64) {
+      buf->as<double>()[j] = v;
+    } else {
+      buf->as<float>()[j] = static_cast<float>(v);
+    }
+  }
+  return buf;
+}
+
+/// Launches `h` and collects C's bytes and the counters.
+GemmRun launch_gemm(const PreparedKernel& h,
+                    const codegen::LaunchGeometry& geo,
+                    const std::vector<ArgValue>& args,
+                    const simcl::BufferPtr& c, int threads) {
+  GemmRun r;
+  r.counters = launch(h, geo.global, geo.local, args, threads);
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(c->data());
+  r.c.assign(bytes, bytes + c->size());
+  return r;
+}
+
 /// Launches `h` on a 2 x 2-group packed problem of `p` (Mp = 2 Mwg,
 /// Np = 2 Nwg, Kp = 2 Kwg) with seeded operands and C, on `threads`
 /// threads.
@@ -410,21 +448,9 @@ GemmRun run_packed(const PreparedKernel& h, const codegen::KernelParams& p,
   const std::int64_t M = 2 * p.Mwg, N = 2 * p.Nwg, K = 2 * p.Kwg;
   const bool f64 = p.prec == codegen::Precision::DP;
   Rng rng(0x7AB1E2);
-  const auto buffer = [&](std::int64_t elems) {
-    auto buf = std::make_shared<simcl::Buffer>(
-        static_cast<std::size_t>(elems) * (f64 ? 8 : 4));
-    for (std::int64_t j = 0; j < elems; ++j) {
-      const double v = rng.next_double(-1.0, 1.0);
-      if (f64) {
-        buf->as<double>()[j] = v;
-      } else {
-        buf->as<float>()[j] = static_cast<float>(v);
-      }
-    }
-    return buf;
-  };
-  const simcl::BufferPtr a = buffer(K * M), b = buffer(K * N),
-                         c = buffer(M * N);
+  const simcl::BufferPtr a = seeded_buffer(rng, K * M, f64),
+                         b = seeded_buffer(rng, K * N, f64),
+                         c = seeded_buffer(rng, M * N, f64);
   using codegen::GemmKernelArgs;
   std::vector<ArgValue> args(8);
   args[GemmKernelArgs::C] = ArgValue::of(c);
@@ -435,12 +461,7 @@ GemmRun run_packed(const PreparedKernel& h, const codegen::KernelParams& p,
   args[GemmKernelArgs::K] = ArgValue::of_int(K);
   args[GemmKernelArgs::alpha] = ArgValue::of_float(1.5);
   args[GemmKernelArgs::beta] = ArgValue::of_float(-0.5);
-  const codegen::LaunchGeometry geo = codegen::launch_geometry(p, M, N);
-  GemmRun r;
-  r.counters = launch(h, geo.global, geo.local, args, threads);
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(c->data());
-  r.c.assign(bytes, bytes + c->size());
-  return r;
+  return launch_gemm(h, codegen::launch_geometry(p, M, N), args, c, threads);
 }
 
 /// Builds `p`'s kernel natively at emit width `w`, with that width's JIT
@@ -452,8 +473,9 @@ void expect_native_matches_bytecode(const codegen::KernelParams& p, int w) {
   std::string why;
   PreparedKernel native;
   native.signature = LaunchSignature::of(k);
-  native.native = get_or_compile_native(k, &why, w);
-  ASSERT_NE(native.native, nullptr) << what << ": " << why;
+  NativeKernelPtr nk = get_or_compile_native(k, &why, w);
+  ASSERT_NE(nk, nullptr) << what << ": " << why;
+  native.fill_native(std::move(nk));
   const GemmRun want = run_packed(*prepare(k, Backend::Bytecode), p, 1);
   for (const int threads : {1, 4}) {
     const GemmRun got = run_packed(native, p, threads);
@@ -533,8 +555,8 @@ void expect_concurrent_native_preparations(int salt) {
   for (std::thread& t : threads) t.join();
   const std::vector<double> want = run_salted(salt, Backend::Bytecode);
   for (const KernelHandle& h : handles) {
-    EXPECT_FALSE(h->native_fallback) << "salt " << salt;
-    EXPECT_NE(h->native, nullptr) << "salt " << salt;
+    EXPECT_FALSE(h->native_fallback()) << "salt " << salt;
+    EXPECT_NE(h->native(), nullptr) << "salt " << salt;
     LaunchSetup s = salted_args(8);
     launch(*h, {8, 1}, {4, 1}, s.args, 1);
     const double* p = s.bufs[0]->as<double>();
@@ -569,6 +591,360 @@ TEST_F(NativeTest, ConcurrentColdBuildsNeverCollide) {
   EXPECT_TRUE(fs::is_empty(tmp)) << tmp;
   fs::remove_all(dir);
   fs::remove_all(tmp);
+}
+
+// ---- tier-up: background builds --------------------------------------------
+
+/// A host compiler whose builds wait at a gate. GEMMTUNE_JIT_CXX points at
+/// a wrapper that answers the toolchain probe at once and runs a build (a
+/// command line with -shared) only once the gate file exists, refusing it
+/// when `refuse` is set. The test decides when each build finishes, with
+/// no timing assumption.
+class GatedCompiler {
+ public:
+  explicit GatedCompiler(bool refuse = false) : dir_(make_temp_dir()) {
+    const std::string script = dir_ + "/cxx";
+    std::ofstream(script)
+        << "#!/bin/sh\n"
+        << "case \" $* \" in\n"
+        << "  *\" -shared \"*)\n"
+        << "    while [ ! -e '" << gate() << "' ]; do sleep 0.01; done\n"
+        << (refuse ? "    echo 'gated compiler refused the build' >&2\n"
+                     "    exit 1\n"
+                   : "")
+        << "    ;;\n"
+        << "esac\n"
+        << "exec '" << GEMMTUNE_TEST_CXX << "' \"$@\"\n";
+    ::chmod(script.c_str(), 0755);
+    setenv("GEMMTUNE_JIT_CXX", script.c_str(), 1);
+    reset_native_probe();
+  }
+  ~GatedCompiler() {
+    open();  // a build still waiting must not wait for ever
+    unsetenv("GEMMTUNE_JIT_CXX");
+    reset_native_probe();
+  }
+  void open() { std::ofstream{gate()}; }
+  void shut() { std::remove(gate().c_str()); }
+
+ private:
+  std::string gate() const { return dir_ + "/gate"; }
+  std::string dir_;
+};
+
+/// Launches `h`, the guarded direct kernel of `q`, on an NN problem one
+/// short of two tiles each way, so the guards cut every edge.
+GemmRun run_direct(const PreparedKernel& h, const codegen::KernelParams& q,
+                   int threads) {
+  const std::int64_t M = 2 * q.Mwg - 1, N = 2 * q.Nwg - 1,
+                     K = 2 * q.Kwg - 1;
+  const bool f64 = q.prec == codegen::Precision::DP;
+  Rng rng(0xD1EC7);
+  const simcl::BufferPtr a = seeded_buffer(rng, M * K, f64),
+                         b = seeded_buffer(rng, K * N, f64),
+                         c = seeded_buffer(rng, M * N, f64);
+  using codegen::DirectGemmKernelArgs;
+  std::vector<ArgValue> args(11);
+  args[DirectGemmKernelArgs::C] = ArgValue::of(c);
+  args[DirectGemmKernelArgs::A] = ArgValue::of(a);
+  args[DirectGemmKernelArgs::B] = ArgValue::of(b);
+  args[DirectGemmKernelArgs::M] = ArgValue::of_int(M);
+  args[DirectGemmKernelArgs::N] = ArgValue::of_int(N);
+  args[DirectGemmKernelArgs::K] = ArgValue::of_int(K);
+  args[DirectGemmKernelArgs::lda] = ArgValue::of_int(M);
+  args[DirectGemmKernelArgs::ldb] = ArgValue::of_int(K);
+  args[DirectGemmKernelArgs::ldc] = ArgValue::of_int(M);
+  args[DirectGemmKernelArgs::alpha] = ArgValue::of_float(1.5);
+  args[DirectGemmKernelArgs::beta] = ArgValue::of_float(-0.5);
+  const PackedExtents ext = packed_extents(M, N, K, q.Mwg, q.Nwg, q.Kwg);
+  return launch_gemm(h, codegen::launch_geometry(q, ext.Mp, ext.Np), args, c,
+                     threads);
+}
+
+/// A kernel a GemmEngine prepares, with a launch of it.
+struct TierCase {
+  std::string name;
+  Kernel kernel;
+  std::function<GemmRun(const PreparedKernel&, int)> run;
+};
+
+/// Tahiti's packed Table II kernels and their guarded direct variants, in
+/// DP and SP.
+std::vector<TierCase> tahiti_tier_cases() {
+  std::vector<TierCase> out;
+  for (const auto prec : {codegen::Precision::DP, codegen::Precision::SP}) {
+    const codegen::KernelParams p =
+        codegen::table2_entry(simcl::DeviceId::Tahiti, prec).params;
+    const codegen::KernelParams q = tuner::direct_variant(p);
+    const std::string name = prec == codegen::Precision::DP ? "DP" : "SP";
+    out.push_back({name + " packed", codegen::generate_gemm_kernel(p),
+                   [p](const PreparedKernel& h, int threads) {
+                     return run_packed(h, p, threads);
+                   }});
+    out.push_back({name + " guarded direct",
+                   codegen::generate_direct_gemm_kernel(q, Transpose::No,
+                                                        Transpose::No, true),
+                   [q](const PreparedKernel& h, int threads) {
+                     return run_direct(h, q, threads);
+                   }});
+  }
+  return out;
+}
+
+void expect_same_run(const GemmRun& got, const GemmRun& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.c, want.c) << what;
+  EXPECT_EQ(got.counters, want.counters) << what;
+}
+
+TEST_F(NativeTest, TieredHandleRunsOnBytecodeUntilItsObjectIsBuilt) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  GatedCompiler cxx;
+  set_jit_cache_dir(make_temp_dir());
+  trace::reset();
+  trace::set_enabled(true);
+  const std::vector<TierCase> cases = tahiti_tier_cases();
+  for (const TierCase& c : cases) {
+    const GemmRun want = c.run(*prepare(c.kernel, Backend::Bytecode), 1);
+    cxx.shut();
+    const KernelHandle h = prepare_tiered(c.kernel);
+    // The build waits at the gate, so these launches run on bytecode.
+    for (const int threads : {1, 4})
+      expect_same_run(c.run(*h, threads), want, c.name + " before the build");
+    EXPECT_EQ(h->native(), nullptr) << c.name;
+
+    // Four threads launch the handle across the fill: the gate opens once
+    // each has launched, and each launches once more after it sees the
+    // slot filled.
+    std::atomic<int> launched{0}, mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+      threads.emplace_back([&] {
+        for (bool last = false, first = true; !last; first = false) {
+          last = h->native() != nullptr || h->native_fallback();
+          const GemmRun got = c.run(*h, 1);
+          mismatches += got.c != want.c || got.counters != want.counters;
+          if (first) ++launched;
+        }
+      });
+    while (launched.load() < 4) std::this_thread::yield();
+    cxx.open();
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(mismatches.load(), 0) << c.name;
+    EXPECT_NE(h->native(), nullptr) << c.name;
+    EXPECT_FALSE(h->native_fallback()) << c.name;
+    for (const int threads : {1, 4})
+      expect_same_run(c.run(*h, threads), want, c.name + " after the build");
+  }
+  // Each tiered handle lowered its kernel once (the bytecode reference
+  // lowered it too), and its build used that program.
+  EXPECT_EQ(trace_counter("interp.compiles"), 2 * cases.size());
+  EXPECT_EQ(trace_counter("interp.native_compiles"), cases.size());
+  EXPECT_EQ(trace_counter("interp.native_tierup"), cases.size());
+  EXPECT_EQ(trace_counter("interp.native_fallback"), 0u);
+
+  // Warm cache: each object loads at prepare time, so the handle is native
+  // from its first launch and queues no build.
+  cxx.shut();
+  for (const TierCase& c : cases) {
+    const KernelHandle h = prepare_tiered(c.kernel);
+    EXPECT_NE(h->native(), nullptr) << c.name;
+    EXPECT_EQ(h->build, nullptr) << c.name;
+    expect_same_run(c.run(*h, 1),
+                    c.run(*prepare(c.kernel, Backend::Bytecode), 1),
+                    c.name + " warm");
+  }
+  EXPECT_EQ(trace_counter("interp.native_disk_hits"), cases.size());
+  EXPECT_EQ(trace_counter("interp.native_compiles"), cases.size());
+  EXPECT_EQ(trace_counter("interp.native_tierup"), cases.size());
+}
+
+TEST_F(NativeTest, FailedBackgroundBuildLeavesTheHandleOnBytecode) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  GatedCompiler cxx(/*refuse=*/true);
+  set_jit_cache_dir(make_temp_dir());
+  trace::reset();
+  trace::set_enabled(true);
+  const TierCase c = tahiti_tier_cases()[0];
+  const GemmRun want = c.run(*prepare(c.kernel, Backend::Bytecode), 1);
+  ::testing::internal::CaptureStderr();
+  const KernelHandle h = prepare_tiered(c.kernel);
+  // A launch while the build is pending is no fallback.
+  expect_same_run(c.run(*h, 1), want, "pending");
+  EXPECT_EQ(trace_counter("interp.native_fallback"), 0u);
+  cxx.open();
+  settle_native_builds(std::span<const KernelHandle>(&h, 1));
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(h->native(), nullptr);
+  EXPECT_TRUE(h->native_fallback());
+  for (std::uint64_t rep = 1; rep <= 3; ++rep) {
+    expect_same_run(c.run(*h, 1), want, "fallen back");
+    EXPECT_EQ(trace_counter("interp.native_fallback"), rep);
+  }
+  // One warning, from the worker, naming the compiler's diagnostic.
+  std::size_t warnings = 0;
+  for (std::size_t at = err.find("falling back to bytecode");
+       at != std::string::npos;
+       at = err.find("falling back to bytecode", at + 1))
+    ++warnings;
+  EXPECT_EQ(warnings, 1u) << err;
+  EXPECT_NE(err.find("gated compiler refused the build"), std::string::npos)
+      << err;
+  // The failure is sticky: the next handle falls back without a build.
+  const KernelHandle again = prepare_tiered(c.kernel);
+  EXPECT_TRUE(again->native_fallback());
+  EXPECT_EQ(again->build, nullptr);
+  EXPECT_EQ(trace_counter("interp.native_compiles"), 1u);
+}
+
+/// One verified 64^3 NN call on `engine`; returns its error in tolerances.
+template <typename T>
+double engine_gemm(blas::GemmEngine& engine) {
+  constexpr index_t n = 64;
+  Rng rng(0x71E2);
+  Matrix<T> A(n, n), B(n, n), C(n, n);
+  A.fill_random(rng);
+  B.fill_random(rng);
+  C.fill_random(rng);
+  return engine
+             .gemm<T>(Transpose::No, Transpose::No, n, n, n, T(1.5), A, B,
+                      T(-0.5), C, true)
+             .max_error /
+         hostblas::gemm_tolerance<T>(n);
+}
+
+/// Spins until trace counter `name` is nonzero; false after a minute, so
+/// a wrong build order fails the test instead of hanging it.
+bool await_counter(const char* name) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(1);
+  while (trace_counter(name) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST_F(NativeTest, DestroyedEngineFinishesItsRunningBuildAndDropsTheRest) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  namespace fs = std::filesystem;
+  GatedCompiler cxx;
+  set_backend_override(Backend::Native);
+  trace::reset();
+  trace::set_enabled(true);
+  // No cache directory: a build works under the TMPDIR of its prepare and
+  // removes what it made.
+  const std::string tmp = make_temp_dir();
+  const char* old_tmpdir = std::getenv("TMPDIR");
+  const std::string saved = old_tmpdir != nullptr ? old_tmpdir : "";
+  setenv("TMPDIR", tmp.c_str(), 1);
+  auto engine = std::make_unique<blas::GemmEngine>(simcl::DeviceId::Tahiti);
+  EXPECT_LE(engine_gemm<double>(*engine), 1.0);  // its build runs
+  EXPECT_LE(engine_gemm<float>(*engine), 1.0);   // its build is queued
+  if (old_tmpdir != nullptr) {
+    setenv("TMPDIR", saved.c_str(), 1);
+  } else {
+    unsetenv("TMPDIR");
+  }
+  std::thread destroy([&] { engine.reset(); });
+  // The engine drops its queued build before it waits for the running
+  // one. The gate opens only after the drop, when the worker would
+  // otherwise start the queued build next.
+  EXPECT_TRUE(await_counter("interp.native_dropped"));
+  cxx.open();
+  destroy.join();
+  EXPECT_EQ(trace_counter("interp.native_dropped"), 1u);
+  EXPECT_EQ(trace_counter("interp.native_compiles"), 1u);
+  EXPECT_EQ(trace_counter("interp.native_tierup"), 1u);
+  EXPECT_TRUE(fs::is_empty(tmp)) << tmp;
+  fs::remove_all(tmp);
+}
+
+TEST_F(NativeTest, BuildLandsInTheCacheDirectoryOfItsPrepare) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  GatedCompiler cxx;
+  set_backend_override(Backend::Native);
+  const std::string first = make_temp_dir(), second = make_temp_dir();
+  set_jit_cache_dir(first);
+  auto engine = std::make_unique<blas::GemmEngine>(simcl::DeviceId::Tahiti);
+  EXPECT_LE(engine_gemm<double>(*engine), 1.0);  // its build waits
+  // The next set-up switches directories while that build still runs, as
+  // the benchmark's set-ups do between engines.
+  set_jit_cache_dir(second);
+  cxx.open();
+  engine.reset();
+  EXPECT_EQ(count_shared_objects(first), 1);
+  EXPECT_EQ(count_shared_objects(second), 0);
+  trace::reset();
+  trace::set_enabled(true);
+  engine = std::make_unique<blas::GemmEngine>(simcl::DeviceId::Tahiti);
+  EXPECT_LE(engine_gemm<double>(*engine), 1.0);
+  EXPECT_EQ(trace_counter("interp.native_disk_hits"), 0u);
+  engine.reset();
+  EXPECT_EQ(count_shared_objects(second), 1);
+}
+
+TEST_F(NativeTest, EnginesSettledTogetherWaitForOneBuild) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  GatedCompiler cxx;
+  set_backend_override(Backend::Native);
+  set_jit_cache_dir(make_temp_dir());
+  trace::reset();
+  trace::set_enabled(true);
+  // Two engines, as a server keeps one per device: the first engine's
+  // build runs behind the gate and the second's is queued behind it.
+  std::vector<std::unique_ptr<blas::GemmEngine>> engines;
+  for (int e = 0; e < 2; ++e)
+    engines.push_back(
+        std::make_unique<blas::GemmEngine>(simcl::DeviceId::Tahiti));
+  EXPECT_LE(engine_gemm<double>(*engines[0]), 1.0);
+  EXPECT_LE(engine_gemm<float>(*engines[1]), 1.0);
+  // Settled together, the second engine's build is dropped before anyone
+  // waits, so it never follows the first. Destroyed one at a time, the
+  // worker would start it while the first engine waited.
+  std::thread settle(
+      [&] { blas::GemmEngine::settle_native_builds(engines); });
+  EXPECT_TRUE(await_counter("interp.native_dropped"));
+  cxx.open();
+  settle.join();
+  engines.clear();
+  EXPECT_EQ(trace_counter("interp.native_dropped"), 1u);
+  EXPECT_EQ(trace_counter("interp.native_compiles"), 1u);
+  EXPECT_EQ(trace_counter("interp.native_tierup"), 1u);
+}
+
+TEST_F(NativeTest, WaitingForAnEngineFinishesEveryBuildItQueued) {
+  if (!native_toolchain_available()) GTEST_SKIP() << "no host toolchain";
+  GatedCompiler cxx;
+  set_backend_override(Backend::Native);
+  set_jit_cache_dir(make_temp_dir());
+  trace::reset();
+  trace::set_enabled(true);
+  blas::GemmEngine engine(simcl::DeviceId::Tahiti);
+  EXPECT_FALSE(engine.wait_native_builds());  // nothing prepared yet
+  // Both calls run on bytecode: the DP build waits at the gate and the SP
+  // build is queued behind it.
+  EXPECT_LE(engine_gemm<double>(engine), 1.0);
+  EXPECT_LE(engine_gemm<float>(engine), 1.0);
+  EXPECT_EQ(trace_counter("interp.native_tierup"), 0u);
+  cxx.open();
+  EXPECT_TRUE(engine.wait_native_builds());
+  // Both slots are filled, and nothing was dropped, so the engine's next
+  // calls run natively.
+  EXPECT_EQ(trace_counter("interp.native_compiles"), 2u);
+  EXPECT_EQ(trace_counter("interp.native_tierup"), 2u);
+  EXPECT_EQ(trace_counter("interp.native_dropped"), 0u);
+  EXPECT_LE(engine_gemm<double>(engine), 1.0);
+  EXPECT_LE(engine_gemm<float>(engine), 1.0);
+
+  // A warm engine loads both objects when it prepares, so it has no build
+  // to wait for.
+  blas::GemmEngine warm(simcl::DeviceId::Tahiti);
+  EXPECT_LE(engine_gemm<double>(warm), 1.0);
+  EXPECT_LE(engine_gemm<float>(warm), 1.0);
+  EXPECT_FALSE(warm.wait_native_builds());
+  EXPECT_EQ(trace_counter("interp.native_disk_hits"), 2u);
+  EXPECT_EQ(trace_counter("interp.native_compiles"), 2u);
 }
 
 }  // namespace

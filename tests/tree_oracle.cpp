@@ -233,8 +233,13 @@ class Machine {
           v.f[static_cast<std::size_t>(l)] = x;
         return v;
       }
-      case ExprKind::VarRef:
-        return it.vars[static_cast<std::size_t>(symbol(e->slot).storage)];
+      case ExprKind::VarRef: {
+        // A variable reads at its declared width, as on both tiers: the
+        // lanes above the ones its last assignment wrote read 0.
+        Val v = it.vars[static_cast<std::size_t>(symbol(e->slot).storage)];
+        v.t = e->type;
+        return v;
+      }
       case ExprKind::ArgRef: {
         const ArgValue& a = args_[static_cast<std::size_t>(e->arg)];
         Val v;

@@ -790,8 +790,9 @@ TEST(VmBounds, OneFaultingItemMatchesTheOracle) {
 
 // Floating variables take slabs as wide as their widest use. A double4
 // variable assigned a double2 value reads zeros in lanes 2 and 3, at four
-// lanes (v + v) and through lane(v, 3); a variable assigned at four lanes
-// and then at two reads zeros there after the second assignment.
+// lanes (v + v), through lane(v, 3) and when stored itself (four lanes
+// written and counted); a variable assigned at four lanes and then at two
+// reads zeros there after the second assignment.
 TEST(VmLowering, NarrowAssignmentsReadZeroInTheUpperLanes) {
   for (const Scalar s : {Scalar::F64, Scalar::F32}) {
     const Type t2 = fp(s, 2), t4 = fp(s, 4);
@@ -809,6 +810,8 @@ TEST(VmLowering, NarrowAssignmentsReadZeroInTheUpperLanes) {
     b.append(store_global(0, b.ref(lx) * 4, twice(v)));
     b.append(store_global(0, b.ref(lx) + 32, lane(b.ref(v), 3)));
     b.append(store_global(0, b.ref(lx) + 40, lane(b.ref(v), 1)));
+    // v itself stores its declared four lanes, the upper two zero.
+    b.append(store_global(0, b.ref(lx) * 4 + 120, b.ref(v)));
     b.append(assign(u, load_global(1, b.ref(lx) * 4, t4)));
     b.append(store_global(0, b.ref(lx) * 4 + 48, twice(u)));
     b.append(assign(u, bin(BinOp::FAdd, load_global(1, b.ref(lx) * 4, t2),
@@ -818,7 +821,7 @@ TEST(VmLowering, NarrowAssignmentsReadZeroInTheUpperLanes) {
     const std::size_t es = s == Scalar::F64 ? 8 : 4;
     expect_equivalent(b.build(), {8, 1}, {8, 1},
                       [s, es](std::vector<simcl::BufferPtr>* bufs) {
-                        auto out = make_buffer(120 * es);
+                        auto out = make_buffer(152 * es);
                         auto a = make_buffer(32 * es);
                         for (int j = 0; j < 32; ++j) {
                           if (s == Scalar::F64) {
