@@ -78,7 +78,7 @@ GemmProfile GemmEngine::profile_for(const KernelParams& p, index_t M,
   // (direct wins at small sizes where the O(N^2) copy is not amortized).
   const tuner::ShapeCost c =
       tuner::shape_cost(model_, p, M, N, K, direct_enabled_);
-  check(c.pack_ok, "GemmEngine: tuned kernel rejected: " + c.reason);
+  if (!c.pack_ok) fail("GemmEngine: tuned kernel rejected: " + c.reason);
   GemmProfile prof;
   prof.total_seconds = c.seconds;
   prof.copy_seconds = c.copy_seconds;

@@ -45,6 +45,14 @@ inline void check(bool cond, const std::string& msg,
   if (!cond) detail::raise(msg, loc);
 }
 
+/// check() with a literal message: a passing check builds no std::string,
+/// so hot paths may check freely.
+inline void check(bool cond, const char* msg,
+                  const std::source_location loc =
+                      std::source_location::current()) {
+  if (!cond) detail::raise(msg, loc);
+}
+
 /// Unconditional failure with message; used for unreachable branches.
 [[noreturn]] inline void fail(const std::string& msg,
                               const std::source_location loc =

@@ -89,7 +89,7 @@ Json& Json::operator[](const std::string& key) {
 const Json& Json::at(const std::string& key) const {
   check(kind_ == Kind::Object, "Json: at(key) on non-object");
   auto it = obj_.find(key);
-  check(it != obj_.end(), "Json: missing key '" + key + "'");
+  if (it == obj_.end()) fail("Json: missing key '" + key + "'");
   return it->second;
 }
 
@@ -232,7 +232,10 @@ class JsonParser {
   }
 
   void expect(char c) {
-    check(take() == c, strf("Json: expected '%c' at %zu", c, pos_ - 1));
+    // The message names the offset just before the unexpected character,
+    // as it always has.
+    const std::size_t at = pos_ - 1;
+    if (take() != c) fail(strf("Json: expected '%c' at %zu", c, at));
   }
 
   bool consume_literal(const char* lit) {

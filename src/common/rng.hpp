@@ -14,6 +14,10 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) : state_(seed) {}
 
+  /// Skips the next `n` values: the state is a counter, so the generator
+  /// then continues exactly as if next_u64() had been called `n` times.
+  void discard(std::uint64_t n) { state_ += n * 0x9e3779b97f4a7c15ull; }
+
   /// Next raw 64-bit value.
   std::uint64_t next_u64() {
     std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);

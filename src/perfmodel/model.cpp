@@ -277,8 +277,9 @@ double PerfModel::solve_anchor(Precision prec) const {
   for (int it = 0; it < 60; ++it) {
     const double mid = 0.5 * (lo + hi);
     const Estimate e = estimate_with_anchor(ref.params, n, n, n, mid);
-    check(e.ok, "solve_anchor: Table II kernel rejected: " + e.reason +
-                    " [" + ref.params.summary() + "]");
+    if (!e.ok)
+      fail("solve_anchor: Table II kernel rejected: " + e.reason + " [" +
+           ref.params.summary() + "]");
     if (e.gflops < ref.max_gflops) {
       lo = mid;
     } else {

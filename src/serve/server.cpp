@@ -215,9 +215,9 @@ void GemmServer::fail_naming_request(
 const std::vector<PathEstimate>& GemmServer::estimates_for(
     const ShapeClass& s) const {
   const auto it = estimates_.find(s);
-  check(it != estimates_.end(),
-        "GemmServer::estimates_for: no estimates for " + to_string(s) +
-            " (call ensure_estimates first)");
+  if (it == estimates_.end())
+    fail("GemmServer::estimates_for: no estimates for " + to_string(s) +
+         " (call ensure_estimates first)");
   return it->second;
 }
 
@@ -273,9 +273,9 @@ ServeOutcome GemmServer::run(const std::vector<GemmRequest>& requests,
         "GemmServer::run: the admission shed mask must cover every request");
   std::map<std::int64_t, std::size_t> slot_of;
   for (std::size_t i = 0; i < n; ++i) {
-    check(slot_of.emplace(requests[i].id, i).second,
-          "GemmServer::run: duplicate request id " +
-              std::to_string(requests[i].id));
+    if (!slot_of.emplace(requests[i].id, i).second)
+      fail("GemmServer::run: duplicate request id " +
+           std::to_string(requests[i].id));
     check(i == 0 || requests[i - 1].arrival_seconds <=
                         requests[i].arrival_seconds,
           "GemmServer::run: requests must be sorted by arrival time");
@@ -483,9 +483,9 @@ void check_answered(const std::vector<GemmRequest>& requests,
   check(responses.size() == requests.size(),
         "serve: response count differs from the request count");
   for (std::size_t i = 0; i < requests.size(); ++i)
-    check(responses[i].request_id == requests[i].id,
-          "serve: request " + std::to_string(requests[i].id) +
-              " was never answered");
+    if (responses[i].request_id != requests[i].id)
+      fail("serve: request " + std::to_string(requests[i].id) +
+           " was never answered");
 }
 
 }  // namespace gemmtune::serve

@@ -7,8 +7,8 @@ namespace gemmtune::simcl {
 BufferPtr Context::create_buffer(std::size_t bytes) {
   check(bytes > 0, "Context: zero-sized buffer");
   const double capacity = spec_.global_mem_gb * 1024.0 * 1024.0 * 1024.0;
-  check(static_cast<double>(allocated_ + bytes) <= capacity,
-        "Context: device global memory exhausted on " + spec_.code_name);
+  if (!(static_cast<double>(allocated_ + bytes) <= capacity))
+    fail("Context: device global memory exhausted on " + spec_.code_name);
   allocated_ += bytes;
   return std::make_shared<Buffer>(bytes);
 }

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <iterator>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -166,7 +169,7 @@ Grid::Coords Grid::coords(std::int64_t index) const {
   return c;
 }
 
-Grid::Validity Grid::validity(Precision prec, int threads) const {
+Grid::Validity Grid::validity(Precision prec, ThreadPool& pool) const {
   const int blocks = sizes_[0] * sizes_[1];
   Validity v;
   v.bits.assign(static_cast<std::size_t>(blocks * prefixes_per_block() / 64),
@@ -199,9 +202,6 @@ Grid::Validity Grid::validity(Precision prec, int threads) const {
       if (axis < 2) return;
     }
   };
-  std::optional<ThreadPool> local_pool;
-  if (threads > 0) local_pool.emplace(threads);
-  ThreadPool& pool = local_pool ? *local_pool : ThreadPool::global();
   pool.parallel_for(blocks, [&](std::int64_t begin, std::int64_t end, int) {
     for (std::int64_t b = begin; b < end; ++b) scan(static_cast<int>(b));
   });
@@ -212,60 +212,195 @@ Grid::Validity Grid::validity(Precision prec, int threads) const {
   return v;
 }
 
+namespace {
+
+/// Rank -> grid point over the valid points of a Validity, in walk order:
+/// rank r is point r % per under the (r / per)-th set bit.
+class ValidPoints {
+ public:
+  ValidPoints(const std::vector<std::uint64_t>& bits, std::int64_t per)
+      : bits_(bits), per_(static_cast<std::uint64_t>(per)) {
+    // A prefix popcount sampled every kSpan words: before_[s] counts the
+    // set bits before span s.
+    before_.reserve(bits.size() / kSpan + 1);
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+      if (w % kSpan == 0) before_.push_back(prefixes_);
+      prefixes_ += static_cast<std::uint64_t>(std::popcount(bits[w]));
+    }
+  }
+
+  std::uint64_t count() const { return prefixes_ * per_; }
+
+  std::int64_t point(std::uint64_t rank) const {
+    std::uint64_t k = rank / per_;  // the k-th valid prefix, from 0
+    const auto span = static_cast<std::size_t>(
+        std::upper_bound(before_.begin(), before_.end(), k) -
+        before_.begin() - 1);
+    k -= before_[span];
+    std::size_t w = span * kSpan;
+    for (;; ++w) {
+      const auto in_word = static_cast<std::uint64_t>(std::popcount(bits_[w]));
+      if (k < in_word) break;
+      k -= in_word;
+    }
+    std::uint64_t word = bits_[w];
+    for (; k > 0; --k) word &= word - 1;
+    const std::uint64_t prefix =
+        w * 64 + static_cast<std::uint64_t>(std::countr_zero(word));
+    return static_cast<std::int64_t>(prefix * per_ + rank % per_);
+  }
+
+ private:
+  static constexpr std::size_t kSpan = 8;
+  const std::vector<std::uint64_t>& bits_;
+  std::uint64_t per_;
+  std::uint64_t prefixes_ = 0;
+  std::vector<std::uint64_t> before_;
+};
+
+/// Reservoir subsample of the ranks [0, valid) into `budget` slots: the
+/// first `budget` ranks fill the slots, and each later rank r draws
+/// j = next_below(r + 1) and replaces slot j when j < budget. Returns the
+/// kept rank of every slot. Draw d (rank budget + d) uses the generator's
+/// d-th value, so each contiguous chunk of draws starts its own generator
+/// at its offset and records its hits as (slot, rank); applying the
+/// chunks' hits in chunk order is the serial walk's sequence of
+/// replacements, for any chunking.
+std::vector<std::uint64_t> reservoir_ranks(std::uint64_t valid,
+                                           std::uint64_t budget,
+                                           std::uint64_t seed,
+                                           ThreadPool& pool) {
+  std::vector<std::uint64_t> kept(std::min(valid, budget));
+  std::iota(kept.begin(), kept.end(), std::uint64_t{0});
+  if (valid <= budget) return kept;
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> hits(
+      static_cast<std::size_t>(pool.size()));
+  pool.parallel_for(
+      static_cast<std::int64_t>(valid - budget),
+      [&](std::int64_t begin, std::int64_t end, int worker) {
+        const std::uint64_t first = budget + static_cast<std::uint64_t>(begin);
+        const std::uint64_t last = budget + static_cast<std::uint64_t>(end);
+        // Rank r hits with probability budget / (r + 1): reserve the
+        // expected count plus some slack, so the list rarely regrows.
+        const double expected = static_cast<double>(budget) *
+                                std::log(static_cast<double>(last) /
+                                         static_cast<double>(first));
+        auto& out = hits[static_cast<std::size_t>(worker)];
+        out.reserve(static_cast<std::size_t>(
+            expected + 4 * std::sqrt(expected) + 16));
+        Rng rng(seed ^ 0xC0FFEEu);
+        rng.discard(static_cast<std::uint64_t>(begin));
+        for (std::uint64_t rank = first; rank < last; ++rank) {
+          const std::uint64_t slot = rng.next_below(rank + 1);
+          if (slot < budget) out.emplace_back(slot, rank);
+        }
+      });
+  for (const auto& chunk : hits)
+    for (const auto& [slot, rank] : chunk)
+      kept[static_cast<std::size_t>(slot)] = rank;
+  return kept;
+}
+
+}  // namespace
+
 std::vector<KernelParams> enumerate_candidates(simcl::DeviceId id,
                                                Precision prec,
                                                const EnumOptions& opt,
                                                EnumStats* stats) {
-  check(opt.max_candidates >= 1,
-        "enumerate_candidates: max_candidates must be >= 1, got " +
-            std::to_string(opt.max_candidates));
+  if (opt.max_candidates < 1)
+    fail("enumerate_candidates: max_candidates must be >= 1, got " +
+         std::to_string(opt.max_candidates));
+  std::optional<ThreadPool> local_pool;
+  if (opt.threads > 0) local_pool.emplace(opt.threads);
+  ThreadPool& pool = local_pool ? *local_pool : ThreadPool::global();
   const Grid grid(simcl::device_spec(id), opt.include_row_major);
-  const Grid::Validity v = grid.validity(prec, opt.threads);
   const std::int64_t per = grid.points_per_prefix();
 
   // Reservoir-sample the valid points into the budget so a huge space
   // degrades gracefully into a uniform subsample rather than a
-  // prefix-biased one. It runs serially in walk order and draws one number
-  // per valid point past the budget, so the kept set depends only on the
-  // seed and the sequence of valid points, not on the thread count.
-  const auto budget = static_cast<std::uint64_t>(opt.max_candidates);
-  std::vector<std::int64_t> kept;
-  Rng rng(opt.seed ^ 0xC0FFEEu);
-  std::uint64_t seen = 0;
-  for (std::size_t w = 0; w < v.bits.size(); ++w) {
-    for (std::uint64_t word = v.bits[w]; word != 0; word &= word - 1) {
-      const std::int64_t first =
-          (static_cast<std::int64_t>(w) * 64 + std::countr_zero(word)) * per;
-      for (std::int64_t point = first; point < first + per; ++point) {
-        if (++seen <= budget) {
-          kept.push_back(point);
-          continue;
+  // prefix-biased one. The kept set depends only on the seed and the
+  // sequence of valid points, not on the thread count. The bitset and
+  // its index go before the kept points are decoded.
+  EnumStats st;
+  std::vector<std::uint64_t> kept;
+  {
+    const Grid::Validity v = grid.validity(prec, pool);
+    st.raw_combinations = v.structural * per;
+    st.invalid = v.invalid * per;
+    st.valid = st.raw_combinations - st.invalid;
+    const ValidPoints points(v.bits, per);
+    kept = reservoir_ranks(points.count(),
+                           static_cast<std::uint64_t>(opt.max_candidates),
+                           opt.seed, pool);
+    pool.parallel_for(static_cast<std::int64_t>(kept.size()),
+                      [&](std::int64_t begin, std::int64_t end, int) {
+                        for (auto i = static_cast<std::size_t>(begin);
+                             i < static_cast<std::size_t>(end); ++i)
+                          kept[i] = static_cast<std::uint64_t>(
+                              points.point(kept[i]));
+                      });
+  }
+
+  // Decode only the kept points and key each one once; each chunk sorts
+  // its indices by key, and the sorted runs are merged pairwise. Equal
+  // keys mean equal params, so this is the list one std::sort gives.
+  const std::size_t n = kept.size();
+  std::vector<KernelParams> params(n);
+  std::vector<std::string> keys(n);
+  std::vector<std::uint32_t> order(n);
+  const auto by_key = [&](std::uint32_t a, std::uint32_t b) {
+    return keys[a] < keys[b];
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> runs(
+      static_cast<std::size_t>(pool.size()));
+  pool.parallel_for(
+      static_cast<std::int64_t>(n),
+      [&](std::int64_t begin, std::int64_t end, int worker) {
+        const auto b = static_cast<std::size_t>(begin);
+        const auto e = static_cast<std::size_t>(end);
+        for (std::size_t i = b; i < e; ++i) {
+          const auto p = grid.decode(
+              grid.coords(static_cast<std::int64_t>(kept[i])), prec);
+          if (!p) fail("enumerate_candidates: a kept point failed to decode");
+          params[i] = *p;
+          keys[i] = p->key();
+          order[i] = static_cast<std::uint32_t>(i);
         }
-        const std::uint64_t j = rng.next_below(seen);
-        if (j < budget) kept[static_cast<std::size_t>(j)] = point;
-      }
-    }
+        std::sort(order.begin() + static_cast<std::ptrdiff_t>(b),
+                  order.begin() + static_cast<std::ptrdiff_t>(e), by_key);
+        runs[static_cast<std::size_t>(worker)] = {b, e};
+      });
+  std::erase_if(runs, [](const auto& r) { return r.first == r.second; });
+  // Each round merges run 2i + 1 into run 2i (an odd last run is copied
+  // as is), so the runs stay contiguous and in order.
+  std::vector<std::uint32_t> merged(runs.size() > 1 ? n : 0);
+  while (runs.size() > 1) {
+    const std::size_t pairs = (runs.size() + 1) / 2;
+    const auto hi = [&](std::size_t i) {
+      return runs[std::min(2 * i + 1, runs.size() - 1)].second;
+    };
+    const auto at = [](std::vector<std::uint32_t>& v, std::size_t i) {
+      return v.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    pool.parallel_for(
+        static_cast<std::int64_t>(pairs),
+        [&](std::int64_t begin, std::int64_t end, int) {
+          for (auto i = static_cast<std::size_t>(begin);
+               i < static_cast<std::size_t>(end); ++i) {
+            const auto [lo, mid] = runs[2 * i];
+            std::merge(at(order, lo), at(order, mid), at(order, mid),
+                       at(order, hi(i)), at(merged, lo), by_key);
+          }
+        });
+    for (std::size_t i = 0; i < pairs; ++i)
+      runs[i] = {runs[2 * i].first, hi(i)};
+    runs.resize(pairs);
+    order.swap(merged);
   }
-
-  // Decode only the kept points, and key each one once for the sort.
-  std::vector<std::pair<std::string, KernelParams>> keyed;
-  keyed.reserve(kept.size());
-  for (const std::int64_t point : kept) {
-    const auto p = grid.decode(grid.coords(point), prec);
-    if (!p) fail("enumerate_candidates: a kept point failed to decode");
-    keyed.emplace_back(p->key(), *p);
-  }
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<KernelParams> out;
-  out.reserve(keyed.size());
-  for (const auto& kp : keyed) out.push_back(kp.second);
-
-  if (stats) {
-    stats->raw_combinations = v.structural * per;
-    stats->invalid = v.invalid * per;
-    stats->valid = stats->raw_combinations - stats->invalid;
-  }
+  out.reserve(n);
+  for (const std::uint32_t i : order) out.push_back(params[i]);
+  if (stats) *stats = st;
   return out;
 }
 

@@ -6,10 +6,11 @@
 // The Grid holds the only copy of the structural rules; with
 // codegen::validate they decide which points are in the space. Neither
 // reads the last three axes (stride bits and the two operand layouts), so
-// validity is a property of the 11-axis prefix. enumerate_candidates runs
-// one parallel pass that records prefix validity in a bitset, then a serial
-// reservoir subsample over the valid points in walk order, and decodes
-// only the points it keeps: nothing else is materialized.
+// validity is a property of the 11-axis prefix. enumerate_candidates
+// records prefix validity in a bitset, reservoir-subsamples the valid
+// points in walk order, and decodes only the points it keeps: nothing else
+// is materialized. All three steps and the final key sort run on one
+// thread pool, and the result is the serial walk's for any thread count.
 #pragma once
 
 #include <array>
@@ -20,6 +21,10 @@
 #include "codegen/params.hpp"
 #include "simcl/device_registry.hpp"
 
+namespace gemmtune {
+class ThreadPool;
+}
+
 namespace gemmtune::tuner {
 
 /// Enumeration controls.
@@ -28,10 +33,11 @@ struct EnumOptions {
   std::uint64_t seed = 1;       ///< subsampling determinism
   bool include_row_major = false;  ///< also enumerate RM operand layouts
 
-  /// Worker threads for the validity pass over the grid. 0 uses the
-  /// process-wide configuration. The candidate list is bit-identical for
-  /// every thread count: validation fans out, but the reservoir subsample
-  /// runs serially in walk order.
+  /// Worker threads for the enumeration (validity pass, reservoir draws,
+  /// decoding and the key sort). 0 uses the process-wide pool. The
+  /// candidate list and EnumStats are bit-identical for every thread
+  /// count: the draws are split into contiguous chunks whose generators
+  /// start at their offsets, and their replacements apply in walk order.
   int threads = 0;
 };
 
@@ -89,10 +95,10 @@ class Grid {
     std::int64_t invalid = 0;     ///< of those, rejected by validate()
   };
 
-  /// Classifies every prefix. (Mwg, Nwg) blocks fan out over `threads`
-  /// workers (0: the process-wide configuration); each block owns whole
-  /// bitset words, and the result is the same for every thread count.
-  Validity validity(codegen::Precision prec, int threads) const;
+  /// Classifies every prefix. (Mwg, Nwg) blocks fan out over `pool`; each
+  /// block owns whole bitset words, and the result is the same for every
+  /// pool size.
+  Validity validity(codegen::Precision prec, ThreadPool& pool) const;
 
  private:
   /// The grid's structural rules, applied before validate(). Returns -1

@@ -1,6 +1,7 @@
 #include "tuner/search.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 
 #include "codegen/paper_kernels.hpp"
@@ -28,7 +29,7 @@ std::vector<std::pair<std::int64_t, double>> SearchEngine::sweep(
   return curve;
 }
 
-std::vector<KernelParams> SearchEngine::candidate_space(
+const std::vector<KernelParams>& SearchEngine::candidate_space(
     Precision prec, const SearchOptions& opt, EnumStats* stats) const {
   // Everything that shapes the space (thread counts never do — the list
   // is bit-identical for any of them). A server tuning dozens of shape
@@ -51,18 +52,28 @@ std::vector<KernelParams> SearchEngine::candidate_space(
   EnumOptions eopt = opt.enumeration;
   if (eopt.threads == 0) eopt.threads = opt.threads;
   EnumStats est;
-  std::vector<KernelParams> candidates;
+  std::vector<KernelParams> enumerated;
   {
     trace::Span span("tuner.enumerate");
-    candidates = enumerate_candidates(id_, prec, eopt, &est);
+    enumerated = enumerate_candidates(id_, prec, eopt, &est);
   }
-  candidates.push_back(codegen::table2_entry(id_, prec).params);
-  std::erase_if(candidates,
-                [&](const KernelParams& p) { return !opt.admits(p); });
-  if (stats) *stats = est;
+  // The memo keeps its list for the engine's lifetime: size it exactly
+  // rather than let the seed's push_back double it.
+  std::vector<KernelParams> candidates;
+  candidates.reserve(enumerated.size() + 1);
+  std::copy_if(enumerated.begin(), enumerated.end(),
+               std::back_inserter(candidates),
+               [&](const KernelParams& p) { return opt.admits(p); });
+  const KernelParams seed = codegen::table2_entry(id_, prec).params;
+  if (opt.admits(seed)) candidates.push_back(seed);
+  // A concurrent call may have filled the slot first; its list is the
+  // same, and the first one stays.
   std::lock_guard<std::mutex> lock(space_mu_);
-  space_cache_.emplace(key, std::make_pair(candidates, est));
-  return candidates;
+  const auto& [list, list_stats] =
+      space_cache_.emplace(key, std::make_pair(std::move(candidates), est))
+          .first->second;
+  if (stats) *stats = list_stats;
+  return list;
 }
 
 double SearchEngine::measure_candidate(const KernelParams& p,
@@ -84,8 +95,9 @@ TunedKernel SearchEngine::profile_candidate(const KernelParams& p,
   if (opt.shape) {
     const ShapeClass& s = *opt.shape;
     const ShapeCost c = shape_cost(model_, p, s.Mc, s.Nc, s.Kc);
-    check(c.ok, "profile_candidate: kernel unusable for shape class " +
-                    to_string(s));
+    if (!c.ok)
+      fail("profile_candidate: kernel unusable for shape class " +
+           to_string(s));
     t.stage1_gflops = c.gflops;
     t.best_gflops = c.gflops;
     t.best_n = s.Nc;
@@ -95,7 +107,7 @@ TunedKernel SearchEngine::profile_candidate(const KernelParams& p,
   }
   const std::int64_t n1 = model_.stage1_size(p);
   const auto e1 = model_.kernel_estimate(p, n1, n1, n1);
-  check(e1.ok, "profile_kernel: kernel rejected: " + e1.reason);
+  if (!e1.ok) fail("profile_kernel: kernel rejected: " + e1.reason);
   t.stage1_gflops = e1.gflops;
   t.curve = sweep(p, opt.stage2_max_n);
   for (const auto& [n, g] : t.curve) {
@@ -127,7 +139,7 @@ TunedKernel SearchEngine::tune(Precision prec, const SearchOptions& opt,
                                SearchStats* stats) const {
   trace::Span tune_span("tuner.tune");
   SearchStats st;
-  const std::vector<KernelParams> candidates =
+  const std::vector<KernelParams>& candidates =
       candidate_space(prec, opt, &st.enumeration);
   check(!candidates.empty(), "tune: no valid candidates for device");
 

@@ -139,8 +139,9 @@ class SearchEngine {
   /// filters. Every strategy — exhaustive or guided — draws from exactly
   /// this list, in exactly this order. The space is memoized per option
   /// set (opt.shape does not change it), so a server tuning many shape
-  /// classes pays the cross-product walk once per device.
-  std::vector<codegen::KernelParams> candidate_space(
+  /// classes pays the cross-product walk once per device. The reference
+  /// is to the memo and stays valid for the engine's lifetime.
+  const std::vector<codegen::KernelParams>& candidate_space(
       codegen::Precision prec, const SearchOptions& opt,
       EnumStats* stats = nullptr) const;
 

@@ -48,7 +48,7 @@ class AnnealStrategy final : public SearchStrategy {
                   StrategyStats* stats) const override {
     StrategyStats st;
     const std::int64_t budget = spec.budget > 0 ? spec.budget : 256;
-    const std::vector<codegen::KernelParams> candidates =
+    const std::vector<codegen::KernelParams>& candidates =
         engine.candidate_space(prec, opt, &st.search.enumeration);
     check(!candidates.empty(), "anneal: no valid candidates for device");
     st.space = static_cast<std::int64_t>(candidates.size());

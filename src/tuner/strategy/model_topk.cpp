@@ -6,7 +6,6 @@
 // while each measurement costs a kernel launch; here the budget accounting
 // is what the quality gate audits.
 #include <algorithm>
-#include <iterator>
 #include <optional>
 
 #include "common/error.hpp"
@@ -26,48 +25,50 @@ class ModelTopKStrategy final : public SearchStrategy {
                   StrategyStats* stats) const override {
     StrategyStats st;
     const std::int64_t budget = spec.budget > 0 ? spec.budget : 64;
-    const std::vector<codegen::KernelParams> candidates =
+    const std::vector<codegen::KernelParams>& candidates =
         engine.candidate_space(prec, opt, &st.search.enumeration);
     check(!candidates.empty(), "model_topk: no valid candidates for device");
     st.space = static_cast<std::int64_t>(candidates.size());
     st.model_ranked = st.space;
 
-    // Rank every candidate analytically. Contiguous chunks merged in
-    // worker order keep the ranked list in candidate-index order for any
-    // thread count (the same discipline as the exhaustive stage 1).
+    // Rank every candidate analytically: one score per candidate index,
+    // written by whichever worker holds the index, so the scores are the
+    // same for any thread count.
     std::optional<ThreadPool> local_pool;
     if (opt.threads > 0) local_pool.emplace(opt.threads);
     ThreadPool& pool = local_pool ? *local_pool : ThreadPool::global();
-    const auto workers = static_cast<std::size_t>(pool.size());
-    std::vector<std::vector<Measured>> part(workers);
+    std::vector<double> score(candidates.size());
     pool.parallel_for(
         static_cast<std::int64_t>(candidates.size()),
-        [&](std::int64_t begin, std::int64_t end, int worker) {
-          auto& out = part[static_cast<std::size_t>(worker)];
-          for (std::int64_t i = begin; i < end; ++i) {
-            const auto& p = candidates[static_cast<std::size_t>(i)];
-            const double g = engine.measure_candidate(p, opt);
-            if (g <= 0) continue;
-            out.push_back({p, g, static_cast<std::size_t>(i), {}});
-          }
+        [&](std::int64_t begin, std::int64_t end, int) {
+          for (auto i = static_cast<std::size_t>(begin);
+               i < static_cast<std::size_t>(end); ++i)
+            score[i] = engine.measure_candidate(candidates[i], opt);
         });
-    std::vector<Measured> ranked;
-    for (auto& w : part)
-      ranked.insert(ranked.end(), std::make_move_iterator(w.begin()),
-                    std::make_move_iterator(w.end()));
-    check(!ranked.empty(), "model_topk: every candidate failed the model");
+    std::vector<std::size_t> order;
+    order.reserve(candidates.size());
+    for (std::size_t i = 0; i < score.size(); ++i)
+      if (score[i] > 0) order.push_back(i);
+    check(!order.empty(), "model_topk: every candidate failed the model");
 
     // Only the top-K sliver is "measured" (counts toward the budget).
+    // Indices are unique, so (score desc, index asc) is `better`'s order
+    // without the keys; only the kept sliver needs them (select_winner
+    // dedupes by key).
     const std::size_t k =
-        std::min<std::size_t>(static_cast<std::size_t>(budget),
-                              ranked.size());
-    std::partial_sort(ranked.begin(),
-                      ranked.begin() + static_cast<std::ptrdiff_t>(k),
-                      ranked.end(), better);
-    ranked.resize(k);
-    // Indices are unique, so `better` never compared keys; only the kept
-    // sliver needs them (select_winner dedupes by key).
-    for (Measured& m : ranked) m.key = m.params.key();
+        std::min<std::size_t>(static_cast<std::size_t>(budget), order.size());
+    std::partial_sort(order.begin(),
+                      order.begin() + static_cast<std::ptrdiff_t>(k),
+                      order.end(), [&](std::size_t a, std::size_t b) {
+                        if (score[a] != score[b]) return score[a] > score[b];
+                        return a < b;
+                      });
+    std::vector<Measured> ranked;
+    ranked.reserve(k);
+    for (std::size_t r = 0; r < k; ++r) {
+      const std::size_t i = order[r];
+      ranked.push_back({candidates[i], score[i], i, candidates[i].key()});
+    }
     st.measured = static_cast<std::int64_t>(k);
     st.search.stage1_evaluated = static_cast<std::int64_t>(k);
 

@@ -19,6 +19,7 @@
 #include "kernelir/interp.hpp"
 #include "tuner/results_db.hpp"
 #include "tuner/search.hpp"
+#include "tuner/strategy/strategy.hpp"
 
 namespace gemmtune {
 namespace {
@@ -141,8 +142,9 @@ TEST(ParallelTune, BitIdenticalAcrossThreadCounts) {
 }
 
 // SearchEngine memoizes its candidate space across thread counts, so the
-// tunes above enumerate once; this runs the grid's validity pass itself
-// on several workers.
+// tunes above enumerate once; this runs the enumeration itself (validity
+// pass, reservoir draws, decoding and the key sort) on several workers,
+// including a count that divides none of its ranges evenly.
 TEST(ParallelTune, EnumerationIdenticalAcrossThreadCounts) {
   tuner::EnumOptions opt;
   opt.max_candidates = 400;
@@ -150,14 +152,61 @@ TEST(ParallelTune, EnumerationIdenticalAcrossThreadCounts) {
   tuner::EnumStats st1;
   const auto base =
       tuner::enumerate_candidates(DeviceId::Tahiti, Precision::SP, opt, &st1);
-  opt.threads = 4;
-  tuner::EnumStats st4;
-  const auto got =
-      tuner::enumerate_candidates(DeviceId::Tahiti, Precision::SP, opt, &st4);
-  EXPECT_EQ(got, base);
-  EXPECT_EQ(st4.raw_combinations, st1.raw_combinations);
-  EXPECT_EQ(st4.invalid, st1.invalid);
-  EXPECT_EQ(st4.valid, st1.valid);
+  for (int threads : {3, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    opt.threads = threads;
+    tuner::EnumStats st;
+    const auto got = tuner::enumerate_candidates(DeviceId::Tahiti,
+                                                 Precision::SP, opt, &st);
+    EXPECT_EQ(got, base);
+    EXPECT_EQ(st.raw_combinations, st1.raw_combinations);
+    EXPECT_EQ(st.invalid, st1.invalid);
+    EXPECT_EQ(st.valid, st1.valid);
+  }
+}
+
+// A guided shape-class tune on a fresh engine per thread count: the
+// enumeration and the model's ranking both fan out, and the winner and
+// every statistic must not move.
+TEST(ParallelTune, ModelTopKShapeTuneIdenticalAcrossThreadCounts) {
+  tuner::strategy::StrategySpec spec;
+  spec.kind = tuner::strategy::StrategyKind::ModelTopK;
+  spec.budget = 64;
+  const auto run = [&](int threads, tuner::strategy::StrategyStats* st) {
+    tuner::SearchEngine engine(DeviceId::Tahiti);
+    tuner::SearchOptions opt;
+    opt.enumeration.max_candidates = 3000;
+    opt.threads = threads;
+    opt.shape = tuner::ShapeClass{Precision::DP, GemmType::NN, 64, 64, 64};
+    return tuner::strategy::run_strategy(engine, Precision::DP, opt, spec,
+                                         st);
+  };
+  tuner::strategy::StrategyStats st1, st4;
+  const auto base = run(1, &st1);
+  const auto got = run(4, &st4);
+  EXPECT_EQ(got.params, base.params);
+  EXPECT_EQ(got.stage1_gflops, base.stage1_gflops);  // bit-identical
+  EXPECT_EQ(got.best_gflops, base.best_gflops);
+  EXPECT_EQ(got.best_n, base.best_n);
+  EXPECT_EQ(got.curve, base.curve);
+  EXPECT_EQ(st4.space, st1.space);
+  EXPECT_EQ(st4.measured, st1.measured);
+  EXPECT_EQ(st4.model_ranked, st1.model_ranked);
+  EXPECT_EQ(st4.proposals, st1.proposals);
+  EXPECT_EQ(st4.proposals_invalid, st1.proposals_invalid);
+  EXPECT_EQ(st4.fraction_measured, st1.fraction_measured);
+  const tuner::SearchStats& s1 = st1.search;
+  const tuner::SearchStats& s4 = st4.search;
+  EXPECT_EQ(s4.enumeration.raw_combinations,
+            s1.enumeration.raw_combinations);
+  EXPECT_EQ(s4.enumeration.invalid, s1.enumeration.invalid);
+  EXPECT_EQ(s4.enumeration.valid, s1.enumeration.valid);
+  EXPECT_EQ(s4.stage1_evaluated, s1.stage1_evaluated);
+  EXPECT_EQ(s4.stage1_failed, s1.stage1_failed);
+  EXPECT_EQ(s4.stage2_points, s1.stage2_points);
+  EXPECT_EQ(s4.stage2_empty, s1.stage2_empty);
+  EXPECT_EQ(s4.stage2_failed, s1.stage2_failed);
+  EXPECT_EQ(s4.used_stage1_fallback, s1.used_stage1_fallback);
 }
 
 TEST(ParallelTune, FallsBackToStage1WhenEverySweepIsEmpty) {
